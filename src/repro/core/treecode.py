@@ -41,7 +41,7 @@ import numpy as np
 
 from ..direct import pairwise_potential
 from ..multipole.expansion import m2p_rows, p2m_terms
-from ..multipole.gradient import m2p_grad_rows
+from ..multipole.gradient import m2p_rows_grad
 from ..multipole.harmonics import ncoef, term_count
 from ..multipole.translations import m2m
 from ..obs.metrics import REGISTRY
@@ -530,11 +530,12 @@ class Treecode:
                                 "far-field pairs per vectorized batch",
                             ).observe(chi - clo)
                         rel = tgt[tids] - tree.center_exp[nodes]
-                        vals = m2p_rows(self.coeffs[nodes], rel, p)
-                        scatter_add(phi, tids, vals)
-                        if grad is not None:
-                            gv = m2p_grad_rows(self.coeffs[nodes], rel, p)
+                        if grad is None:
+                            vals = m2p_rows(self.coeffs[nodes], rel, p)
+                        else:
+                            vals, gv = m2p_rows_grad(self.coeffs[nodes], rel, p)
                             scatter_add(grad, tids, gv)
+                        scatter_add(phi, tids, vals)
                         if bound is not None:
                             r = np.sqrt(
                                 np.einsum("ij,ij->i", rel, rel)

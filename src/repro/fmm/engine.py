@@ -24,14 +24,7 @@ import numpy as np
 
 from ..core.bounds import degree_for_tolerance, degree_increment_per_level
 from ..multipole.expansion import l2p, m_weights, p2m_terms
-from ..multipole.harmonics import (
-    cart_to_sph,
-    degree_of_index,
-    ncoef,
-    power_table,
-    sph_harmonics,
-    term_count,
-)
+from ..multipole.harmonics import ncoef, regular_solid, term_count
 from ..multipole.rotations import RotationCache, rotate_packed
 from ..multipole.translations import (
     axial_l2l,
@@ -434,19 +427,15 @@ class UniformFMM:
             p_store = max(degs[2:]) if L >= 2 else degs[-1]
             centers_L = self._cell_centers(L)
             occupied = np.nonzero(self.cell_end > self.cell_start)[0]
-            rel = self.points - centers_L[self.cell_of]
-            rho, ct, ph = cart_to_sph(rel)
-            ns, _ = degree_of_index(p_store)
-            G = power_table(rho, p_store)[:, ns] * np.conj(
-                sph_harmonics(ct, ph, p_store)
-            )
             pL = degs[L]
-            nsL, _ = degree_of_index(pL)
-            R = (
-                sph_harmonics(ct, ph, pL)
-                * power_table(rho, pL)[:, nsL]
-                * m_weights(pL)
+            # one regular table serves both: P2M rows rho^n conj(Y) at
+            # p_store and weighted L2P rows rho^n Y at pL (degree-major
+            # packing: a lower degree is a leading slice)
+            Rt = regular_solid(
+                self.points - centers_L[self.cell_of], max(p_store, pL)
             )
+            G = np.ascontiguousarray(np.conj(Rt[: ncoef(p_store)].T))
+            R = np.ascontiguousarray(Rt[: ncoef(pL)].T * m_weights(pL))
             mem = G.nbytes + R.nbytes
 
             m2l_groups: dict[int, list] = {}

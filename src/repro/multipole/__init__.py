@@ -1,8 +1,8 @@
-"""Spherical-harmonic multipole machinery for the Laplace kernel."""
+"""Solid-harmonic multipole machinery for the Laplace kernel."""
 
 from .expansion import l2p, m2p, m2p_rows, p2l, p2m
 from .gradient import l2p_grad, m2p_grad, m2p_grad_rows
-from .harmonics import cart_to_sph, coef_index, ncoef, sph_harmonics, term_count
+from .harmonics import coef_index, irregular_solid, ncoef, regular_solid, term_count
 from .translations import l2l, m2l, m2m
 
 __all__ = [
@@ -20,6 +20,6 @@ __all__ = [
     "ncoef",
     "coef_index",
     "term_count",
-    "sph_harmonics",
-    "cart_to_sph",
+    "regular_solid",
+    "irregular_solid",
 ]

@@ -26,20 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harmonics import (
-    cart_to_sph,
-    coef_index,
-    degree_of_index,
-    ncoef,
-    power_table,
-    sph_harmonics,
-)
+from .harmonics import degree_of_index, irregular_solid, ncoef, regular_solid
 
 __all__ = [
     "p2m",
     "p2m_terms",
     "m2p",
     "m2p_rows",
+    "contract_rows",
     "p2l",
     "l2p",
     "m_weights",
@@ -142,13 +136,8 @@ def p2m(rel_pos: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
     -------
     Packed complex coefficient array of length ``ncoef(p)``.
     """
-    rel_pos = np.asarray(rel_pos, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    rho, ct, phi = cart_to_sph(rel_pos)
-    Y = sph_harmonics(ct, phi, p)  # (n, ncoef)
-    ns, _ = degree_of_index(p)
-    rpow = power_table(rho, p)[:, ns]  # (n, ncoef)
-    return np.einsum("i,ic,ic->c", q, rpow, np.conj(Y))
+    return np.conj(regular_solid(rel_pos, p) @ q)
 
 
 def p2m_terms(rel_pos: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
@@ -158,13 +147,8 @@ def p2m_terms(rel_pos: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
     gives its :func:`p2m` coefficients.  Used to form expansions for
     many clusters at once with segmented reductions.
     """
-    rel_pos = np.asarray(rel_pos, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    rho, ct, phi = cart_to_sph(rel_pos)
-    Y = sph_harmonics(ct, phi, p)
-    ns, _ = degree_of_index(p)
-    rpow = power_table(rho, p)[:, ns]
-    return q[:, None] * rpow * np.conj(Y)
+    return q[:, None] * np.conj(regular_solid(rel_pos, p).T)
 
 
 def m2p(coeffs: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
@@ -175,14 +159,20 @@ def m2p(coeffs: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
 
     Returns the real potential, shape ``(t,)``.
     """
-    rel_targets = np.asarray(rel_targets, dtype=np.float64)
-    r, ct, phi = cart_to_sph(rel_targets)
-    Y = sph_harmonics(ct, phi, p)  # (t, ncoef)
-    ns, _ = degree_of_index(p)
-    rinv = 1.0 / r
-    rpow = rinv[:, None] * power_table(rinv, p)[:, ns]
-    w = m_weights(p)
-    return np.real((Y * rpow) @ (w * np.asarray(coeffs)[: ncoef(p)]))
+    c = m_weights(p) * np.asarray(coeffs)[: ncoef(p)]
+    return np.real(c @ irregular_solid(rel_targets, p))
+
+
+def contract_rows(coeff_rows: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
+    """``Re sum_c w_c C[t, c] T[c, t]``: per-row expansions ``(t, >=
+    ncoef(p))`` against the first ``ncoef(p)`` rows of a batch-last
+    solid table — the shared potential step of :func:`m2p_rows` and
+    :func:`repro.multipole.gradient.m2p_rows_grad`."""
+    nc = ncoef(p)
+    C = np.asarray(coeff_rows)[:, :nc] * m_weights(p)
+    return np.einsum("tc,ct->t", C.real, T[:nc].real) - np.einsum(
+        "tc,ct->t", C.imag, T[:nc].imag
+    )
 
 
 def m2p_rows(coeff_rows: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
@@ -207,17 +197,7 @@ def m2p_rows(coeff_rows: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndar
     -------
     ``(t,)`` real potentials.
     """
-    rel_targets = np.asarray(rel_targets, dtype=np.float64)
-    r, ct, phi = cart_to_sph(rel_targets)
-    Y = sph_harmonics(ct, phi, p)  # (t, ncoef)
-    ns, _ = degree_of_index(p)
-    rinv = 1.0 / r
-    rpow = rinv[:, None] * power_table(rinv, p)[:, ns]
-    w = m_weights(p)
-    C = np.asarray(coeff_rows)[:, : ncoef(p)]
-    return np.einsum("tc,tc,tc->t", Y.real, rpow, C.real * w) - np.einsum(
-        "tc,tc,tc->t", Y.imag, rpow, C.imag * w
-    )
+    return contract_rows(coeff_rows, irregular_solid(rel_targets, p), p)
 
 
 def p2l(rel_pos: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
@@ -226,25 +206,14 @@ def p2l(rel_pos: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
     For a charge at ``u`` (relative to the local center, ``|u|`` larger
     than the evaluation radius), ``L_n^m = q conj(Y_n^m(u)) / |u|^{n+1}``.
     """
-    rel_pos = np.asarray(rel_pos, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    rho, ct, phi = cart_to_sph(rel_pos)
-    Y = sph_harmonics(ct, phi, p)
-    ns, _ = degree_of_index(p)
-    rinv = 1.0 / rho
-    rpow = rinv[:, None] * power_table(rinv, p)[:, ns]
-    return np.einsum("i,ic,ic->c", q, rpow, np.conj(Y))
+    return np.conj(irregular_solid(rel_pos, p) @ q)
 
 
 def l2p(coeffs: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
     """Evaluate a local expansion at targets (relative to its center)."""
-    rel_targets = np.asarray(rel_targets, dtype=np.float64)
-    rho, ct, phi = cart_to_sph(rel_targets)
-    Y = sph_harmonics(ct, phi, p)
-    ns, _ = degree_of_index(p)
-    rpow = power_table(rho, p)[:, ns]
-    w = m_weights(p)
-    return np.real((Y * rpow) @ (w * np.asarray(coeffs)[: ncoef(p)]))
+    c = m_weights(p) * np.asarray(coeffs)[: ncoef(p)]
+    return np.real(c @ regular_solid(rel_targets, p))
 
 
 def truncate(coeffs: np.ndarray, p_from: int, p_to: int) -> np.ndarray:

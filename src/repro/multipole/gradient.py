@@ -1,51 +1,51 @@
-r"""Analytic gradients of truncated multipole expansions.
+r"""Analytic gradients of truncated multipole and local expansions.
 
 Used for force evaluation (``F = -q ∇Φ``) in the n-body examples.  The
-gradient is assembled in spherical components
-
-.. math::
-
-    \nabla\Phi = \partial_r\Phi\,\hat e_r
-        + \frac1r \partial_\theta\Phi\,\hat e_\theta
-        + \frac{1}{r\sin\theta} \partial_\varphi\Phi\,\hat e_\varphi
-
-with the θ-derivatives of the associated Legendre functions from
-:mod:`repro.multipole.legendre`.  The azimuthal term is guarded with a
-``sinθ`` floor; exactly on the polar axis the ``m >= 1`` contributions
-vanish like ``sin^m θ`` so the guarded form remains accurate to the
-floor's precision (evaluation points are generic in all callers).
+gradient of a degree-``p`` expansion is read off the solid-harmonic
+table of :mod:`repro.multipole.harmonics` with the ladder identities
+(:func:`~repro.multipole.harmonics.ladder_terms`): a multipole
+expansion differentiates into the irregular table one degree up, a
+local expansion into the regular table one degree down.  Everything is
+Cartesian — exact on the polar axis and, for local expansions, at the
+expansion center itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expansion import m_weights
-from .harmonics import cart_to_sph, degree_of_index, norm_table, power_table
-from .legendre import legendre_theta_derivative_table
+from .expansion import contract_rows
+from .harmonics import irregular_solid, ladder_terms, ncoef, regular_solid
 
-__all__ = ["m2p_grad", "m2p_grad_rows", "l2p_grad"]
-
-_SIN_FLOOR = 1e-12
+__all__ = ["m2p_grad", "m2p_grad_rows", "m2p_rows_grad", "l2p_grad"]
 
 
-def _angular_tables(ct: np.ndarray, phi: np.ndarray, p: int):
-    """Shared packed tables: ``Y``, ``dY/dθ`` (without radial factors)."""
-    ns, ms = degree_of_index(p)
-    norms = norm_table(p)
-    P, dP = legendre_theta_derivative_table(ct, p)
-    e = np.exp(1j * phi[..., None] * np.arange(p + 1))
-    Y = P[..., ns, ms] * norms * e[..., ms]
-    dY = dP[..., ns, ms] * norms * e[..., ms]
-    return Y, dY, ns, ms
+def _grad_contract(coeff_rows: np.ndarray, T: np.ndarray, p: int, regular: bool):
+    """``(t, 3)`` gradients of per-row expansions ``coeff_rows`` (``(t,
+    >= ncoef(p))``) over the batch-last solid table ``T``, one
+    degree-run of orders per ladder term (no ``(3, ncoef, t)`` row
+    matrix is materialized)."""
+    Ct = np.ascontiguousarray(np.asarray(coeff_rows)[:, : ncoef(p)].T)
+    S = np.zeros((3, T.shape[1]), dtype=np.complex128)
+    for k, dst, src, coef in ladder_terms(p, regular):
+        n = coef.size
+        S[k] += np.einsum("m,mt,mt->t", coef, Ct[dst : dst + n], T[src : src + n])
+    return np.stack([(S[1] + S[2]).real, (S[1] - S[2]).imag, S[0].real], axis=-1)
 
 
-def _sph_to_cart(dr, dth, dph_over_sin, st, ct, cp, sp):
-    """Combine spherical gradient components into Cartesian vectors."""
-    gx = dr * st * cp + dth * ct * cp - dph_over_sin * sp
-    gy = dr * st * sp + dth * ct * sp + dph_over_sin * cp
-    gz = dr * ct - dth * st
-    return np.stack([gx, gy, gz], axis=-1)
+def m2p_grad_rows(coeff_rows: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
+    """Per-pair gradient evaluation (row ``i`` of ``coeff_rows`` belongs
+    to target ``i``); the gradient analogue of
+    :func:`repro.multipole.expansion.m2p_rows`."""
+    return _grad_contract(coeff_rows, irregular_solid(rel_targets, p + 1), p, False)
+
+
+def m2p_rows_grad(coeff_rows: np.ndarray, rel_targets: np.ndarray, p: int):
+    """``(potential, gradient)`` of per-pair expansions from one shared
+    irregular table — :func:`~repro.multipole.expansion.m2p_rows` and
+    :func:`m2p_grad_rows` in a single geometry pass."""
+    T = irregular_solid(rel_targets, p + 1)
+    return contract_rows(coeff_rows, T, p), _grad_contract(coeff_rows, T, p, False)
 
 
 def m2p_grad(coeffs: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
@@ -54,70 +54,12 @@ def m2p_grad(coeffs: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
     Returns ``(t, 3)`` array of ``∇Φ`` (the caller applies ``F = -q ∇Φ``).
     """
     rel_targets = np.asarray(rel_targets, dtype=np.float64)
-    r, ct, phi = cart_to_sph(rel_targets)
-    Y, dY, ns, ms = _angular_tables(ct, phi, p)
-    w = m_weights(p)
-    c = w * np.asarray(coeffs)
-
-    rinv = 1.0 / r
-    rpow = rinv[:, None] ** (ns[None, :] + 1)  # r^-(n+1)
-
-    # dPhi/dr = sum -(n+1) r^-(n+2) Re(M Y)
-    d_r = np.real((Y * rpow * (-(ns + 1))) @ c) * rinv
-    # (1/r) dPhi/dtheta
-    d_th = np.real((dY * rpow) @ c) * rinv
-    # (1/(r sin)) dPhi/dphi ; dY/dphi = i m Y
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    st_safe = np.maximum(st, _SIN_FLOOR)
-    d_ph = -np.imag((Y * rpow * ms) @ c) * rinv / st_safe
-    # note: Re(i m M Y) = -m Im(M Y).
-
-    cp, sp = np.cos(phi), np.sin(phi)
-    return _sph_to_cart(d_r, d_th, d_ph, st, ct, cp, sp)
-
-
-def m2p_grad_rows(coeff_rows: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
-    """Per-pair gradient evaluation (row ``i`` of ``coeff_rows`` belongs
-    to target ``i``); the gradient analogue of
-    :func:`repro.multipole.expansion.m2p_rows`."""
-    from .harmonics import ncoef
-
-    rel_targets = np.asarray(rel_targets, dtype=np.float64)
-    r, ct, phi = cart_to_sph(rel_targets)
-    Y, dY, ns, ms = _angular_tables(ct, phi, p)
-    w = m_weights(p)
-    C = np.asarray(coeff_rows)[:, : ncoef(p)] * w
-
-    rinv = 1.0 / r
-    rpow = rinv[:, None] * power_table(rinv, p)[:, ns]
-
-    d_r = np.real(np.einsum("tc,tc->t", Y * rpow * (-(ns + 1)), C)) * rinv
-    d_th = np.real(np.einsum("tc,tc->t", dY * rpow, C)) * rinv
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    st_safe = np.maximum(st, _SIN_FLOOR)
-    d_ph = -np.imag(np.einsum("tc,tc->t", Y * rpow * ms, C)) * rinv / st_safe
-
-    cp, sp = np.cos(phi), np.sin(phi)
-    return _sph_to_cart(d_r, d_th, d_ph, st, ct, cp, sp)
+    rows = np.broadcast_to(np.asarray(coeffs)[: ncoef(p)], (rel_targets.shape[0], ncoef(p)))
+    return m2p_grad_rows(rows, rel_targets, p)
 
 
 def l2p_grad(coeffs: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
     """Gradient of a local expansion at targets relative to its center."""
     rel_targets = np.asarray(rel_targets, dtype=np.float64)
-    r, ct, phi = cart_to_sph(rel_targets)
-    Y, dY, ns, ms = _angular_tables(ct, phi, p)
-    w = m_weights(p)
-    c = w * np.asarray(coeffs)
-
-    r_safe = np.maximum(r, 1e-300)
-    rpow = power_table(r_safe, p)[:, ns]  # r^n
-
-    # dPhi/dr = sum n r^{n-1} Re(L Y)
-    d_r = np.real((Y * rpow * ns) @ c) / r_safe
-    d_th = np.real((dY * rpow) @ c) / r_safe
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    st_safe = np.maximum(st, _SIN_FLOOR)
-    d_ph = -np.imag((Y * rpow * ms) @ c) / (r_safe * st_safe)
-
-    cp, sp = np.cos(phi), np.sin(phi)
-    return _sph_to_cart(d_r, d_th, d_ph, st, ct, cp, sp)
+    rows = np.broadcast_to(np.asarray(coeffs)[: ncoef(p)], (rel_targets.shape[0], ncoef(p)))
+    return _grad_contract(rows, regular_solid(rel_targets, p), p, True)

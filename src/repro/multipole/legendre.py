@@ -9,17 +9,18 @@ phase:
     P_{m+1}^m(x) &= (2m+1)\,x\,P_m^m(x) \\
     (n-m)\,P_n^m(x) &= (2n-1)\,x\,P_{n-1}^m(x) - (n+m-1)\,P_{n-2}^m(x)
 
-so all values are non-negative for ``x in [0, 1]``.  The spherical
-harmonics in :mod:`repro.multipole.harmonics` build on this convention;
-consistency between P2M / M2P / translations is verified by tests that
-compare the full pipeline against direct summation.
+so all values are non-negative for ``x in [0, 1]``.  The reference
+spherical harmonics of :mod:`repro.multipole.harmonics`
+(:func:`~repro.multipole.harmonics.sph_harmonics`) build on this
+convention; they are the oracle the Cartesian solid-harmonic kernels
+are tested against, and no production path evaluates Legendre tables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["legendre_table", "legendre_theta_derivative_table"]
+__all__ = ["legendre_table"]
 
 
 def legendre_table(x: np.ndarray, pmax: int) -> np.ndarray:
@@ -61,48 +62,3 @@ def legendre_table(x: np.ndarray, pmax: int) -> np.ndarray:
                 (2 * n - 1) * x * out[..., n - 1, m] - (n + m - 1) * out[..., n - 2, m]
             ) / (n - m)
     return out
-
-
-def legendre_theta_derivative_table(costheta: np.ndarray, pmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate ``P_n^m(cos θ)`` and ``dP_n^m(cos θ)/dθ`` for all n, m.
-
-    Uses the identity
-    ``sinθ · dP_n^m/dθ = n x P_n^m - (n+m) P_{n-1}^m`` where
-    ``x = cosθ``; division by ``sinθ`` is guarded with a small floor,
-    appropriate for force evaluation away from exact poles (callers that
-    need exact pole values should perturb θ).
-
-    Returns
-    -------
-    ``(P, dP)`` each of shape ``x.shape + (pmax+1, pmax+1)``.
-    """
-    x = np.asarray(costheta, dtype=np.float64)
-    P = legendre_table(x, pmax)
-    dP = np.zeros_like(P)
-    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    s_safe = np.maximum(s, 1e-150)
-
-    for n in range(0, pmax + 1):
-        for m in range(0, n + 1):
-            prev = P[..., n - 1, m] if n - 1 >= m else np.zeros_like(x)
-            # dP/dθ = -sinθ dP/dx ;  (1-x²) dP/dx = n x P_n^m - (n+m) P_{n-1}^m
-            dP[..., n, m] = (n * x * P[..., n, m] - (n + m) * prev) / s_safe
-
-    # At the poles sinθ = 0: dP/dθ vanishes for every m except m = 1
-    # (limit exists but requires a separate expansion); the floor keeps
-    # the arithmetic finite, and the m=1 terms there are handled by the
-    # evaluation routines combining dP with sinθ-weighted factors.
-    pole = s < 1e-14
-    if np.any(pole):
-        for n in range(0, pmax + 1):
-            for m in range(0, n + 1):
-                if m != 1:
-                    dP[..., n, m] = np.where(pole, 0.0, dP[..., n, m])
-        # Analytic pole limit for m = 1:  dP_n^1/dθ(0) = n(n+1)/2 at θ=0,
-        # multiplied by (-1)^(n+1)... use the series limit via x = ±1:
-        # dP_n^1/dθ |_{x=1} = n(n+1)/2 ; |_{x=-1} = (-1)^n n(n+1)/2.
-        xpole = np.where(x > 0, 1.0, -1.0)
-        for n in range(1, pmax + 1):
-            lim = n * (n + 1) / 2.0 * np.where(xpole > 0, 1.0, (-1.0) ** n)
-            dP[..., n, 1] = np.where(pole, lim, dP[..., n, 1])
-    return P, dP

@@ -39,7 +39,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harmonics import cart_to_sph, degree_of_index, ncoef, power_table, sph_harmonics
+from .harmonics import (
+    degree_of_index,
+    irregular_solid,
+    ncoef,
+    power_table,
+    regular_solid,
+)
 from .rotations import RotationCache, rotate_packed
 
 __all__ = [
@@ -211,24 +217,13 @@ def _regular_grid(shifts: np.ndarray, p: int, conj: bool) -> np.ndarray:
 
     Shape ``(B, p+1, 2p+1)``.
     """
-    shifts = np.atleast_2d(np.asarray(shifts, dtype=np.float64))
-    rho, ct, phi = cart_to_sph(shifts)
-    Y = sph_harmonics(ct, phi, p)  # (B, ncoef)
-    if conj:
-        Y = np.conj(Y)
-    full = to_full_grid(Y, p)
-    npow = rho[:, None] ** np.arange(p + 1)[None, :]
-    return full * npow[:, :, None]
+    R = regular_solid(np.atleast_2d(shifts), p).T
+    return to_full_grid(np.conj(R) if conj else R, p)
 
 
 def _singular_grid(shifts: np.ndarray, p: int) -> np.ndarray:
     """Full grid of ``Y_n^m(angles) / rho^{n+1}`` for each shift."""
-    shifts = np.atleast_2d(np.asarray(shifts, dtype=np.float64))
-    rho, ct, phi = cart_to_sph(shifts)
-    Y = sph_harmonics(ct, phi, p)
-    full = to_full_grid(Y, p)
-    npow = (1.0 / rho)[:, None] ** (np.arange(p + 1)[None, :] + 1)
-    return full * npow[:, :, None]
+    return to_full_grid(irregular_solid(np.atleast_2d(shifts), p).T, p)
 
 
 def m2m(coeffs: np.ndarray, shifts: np.ndarray, p: int) -> np.ndarray:

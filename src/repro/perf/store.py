@@ -74,8 +74,11 @@ __all__ = [
 #: ``--plan-cache`` flag sets it; an empty value disables caching).
 ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 
-#: On-disk container version; bumped on any incompatible layout change.
-STORE_FORMAT_VERSION = 1
+#: On-disk container version; bumped on any incompatible layout change
+#: (2: Cartesian ``(Gre, Gim)`` gradient rows replace the spherical
+#: ``(A, B, D, st, ct, cp, sp)`` tuples; cluster groups carry their
+#: compile-time displacement dedup).
+STORE_FORMAT_VERSION = 2
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from repro.multipole.legendre import legendre_table, legendre_theta_derivative_table
+from repro.multipole.legendre import legendre_table
 
 
 def scipy_pnm(n, m, x):
@@ -50,32 +50,6 @@ def test_upper_triangle_zero():
     for n in range(6):
         for m in range(n + 1, 6):
             assert P[0, n, m] == 0.0
-
-
-def test_theta_derivative_vs_finite_difference():
-    theta = np.linspace(0.05, np.pi - 0.05, 25)
-    pmax = 8
-    h = 1e-6
-    P, dP = legendre_theta_derivative_table(np.cos(theta), pmax)
-    Pp = legendre_table(np.cos(theta + h), pmax)
-    Pm = legendre_table(np.cos(theta - h), pmax)
-    fd = (Pp - Pm) / (2 * h)
-    for n in range(pmax + 1):
-        for m in range(n + 1):
-            assert np.allclose(dP[:, n, m], fd[:, n, m], rtol=1e-5, atol=1e-6), (n, m)
-
-
-def test_theta_derivative_pole_limit():
-    """dP_n^1/dθ at θ=0 is n(n+1)/2, at θ=π it is (-1)^n n(n+1)/2."""
-    P, dP = legendre_theta_derivative_table(np.array([1.0, -1.0]), 5)
-    for n in range(1, 6):
-        assert dP[0, n, 1] == pytest.approx(n * (n + 1) / 2)
-        assert dP[1, n, 1] == pytest.approx((-1.0) ** n * n * (n + 1) / 2)
-    # all other orders vanish at the poles
-    for n in range(6):
-        for m in range(n + 1):
-            if m != 1:
-                assert dP[0, n, m] == 0.0
 
 
 def test_rejects_negative_degree():

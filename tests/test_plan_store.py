@@ -175,6 +175,39 @@ def test_stale_digest_and_version_mismatch(built, tmp_path, monkeypatch):
     assert exc.value.reason == "version"
 
 
+def test_previous_format_version_recompiles(built, tmp_path):
+    """A plan file written by the previous container format (its layout
+    of the gradient rows differs) is a ``version`` miss, and the
+    recompiled plan's matvecs are bitwise those of a fresh compile."""
+    from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
+
+    pts, q, tc = built
+    for mode in ("target", "cluster"):
+        cache = tmp_path / mode
+        fresh = tc.compile_plan(mode=mode, compute="both", cache_dir="").execute(q)
+        tc.compile_plan(mode=mode, compute="both", cache_dir=str(cache))
+        (path,) = cache.glob("*.plan")
+        blob = bytearray(path.read_bytes())
+        off = len(_MAGIC)
+        blob[off : off + 4] = np.uint32(STORE_FORMAT_VERSION - 1).tobytes()
+        path.write_bytes(bytes(blob))
+
+        REGISTRY.reset()
+        tracing.enable()
+        try:
+            plan = tc.compile_plan(mode=mode, compute="both", cache_dir=str(cache))
+            assert _miss_counts() == {"version": 1}
+            assert REGISTRY.counter("plan_cache_hits").value == 0
+        finally:
+            tracing.set_enabled(False)
+            REGISTRY.reset()
+        got = plan.execute(q)
+        assert np.array_equal(got.potential, fresh.potential)
+        assert np.array_equal(got.gradient, fresh.gradient)
+        # the recompile healed the store at the current version
+        assert np.array_equal(load_plan(path).execute(q).potential, fresh.potential)
+
+
 def test_absent_file_raises_absent(tmp_path):
     with pytest.raises(PlanStoreError) as exc:
         load_plan(tmp_path / "nope.plan")
