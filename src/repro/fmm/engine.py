@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.bounds import degree_for_tolerance, degree_increment_per_level
-from ..multipole.expansion import l2p, m_weights, p2m_terms
+from ..multipole.expansion import l2p, p2m_terms
 from ..multipole.harmonics import ncoef, regular_solid, term_count
 from ..multipole.rotations import RotationCache, rotate_packed
 from ..multipole.translations import (
@@ -422,21 +422,40 @@ class UniformFMM:
         return self._plan
 
     def _compile_plan(self) -> dict:
+        from ..perf.operators import bsr, index_dtype, op_nbytes
+        from ..perf.plan import _row_blocks
+
         with stopwatch("plan.compile", engine="fmm", level=self.L) as sw:
             L, degs = self.L, self.degrees
             p_store = max(degs[2:]) if L >= 2 else degs[-1]
             centers_L = self._cell_centers(L)
             occupied = np.nonzero(self.cell_end > self.cell_start)[0]
             pL = degs[L]
+            n = self.points.shape[0]
             # one regular table serves both: P2M rows rho^n conj(Y) at
             # p_store and weighted L2P rows rho^n Y at pL (degree-major
-            # packing: a lower degree is a leading slice)
+            # packing: a lower degree is a leading slice).  Particles
+            # are cell-sorted, so the occupied cells' particle ranges
+            # tile [0, n): P2M block row = occupied cell, block column =
+            # particle; L2P block row = particle, block column = its
+            # cell's position among the occupied cells
             Rt = regular_solid(
                 self.points - centers_L[self.cell_of], max(p_store, pL)
             )
-            G = np.ascontiguousarray(np.conj(Rt[: ncoef(p_store)].T))
-            R = np.ascontiguousarray(Rt[: ncoef(pL)].T * m_weights(pL))
-            mem = G.nbytes + R.nbytes
+            nc = ncoef(p_store)
+            idt = index_dtype(n, 8**L)
+            G = np.empty((n, 2 * nc, 1), dtype=np.float64)
+            G[:, :nc, 0] = Rt[:nc].real.T
+            np.negative(Rt[:nc].imag.T, out=G[:, nc:, 0])
+            ptr = np.append(self.cell_start[occupied], n).astype(idt)
+            p2m = bsr(G, np.arange(n, dtype=idt), ptr, n)
+            R, _ = _row_blocks(Rt, pL, True, False, np.float64)
+            slot = np.zeros(8**L, dtype=idt)
+            slot[occupied] = np.arange(occupied.size, dtype=idt)
+            l2p_op = bsr(
+                R, slot[self.cell_of], np.arange(n + 1, dtype=idt), occupied.size
+            )
+            mem = op_nbytes(p2m, l2p_op)
 
             m2l_groups: dict[int, list] = {}
             for l in range(2, L + 1):
@@ -521,9 +540,8 @@ class UniformFMM:
                             near_pairs.append((tcells, scells))
                             mem += tcells.nbytes + scells.nbytes
             self._plan = {
-                "G": G,
-                "R": R,
-                "starts": self.cell_start[occupied],
+                "p2m": p2m,
+                "l2p": l2p_op,
                 "occupied": occupied,
                 "m2l": m2l_groups,
                 "near": near_pairs,
@@ -574,17 +592,13 @@ class UniformFMM:
         centers_L = self._cell_centers(L)
         M = {L: np.zeros((8**L,) + kdim + (nc_store,), dtype=np.complex128)}
         if plan is not None:
+            from ..perf.operators import apply, complex_layout
+
             occupied = plan["occupied"]
-            if self.charges.ndim == 1:
-                M[L][occupied] = np.add.reduceat(
-                    self.charges[:, None] * plan["G"], plan["starts"], axis=0
-                )
-            else:
-                M[L][occupied] = np.add.reduceat(
-                    self.charges[:, :, None] * plan["G"][:, None, :],
-                    plan["starts"],
-                    axis=0,
-                )
+            Y = apply(plan["p2m"], self.charges)
+            M[L][occupied] = complex_layout(
+                Y.reshape((occupied.size, 2 * nc_store) + kdim), nc_store
+            )
         else:
             occupied = np.nonzero(self.cell_end > self.cell_start)[0]
             for c in occupied:
@@ -690,15 +704,10 @@ class UniformFMM:
         phi = np.zeros((n,) + kdim, dtype=np.float64)
         pL = degs[L]
         if plan is not None:
-            Lgather = Llocal[L][self.cell_of]
-            if Lgather.ndim == 2:
-                phi += np.einsum(
-                    "tc,tc->t", plan["R"].real, Lgather.real
-                ) - np.einsum("tc,tc->t", plan["R"].imag, Lgather.imag)
-            else:
-                phi += np.einsum(
-                    "tc,tkc->tk", plan["R"].real, Lgather.real
-                ) - np.einsum("tc,tkc->tk", plan["R"].imag, Lgather.imag)
+            from ..perf.operators import apply, real_layout
+
+            X = real_layout(Llocal[L][plan["occupied"]])
+            phi += apply(plan["l2p"], X.reshape((-1,) + X.shape[2:]))
             for tcells, scells in plan["near"]:
                 for tc, sc in zip(tcells, scells):
                     ts, te = self.cell_start[tc], self.cell_end[tc]

@@ -9,7 +9,8 @@ spill back to on-the-fly evaluation.  A :class:`ClusterPlan` changes the
 into **box-box** pairs under the two-sided MAC
 ``(a_src + a_tgt)/r <= alpha``, each applied as a single M2L translation
 into the target box's *local expansion*; locals are pushed to the
-leaves with L2L and evaluated with one frozen L2P GEMM per leaf.  Plan
+leaves with L2L and evaluated with one frozen L2P BSR product per
+(unit, degree) group (:mod:`repro.perf.operators`).  Plan
 memory is O(box pairs + n · p²) — index arrays, displacement vectors
 and per-target L2P rows; there are **no** per-pair row matrices and
 therefore no far spills, ever.
@@ -57,9 +58,7 @@ from ..core.degree import select_pair_degrees
 from ..core.treecode import (
     _NEAR_BUDGET,
     Treecode,
-    TreecodeResult,
     TreecodeStats,
-    record_eval_metrics,
 )
 from ..multipole.harmonics import (
     degree_of_index,
@@ -77,23 +76,28 @@ from ..multipole.translations import (
     l2l,
 )
 from ..obs.metrics import REGISTRY
-from ..obs.tracing import is_enabled, span, stopwatch
+from ..obs.tracing import is_enabled, span
 from ..parallel.partition import (
     ROTATION_CROSSOVER_P,
     resolve_backend,
     translation_cost,
 )
 from ..tree.dualtree import dual_traverse
+from .operators import (
+    apply,
+    bsr,
+    complex_layout,
+    index_dtype,
+    op_nbytes,
+    real_layout,
+)
 from .plan import (
+    _NEAR_ENTRY_BYTES,
     DEFAULT_MEMORY_BUDGET,
     CompiledPlan,
-    _build_p2m_storage,
-    _gather_abs,
-    _gather_coeffs,
-    _grad_from_rows,
-    _gradient_rows,
-    _near_kernel,
-    _weighted_rows,
+    _add_incidences,
+    _NearBlock,
+    _row_blocks,
 )
 
 __all__ = ["ClusterPlan", "batched_m2l"]
@@ -284,8 +288,7 @@ class _FarGroup:
     target box (``add.reduceat`` segments)."""
 
     p: int
-    rows: np.ndarray  #: coefficient row per pair within its storage group
-    sP: np.ndarray  #: storage degree per pair (``ctx`` key; >= ``p``)
+    cols: np.ndarray  #: per pair, the source box's row in the degree-p operand
     d: np.ndarray  #: (B, 3) source center - target center
     seg: np.ndarray  #: reduceat segment starts
     utgt: np.ndarray  #: target box id per segment
@@ -308,11 +311,11 @@ class _L2PGroup:
     """Frozen local-evaluation rows for the unit leaves of one degree."""
 
     p: int
-    tidx: np.ndarray  #: target indices (Morton-sorted space)
-    leaf_of: np.ndarray  #: leaf node id per target (locals gather)
-    Ure: np.ndarray  #: w·Re(Y)·r^n rows
-    Uim: np.ndarray
-    grad: tuple | None  #: Cartesian gradient rows (``plan._gradient_rows``)
+    tidx: np.ndarray  #: target indices (block rows, Morton-sorted space)
+    leaves: np.ndarray  #: leaf node ids (block columns: their locals)
+    #: BSR ``(1, 2·nc)`` rows ``[w·Re R, -w·Im R]`` of ``R = r^n Y_n^m``
+    op: object
+    gop: object  #: BSR ``(3, 2·nc)`` gradient rows, or ``None``
 
 
 @dataclass
@@ -330,21 +333,6 @@ class _FarUnit:
     l2p: list = field(default_factory=list)
 
 
-@dataclass
-class _ClusterNearBlock:
-    """Dense near block of one target leaf (or a row slice of it)
-    against the concatenated particles of its near-listed source
-    leaves."""
-
-    tlo: int
-    thi: int
-    sidx: np.ndarray  #: source particle indices (Morton-sorted space)
-    n_excluded: int
-    excl: np.ndarray | None  #: per-target excluded column, -1 = none
-    K: np.ndarray | None = None  #: (t, s) 1/r kernel (None = spilled)
-    D3: np.ndarray | None = None  #: (t, s, 3) gradient kernel
-
-
 class ClusterPlan(CompiledPlan):
     """Dual-traversal cluster-cluster evaluation plan.
 
@@ -357,9 +345,14 @@ class ClusterPlan(CompiledPlan):
 
     ``n_far_spilled`` is always 0: the far field stores no row matrices,
     only index/displacement arrays and the per-target L2P rows, all
-    resident.  Near blocks are budget-gated exactly like the
-    target-major plan.
+    resident.  The near field is the same CSR as the target-major
+    plan's, budget-gated the same way.  :meth:`execute` matches the
+    target-major plan (and the un-planned evaluator) within the
+    Theorem-1 truncation ledger: the cluster path adds the target-side
+    truncation, which the dual bound accounts for.
     """
+
+    _mode = "cluster"
 
     def __init__(
         self,
@@ -449,13 +442,11 @@ class ClusterPlan(CompiledPlan):
         # ---- P2M storage: one operator per source node at its max
         # pair degree; lower-degree pairs slice leading coefficients ----
         self._p2m_groups = []
-        self._rowmap: dict[int, np.ndarray] = {}
-        self._Psrc = np.full(tree.n_nodes, -1, dtype=np.int64)
-        self._srow = np.full(tree.n_nodes, -1, dtype=np.int64)
+        self._operands: dict[int, tuple] = {}
+        self._operand_nodes: dict[int, np.ndarray] = {}
+        cols = np.empty(0, dtype=np.int64)
         if fs.size:
-            self._Psrc, self._srow, self._p2m_groups, self._rowmap, p2m_mem = (
-                _build_p2m_storage(tree, fs, p_pair)
-            )
+            cols, p2m_mem = self._build_coefficients(fs, p_pair)
             mem += p2m_mem
 
         # ---- local degree per box: max over incoming pairs, pushed
@@ -505,6 +496,7 @@ class ClusterPlan(CompiledPlan):
                     ft,
                     p_pair,
                     r_pair,
+                    cols,
                     bs_all,
                     be_all,
                     Ploc,
@@ -513,8 +505,9 @@ class ClusterPlan(CompiledPlan):
                 )
             mem += self._rot_cache.nbytes
 
-        # ---- near field: dense blocks per target leaf -----------------
-        self._near_blocks: list[_ClusterNearBlock] = []
+        # ---- near field: per target leaf against its source leaves -----
+        frozen = ([], [], [])  # incidence rows, their source lists, lists
+        self._near_spill: list[_NearBlock] = []
         nsrc, ntgt = pairs.near_src, pairs.near_tgt
         if nsrc.size:
             cs = tree.end[nsrc] - tree.start[nsrc]
@@ -527,16 +520,14 @@ class ClusterPlan(CompiledPlan):
             utl, tstarts = np.unique(ntgt, return_index=True)
             bnds = list(tstarts) + [nsrc.size]
             for leaf, lo, hi in zip(utl, bnds[:-1], bnds[1:]):
-                nb_mem, nb_budget = self._compile_near_leaf(
-                    int(leaf), nsrc[lo:hi], grad_wanted, budget_used
+                nb_mem, budget_used = self._compile_near_leaf(
+                    int(leaf), nsrc[lo:hi], grad_wanted, budget_used, frozen
                 )
                 mem += nb_mem
-                budget_used = nb_budget
+        mem += self._freeze_near(frozen, grad_wanted)
 
         self._static_stats = stats
         self.memory_bytes = int(mem)
-        self.n_far_precomputed = sum(len(u.groups) for u in self._units)
-        self.n_far_spilled = 0
         if is_enabled():
             # degree at/above which this plan's groups rotate: 0 when
             # forced on, past the degree cap when forced off
@@ -555,10 +546,6 @@ class ClusterPlan(CompiledPlan):
                 "distinct quantized rotation directions cached by the "
                 "most recent cluster plan",
             ).set(len(self._rot_cache))
-        self.n_near_precomputed = sum(
-            1 for b in self._near_blocks if b.K is not None
-        )
-        self.n_near_spilled = len(self._near_blocks) - self.n_near_precomputed
 
     def _select_pair_degrees(self, tree, fs, ft, r_pair) -> np.ndarray:
         """Variable order: per-pair degrees from the dual-MAC bound.
@@ -605,7 +592,7 @@ class ClusterPlan(CompiledPlan):
         return p_pair
 
     def _compile_far_unit(
-        self, uleaves, fs, ft, p_pair, r_pair, bs_all, be_all, Ploc,
+        self, uleaves, fs, ft, p_pair, r_pair, cols, bs_all, be_all, Ploc,
         grad_wanted, want_bounds,
     ) -> int:
         """Build one far work unit over the contiguous leaf run
@@ -624,6 +611,7 @@ class ClusterPlan(CompiledPlan):
         ps_u, src_u, tgt_u = ps_u[ordu], src_u[ordu], tgt_u[ordu]
         bs_u, be_u = bs_all[sel][ordu], be_all[sel][ordu]
         r_u = r_pair[sel][ordu]
+        cols_u = cols[sel][ordu]
         unit = _FarUnit(tlo=tlo, thi=thi, n_pairs=int(sel.size))
 
         uniqp, pstarts = np.unique(ps_u, return_index=True)
@@ -631,7 +619,9 @@ class ClusterPlan(CompiledPlan):
         for p, lo, hi in zip(uniqp, bnds[:-1], bnds[1:]):
             p = int(p)
             srcs, tgts = src_u[lo:hi], tgt_u[lo:hi]
-            rows = self._srow[srcs]
+            gcols = cols_u[lo:hi].astype(
+                index_dtype(self._operand_nodes[p].size)
+            )
             d = tree.center_exp[srcs] - tree.center_exp[tgts]
             utgt, seg = np.unique(tgts, return_index=True)
             rot = None
@@ -670,13 +660,13 @@ class ClusterPlan(CompiledPlan):
             if dedup is not None:
                 mem += dedup[0].nbytes + dedup[1].nbytes
             g = _FarGroup(
-                p=p, rows=rows, sP=self._Psrc[srcs], d=d, seg=seg,
+                p=p, cols=gcols, d=d, seg=seg,
                 utgt=utgt, bgeom=bgeom, levels=levels, cnt_t=cnt_t,
                 c64_ok=_m2l_c64_safe(p, float(r_u[lo:hi].min())),
                 rot=rot, dedup=dedup,
             )
             unit.groups.append(g)
-            mem += rows.nbytes + g.sP.nbytes + d.nbytes + seg.nbytes
+            mem += gcols.nbytes + d.nbytes + seg.nbytes
             mem += utgt.nbytes
             if want_bounds:
                 mem += bgeom.nbytes + levels.nbytes + cnt_t.nbytes
@@ -705,7 +695,8 @@ class ClusterPlan(CompiledPlan):
                 content[chi] = True
                 mem += par.nbytes + chi.nbytes + shift.nbytes
 
-        # frozen L2P rows per leaf degree
+        # frozen L2P rows per leaf degree: one block row per target,
+        # block column its leaf's local expansion
         lleaves = uleaves[content[uleaves]]
         pl = Ploc[lleaves]
         for pd in np.unique(pl):
@@ -718,29 +709,30 @@ class ClusterPlan(CompiledPlan):
                 - np.repeat(cum[:-1], cnts)
                 + np.repeat(tree.start[sel_l], cnts)
             )
-            leaf_of = np.repeat(sel_l, cnts)
-            R = regular_solid(tgt[tidx] - tree.center_exp[leaf_of], pd)
-            grad_rows = None
-            if grad_wanted:
-                grad_rows = _gradient_rows(R, pd, True, self.rows_dtype)
-                mem += sum(g.nbytes for g in grad_rows)
-            Ure, Uim = _weighted_rows(R, pd, self.rows_dtype)
-            mem += Ure.nbytes + Uim.nbytes + tidx.nbytes + leaf_of.nbytes
+            idt = index_dtype(tidx.size, sel_l.size)
+            pos = np.repeat(np.arange(sel_l.size, dtype=idt), cnts)
+            R = regular_solid(tgt[tidx] - tree.center_exp[sel_l[pos]], pd)
+            data, gdata = _row_blocks(R, pd, True, grad_wanted, self.rows_dtype)
+            indptr = np.arange(tidx.size + 1, dtype=idt)
+            op = bsr(data, pos, indptr, sel_l.size)
+            gop = None if gdata is None else bsr(gdata, pos, indptr, sel_l.size)
+            mem += op_nbytes(op, gop) + tidx.nbytes + sel_l.nbytes
             unit.l2p.append(
-                _L2PGroup(
-                    p=pd, tidx=tidx, leaf_of=leaf_of, Ure=Ure, Uim=Uim,
-                    grad=grad_rows,
-                )
+                _L2PGroup(p=pd, tidx=tidx, leaves=sel_l, op=op, gop=gop)
             )
         self._units.append(unit)
         return mem
 
     def _compile_near_leaf(
-        self, leaf: int, srcs: np.ndarray, grad_wanted: bool, budget_used: int
+        self, leaf: int, srcs: np.ndarray, grad_wanted: bool, budget_used: int,
+        frozen: tuple,
     ) -> tuple[int, int]:
-        """Dense near blocks for one target leaf against its near-listed
-        source leaves; returns (bytes, updated budget_used)."""
-        tree, tgt = self.tc.tree, self.tgt
+        """Near rows of one target leaf against the concatenated particles
+        of its near-listed source leaves, in row slices of <=
+        ``_NEAR_BUDGET`` products: slices within budget join the
+        ``frozen`` incidences, the rest become spilled blocks.  Returns
+        (bytes, updated budget_used)."""
+        tree = self.tc.tree
         s, e = int(tree.start[leaf]), int(tree.end[leaf])
         if e == s:
             return 0, budget_used
@@ -754,51 +746,35 @@ class ClusterPlan(CompiledPlan):
         )
         # self exclusion: the target leaf appears among its own sources
         pos = np.nonzero(srcs == leaf)[0]
-        if pos.size:
-            off = int(cum[pos[0]])
-            excl_full = off + np.arange(e - s)
-        else:
-            excl_full = None
-        mem = sidx.nbytes
+        excl_full = int(cum[pos[0]]) + np.arange(e - s) if pos.size else None
+        entry = _NEAR_ENTRY_BYTES + (3 * 8 if grad_wanted else 0)
+        mem, spilled = 0, False
         step = max(1, _NEAR_BUDGET // max(1, int(sidx.size)))
         for lo in range(0, e - s, step):
             hi = min(lo + step, e - s)
-            excl = excl_full[lo:hi] if excl_full is not None else None
-            nb = _ClusterNearBlock(
-                tlo=s + lo,
-                thi=s + hi,
-                sidx=sidx,
-                n_excluded=(hi - lo) if excl is not None else 0,
-                excl=excl,
-            )
-            cost = (hi - lo) * sidx.size * 8
-            if grad_wanted:
-                cost += (hi - lo) * sidx.size * 3 * 8
+            rows = np.arange(s + lo, s + hi)
+            cost = (hi - lo) * sidx.size * entry
             if budget_used + cost <= self.memory_budget:
-                K, dvec, r2 = _near_kernel(
-                    tgt[s + lo : s + hi],
-                    tree.points[sidx],
-                    excl,
-                    self.tc.softening,
-                )
-                nb.K = K
-                if grad_wanted:
-                    with np.errstate(divide="ignore"):
-                        wg = 1.0 / (r2 * np.sqrt(r2))
-                    wg[r2 == 0.0] = 0.0
-                    if excl is not None:
-                        rws = np.nonzero(excl >= 0)[0]
-                        wg[rws, excl[rws]] = 0.0
-                    nb.D3 = wg[..., None] * dvec
+                _add_incidences(frozen, rows, sidx)
                 budget_used += cost
-                mem += cost
-            self._near_blocks.append(nb)
+                continue
+            excl = excl_full[lo:hi] if excl_full is not None else None
+            self._near_spill.append(_NearBlock(tids=rows, src=sidx, excl=excl))
+            mem += rows.nbytes + (excl.nbytes if excl is not None else 0)
+            mem += 0 if spilled else sidx.nbytes  # shared by the leaf's blocks
+            spilled = True
         return mem, budget_used
 
     # -- execution -----------------------------------------------------
     @property
-    def n_units(self) -> int:
-        return len(self._units) + len(self._near_blocks)
+    def _n_far_units(self) -> int:
+        return len(self._units)
+
+    @staticmethod
+    def _operand(C: np.ndarray, nc: int) -> np.ndarray:
+        """M2L reads complex multipoles: the leading ``nc`` coefficients
+        of a storage group's ``[Re C | Im C]`` rows, repacked."""
+        return complex_layout(C, nc)
 
     def _rotated_m2l(self, C, g: _FarGroup, dtype) -> np.ndarray:
         """Rotation-accelerated group M2L (O((p+1)^3) per pair).
@@ -869,7 +845,8 @@ class ClusterPlan(CompiledPlan):
         with span("plan.m2l", pairs=u.n_pairs, groups=len(u.groups)):
             for g in u.groups:
                 nc = ncoef(g.p)
-                C = _gather_coeffs(ctx, g.sP, g.rows, nc)
+                X, A = ctx[g.p]
+                C = X[g.cols]
                 dt = self._m2l_dtype if g.c64_ok else np.complex128
                 if g.rot is not None:
                     Lp = self._rotated_m2l(C, g, dt)
@@ -881,7 +858,7 @@ class ClusterPlan(CompiledPlan):
                     ).inc(g.d.shape[0])
                 L[g.utgt, ..., :nc] += np.add.reduceat(Lp, g.seg, axis=0)
                 if bound is not None:
-                    Ab = _gather_abs(ctx, g.sP, g.rows)
+                    Ab = A[g.cols]
                     b = Ab * (g.bgeom if kb is None else g.bgeom[:, None])
                     bsc[g.utgt] += np.add.reduceat(b, g.seg)
                     if stats is not None:
@@ -907,230 +884,79 @@ class ClusterPlan(CompiledPlan):
                     bsc[chi] += bsc[par]
         with span("plan.l2p", groups=len(u.l2p)):
             for gl in u.l2p:
-                nc = ncoef(gl.p)
-                Lg = L[..., :nc][gl.leaf_of]
-                if kb is None:
-                    vals = np.einsum("tc,tc->t", gl.Ure, Lg.real) - np.einsum(
-                        "tc,tc->t", gl.Uim, Lg.imag
-                    )
-                else:
-                    vals = np.einsum(
-                        "tc,tkc->tk", gl.Ure, Lg.real
-                    ) - np.einsum("tc,tkc->tk", gl.Uim, Lg.imag)
-                phi[gl.tidx] += vals
+                X = real_layout(L[gl.leaves, ..., : ncoef(gl.p)])
+                X = X.reshape((-1,) + X.shape[2:])
+                phi[gl.tidx] += apply(gl.op, X)
                 if grad is not None:
-                    grad[gl.tidx] += _grad_from_rows(gl.grad, Lg)
+                    grad[gl.tidx] += apply(gl.gop, X).reshape(-1, 3)
                 if bound is not None:
-                    bound[gl.tidx] += bsc[gl.leaf_of]
+                    bound[gl.tidx] += bsc[gl.leaves[gl.op.indices]]
 
-    def _near_unit_eval(self, q_sorted, nb: _ClusterNearBlock, phi, grad):
-        qs = q_sorted[nb.sidx]
-        if nb.K is not None:
-            phi[nb.tlo : nb.thi] += nb.K @ qs
-            if grad is not None:
-                grad[nb.tlo : nb.thi] += -np.einsum("tsi,s->ti", nb.D3, qs)
-        else:  # spilled: dense block on the fly
-            from ..core.treecode import _near_gradient
-            from ..direct import pairwise_potential
+    def _far_field(self, ctx, phi, grad, bound, stats) -> None:
+        with span("plan.far_field", units=len(self._units)):
+            for u in self._units:
+                self._far_unit_eval(ctx, u, phi, grad, bound, stats)
 
-            src = self.tc.tree.points[nb.sidx]
-            blk = self.tgt[nb.tlo : nb.thi]
-            phi[nb.tlo : nb.thi] += pairwise_potential(
-                blk, src, qs, exclude=nb.excl, softening=self.tc.softening
-            )
-            if grad is not None:
-                grad[nb.tlo : nb.thi] += _near_gradient(
-                    blk, src, qs, nb.excl, softening=self.tc.softening
-                )
+    def _far_unit_output(self, ctx, q_sorted, i):
+        """Far unit ``i`` alone; its target range is disjoint from every
+        other far unit's."""
+        u = self._units[i]
+        phi = np.zeros((self.n_targets,) + q_sorted.shape[1:])
+        self._far_unit_eval(ctx, u, phi, None, None, None)
+        return np.arange(u.tlo, u.thi), phi[u.tlo : u.thi]
 
-    def execute_unit(self, ctx, q_sorted, i):
-        """Evaluate one work unit (far unit or near block) in isolation;
-        returns ``(target_indices, values)`` for the parallel executor.
-        Target ranges of far units are disjoint, as are near blocks'."""
-        nfu = len(self._units)
-        if i < nfu:
-            u = self._units[i]
-            phi = np.zeros((self.n_targets,) + q_sorted.shape[1:])
-            self._far_unit_eval(ctx, u, phi, None, None, None)
-            return np.arange(u.tlo, u.thi), phi[u.tlo : u.thi]
-        nb = self._near_blocks[i - nfu]
-        qs = q_sorted[nb.sidx]
-        if nb.K is not None:
-            return np.arange(nb.tlo, nb.thi), nb.K @ qs
-        from ..direct import pairwise_potential
-
-        vals = pairwise_potential(
-            self.tgt[nb.tlo : nb.thi],
-            self.tc.tree.points[nb.sidx],
-            qs,
-            exclude=nb.excl,
-            softening=self.tc.softening,
-        )
-        return np.arange(nb.tlo, nb.thi), vals
-
-    def execute_unit_direct(self, q_sorted, i):
-        """Evaluate one work unit by exact per-pair summation (the
-        supervisor's quarantine of last resort).  Each of a far unit's
-        box pairs is replaced by the exact contribution of the source
-        box's particles to the target box's particles clipped to the
-        unit's range — within the dual Theorem-1 bound of the M2L
-        pipeline's value."""
+    def _far_unit_direct(self, q_sorted, i):
+        """Exact per-pair summation of far unit ``i`` (the supervisor's
+        quarantine of last resort).  Each box pair is replaced by the
+        exact contribution of the source box's particles to the target
+        box's particles clipped to the unit's range — within the dual
+        Theorem-1 bound of the M2L pipeline's value."""
         from ..direct import pairwise_potential
 
         tree = self.tc.tree
-        nfu = len(self._units)
-        if i < nfu:
-            u = self._units[i]
-            vals = np.zeros(
-                (u.thi - u.tlo,) + q_sorted.shape[1:], dtype=np.float64
-            )
-            for g in u.groups:
-                srcs = np.empty(g.rows.size, dtype=np.int64)
-                for P in np.unique(g.sP):
-                    m = g.sP == P
-                    srcs[m] = self._rowmap[int(P)][g.rows[m]]
-                seg_ends = np.append(g.seg[1:], g.rows.size)
-                for tb, lo, hi in zip(g.utgt, g.seg, seg_ends):
-                    ts = max(int(tree.start[tb]), u.tlo)
-                    te = min(int(tree.end[tb]), u.thi)
-                    if te <= ts:
-                        continue
-                    blk = self.tgt[ts:te]
-                    acc = np.zeros(
-                        (te - ts,) + q_sorted.shape[1:], dtype=np.float64
+        u = self._units[i]
+        vals = np.zeros((u.thi - u.tlo,) + q_sorted.shape[1:], dtype=np.float64)
+        for g in u.groups:
+            srcs = self._operand_nodes[g.p][g.cols]
+            seg_ends = np.append(g.seg[1:], g.cols.size)
+            for tb, lo, hi in zip(g.utgt, g.seg, seg_ends):
+                ts = max(int(tree.start[tb]), u.tlo)
+                te = min(int(tree.end[tb]), u.thi)
+                if te <= ts:
+                    continue
+                blk = self.tgt[ts:te]
+                acc = np.zeros((te - ts,) + q_sorted.shape[1:], dtype=np.float64)
+                # two-sided MAC: source boxes never overlap their
+                # target box, so no self-exclusion is needed
+                for sb in srcs[lo:hi]:
+                    s, e = int(tree.start[sb]), int(tree.end[sb])
+                    acc += pairwise_potential(
+                        blk,
+                        tree.points[s:e],
+                        q_sorted[s:e],
+                        softening=self.tc.softening,
                     )
-                    # two-sided MAC: source boxes never overlap their
-                    # target box, so no self-exclusion is needed
-                    for sb in srcs[lo:hi]:
-                        s, e = int(tree.start[sb]), int(tree.end[sb])
-                        acc += pairwise_potential(
-                            blk,
-                            tree.points[s:e],
-                            q_sorted[s:e],
-                            softening=self.tc.softening,
-                        )
-                    vals[ts - u.tlo : te - u.tlo] += acc
-            return np.arange(u.tlo, u.thi), vals
-        nb = self._near_blocks[i - nfu]
-        vals = pairwise_potential(
-            self.tgt[nb.tlo : nb.thi],
-            tree.points[nb.sidx],
-            q_sorted[nb.sidx],
-            exclude=nb.excl,
-            softening=self.tc.softening,
-        )
-        return np.arange(nb.tlo, nb.thi), vals
+                vals[ts - u.tlo : te - u.tlo] += acc
+        return np.arange(u.tlo, u.thi), vals
 
     # -- memory shedding -----------------------------------------------
-    def _shed_stage1(self) -> int:
-        """float32 L2P rows and near kernels (M2L displacement/index
-        arrays are already minimal and stay resident)."""
-        freed = 0
-        for u in self._units:
-            for gl in u.l2p:
-                if gl.Ure.dtype == np.float64:
-                    freed += (gl.Ure.nbytes + gl.Uim.nbytes) // 2
-                    gl.Ure = gl.Ure.astype(np.float32)
-                    gl.Uim = gl.Uim.astype(np.float32)
-                if gl.grad is not None and gl.grad[0].dtype == np.float64:
-                    freed += sum(g.nbytes for g in gl.grad) // 2
-                    gl.grad = tuple(g.astype(np.float32) for g in gl.grad)
-        for nb in self._near_blocks:
-            if nb.K is not None and nb.K.dtype == np.float64:
-                freed += nb.K.nbytes // 2
-                nb.K = nb.K.astype(np.float32)
-            if nb.D3 is not None and nb.D3.dtype == np.float64:
-                freed += nb.D3.nbytes // 2
-                nb.D3 = nb.D3.astype(np.float32)
-        return freed
+    def _far_ops(self) -> list:
+        """L2P rows (M2L displacement/index arrays are already minimal
+        and stay resident)."""
+        return [
+            A for u in self._units for gl in u.l2p for A in (gl.op, gl.gop)
+            if A is not None
+        ]
 
     def _shed_stage2(self) -> int:
-        """Drop near kernels to the exact spilled path.  L2P rows have
+        """Drop near kernels to the exact recompute path.  L2P rows have
         no on-the-fly fallback, so they stay (float32 after stage 1)."""
-        freed = 0
-        for nb in self._near_blocks:
-            if nb.K is not None:
-                freed += nb.K.nbytes
-                nb.K = None
-            if nb.D3 is not None:
-                freed += nb.D3.nbytes
-                nb.D3 = None
-        return freed
+        return self._drop_near()
 
     def _refresh_spill_counts(self) -> None:
         self.n_far_precomputed = sum(len(u.groups) for u in self._units)
         self.n_far_spilled = 0
-        self.n_near_precomputed = sum(
-            1 for b in self._near_blocks if b.K is not None
-        )
-        self.n_near_spilled = len(self._near_blocks) - self.n_near_precomputed
-
-    def execute(self, charges: np.ndarray) -> TreecodeResult:
-        """Apply the cluster plan to a charge vector.
-
-        Matches the target-major plan (and the un-planned evaluator)
-        within the Theorem-1 truncation ledger: the cluster path adds
-        the target-side truncation, which the dual bound accounts for.
-
-        ``(n, k)`` charge batches behave as in
-        :meth:`~repro.perf.plan.CompiledPlan.execute`: every M2L/L2L/L2P
-        kernel contracts the whole batch, outputs gain a trailing batch
-        axis, and ``k=1`` stays bitwise on the single-vector path.
-        """
-        charges = np.asarray(charges, dtype=np.float64)
-        batch = charges.ndim == 2
-        if batch and self.compute == "both":
-            raise ValueError(
-                "batched charges support compute='potential' plans only"
-            )
-        if batch and charges.shape[1] == 1:
-            res = self.execute(charges[:, 0])
-            return TreecodeResult(
-                potential=res.potential[:, None],
-                gradient=res.gradient,
-                error_bound=(
-                    None if res.error_bound is None else res.error_bound[:, None]
-                ),
-                stats=res.stats,
-            )
-        q_sorted = self.sort_charges(charges)
-        obs_on = is_enabled()
-        nt = self.n_targets
-        shape = (nt, charges.shape[1]) if batch else (nt,)
-        with span(
-            "plan.execute", targets=nt, units=self.n_units, mode="cluster"
-        ):
-            sw = stopwatch("plan.eval").__enter__()
-            phi = np.zeros(shape, dtype=np.float64)
-            grad = (
-                np.zeros((nt, 3), dtype=np.float64)
-                if self.compute == "both"
-                else None
-            )
-            bound = (
-                np.zeros(shape, dtype=np.float64)
-                if self.accumulate_bounds
-                else None
-            )
-            stats = self._clone_stats()
-            ctx = self.form_coefficients(q_sorted)
-            with span("plan.far_field", units=len(self._units)):
-                for u in self._units:
-                    self._far_unit_eval(ctx, u, phi, grad, bound, stats)
-            with span("plan.near_field", blocks=len(self._near_blocks)):
-                for nb in self._near_blocks:
-                    self._near_unit_eval(q_sorted, nb, phi, grad)
-            sw.__exit__(None, None, None)
-            stats.eval_time = sw.elapsed
-            if obs_on:
-                REGISTRY.counter(
-                    "plan_executes", "compiled-plan applications"
-                ).inc()
-                record_eval_metrics(stats)
-            phi, grad, bound = self.finalize(phi, grad, bound, stats)
-        return TreecodeResult(
-            potential=phi, gradient=grad, error_bound=bound, stats=stats
-        )
+        self._refresh_near_counts()
 
     def describe(self) -> str:
         """One-line summary of the compiled structure."""

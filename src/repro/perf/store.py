@@ -27,7 +27,10 @@ memory-mapping:
 * **Zero-copy loads** — the file is mapped read-only once
   (``np.memmap``) and every array in the restored plan is a view into
   that mapping; nothing is copied until (and unless) a kernel reads
-  it, so warm-start cost is metadata parsing plus page faults.
+  it, so warm-start cost is metadata parsing plus page faults.  The
+  plan's ``scipy.sparse`` operators are stored as their ``data`` /
+  ``indices`` / ``indptr`` arrays and rewrapped around the mapped
+  buffers on load; index arrays two matrices share are stored once.
   Rotation operators (:class:`~repro.multipole.rotations.RotationCache`)
   are not stored as bytes — they are rebuilt deterministically from
   their quantized directions and degrees, preserving operator ids.
@@ -51,6 +54,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..obs import journal
 from ..obs.metrics import REGISTRY
@@ -77,8 +81,10 @@ ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 #: On-disk container version; bumped on any incompatible layout change
 #: (2: Cartesian ``(Gre, Gim)`` gradient rows replace the spherical
 #: ``(A, B, D, st, ct, cp, sp)`` tuples; cluster groups carry their
-#: compile-time displacement dedup).
-STORE_FORMAT_VERSION = 2
+#: compile-time displacement dedup.  3: frozen operators are
+#: ``scipy.sparse`` BSR/CSR matrices — P2M, far and L2P rows, one near
+#: CSR per plan).
+STORE_FORMAT_VERSION = 3
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64
@@ -116,13 +122,7 @@ def _registry() -> dict:
     )
     from ..core.treecode import InteractionLists, Treecode, TreecodeStats
     from ..tree.octree import Octree
-    from .cluster import (
-        ClusterPlan,
-        _ClusterNearBlock,
-        _FarGroup,
-        _FarUnit,
-        _L2PGroup,
-    )
+    from .cluster import ClusterPlan, _FarGroup, _FarUnit, _L2PGroup
     from .plan import CompiledPlan, _FarChunk, _NearBlock, _P2MGroup
 
     classes = [
@@ -143,7 +143,6 @@ def _registry() -> dict:
         _FarGroup,
         _L2PGroup,
         _FarUnit,
-        _ClusterNearBlock,
     ]
     return {c.__name__: c for c in classes}
 
@@ -151,10 +150,12 @@ def _registry() -> dict:
 def _encode(obj, arrays: list, ids: dict, registry: dict):
     """Encode a Python object graph as a JSON-able tree.
 
-    ``ndarray``s are appended to ``arrays`` (deduplicated by identity,
-    so views/aliases restore as shared buffers) and referenced by
-    index; registered objects carry their class name plus encoded
-    attributes; containers recurse.
+    ``ndarray``s are appended to ``arrays`` (deduplicated by memory
+    address and layout, so aliases — including the views a
+    ``scipy.sparse`` matrix keeps of its index arrays — restore as one
+    shared buffer) and referenced by index; ``scipy.sparse`` matrices
+    store their format, shape and arrays; registered objects carry
+    their class name plus encoded attributes; containers recurse.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -163,7 +164,12 @@ def _encode(obj, arrays: list, ids: dict, registry: dict):
             return obj
         return {"__f__": repr(obj)}
     if isinstance(obj, np.ndarray):
-        key = id(obj)
+        key = (
+            obj.__array_interface__["data"][0],
+            obj.shape,
+            obj.strides,
+            obj.dtype.str,
+        )
         idx = ids.get(key)
         if idx is None:
             idx = len(arrays)
@@ -189,6 +195,16 @@ def _encode(obj, arrays: list, ids: dict, registry: dict):
                 ]
                 for k, v in obj.items()
             ]
+        }
+    if sp.issparse(obj):
+        return {
+            "__sp__": {
+                "format": obj.format,
+                "shape": list(obj.shape),
+                "data": _encode(obj.data, arrays, ids, registry),
+                "indices": _encode(obj.indices, arrays, ids, registry),
+                "indptr": _encode(obj.indptr, arrays, ids, registry),
+            }
         }
     # RotationCache: store directions + degrees, rebuild operators on load
     from ..multipole.rotations import RotationCache
@@ -242,6 +258,15 @@ def _decode(node, arrays: list, registry: dict):
             _decode(k, arrays, registry): _decode(v, arrays, registry)
             for k, v in node["__d__"]
         }
+    if "__sp__" in node:
+        m = node["__sp__"]
+        cls = {"bsr": sp.bsr_matrix, "csr": sp.csr_matrix}.get(m["format"])
+        if cls is None:
+            raise PlanStoreError("corrupt", f"unknown sparse format {m['format']!r}")
+        parts = tuple(
+            _decode(m[k], arrays, registry) for k in ("data", "indices", "indptr")
+        )
+        return cls(parts, shape=tuple(m["shape"]), copy=False)
     if "__rc__" in node:
         return _rebuild_rotation_cache(
             _decode(node["__rc__"]["dirs"], arrays, registry),

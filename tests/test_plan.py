@@ -133,7 +133,12 @@ class TestPlanEquivalence:
         plan = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.5).compile_plan()
         text = plan.describe()
         assert "CompiledPlan" in text and "MB" in text
-        assert plan.n_units == len(plan._far_chunks) + len(plan._near_blocks)
+        # far chunks, then near CSR row ranges, then spilled near blocks
+        assert plan.n_units == (
+            len(plan._far_chunks)
+            + plan.n_near_precomputed
+            + plan.n_near_spilled
+        )
         assert plan.compile_time >= 0.0
 
 

@@ -1,0 +1,177 @@
+"""Frozen plan operators as sparse matrices (repro.perf.operators).
+
+Every planned execute is checked against the same plan compiled fully
+spilled (``memory_budget=0``), whose far rows and near kernels are
+rebuilt from geometry on each application — the on-the-fly oracle.
+Covers both plan modes, fixed and variable-order plans (including
+storage degrees above the evaluation degree), potentials and gradients,
+single vectors and batches, the unit decomposition the executors
+schedule, and the exact last-resort evaluation of near row ranges.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from repro.core.degree import FixedDegree
+from repro.core.treecode import Treecode
+from repro.perf.operators import complex_layout, csr_rows, real_layout, row_ranges
+from repro.perf.scatter import scatter_add
+
+N = 500
+#: variable-order tolerance: degrees 2..15 over this cloud, with mixed
+#: storage degrees, while the complex128 cluster M2L stays cheap
+TOL = 0.1
+
+
+@pytest.fixture(scope="module")
+def cloud():
+    rng = np.random.default_rng(2024)
+    pts = rng.random((N, 3))
+    q = rng.uniform(-1.0, 1.0, N)
+    Q = rng.uniform(-1.0, 1.0, (N, 8))
+    return pts, q, Q
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+CASES = [
+    ("target", None),
+    ("target", TOL),
+    ("cluster", None),
+    ("cluster", TOL),
+]
+
+
+def _plans(cloud, mode, tol, compute="potential"):
+    pts, q, _ = cloud
+    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+    kw = dict(mode=mode, tol=tol, compute=compute, cache_dir="")
+    return tc.compile_plan(**kw), tc.compile_plan(memory_budget=0, **kw)
+
+
+@pytest.mark.parametrize("mode,tol", CASES)
+@pytest.mark.parametrize("compute", ["potential", "both"])
+def test_execute_matches_spilled_oracle(cloud, mode, tol, compute):
+    _, q, _ = cloud
+    plan, oracle = _plans(cloud, mode, tol, compute)
+    assert plan.n_near_precomputed > 0 and plan.n_near_spilled == 0
+    assert oracle.n_near_precomputed == 0
+    got, want = plan.execute(q), oracle.execute(q)
+    assert _rel(got.potential, want.potential) <= 1e-12
+    if compute == "both":
+        assert _rel(got.gradient, want.gradient) <= 1e-12
+
+
+def test_variable_order_reads_higher_storage_degrees(cloud):
+    """Variable-order plans store a node's coefficients once, at its
+    highest pair degree; lower-degree operands slice the leading
+    coefficients of those rows."""
+    for mode in ("target", "cluster"):
+        plan, _ = _plans(cloud, mode, TOL)
+        mixed = [p for p, Ps in plan._operands.items() if max(Ps) > p]
+        assert mixed, mode
+
+
+@pytest.mark.parametrize("mode,tol", CASES)
+def test_batches(cloud, mode, tol):
+    _, q, Q = cloud
+    plan, oracle = _plans(cloud, mode, tol)
+    one = plan.execute(q).potential
+    col = plan.execute(q[:, None]).potential
+    assert col.shape == (N, 1)
+    assert np.array_equal(col[:, 0], one)  # (n, 1) runs the 1-D path
+    batch = plan.execute(Q).potential
+    ref = oracle.execute(Q).potential
+    for j in range(Q.shape[1]):
+        single = plan.execute(np.ascontiguousarray(Q[:, j])).potential
+        assert _rel(batch[:, j], single) <= 1e-12
+        assert _rel(batch[:, j], ref[:, j]) <= 1e-12
+
+
+@pytest.mark.parametrize("mode,tol", CASES)
+def test_unit_sum_is_execute_bitwise(cloud, mode, tol):
+    _, q, _ = cloud
+    plan, _ = _plans(cloud, mode, tol)
+    qs = plan.sort_charges(q)
+    ctx = plan.form_coefficients(qs)
+    phi = np.zeros(plan.n_targets)
+    for i in range(plan.n_units):
+        tids, vals = plan.execute_unit(ctx, qs, i)
+        scatter_add(phi, tids, vals)
+    phi, _, _ = plan.finalize(phi)
+    assert np.array_equal(phi, plan.execute(q).potential)
+
+
+@pytest.mark.parametrize("mode", ["target", "cluster"])
+def test_direct_near_unit_is_direct_summation(cloud, mode):
+    pts, q, _ = cloud
+    plan, _ = _plans(cloud, mode, None)
+    tree = plan.tc.tree
+    qs = plan.sort_charges(q)
+    nf = plan.n_units - plan.n_near_precomputed - plan.n_near_spilled
+    ptr, idx = plan._near_indptr, plan._near_indices
+    for j in (0, plan.n_near_precomputed - 1):
+        tids, vals = plan.execute_unit_direct(qs, nf + j)
+        ref = np.empty(tids.size)
+        for k, t in enumerate(tids):
+            src = idx[ptr[t] : ptr[t + 1]]
+            src = src[src != t]  # self-evaluation skips the target itself
+            r = np.linalg.norm(plan.tgt[t] - tree.points[src], axis=1)
+            ref[k] = np.sum(qs[src] / r)
+        np.testing.assert_allclose(vals, ref, rtol=1e-13, atol=0)
+        _, frozen = plan.execute_unit(plan.form_coefficients(qs), qs, nf + j)
+        np.testing.assert_allclose(vals, frozen, rtol=1e-13, atol=0)
+
+
+def test_operators_are_scipy_sparse(cloud):
+    target, _ = _plans(cloud, "target", None, "both")
+    assert all(isinstance(g.op, sp.bsr_matrix) for g in target._p2m_groups)
+    for ch in target._far_chunks:
+        nc2 = ch.op.blocksize[1]
+        assert ch.op.blocksize == (1, nc2) and ch.gop.blocksize == (3, nc2)
+    assert isinstance(target._near_K, sp.csr_matrix)
+    # gradient kernels share the potential kernel's sparsity arrays
+    for G in target._near_G:
+        assert np.shares_memory(G.indices, target._near_K.indices)
+    cluster, _ = _plans(cloud, "cluster", None)
+    for u in cluster._units:
+        for gl in u.l2p:
+            # one (1, 2·nc) block per target
+            assert gl.op.blocksize[0] == 1
+            assert gl.op.nnz == gl.tidx.size * gl.op.blocksize[1]
+
+
+def test_layout_helpers_roundtrip():
+    rng = np.random.default_rng(0)
+    C = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+    assert np.array_equal(complex_layout(real_layout(C), 6), C)
+    assert np.array_equal(complex_layout(real_layout(C), 3), C[:, :3])
+    Cb = rng.normal(size=(5, 4, 6)) + 1j * rng.normal(size=(5, 4, 6))
+    X = real_layout(Cb)
+    assert X.shape == (5, 12, 4)
+    assert np.array_equal(complex_layout(X, 6), Cb)
+
+
+def test_csr_rows_and_ranges():
+    rng = np.random.default_rng(1)
+    A = sp.random(40, 30, density=0.2, format="csr", random_state=rng)
+    x = rng.normal(size=30)
+    X = rng.normal(size=(30, 3))
+    units = row_ranges(A.indptr, np.arange(0, 40, 7), budget=10)
+    assert np.all(units[1:, 0] >= units[:-1, 1])  # ascending, disjoint
+    covered = np.zeros(40, dtype=bool)
+    for r0, r1 in units:
+        assert r0 // 7 == (r1 - 1) // 7  # never crosses a start
+        assert A.indptr[r1] - A.indptr[r0] <= 10 or r1 - r0 == 1
+        # per row the same arithmetic as the whole product
+        assert np.array_equal(csr_rows(A, r0, r1, x), (A @ x)[r0:r1])
+        assert np.array_equal(csr_rows(A, r0, r1, X), (A @ X)[r0:r1])
+        covered[r0:r1] = True
+    # every row holding entries belongs to a unit
+    assert not np.any(np.diff(A.indptr)[~covered])
+    # float32 data runs in float32
+    A32 = sp.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
+    assert csr_rows(A32, 0, 40, x).dtype == np.float32

@@ -78,6 +78,41 @@ def test_loaded_arrays_are_readonly_views(built, tmp_path):
         tree_pts[0, 0] = 0.0
 
 
+def _reaches_memmap(a) -> bool:
+    while a is not None:
+        if isinstance(a, np.memmap):
+            return True
+        a = getattr(a, "base", None)
+    return False
+
+
+def test_warm_start_operators_wrap_the_mmap(built, tmp_path):
+    """Loaded sparse operators are rewrapped around the mapped file:
+    every data/indices/indptr array's ``.base`` chain reaches the
+    memmap (nothing copied at load), and the plan runs bitwise."""
+    pts, q, tc = built
+    for mode in ("target", "cluster"):
+        plan = tc.compile_plan(mode=mode, compute="both", cache_dir="")
+        path = tmp_path / f"{mode}.plan"
+        save_plan(plan, path)
+        loaded = load_plan(path)
+        ops = [g.op for g in loaded._p2m_groups]
+        ops += [loaded._near_K, *loaded._near_G]
+        if mode == "target":
+            ops += [A for ch in loaded._far_chunks for A in (ch.op, ch.gop)]
+        else:
+            ops += [A for u in loaded._units for g in u.l2p for A in (g.op, g.gop)]
+        for A in ops:
+            for a in (A.data, A.indices, A.indptr):
+                assert _reaches_memmap(a), (mode, type(A).__name__)
+        # shared sparsity arrays are stored once and load as one buffer
+        for G in loaded._near_G:
+            assert np.shares_memory(G.indices, loaded._near_K.indices)
+        got, want = loaded.execute(q), plan.execute(q)
+        assert np.array_equal(got.potential, want.potential)
+        assert np.array_equal(got.gradient, want.gradient)
+
+
 def test_digest_invalidation(built, rng):
     """Perturbed points, a different tol, backend or dtype each change
     the content digest — the cache key the store addresses plans by."""

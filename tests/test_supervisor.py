@@ -443,6 +443,48 @@ class TestShedAndDirect:
 
         assert plan.shed_memory() == 0  # nothing left: breaker's cue
 
+    @pytest.mark.parametrize("mode", ["target", "cluster"])
+    def test_shed_stages_keep_units_and_run_in_float32(self, mode):
+        """Both plan modes: stage 1 casts the sparse operators' data to
+        float32 (products then run in float32 — the data is never upcast
+        again), stage 2 drops the near kernels (and the target-major far
+        rows) to exact recompute; the work-unit layout never changes."""
+        pts = make_distribution("uniform", 900, seed=7)
+        q = unit_charges(900, seed=8, signed=True)
+        plan = Treecode(
+            pts, q, degree_policy=FixedDegree(3), alpha=0.6
+        ).compile_plan(mode=mode, compute="both")
+        base = plan.execute(q)
+        units = plan.n_units
+        scale = max(1.0, float(np.abs(base.potential).max()))
+
+        assert plan.shed_memory() > 0
+        if mode == "target":
+            ops = [A for ch in plan._far_chunks for A in (ch.op, ch.gop)]
+        else:
+            ops = [A for u in plan._units for g in u.l2p for A in (g.op, g.gop)]
+        ops += [plan._near_K, *plan._near_G]
+        stage1 = plan.execute(q)
+        assert all(A.data.dtype == np.float32 for A in ops)
+        assert plan.n_units == units
+        np.testing.assert_allclose(
+            stage1.potential, base.potential, rtol=0, atol=1e-4 * scale
+        )
+
+        assert plan.shed_memory() > 0
+        assert plan._near_K is None and plan.n_near_precomputed == 0
+        assert plan.n_units == units
+        stage2 = plan.execute(q)
+        tol = 1e-12 if mode == "target" else 1e-4  # float32 L2P rows stay
+        np.testing.assert_allclose(
+            stage2.potential, base.potential, rtol=0, atol=tol * scale
+        )
+        gscale = float(np.abs(base.gradient).max())
+        np.testing.assert_allclose(
+            stage2.gradient, base.gradient, rtol=0, atol=tol * gscale
+        )
+        assert plan.shed_memory() == 0
+
     def test_execute_unit_direct_sums_to_direct_potential(self):
         plan, q = small_plan(n=400)
         pts = make_distribution("uniform", 400, seed=7)
