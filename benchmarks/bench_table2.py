@@ -8,7 +8,7 @@ from repro.core.degree import FixedDegree
 from repro.core.treecode import Treecode
 from repro.data.distributions import uniform_cube, unit_charges
 from repro.experiments import Table2Row, run_table2
-from repro.parallel import evaluate_parallel
+from repro.parallel import evaluate_plan_parallel
 
 from conftest import save_result
 
@@ -54,10 +54,10 @@ def test_new_method_fetches_more(table2_rows):
 
 
 def test_bench_parallel_evaluate(benchmark, table2_rows):
-    """Time the threaded evaluation path (2 workers, w=64)."""
+    """Time the compiled plan's units on a 2-thread worker fleet."""
     n = 4000
     pts = uniform_cube(n, seed=1)
     q = unit_charges(n, seed=2, signed=True)
-    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.4)
-    res = benchmark(lambda: evaluate_parallel(tc, n_threads=2, w=64).potential)
-    assert np.all(np.isfinite(res))
+    plan = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.4).compile_plan()
+    res = benchmark(lambda: evaluate_plan_parallel(plan, q, n_threads=2).potential)
+    np.testing.assert_array_equal(res, plan.execute(q).potential)

@@ -1,10 +1,10 @@
 """Parallel treecode: w-aggregation, Hilbert ordering, and speedups.
 
-Reproduces the paper's parallel methodology: particles sorted into
-Peano-Hilbert order, aggregated into w-particle work units, evaluated
-by a thread pool (verified identical to serial), and scaled on the
-Origin-2000-style machine model driven by the measured per-block work
-profile.
+Reproduces the paper's parallel methodology: the compiled plan's work
+units evaluated on a supervised thread fleet (verified bitwise equal to
+the serial plan), and particles sorted into Peano-Hilbert order,
+aggregated into w-particle blocks, and scaled on the Origin-2000-style
+machine model driven by the measured per-block work profile.
 
 Run:  python examples/parallel_scaling.py
 """
@@ -15,7 +15,7 @@ from repro import AdaptiveChargeDegree, FixedDegree, Treecode
 from repro.data.distributions import gaussian_blob, uniform_cube, unit_charges
 from repro.parallel import (
     MachineModel,
-    evaluate_parallel,
+    evaluate_plan_parallel,
     make_blocks,
     profile_blocks,
     simulate,
@@ -36,9 +36,9 @@ def main() -> None:
             ("improved", AdaptiveChargeDegree(p0=4, alpha=0.4)),
         ):
             tc = Treecode(pts, q, degree_policy=policy, alpha=0.4)
-            serial = tc.evaluate()
-            par = evaluate_parallel(tc, n_threads=2, w=w)
-            ok = np.allclose(par.potential, serial.potential, rtol=1e-12)
+            plan = tc.compile_plan()
+            par = evaluate_plan_parallel(plan, q, n_threads=2)
+            ok = np.array_equal(par.potential, plan.execute(q).potential)
             prof = profile_blocks(tc, make_blocks(pts, w))
             print(f"  {name}: threaded result matches serial: {ok}")
             print(f"    blocks: {prof.n_blocks}, "

@@ -37,16 +37,14 @@ Parallelism: ``--workers N`` is the single worker-count knob for the
 thread and process executors (it sets ``REPRO_NUM_WORKERS``, which
 :func:`repro.parallel.resolve_workers` reads everywhere).
 
-Supervised execution (see :mod:`repro.robust.supervisor`):
-
-* ``--supervise`` arms worker heartbeats, the hang/OOM watchdog,
-  poison-unit quarantine and the ``process -> thread -> serial``
-  degradation ladder on the parallel executors;
-* ``--heartbeat-interval SECONDS`` / ``--unit-deadline SECONDS`` /
-  ``--memory-budget MIB`` tune it (each implies ``--supervise``).
+Supervised execution (see :mod:`repro.robust.supervisor`): every
+parallel plan run has worker heartbeats, the hang/OOM watchdog,
+poison-unit quarantine and the ``process -> thread -> serial``
+degradation ladder; ``--heartbeat-interval SECONDS`` /
+``--unit-deadline SECONDS`` / ``--memory-budget MIB`` tune it.
 
 ``profile`` output gains a "supervision health" section whenever a
-supervised run absorbed any event (reaps, quarantines, degradations,
+run absorbed any supervision event (reaps, quarantines, degradations,
 memory sheds, breaker trips).
 
 Fault tolerance (see :mod:`repro.robust`):
@@ -345,8 +343,8 @@ _HEALTH_ROWS = [
 
 def _health_report(counters: dict) -> str:
     """Supervision health section of the profile summary: one line per
-    nonzero ``supervisor_*`` counter, empty string when the run was
-    unsupervised or absorbed nothing."""
+    nonzero ``supervisor_*`` counter, empty string when the run
+    absorbed nothing."""
     rows = [
         (label, counters[name])
         for name, label in _HEALTH_ROWS
@@ -513,23 +511,17 @@ def main(argv=None) -> int:
         "--backend",
         choices=["serial", "thread", "process"],
         default=None,
-        help="table2 verification executor: block-based threads (default), "
-        "or a compiled plan run serially / on a forked process pool",
-    )
-    parser.add_argument(
-        "--supervise",
-        action="store_true",
-        help="arm supervised execution on the parallel executors: worker "
-        "heartbeats, hang/OOM watchdogs, poison-unit quarantine, and the "
-        "process->thread->serial degradation ladder",
+        help="table2 verification executor: the compiled plan's work units "
+        "on a thread fleet (default), on one worker thread (serial), or on "
+        "a forked process fleet",
     )
     parser.add_argument(
         "--heartbeat-interval",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="supervised workers publish a heartbeat at least this often "
-        "(default 0.05; implies --supervise)",
+        help="watchdog scan period of the supervised worker fleet "
+        "(default 0.05)",
     )
     parser.add_argument(
         "--unit-deadline",
@@ -537,7 +529,7 @@ def main(argv=None) -> int:
         default=None,
         metavar="SECONDS",
         help="fixed per-unit hang deadline for the watchdog (default: "
-        "adaptive from observed p95 duration; implies --supervise)",
+        "adaptive from observed p95 duration)",
     )
     parser.add_argument(
         "--memory-budget",
@@ -545,8 +537,7 @@ def main(argv=None) -> int:
         default=None,
         metavar="MIB",
         help="per-process RSS budget: workers above it are reaped, and the "
-        "parent sheds compiled-plan memory before tripping the breaker "
-        "(implies --supervise)",
+        "parent sheds compiled-plan memory before tripping the breaker",
     )
     parser.add_argument(
         "--inject-faults",
@@ -617,26 +608,20 @@ def main(argv=None) -> int:
         # resolve_cache_dir() wherever a plan compiles
         os.environ[ENV_PLAN_CACHE] = args.plan_cache
 
-    supervise = args.supervise or any(
-        v is not None
-        for v in (args.heartbeat_interval, args.unit_deadline, args.memory_budget)
-    )
-    if supervise:
-        for tune in ("heartbeat_interval", "unit_deadline", "memory_budget"):
-            val = getattr(args, tune)
-            if val is not None and val <= 0:
-                parser.error(f"--{tune.replace('_', '-')} must be > 0, got {val}")
-        from .robust import supervisor as _sup
+    for tune in ("heartbeat_interval", "unit_deadline", "memory_budget"):
+        val = getattr(args, tune)
+        if val is not None and val <= 0:
+            parser.error(f"--{tune.replace('_', '-')} must be > 0, got {val}")
+    from .robust import supervisor as _sup
 
-        # like --workers: env vars are the wire format, read by
-        # default_config() wherever an executor resolves supervision
-        os.environ[_sup.ENV_SUPERVISE] = "1"
-        if args.heartbeat_interval is not None:
-            os.environ[_sup.ENV_HEARTBEAT_INTERVAL] = str(args.heartbeat_interval)
-        if args.unit_deadline is not None:
-            os.environ[_sup.ENV_UNIT_DEADLINE] = str(args.unit_deadline)
-        if args.memory_budget is not None:
-            os.environ[_sup.ENV_MEMORY_BUDGET] = str(args.memory_budget)
+    # like --workers: env vars are the wire format, read by
+    # default_config() wherever a plan runs on the worker fleet
+    if args.heartbeat_interval is not None:
+        os.environ[_sup.ENV_HEARTBEAT_INTERVAL] = str(args.heartbeat_interval)
+    if args.unit_deadline is not None:
+        os.environ[_sup.ENV_UNIT_DEADLINE] = str(args.unit_deadline)
+    if args.memory_budget is not None:
+        os.environ[_sup.ENV_MEMORY_BUDGET] = str(args.memory_budget)
 
     def run() -> int:
         if args.inject_faults is not None:
@@ -672,7 +657,6 @@ def main(argv=None) -> int:
             seed=args.seed,
             workers=args.workers,
             backend=args.backend,
-            supervise=supervise,
             inject_faults=args.inject_faults,
         )
         try:

@@ -4,9 +4,9 @@ The paper times a single treecode iteration on a 32-processor SGI
 Origin 2000 for two instances, uniform40k and non-uniform46k, for both
 methods.  Here the measured serial evaluation is combined with the
 machine model of :mod:`repro.parallel.machine` (driven by the measured
-per-block work profile) to produce speedups; the real thread-pool
-executor is also run to verify parallel/serial agreement and, on
-multi-core hosts, real wall-clock scaling.
+per-block work profile) to produce speedups; the compiled plan's work
+units also run on the real worker fleet to verify parallel/serial
+agreement and, on multi-core hosts, real wall-clock scaling.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from ..data.distributions import make_distribution, unit_charges
 from ..obs.tracing import stopwatch
 from ..parallel import (
     MachineModel,
-    evaluate_parallel,
     evaluate_plan_parallel,
     make_blocks,
     profile_blocks,
@@ -84,14 +83,19 @@ def run_table2(
     :func:`~repro.parallel.resolve_workers` (``--workers`` /
     ``REPRO_NUM_WORKERS``, else 2 here).
 
-    ``backend`` selects how the verification evaluation runs:
-    ``"thread"`` (default) uses the block-based thread executor;
-    ``"serial"`` and ``"process"`` compile an evaluation plan and run
-    it through :func:`~repro.parallel.evaluate_plan_parallel` on one
-    in-process worker or a forked process pool respectively.  The plan
-    backends record identical deterministic work counters (the plan's
-    frozen interaction accounting), so a profiled ``process`` run can
-    be compared counter-for-counter against a ``serial`` one.
+    ``backend`` selects the fleet the verification run uses: each
+    treecode compiles an evaluation plan whose work units run through
+    :func:`~repro.parallel.evaluate_plan_parallel` on ``n_threads``
+    worker threads (``"thread"``, default), one worker thread
+    (``"serial"``) or ``n_threads`` forked processes (``"process"``).
+    Every backend records identical deterministic work counters (the
+    plan's frozen interaction accounting), so a profiled ``process``
+    run can be compared counter-for-counter against a ``serial`` one.
+
+    ``par==ser`` holds when the parallel potential is bitwise equal to
+    the serial ``plan.execute`` and within the plan tolerance (rtol
+    1e-9, atol 1e-12) of the un-planned ``tc.evaluate()``: the plan
+    regroups the un-planned sums, so those two agree only to rounding.
     """
     if backend not in ("serial", "thread", "process"):
         raise ValueError(
@@ -118,21 +122,18 @@ def run_table2(
                 serial = tc.evaluate()
             serial_time = sw.elapsed
 
-            if backend == "thread":
-                par = evaluate_parallel(tc, n_threads=n_threads, w=w)
-                tol = {"rtol": 1e-12, "atol": 1e-14}
-            else:
-                plan = tc.compile_plan()
-                par = evaluate_plan_parallel(
-                    plan,
-                    q,
-                    n_threads=1 if backend == "serial" else n_threads,
-                    backend="thread" if backend == "serial" else "process",
-                )
-                # plan arithmetic regroups sums; agreement is to rounding
-                tol = {"rtol": 1e-9, "atol": 1e-12}
+            plan = tc.compile_plan()
+            par = evaluate_plan_parallel(
+                plan,
+                q,
+                n_threads=1 if backend == "serial" else n_threads,
+                backend="process" if backend == "process" else "thread",
+            )
             matches = bool(
-                np.allclose(par.potential, serial.potential, **tol)
+                np.array_equal(par.potential, plan.execute(q).potential)
+                and np.allclose(
+                    par.potential, serial.potential, rtol=1e-9, atol=1e-12
+                )
             )
 
             prof = profile_blocks(tc, blocks)

@@ -1,11 +1,10 @@
-"""Parallel treecode: w-block partitioning, executors, machine model."""
+"""Parallel treecode: the plan-unit executor, w-block partitioning and
+the machine model."""
 
 from .executors import (
     ENV_WORKERS,
     ParallelResult,
-    evaluate_parallel,
     evaluate_plan_parallel,
-    original_points,
     resolve_workers,
 )
 from .machine import MachineModel, SimulationResult, schedule_blocks, simulate
@@ -15,12 +14,10 @@ __all__ = [
     "make_blocks",
     "profile_blocks",
     "BlockProfile",
-    "evaluate_parallel",
     "evaluate_plan_parallel",
     "resolve_workers",
     "ENV_WORKERS",
     "ParallelResult",
-    "original_points",
     "MachineModel",
     "SimulationResult",
     "simulate",

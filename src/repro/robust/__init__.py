@@ -7,14 +7,14 @@ the FMM engine and the experiment drivers:
   (worker-block errors/hangs, NaN corruption) from a spec string, the
   ``--inject-faults`` CLI flag, or ``REPRO_INJECT_FAULTS``;
 * :mod:`~repro.robust.retry` — bounded retry with decorrelated-jitter
-  backoff and per-attempt deadlines for parallel worker blocks;
+  backoff for parallel work units;
 * :mod:`~repro.robust.guards` — NaN/Inf guards at the treecode/FMM
   boundaries, the Theorem-1 bound-accounting sanity check, and GMRES
   breakdown/stagnation recovery (restart escalation, dense fallback);
 * :mod:`~repro.robust.checkpoint` — atomic JSON checkpoint/resume for
   long experiment sweeps;
-* :mod:`~repro.robust.supervisor` — supervised execution: worker
-  heartbeats in shared memory, hang/OOM watchdogs, poison-unit
+* :mod:`~repro.robust.supervisor` — the worker fleet every parallel
+  plan execution runs on: heartbeats, hang/OOM watchdogs, poison-unit
   quarantine, and the ``process -> thread -> serial`` degradation
   ladder (see DESIGN.md §12).
 
@@ -45,18 +45,13 @@ from .guards import (
     check_finite,
     solve_with_recovery,
 )
-from .retry import (
-    AttemptTimeout,
-    RetryExhausted,
-    RetryPolicy,
-    abandoned_threads,
-    retry_call,
-)
+from .retry import RetryExhausted, RetryPolicy, retry_call
 from .supervisor import (
     BackendDegraded,
     HeartbeatTable,
     Supervisor,
     SupervisorConfig,
+    abandoned_threads,
     cleanup_segments,
     current_rss,
     default_config,
@@ -74,7 +69,6 @@ __all__ = [
     "suppress_faults",
     "RetryPolicy",
     "RetryExhausted",
-    "AttemptTimeout",
     "retry_call",
     "NumericalCorruptionError",
     "BoundAccountingError",

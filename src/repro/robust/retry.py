@@ -1,16 +1,12 @@
-"""Retry with per-attempt deadlines and decorrelated-jitter backoff.
+"""Bounded retry with decorrelated-jitter backoff.
 
 The policy follows the standard exponential-backoff-with-decorrelated-
 jitter recipe (sleep ~ U(base, 3·previous), capped), which avoids the
 synchronized retry storms of plain exponential backoff when many worker
-blocks fail at once.  Deadlines are enforced by running the attempt in a
-daemon thread and abandoning it on timeout — a hung NumPy kernel cannot
-be interrupted from Python, so the only safe recovery is to stop
-waiting, count the timeout, and retry (the abandoned thread exits with
-the process).  The deadline thread is a *reusable* per-caller runner,
-not a spawn per attempt: supervised plan executions arm a deadline on
-every one of thousands of sub-millisecond units, and a thread spawn per
-unit would cost more than the units themselves.
+units fail at once.  Retries cover attempts that *raise*; an attempt
+that hangs is the supervisor's business (:mod:`repro.robust.supervisor`
+reaps or abandons the worker running it), because a hung NumPy kernel
+cannot be interrupted from Python.
 
 Every performed retry increments the ``block_retries`` counter and opens
 a ``robust.retry`` span, so recovery behavior is visible in
@@ -19,9 +15,7 @@ a ``robust.retry`` span, so recovery behavior is visible in
 
 from __future__ import annotations
 
-import queue
 import random
-import threading
 import time
 from dataclasses import dataclass
 
@@ -29,39 +23,7 @@ from ..obs import journal
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import span
 
-__all__ = [
-    "RetryPolicy",
-    "RetryExhausted",
-    "AttemptTimeout",
-    "retry_call",
-    "abandoned_threads",
-]
-
-#: Attempt threads abandoned at their deadline.  The threads are daemons
-#: (they can never block interpreter exit), but keeping explicit handles
-#: makes the leak observable: ``abandoned_threads()`` prunes finished
-#: ones and returns those still running a hung kernel.
-_ABANDONED: list[threading.Thread] = []
-_ABANDONED_LOCK = threading.Lock()
-
-
-def abandoned_threads() -> list[threading.Thread]:
-    """Attempt threads abandoned at a deadline and still alive."""
-    with _ABANDONED_LOCK:
-        _ABANDONED[:] = [t for t in _ABANDONED if t.is_alive()]
-        return list(_ABANDONED)
-
-
-class AttemptTimeout(RuntimeError):
-    """An attempt exceeded its per-attempt deadline."""
-
-    def __init__(self, site: str, deadline: float, attempt: int):
-        super().__init__(
-            f"{site}: attempt {attempt} exceeded the {deadline:g}s deadline"
-        )
-        self.site = site
-        self.deadline = deadline
-        self.attempt = attempt
+__all__ = ["RetryPolicy", "RetryExhausted", "retry_call"]
 
 
 class RetryExhausted(RuntimeError):
@@ -79,12 +41,11 @@ class RetryExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry with decorrelated jitter and optional deadlines."""
+    """Bounded retry with decorrelated jitter."""
 
     max_retries: int = 3  #: retries after the first attempt
     base_delay: float = 0.002  #: backoff floor (seconds)
     max_delay: float = 0.25  #: backoff cap (seconds)
-    deadline: float | None = None  #: per-attempt timeout; None = unbounded
 
     def __post_init__(self):
         if self.max_retries < 0:
@@ -94,86 +55,6 @@ class RetryPolicy:
                 f"need 0 <= base_delay <= max_delay, got "
                 f"{self.base_delay}, {self.max_delay}"
             )
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be > 0, got {self.deadline}")
-
-
-class _AttemptRunner:
-    """A reusable daemon thread executing attempts for one caller thread.
-
-    One runner serves every deadline-armed attempt its caller makes, so
-    arming a deadline costs a queue round-trip (~µs) instead of a thread
-    spawn (~100 µs) per attempt.  On timeout the runner is *abandoned* —
-    its thread may be stuck inside an uninterruptible kernel — and the
-    caller lazily creates a fresh one; the abandoned loop exits as soon
-    as the stuck call returns, restoring the old one-shot semantics
-    (an abandoned thread dies with its hung kernel, not with the
-    process).  Fresh queues per runner also mean a late result from an
-    abandoned attempt can never be mistaken for a later attempt's.
-    """
-
-    __slots__ = ("tasks", "results", "thread", "_abandoned")
-
-    def __init__(self):
-        self.tasks: queue.SimpleQueue = queue.SimpleQueue()
-        self.results: queue.SimpleQueue = queue.SimpleQueue()
-        self._abandoned = False
-        self.thread = threading.Thread(
-            target=self._loop, daemon=True, name="attempt-runner"
-        )
-        self.thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            fn = self.tasks.get()
-            try:
-                out = ("ok", fn())
-            except BaseException as exc:  # noqa: BLE001 — re-raised in caller
-                out = ("err", exc)
-            self.results.put(out)
-            if self._abandoned:
-                return
-
-    def abandon(self) -> None:
-        self._abandoned = True
-
-
-_RUNNERS = threading.local()
-
-
-def _call_with_deadline(fn, deadline: float | None, site: str, attempt: int):
-    if deadline is None:
-        return fn()
-    runner: _AttemptRunner | None = getattr(_RUNNERS, "runner", None)
-    if runner is None or not runner.thread.is_alive():
-        runner = _AttemptRunner()
-        _RUNNERS.runner = runner
-    runner.tasks.put(fn)
-    try:
-        status, payload = runner.results.get(timeout=deadline)
-    except queue.Empty:
-        # the attempt cannot be interrupted from Python; abandon the
-        # runner (renamed, tracked, counted) instead of dropping the
-        # handle on the floor — its thread exits once the hung call does
-        runner.abandon()
-        _RUNNERS.runner = None
-        t = runner.thread
-        t.name = f"abandoned-{site}-a{attempt}"
-        with _ABANDONED_LOCK:
-            _ABANDONED[:] = [a for a in _ABANDONED if a.is_alive()]
-            _ABANDONED.append(t)
-        REGISTRY.counter(
-            "block_timeouts", "worker-block attempts abandoned at the deadline"
-        ).inc()
-        REGISTRY.counter(
-            "retry_abandoned_threads",
-            "attempt threads left running past their deadline",
-        ).inc()
-        journal.emit("retry_abandoned", site=site, attempt=attempt)
-        raise AttemptTimeout(site, deadline, attempt)
-    if status == "err":
-        raise payload
-    return payload
 
 
 def retry_call(fn, policy: RetryPolicy, site: str, seed: int = 0):
@@ -183,12 +64,12 @@ def retry_call(fn, policy: RetryPolicy, site: str, seed: int = 0):
     raises :class:`RetryExhausted` chaining the last failure once
     ``max_retries`` retries are spent.
     """
-    jitter = random.Random(seed)
+    jitter = None  # seeded lazily: the healthy first attempt never draws
     delay = policy.base_delay
     last: Exception | None = None
     for attempt in range(1, policy.max_retries + 2):
         try:
-            return _call_with_deadline(fn, policy.deadline, site, attempt), attempt
+            return fn(), attempt
         except Exception as exc:
             last = exc
             if attempt > policy.max_retries:
@@ -199,6 +80,8 @@ def retry_call(fn, policy: RetryPolicy, site: str, seed: int = 0):
             journal.emit(
                 "retry", site=site, attempt=attempt, error=type(exc).__name__
             )
+            if jitter is None:
+                jitter = random.Random(seed)
             delay = min(policy.max_delay, jitter.uniform(policy.base_delay, delay * 3))
             with span(
                 "robust.retry", site=site, attempt=attempt, error=type(exc).__name__

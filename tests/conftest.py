@@ -9,9 +9,9 @@ import pytest
 def pytest_sessionfinish(session, exitstatus):
     """No test may leak a *non-daemon* thread past the session.
 
-    Deadline-abandoned retry attempts deliberately leave daemon threads
-    behind (tracked by ``repro.robust.retry.abandoned_threads``); those
-    cannot block interpreter exit.  A leaked non-daemon thread would —
+    Thread workers abandoned at a hang deadline are daemons (tracked by
+    ``repro.robust.supervisor.abandoned_threads``); those cannot block
+    interpreter exit.  A leaked non-daemon thread would —
     so its presence here is a bug, not noise.
     """
     main = threading.main_thread()
@@ -25,6 +25,23 @@ def pytest_sessionfinish(session, exitstatus):
         raise pytest.UsageError(
             f"non-daemon thread(s) leaked past the test session: {names}"
         )
+
+
+@pytest.fixture(autouse=True)
+def join_abandoned_threads():
+    """Every test joins the thread workers it abandoned.
+
+    An abandoned worker exits once its hung call returns; joining it in
+    teardown keeps one test's stragglers out of the next test's view of
+    the :func:`~repro.robust.supervisor.abandoned_threads` ledger.
+    """
+    from repro.robust.supervisor import abandoned_threads
+
+    before = set(abandoned_threads())
+    yield
+    for t in abandoned_threads():
+        if t not in before:
+            t.join(timeout=30.0)
 
 
 @pytest.fixture

@@ -1,44 +1,20 @@
-"""Additional tests for the parallel executor."""
+"""Additional tests for the parallel plan executor."""
 
 import numpy as np
-import pytest
 
 from repro.core.degree import FixedDegree
 from repro.core.treecode import Treecode
-from repro.parallel import evaluate_parallel, original_points
+from repro.parallel import evaluate_plan_parallel
 
 
-@pytest.fixture(scope="module")
-def tc():
+def test_block_count():
     rng = np.random.default_rng(99)
     pts = rng.random((600, 3))
     q = rng.uniform(-1, 1, 600)
-    return Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
-
-
-def test_original_points_roundtrip(tc):
-    pts = original_points(tc)
-    assert np.allclose(pts[tc.tree.perm], tc.tree.points)
-
-
-def test_w_invariance(tc):
-    """The result must not depend on the aggregation factor."""
-    base = tc.evaluate().potential
-    for w in (1, 7, 64, 600, 10_000):
-        par = evaluate_parallel(tc, n_threads=2, w=w)
-        assert np.allclose(par.potential, base, rtol=1e-12), w
-
-
-def test_ordering_invariance(tc):
-    base = tc.evaluate().potential
-    for ordering in ("hilbert", "morton", "input", "random"):
-        par = evaluate_parallel(tc, n_threads=2, w=32, ordering=ordering)
-        assert np.allclose(par.potential, base, rtol=1e-12), ordering
-
-
-def test_block_count(tc):
-    par = evaluate_parallel(tc, n_threads=1, w=100)
-    assert par.n_blocks == 6
+    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+    plan = tc.compile_plan(n_units=6)
+    par = evaluate_plan_parallel(plan, q, n_threads=1)
+    assert par.n_blocks == plan.n_units
     assert par.n_threads == 1
     assert par.wall_time > 0
 
@@ -48,6 +24,7 @@ def test_softened_parallel_matches_serial():
     pts = rng.random((400, 3))
     q = rng.uniform(0.5, 1.5, 400)
     tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, softening=0.02)
-    serial = tc.evaluate().potential
-    par = evaluate_parallel(tc, n_threads=2, w=48)
-    assert np.allclose(par.potential, serial, rtol=1e-12)
+    plan = tc.compile_plan()
+    par = evaluate_plan_parallel(plan, q, n_threads=2)
+    np.testing.assert_array_equal(par.potential, plan.execute(q).potential)
+    assert np.allclose(par.potential, tc.evaluate().potential, rtol=1e-9, atol=1e-12)

@@ -12,7 +12,7 @@ from repro.core.degree import FixedDegree
 from repro.core.treecode import Treecode
 from repro.obs import REGISTRY, RunRecorder, metrics, tracing
 from repro.obs.tracing import span, stopwatch
-from repro.parallel import evaluate_parallel
+from repro.parallel import evaluate_plan_parallel
 
 
 @pytest.fixture(autouse=True)
@@ -230,12 +230,13 @@ def test_parallel_executor_block_spans(rng):
     pts = rng.random((400, 3))
     q = rng.uniform(-1, 1, 400)
     tc = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.5)
+    plan = tc.compile_plan()
     tracing.enable()
-    res = evaluate_parallel(tc, n_threads=2, w=64)
+    res = evaluate_plan_parallel(plan, q, n_threads=2)
     events = tracing.get_tracer().events()
     blocks = [e for e in events if e["name"] == "parallel.block"]
-    assert len(blocks) == res.n_blocks
-    assert sum(e["args"]["targets"] for e in blocks) == 400
+    assert len(blocks) == res.n_blocks == plan.n_units
+    assert sorted(e["args"]["unit"] for e in blocks) == list(range(plan.n_units))
     h = REGISTRY.get("parallel_block_seconds")
     assert h is not None and h.count == res.n_blocks
     # counters aggregate across worker threads

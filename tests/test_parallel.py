@@ -7,7 +7,7 @@ from repro.core.degree import AdaptiveChargeDegree, FixedDegree
 from repro.core.treecode import Treecode
 from repro.parallel import (
     MachineModel,
-    evaluate_parallel,
+    evaluate_plan_parallel,
     make_blocks,
     profile_blocks,
     schedule_blocks,
@@ -64,19 +64,22 @@ def test_profile_matches_engine_stats(built):
 
 def test_parallel_matches_serial(built):
     pts, q, tc = built
-    serial = tc.evaluate().potential
+    plan = tc.compile_plan()
+    serial = plan.execute(q).potential
     for nt in (1, 3):
-        par = evaluate_parallel(tc, n_threads=nt, w=48)
-        assert np.allclose(par.potential, serial, rtol=1e-12, atol=1e-14)
+        par = evaluate_plan_parallel(plan, q, n_threads=nt)
+        np.testing.assert_array_equal(par.potential, serial)
         assert par.stats.n_targets == len(q)
+    # the plan regroups the un-planned sums: equal to rounding only
+    assert np.allclose(par.potential, tc.evaluate().potential, rtol=1e-9, atol=1e-12)
     with pytest.raises(ValueError):
-        evaluate_parallel(tc, n_threads=0)
+        evaluate_plan_parallel(plan, q, n_threads=0)
 
 
 def test_parallel_stats_conserved(built):
     pts, q, tc = built
     serial = tc.evaluate()
-    par = evaluate_parallel(tc, n_threads=2, w=64)
+    par = evaluate_plan_parallel(tc.compile_plan(), q, n_threads=2)
     assert par.stats.n_terms == serial.stats.n_terms
     assert par.stats.n_pp_pairs == serial.stats.n_pp_pairs
 
