@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..obs import emit
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import is_enabled, span
 from ..robust.faults import maybe_corrupt
@@ -112,9 +113,7 @@ def gmres(
     stagnant_cycles = 0
 
     def _breakdown(x_good, beta_val):
-        REGISTRY.counter(
-            "gmres_breakdowns", "GMRES solves stopped on non-finite arithmetic"
-        ).inc()
+        emit("gmres_breakdown", iterations=total_iters, restarts=n_restarts)
         return GMRESResult(
             x=x_good, converged=False, n_iterations=total_iters,
             n_restarts=n_restarts, residual_norm=float(beta_val),
@@ -141,10 +140,8 @@ def gmres(
             else:
                 stagnant_cycles = 0
             if stagnant_cycles >= stagnation_cycles:
-                REGISTRY.counter(
-                    "gmres_stagnations",
-                    "GMRES solves stopped early on restart-cycle stagnation",
-                ).inc()
+                emit("gmres_stagnation", iterations=total_iters,
+                     restarts=n_restarts, rel_residual=float(rel))
                 return GMRESResult(
                     x=x, converged=False, n_iterations=total_iters,
                     n_restarts=n_restarts, residual_norm=float(beta),

@@ -17,8 +17,8 @@ Observability (see :mod:`repro.obs`):
 * ``--report FILE`` (profile only) writes the full
   :class:`~repro.obs.RunRecorder` JSON report;
 * ``--journal FILE`` appends a structured JSONL run journal (see
-  :mod:`repro.obs.journal`): run start/end, phase completions, plan
-  compiles, retries/fallbacks/guard trips, checkpoint writes.
+  :mod:`repro.obs.journal`): phase completions and every event of
+  :data:`repro.obs.EVENTS`, process workers' included.
 
 The flags also work on plain subcommands, implicitly enabling
 observability for that run.
@@ -643,12 +643,12 @@ def main(argv=None) -> int:
     if not args.journal:
         return run()
 
-    from .obs import journal
+    from .obs import emit, journal
 
     code: int | None = None
     with journal.Journal(args.journal) as j:
         previous_journal = journal.set_journal(j)
-        j.emit(
+        emit(
             "run_start",
             command=args.experiment,
             target=args.target,
@@ -668,7 +668,7 @@ def main(argv=None) -> int:
                 else "interrupted" if code == 130
                 else "error"
             )
-            j.emit("run_end", status=status, exit_code=code)
+            emit("run_end", status=status, exit_code=code)
             journal.set_journal(previous_journal)
 
 

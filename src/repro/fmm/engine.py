@@ -35,7 +35,7 @@ from ..multipole.translations import (
     m2l_operator,
     m2m,
 )
-from ..obs import journal
+from ..obs import emit
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import is_enabled, span, stopwatch
 from ..robust.faults import maybe_corrupt
@@ -549,11 +549,10 @@ class UniformFMM:
         self.plan_compile_time = sw.elapsed
         self.plan_memory_bytes = int(mem)
         if is_enabled():
-            REGISTRY.counter("plan_compiles", "evaluation plans compiled").inc()
             REGISTRY.gauge(
                 "plan_memory_bytes", "materialized bytes of the most recent plan"
             ).set(self.plan_memory_bytes)
-        journal.emit(
+        emit(
             "plan_compile",
             mode="fmm",
             targets=int(self.points.shape[0]),

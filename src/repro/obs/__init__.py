@@ -11,9 +11,10 @@ Three cooperating pieces, all off by default and near-free when off:
   evaluation (spans + metrics + per-level Theorem-1 bound accounting)
   into a single serializable report;
 * :mod:`repro.obs.journal` — :class:`Journal`, an append-only JSONL
-  event log (schema-versioned envelope) recording run lifecycle,
-  phase transitions, plan compiles, robustness events and bound-ledger
-  summaries as they happen (the CLI's ``--journal FILE``).
+  event log (the CLI's ``--journal FILE``);
+* :mod:`repro.obs.events` — :func:`emit`, the one call that raises an
+  event, and :data:`EVENTS`, the table that derives its counter,
+  journal line and trace event.
 
 Enable globally with :func:`repro.obs.enable` (or the CLI's
 ``profile`` subcommand / ``--trace`` / ``--metrics`` flags); the
@@ -21,6 +22,7 @@ compute layers — treecode, FMM, BEM/GMRES, parallel executor — are
 pre-instrumented.
 """
 
+from .events import EVENTS, emit
 from .journal import Journal, get_journal, set_journal
 from .metrics import REGISTRY, Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import RunRecorder
@@ -36,6 +38,7 @@ from .tracing import (
 )
 
 __all__ = [
+    "EVENTS",
     "REGISTRY",
     "Counter",
     "Gauge",
@@ -47,6 +50,7 @@ __all__ = [
     "get_journal",
     "set_journal",
     "disable",
+    "emit",
     "enable",
     "get_tracer",
     "is_enabled",

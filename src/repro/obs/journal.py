@@ -2,52 +2,34 @@
 
 The tracer and metrics registry answer "where did the time go" and
 "how much work was done" *after* a run finishes; the journal is the
-durable, incremental record of *what happened while it ran*.  Every
-significant state transition — run start/end, compute phase
-completions, plan compiles with their memory footprint, every
-retry/fallback/guard trip absorbed by :mod:`repro.robust`, checkpoint
-writes and resumes, per-level Theorem-1 bound-ledger summaries — is
-appended as one JSON line the moment it happens, so an interrupted or
-crashed run leaves a readable forensic trail up to the failure instant.
+durable record of *what happened while it ran*.  Each event raised
+through :func:`repro.obs.emit` (see :data:`repro.obs.events.EVENTS`)
+and each completed span in :data:`PHASE_SPANS` is appended as one JSON
+line the moment it happens, so a crashed run leaves a forensic trail
+up to the failure instant.  Each line is a schema-versioned envelope::
 
-Envelope
---------
-Each line is one event wrapped in a schema-versioned envelope::
-
-    {"v": 1, "seq": 12, "ts": 1754550000.123, "pid": 4242,
+    {"v": 2, "seq": 12, "ts": 1754550000.123, "pid": 4242,
      "event": "retry", "data": {"site": "parallel.block", ...}}
 
-* ``v`` — schema version (:data:`SCHEMA_VERSION`), bumped on any
-  incompatible envelope change so downstream tooling can dispatch;
-* ``seq`` — monotonically increasing per journal instance, making gaps
-  (lost writes) detectable;
-* ``ts`` — Unix epoch seconds (wall clock, cross-run comparable);
-* ``pid`` — the writing process;
-* ``event`` / ``data`` — the event type and its payload.
+``v`` is :data:`SCHEMA_VERSION`; ``seq`` increases per journal, so gaps
+expose lost writes; ``ts`` is Unix time and ``pid`` the process the
+event happened in.
 
-Concurrency
------------
 Writes are serialized by a lock and flushed per line; the file is
-opened in append mode, so a journal can be pointed at an existing file
-to extend it.  A journal inherited by a *forked* process-pool worker is
-inert there: the owning pid is recorded at construction and
-:meth:`Journal.emit` in any other process is a no-op, preventing
-interleaved half-lines from workers (worker activity reaches the
-parent's journal through the merged telemetry snapshots instead).
+opened in append mode.  A journal inherited by a *forked* fleet worker
+is inert there (owner-pid guard), so workers cannot interleave
+half-lines: their events ride home in the worker's telemetry snapshot
+and the parent writes them under the worker's pid and time (see
+:mod:`repro.obs.events`).  Usage::
 
-Usage::
-
-    from repro.obs import journal
+    from repro.obs import emit, journal
 
     with journal.Journal("run.jsonl") as j:
         journal.set_journal(j)
-        j.emit("run_start", name="table2", argv=sys.argv[1:])
+        emit("run_start", command="table2")
         ...                      # instrumented code emits as it runs
-        j.emit("run_end", status="ok", exit_code=0)
+        emit("run_end", status="ok", exit_code=0)
     journal.set_journal(None)
-
-Instrumented call sites use the module-level :func:`emit`, which is a
-single ``is None`` check when no journal is active.
 """
 
 from __future__ import annotations
@@ -60,49 +42,17 @@ import time
 __all__ = [
     "SCHEMA_VERSION",
     "PHASE_SPANS",
-    "SUPERVISOR_EVENTS",
     "Journal",
     "set_journal",
     "get_journal",
-    "emit",
     "maybe_phase",
     "read_journal",
-    "validate_supervisor_event",
 ]
 
-#: v1: original envelope.  v2: adds the ``supervisor.*`` event family
-#: (:data:`SUPERVISOR_EVENTS`); the envelope itself is unchanged, so v1
-#: journals still parse with :func:`read_journal`.
+#: v1: original envelope.  v2: adds the ``supervisor.*`` event family;
+#: the envelope itself is unchanged, so v1 journals still parse with
+#: :func:`read_journal`.
 SCHEMA_VERSION = 2
-
-#: Supervision event types (schema v2) -> required payload keys.  The
-#: payloads may carry additional keys; these are the stable contract
-#: that tooling (and the schema test) may rely on.
-SUPERVISOR_EVENTS: dict[str, frozenset] = {
-    "supervisor.heartbeat_miss": frozenset(
-        {"slot", "unit", "waited_s", "deadline_s"}
-    ),
-    "supervisor.reap": frozenset(
-        {"slot", "unit", "waited_s", "deadline_s", "kind"}
-    ),
-    "supervisor.worker_death": frozenset({"slot", "unit"}),
-    "supervisor.quarantine": frozenset({"unit", "failures", "kind"}),
-    "supervisor.breaker_trip": frozenset({"reason"}),
-    "supervisor.degraded": frozenset({"frm", "to", "reason", "units_left"}),
-    "supervisor.memory_shed": frozenset({"freed_bytes", "rss", "budget"}),
-}
-
-
-def validate_supervisor_event(entry: dict) -> bool:
-    """True iff a parsed journal entry is a well-formed ``supervisor.*``
-    event: known type, v2+ envelope, all required payload keys present."""
-    event = entry.get("event")
-    required = SUPERVISOR_EVENTS.get(event)
-    if required is None:
-        return False
-    if entry.get("v", 0) < 2:
-        return False
-    return required <= set(entry.get("data", {}))
 
 #: Span names significant enough to journal as ``phase`` events when a
 #: journal is active.  The full span stream stays in the tracer; the
@@ -164,8 +114,11 @@ class Journal:
         return False
 
     # -- writing -------------------------------------------------------
-    def emit(self, event: str, **data) -> None:
-        """Append one event (no-op after close or in a forked child)."""
+    def write(
+        self, event: str, data: dict, pid: int | None = None, ts: float | None = None
+    ) -> None:
+        """Append one line (no-op after close or in a forked child);
+        ``pid``/``ts`` default to this process and now."""
         if self._closed or os.getpid() != self._owner_pid:
             return
         with self._lock:
@@ -173,8 +126,8 @@ class Journal:
                 {
                     "v": SCHEMA_VERSION,
                     "seq": self._seq,
-                    "ts": time.time(),
-                    "pid": self._owner_pid,
+                    "ts": time.time() if ts is None else ts,
+                    "pid": self._owner_pid if pid is None else pid,
                     "event": event,
                     "data": data,
                 },
@@ -185,7 +138,7 @@ class Journal:
             self._fh.flush()
 
 
-#: The active journal used by the module-level :func:`emit` hooks.
+#: The active journal :func:`repro.obs.emit` and :func:`maybe_phase` write to.
 _active: Journal | None = None
 
 
@@ -202,16 +155,10 @@ def get_journal() -> Journal | None:
     return _active
 
 
-def emit(event: str, **data) -> None:
-    """Emit to the active journal; one ``is None`` check when inactive."""
-    if _active is not None:
-        _active.emit(event, **data)
-
-
 def maybe_phase(name: str, dur_s: float, args: dict) -> None:
     """Tracer hook: journal a completed span iff it is a known phase."""
     if _active is not None and name in PHASE_SPANS:
-        _active.emit("phase", name=name, dur_s=dur_s, args=dict(args))
+        _active.write("phase", {"name": name, "dur_s": dur_s, "args": dict(args)})
 
 
 def read_journal(path: str) -> list[dict]:

@@ -30,7 +30,8 @@ from __future__ import annotations
 import json
 import time
 
-from . import journal, metrics, tracing
+from . import metrics, tracing
+from .events import emit
 
 __all__ = ["RunRecorder"]
 
@@ -97,7 +98,7 @@ class RunRecorder:
         self._chrome = tracing.get_tracer().to_chrome_trace()
         self._metrics = metrics.REGISTRY.to_dict()
         tracing.set_enabled(self._was_enabled)
-        journal.emit(
+        emit(
             "run_summary",
             name=self.name,
             wall_s=float(self.wall_time),
@@ -121,7 +122,7 @@ class RunRecorder:
         self._treecode_runs.append({"label": label, "stats": flat})
         by_level = flat.get("bound_by_level")
         if by_level:
-            journal.emit(
+            emit(
                 "bound_ledger",
                 label=label,
                 total=float(sum(by_level.values())),

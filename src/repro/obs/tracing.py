@@ -63,6 +63,7 @@ __all__ = [
     "is_enabled",
     "span",
     "stopwatch",
+    "instant",
     "get_tracer",
 ]
 
@@ -292,6 +293,14 @@ def span(name: str, cat: str = "repro", **args) -> Span | _NullSpan:
     if not _enabled:
         return _NULL_SPAN
     return Span(_TRACER, name, cat, args)
+
+
+def instant(name: str, args: dict, cat: str = "event") -> None:
+    """Record a zero-length trace event when tracing is on."""
+    if _enabled:
+        sp = Span(_TRACER, name, cat, args)
+        sp.t0 = sp.t1 = time.perf_counter()
+        _TRACER._record(sp)
 
 
 def stopwatch(name: str, cat: str = "repro", **args) -> Span:

@@ -83,7 +83,7 @@ from ..multipole.harmonics import (
     solid_gradient,
     term_count,
 )
-from ..obs import journal
+from ..obs import emit
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import is_enabled, span, stopwatch
 from ..robust.faults import maybe_corrupt
@@ -306,7 +306,6 @@ class CompiledPlan:
         self.compile_time = sw.elapsed
         degree_hist = dict(self._static_stats.interactions_by_degree)
         if is_enabled():
-            REGISTRY.counter("plan_compiles", "evaluation plans compiled").inc()
             REGISTRY.gauge(
                 "plan_memory_bytes", "materialized bytes of the most recent plan"
             ).set(self.memory_bytes)
@@ -324,7 +323,7 @@ class CompiledPlan:
                     "compile-time max per-target Theorem-1 ledger of the "
                     "most recent tol-compiled plan",
                 ).set(self.predicted_ledger_max)
-        journal.emit(
+        emit(
             "plan_compile",
             mode=self._mode,
             targets=int(tgt.shape[0]),
@@ -897,11 +896,10 @@ class CompiledPlan:
             self.memory_bytes = int(self.memory_bytes - freed)
             self._refresh_spill_counts()
             if is_enabled():
-                REGISTRY.counter("plan_sheds", "plan memory-shed stages run").inc()
                 REGISTRY.gauge(
                     "plan_memory_bytes", "materialized bytes of the most recent plan"
                 ).set(self.memory_bytes)
-            journal.emit(
+            emit(
                 "plan_shed",
                 stage=int(self._shed_stage),
                 freed_bytes=int(freed),

@@ -56,9 +56,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from ..obs import journal
-from ..obs.metrics import REGISTRY
-from ..obs.tracing import is_enabled, stopwatch
+from ..obs import emit
+from ..obs.tracing import stopwatch
 
 __all__ = [
     "ENV_PLAN_CACHE",
@@ -547,15 +546,6 @@ def resolve_cache_dir(cache_dir=None) -> Path | None:
     return Path(env) if env else None
 
 
-def _count_miss(reason: str) -> None:
-    if is_enabled():
-        REGISTRY.counter(
-            "plan_cache_misses",
-            "plan-store lookups that fell back to a fresh compile",
-            labelnames=("reason",),
-        ).labels(reason=reason).inc()
-
-
 def cached_plan(cache_dir, digest: str, compile_fn, kind: str = "plan"):
     """Load the plan stored under ``digest`` from ``cache_dir``, or
     compile and store it.
@@ -569,42 +559,20 @@ def cached_plan(cache_dir, digest: str, compile_fn, kind: str = "plan"):
     try:
         with stopwatch("plan.cache_load", kind=kind) as sw:
             obj = load_pytree(path, expected_digest=digest)
-        if is_enabled():
-            REGISTRY.counter(
-                "plan_cache_hits", "plans restored from the on-disk store"
-            ).inc()
-        journal.emit(
-            "plan_cache",
-            outcome="hit",
-            kind=kind,
-            digest=digest,
-            path=str(path),
+        emit(
+            "plan_cache.hit", kind=kind, digest=digest, path=str(path),
             load_s=float(sw.elapsed),
         )
         return obj
     except PlanStoreError as e:
-        _count_miss(e.reason)
-        journal.emit(
-            "plan_cache", outcome="miss", kind=kind, digest=digest, reason=e.reason
-        )
+        emit("plan_cache.miss", kind=kind, digest=digest, reason=e.reason)
     obj = compile_fn()
     try:
         nbytes = save_plan(obj, path, digest=digest)
-        if is_enabled():
-            REGISTRY.counter(
-                "plan_cache_stores", "plans persisted to the on-disk store"
-            ).inc()
-        journal.emit(
-            "plan_cache",
-            outcome="store",
-            kind=kind,
-            digest=digest,
-            path=str(path),
+        emit(
+            "plan_cache.store", kind=kind, digest=digest, path=str(path),
             bytes=int(nbytes),
         )
     except (OSError, TypeError) as e:
-        journal.emit(
-            "plan_cache", outcome="store_failed", kind=kind, digest=digest,
-            error=str(e),
-        )
+        emit("plan_cache.store_failed", kind=kind, digest=digest, error=str(e))
     return obj

@@ -18,9 +18,10 @@ the FMM engine and the experiment drivers:
   quarantine, and the ``process -> thread -> serial`` degradation
   ladder (see DESIGN.md §12).
 
-Every recovery action (retry, fallback, guard trip, resume) increments
-a metrics counter and opens a span, so ``python -m repro profile``
-shows exactly what a run absorbed.  See DESIGN.md §8 for the failure
+Every recovery action (retry, fallback, guard trip, resume, reap...) is
+one :func:`repro.obs.emit` event, which bumps its counter, writes a
+journal line and marks the trace, so ``python -m repro profile`` and
+the journal show exactly what a run absorbed.  See DESIGN.md §8 for the failure
 model and per-failure recovery policy.
 """
 

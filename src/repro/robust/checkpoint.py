@@ -18,8 +18,9 @@ whose fingerprint disagrees with the current run raises
 :class:`CheckpointMismatch` rather than silently mixing results from
 different configurations.
 
-Resumes and writes increment the ``checkpoint_rows_resumed`` /
-``checkpoint_rows_written`` counters and open ``robust.resume`` spans,
+Resumes and writes are ``checkpoint_resume`` / ``checkpoint_write``
+events (counted in ``checkpoint_rows_resumed`` /
+``checkpoint_rows_written``), and a resume opens a ``robust.resume`` span,
 so ``python -m repro profile`` shows what a resumed run skipped.
 """
 
@@ -29,8 +30,7 @@ import json
 import os
 import tempfile
 
-from ..obs import journal
-from ..obs.metrics import REGISTRY
+from ..obs import emit
 from ..obs.tracing import span
 
 __all__ = ["Checkpoint", "CheckpointMismatch", "cached_step"]
@@ -93,10 +93,7 @@ class Checkpoint:
         """Record a completed step and atomically rewrite the file."""
         self._rows[key] = payload
         self._flush()
-        REGISTRY.counter(
-            "checkpoint_rows_written", "experiment steps persisted to checkpoints"
-        ).inc()
-        journal.emit("checkpoint_write", path=self.path, key=key, rows=len(self._rows))
+        emit("checkpoint_write", path=self.path, key=key, rows=len(self._rows))
 
     def _flush(self) -> None:
         doc = {"version": _FORMAT_VERSION, "meta": self.meta, "rows": self._rows}
@@ -128,10 +125,7 @@ def cached_step(checkpoint: Checkpoint | None, key: str, fn):
     present, else compute ``fn()`` and persist it.  With no checkpoint
     this is just ``fn()``."""
     if checkpoint is not None and key in checkpoint:
-        REGISTRY.counter(
-            "checkpoint_rows_resumed", "experiment steps replayed from checkpoints"
-        ).inc()
-        journal.emit("checkpoint_resume", path=checkpoint.path, key=key)
+        emit("checkpoint_resume", path=checkpoint.path, key=key)
         with span("robust.resume", key=key):
             return checkpoint.get(key)
     value = fn()

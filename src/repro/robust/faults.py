@@ -32,9 +32,10 @@ environment variables (the CI fault-injection job).  Recovery code runs
 its fallbacks inside :func:`suppress_faults` so a fallback re-evaluation
 is never re-poisoned.
 
-Every injected fault increments the ``faults_injected`` counter in the
-metrics registry, so ``python -m repro profile`` shows how many faults a
-run absorbed alongside the retry/fallback counters.
+Every injected fault is a ``fault_injected`` event
+(:func:`repro.obs.emit`), counted in ``faults_injected``, so ``python -m
+repro profile`` and the journal show how many faults a run absorbed
+alongside its retries and fallbacks.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import journal
-from ..obs.metrics import REGISTRY
+from ..obs import emit
 
 __all__ = [
     "InjectedFault",
@@ -166,12 +166,6 @@ class FaultInjector:
         )
         return bool(rng.random() < rule.rate), k, rng
 
-    def _record(self, rule: FaultRule, site: str) -> None:
-        REGISTRY.counter(
-            "faults_injected", "faults fired by the injection harness"
-        ).inc()
-        journal.emit("fault_injected", site=site, mode=rule.mode)
-
     def maybe_fault(self, site: str) -> None:
         """Fire error/hang/oom rules armed at ``site`` (may raise, sleep
         or balloon this process's RSS)."""
@@ -179,12 +173,12 @@ class FaultInjector:
             if rule.kind == "hang":
                 fired, _, _ = self._draw(rule)
                 if fired:
-                    self._record(rule, site)
+                    emit("fault_injected", site=site, mode=rule.mode)
                     time.sleep(rule.param)
             elif rule.kind == "oom":
                 fired, _, _ = self._draw(rule)
                 if fired:
-                    self._record(rule, site)
+                    emit("fault_injected", site=site, mode=rule.mode)
                     # one live ballast per process: repeated fires swap
                     # rather than accumulate, so the injected pressure is
                     # bounded at `param` MiB (np.ones forces page commit)
@@ -193,7 +187,7 @@ class FaultInjector:
             elif rule.kind == "error":
                 fired, k, _ = self._draw(rule)
                 if fired:
-                    self._record(rule, site)
+                    emit("fault_injected", site=site, mode=rule.mode)
                     raise InjectedFault(site, rule.mode, k)
 
     def maybe_corrupt(self, site: str, arr: np.ndarray) -> np.ndarray:
@@ -203,7 +197,7 @@ class FaultInjector:
                 continue
             fired, _, rng = self._draw(rule)
             if fired and arr.size:
-                self._record(rule, site)
+                emit("fault_injected", site=site, mode=rule.mode)
                 arr = np.array(arr, copy=True)
                 n_bad = max(1, int(round(rule.param * arr.size)))
                 idx = rng.choice(arr.size, size=min(n_bad, arr.size), replace=False)

@@ -22,9 +22,10 @@ Three guard families:
   with a larger Krylov space) and, for small systems, a dense
   direct-solve fallback built by applying the operator to the identity.
 
-Every guard trip increments the ``guard_trips`` counter and records a
-``robust.guard_trip`` span, so recovery behavior shows up in
-``python -m repro profile``.
+Every guard trip and GMRES recovery is a :func:`repro.obs.emit` event
+(``guard_trip``, ``gmres_escalation``, ``gmres_dense_fallback``), so
+recovery behavior shows up in the counters, the journal and the trace
+of ``python -m repro profile``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs import journal
-from ..obs.metrics import REGISTRY
+from ..obs import emit
 from ..obs.tracing import span
 
 __all__ = [
@@ -55,13 +55,6 @@ class BoundAccountingError(NumericalCorruptionError):
     """The Theorem-1 bound ledger is internally inconsistent."""
 
 
-def _trip(site: str, reason: str) -> None:
-    REGISTRY.counter("guard_trips", "numerical guard violations detected").inc()
-    journal.emit("guard_trip", site=site, reason=reason)
-    with span("robust.guard_trip", site=site, reason=reason):
-        pass
-
-
 def check_finite(site: str, arr: np.ndarray, context: str = "") -> np.ndarray:
     """Return ``arr`` unchanged iff every entry is finite; otherwise
     raise :class:`NumericalCorruptionError` with a located diagnostic."""
@@ -73,7 +66,7 @@ def check_finite(site: str, arr: np.ndarray, context: str = "") -> np.ndarray:
     first = int(np.argmin(flat))
     vals = np.asarray(arr).reshape(-1)
     n_nan = int(np.count_nonzero(np.isnan(vals)))
-    _trip(site, "non_finite")
+    emit("guard_trip", site=site, reason="non_finite")
     suffix = f" ({context})" if context else ""
     raise NumericalCorruptionError(
         f"{site}: {bad}/{flat.size} non-finite entries "
@@ -91,10 +84,10 @@ def check_bound_accounting(
     finite, non-negative, and agree to rounding.
     """
     if not np.isfinite(error_bound).all():
-        _trip(site, "bound_non_finite")
+        emit("guard_trip", site=site, reason="bound_non_finite")
         raise BoundAccountingError(f"{site}: non-finite Theorem-1 bound entries")
     if error_bound.size and float(error_bound.min()) < 0.0:
-        _trip(site, "bound_negative")
+        emit("guard_trip", site=site, reason="bound_negative")
         raise BoundAccountingError(
             f"{site}: negative Theorem-1 bound {float(error_bound.min()):.3e}"
         )
@@ -103,7 +96,7 @@ def check_bound_accounting(
     if not np.isfinite(by_level) or abs(by_level - total) > rtol * max(
         1.0, abs(total)
     ):
-        _trip(site, "bound_ledger_mismatch")
+        emit("guard_trip", site=site, reason="bound_ledger_mismatch")
         raise BoundAccountingError(
             f"{site}: Theorem-1 bound ledgers disagree — per-target sum "
             f"{total:.6e} vs per-level sum {by_level:.6e}"
@@ -171,15 +164,12 @@ def solve_with_recovery(
 
     for f in escalations:
         m = restart * int(f)
-        REGISTRY.counter(
-            "gmres_restart_escalations",
-            "GMRES restart-parameter escalations after stagnation",
-        ).inc()
         reason = (
             "breakdown"
             if getattr(best, "breakdown", False)
             else "stagnation" if getattr(best, "stagnated", False) else "no_convergence"
         )
+        emit("gmres_escalation", restart=m, reason=reason)
         actions.append(f"escalate_restart:{m}({reason})")
         with span("robust.gmres_escalation", restart=m, reason=reason):
             # a breakdown iterate may be poisoned — restart cold then
@@ -194,9 +184,7 @@ def solve_with_recovery(
             return RobustSolveResult(result=res, actions=actions)
 
     if n <= dense_limit:
-        REGISTRY.counter(
-            "gmres_dense_fallbacks", "dense direct solves after GMRES failure"
-        ).inc()
+        emit("gmres_dense_fallback", n=n)
         actions.append(f"dense_solve:n={n}")
         with span("robust.dense_fallback", n=n):
             A = _dense_matrix(matvec, n)

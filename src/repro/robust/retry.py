@@ -8,9 +8,10 @@ that hangs is the supervisor's business (:mod:`repro.robust.supervisor`
 reaps or abandons the worker running it), because a hung NumPy kernel
 cannot be interrupted from Python.
 
-Every performed retry increments the ``block_retries`` counter and opens
-a ``robust.retry`` span, so recovery behavior is visible in
-``python -m repro profile`` output and exported traces.
+Every performed retry is a ``retry`` event (:func:`repro.obs.emit`:
+the ``block_retries`` counter, a journal line, a trace event) and its
+backoff sleep a ``robust.retry`` span, so recovery behavior is visible
+in ``python -m repro profile`` output and exported traces.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from ..obs import journal
-from ..obs.metrics import REGISTRY
+from ..obs import emit
 from ..obs.tracing import span
 
 __all__ = ["RetryPolicy", "RetryExhausted", "retry_call"]
@@ -74,12 +74,7 @@ def retry_call(fn, policy: RetryPolicy, site: str, seed: int = 0):
             last = exc
             if attempt > policy.max_retries:
                 break
-            REGISTRY.counter(
-                "block_retries", "worker-block attempts retried after a failure"
-            ).inc()
-            journal.emit(
-                "retry", site=site, attempt=attempt, error=type(exc).__name__
-            )
+            emit("retry", site=site, attempt=attempt, error=type(exc).__name__)
             if jitter is None:
                 jitter = random.Random(seed)
             delay = min(policy.max_delay, jitter.uniform(policy.base_delay, delay * 3))

@@ -43,10 +43,10 @@ meets:
   is raised with partial results kept, and the remaining units run one
   rung down the ladder (``process -> thread -> serial``).
 
-Every supervision event is counted in the metrics registry
-(``supervisor_*`` counters), spanned in traces (``supervisor.*`` spans)
-and journaled (``supervisor.*`` events, journal schema v2), so ``python
--m repro profile`` shows a health report of what a run absorbed.
+Every supervision event is one :func:`repro.obs.emit` call (a
+``supervisor_*`` counter, a journal line, a trace event), so ``python
+-m repro profile`` shows a health report of what a run absorbed;
+events raised inside process workers ride home in their snapshots.
 
 Robustness notes: every worker has its own task queue, and every
 process worker its own result pipe written synchronously, so a process
@@ -70,9 +70,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs import journal
+from ..obs import emit
+from ..obs.events import merge_worker_snapshot, worker_reset, worker_snapshot
 from ..obs.metrics import REGISTRY
-from ..obs.tracing import get_tracer, is_enabled, span, stopwatch
+from ..obs.tracing import is_enabled, span, stopwatch
 from .faults import InjectedFault, maybe_corrupt, maybe_fault, suppress_faults
 from .guards import check_finite
 from .retry import retry_call
@@ -85,7 +86,6 @@ __all__ = [
     "default_config",
     "current_rss",
     "abandoned_threads",
-    "complete_quarantined",
     "run_fleet",
     "run_plan_units",
     "create_segment",
@@ -358,9 +358,8 @@ class Supervisor:
     """Shared supervision state across the ladder's rungs.
 
     Tracks per-unit durations (for the adaptive deadline), per-unit
-    failure counts (for quarantine), worker mortality and the breaker,
-    and emits every supervision event to the metrics registry, the
-    tracer and the journal.
+    failure counts (for quarantine), worker mortality and the breaker;
+    the ``on_*`` methods update that state and emit the event.
     """
 
     def __init__(self, config: SupervisorConfig | None = None):
@@ -443,105 +442,45 @@ class Supervisor:
             return sum(self._failures.values())
 
     # -- events ---------------------------------------------------------
-    def on_heartbeat_miss(
-        self, slot: int, unit: int, waited: float, deadline: float
-    ) -> None:
-        REGISTRY.counter(
-            "supervisor_heartbeat_misses",
-            "busy worker slots whose heartbeat went stale past the deadline",
-        ).inc()
-        journal.emit(
-            "supervisor.heartbeat_miss",
-            slot=slot,
-            unit=unit,
-            waited_s=waited,
-            deadline_s=deadline,
-        )
-
     def on_reap(
         self, slot: int, unit: int, waited: float, deadline: float, kind: str
     ) -> None:
         self.n_reaps += 1
         self.worker_deaths += 1
-        REGISTRY.counter(
-            "supervisor_reaps", "stuck or over-budget workers replaced"
-        ).inc()
-        if kind == "oom":
-            REGISTRY.counter(
-                "supervisor_oom_reaps", "workers reaped for exceeding the RSS budget"
-            ).inc()
-        journal.emit(
-            "supervisor.reap",
-            slot=slot,
-            unit=unit,
-            waited_s=waited,
-            deadline_s=deadline,
-            kind=kind,
+        emit(
+            "supervisor.reap", slot=slot, unit=unit, waited_s=waited,
+            deadline_s=deadline, kind=kind,
         )
 
     def on_worker_death(self, slot: int, unit: int | None) -> None:
         self.worker_deaths += 1
-        REGISTRY.counter(
-            "supervisor_worker_deaths", "workers that died without being reaped"
-        ).inc()
-        journal.emit("supervisor.worker_death", slot=slot, unit=unit)
+        emit("supervisor.worker_death", slot=slot, unit=unit)
 
     def on_quarantine(self, unit: int, kind: str) -> None:
         self.n_quarantines += 1
-        REGISTRY.counter(
-            "supervisor_quarantines", "poison units completed on the parent"
-        ).inc()
-        journal.emit(
-            "supervisor.quarantine",
-            unit=unit,
-            failures=self.failures_of(unit),
-            kind=kind,
-        )
-
-    def on_memory_shed(self, freed: int, rss: int, budget: int) -> None:
-        REGISTRY.counter(
-            "supervisor_memory_sheds", "plan memory sheds under RSS pressure"
-        ).inc()
-        REGISTRY.counter(
-            "supervisor_memory_shed_bytes", "plan bytes released under RSS pressure"
-        ).inc(int(freed))
-        journal.emit(
-            "supervisor.memory_shed", freed_bytes=int(freed), rss=int(rss),
-            budget=int(budget),
-        )
-        with span("supervisor.memory_shed", freed_bytes=int(freed)):
-            pass
+        failures = self.failures_of(unit)
+        emit("supervisor.quarantine", unit=unit, failures=failures, kind=kind)
 
     def trip(self, reason: str) -> None:
         if self.tripped:
             return
         self.tripped = True
         self.trip_reason = reason
-        REGISTRY.counter(
-            "supervisor_breaker_trips", "circuit-breaker trips (any rung)"
-        ).inc()
-        journal.emit(
+        emit(
             "supervisor.breaker_trip",
             reason=reason,
             deaths=self.worker_deaths,
             failures=self.total_failures(),
         )
-        with span("supervisor.breaker_trip", reason=reason):
-            pass
 
     def on_degrade(self, frm: str, to: str, reason: str, units_left: int) -> None:
         self.n_degradations += 1
         # the next rung gets a fresh breaker
         self.tripped = False
-        REGISTRY.counter(
-            "supervisor_degradations", "backend downgrades along the ladder"
-        ).inc()
-        journal.emit(
+        emit(
             "supervisor.degraded", frm=frm, to=to, reason=reason,
             units_left=units_left,
         )
-        with span("supervisor.degraded", frm=frm, to=to, reason=reason):
-            pass
 
 
 def _complete_on_coordinator(plan, ctx, q_sorted, unit: int):
@@ -551,9 +490,10 @@ def _complete_on_coordinator(plan, ctx, q_sorted, unit: int):
     First the suppressed-fault redo (identical arithmetic — bitwise
     equal to a healthy worker, kind ``"redo"``); exact per-pair direct
     summation (:meth:`execute_unit_direct`, kind ``"direct"``) only if
-    even that fails, e.g. on corrupted plan state.
+    even that fails, e.g. on corrupted plan state.  Spanned as
+    ``robust.fallback``.
     """
-    with suppress_faults():
+    with suppress_faults(), span("robust.fallback", unit=unit):
         try:
             tids, vals = plan.execute_unit(ctx, q_sorted, unit)
             check_finite("parallel.fallback", vals, context="plan unit redo")
@@ -564,15 +504,6 @@ def _complete_on_coordinator(plan, ctx, q_sorted, unit: int):
                 "parallel.fallback", vals, context="plan unit direct summation"
             )
             return tids, vals, "direct"
-
-
-def complete_quarantined(plan, ctx, q_sorted, unit: int, sup: Supervisor):
-    """Complete a quarantined unit on the coordinator and record the
-    quarantine (see :func:`_complete_on_coordinator`)."""
-    with span("supervisor.quarantine", unit=unit):
-        tids, vals, kind = _complete_on_coordinator(plan, ctx, q_sorted, unit)
-    sup.on_quarantine(unit, kind)
-    return tids, vals
 
 
 # ---------------------------------------------------------------------------
@@ -596,35 +527,20 @@ def abandoned_threads() -> list[threading.Thread]:
         return list(_ABANDONED)
 
 
-def _merge_worker_telemetry(telemetry: dict | None) -> None:
-    """Fold one process worker's snapshot into the parent tracer/registry.
-
-    Spans keep their worker pid (multi-process flame graph in
-    Perfetto); counters sum, gauges take the worker's last write,
-    histograms merge bucket-wise — so a process-backed run reports the
-    same deterministic counters as a serial run of the same plan.
-    """
-    if telemetry is None:
-        return
-    get_tracer().ingest(telemetry["spans"])
-    REGISTRY.merge_snapshot(telemetry["metrics"])
-    REGISTRY.counter(
-        "worker_snapshots_merged", "worker telemetry snapshots merged by the parent"
-    ).inc()
-
-
 def _worker_loop(slot, ident, tasks, post, state, handle) -> None:
     """Body of one fleet worker, thread or forked process.
 
     Takes unit ids off its private ``tasks`` queue (``None`` stops it)
-    and hands ``(slot, ident, unit, ok, payload)`` to ``post``: the
-    fleet's shared result queue for threads, the worker's own result
-    pipe for processes.  Every attempt first publishes a heartbeat, so a hang inside
-    an attempt leaves a stale stamp — exactly what the coordinator's
-    watchdog looks for.  ``handle`` is the coordinator's record of a
-    thread worker; a process worker gets ``None`` and instead owns the
-    ``parallel.kill`` site and a private tracer/registry per unit, whose
-    snapshot rides back with the result.
+    and hands ``(slot, ident, unit, ok, payload, telemetry)`` to
+    ``post``: the fleet's shared result queue for threads, the worker's
+    own result pipe for processes.  Every attempt first publishes a
+    heartbeat, so a hang inside an attempt leaves a stale stamp —
+    exactly what the coordinator's watchdog looks for.  ``handle`` is
+    the coordinator's record of a thread worker; a process worker gets
+    ``None`` and instead owns the ``parallel.kill`` site and a private
+    tracer, registry and journal buffer per unit, whose snapshot rides
+    back with the result, failed or not (a thread worker's events land
+    in the parent's sinks directly, so its ``telemetry`` is ``None``).
     """
     plan, ctx, q_sorted, policy, hb, obs_on, track_rss = state
     is_process = handle is None
@@ -635,13 +551,11 @@ def _worker_loop(slot, ident, tasks, post, state, handle) -> None:
         if unit is None or (handle is not None and handle.stopped):
             return
         if is_process:
+            worker_reset()
             try:
                 maybe_fault("parallel.kill")
             except InjectedFault:
                 os._exit(3)  # simulated hard crash: no cleanup, no exception
-            if obs_on:
-                get_tracer().clear()
-                REGISTRY.reset()
 
         def attempt(unit=unit):
             hb.beat(slot, unit, current_rss() if track_rss else 0, ident)
@@ -658,25 +572,19 @@ def _worker_loop(slot, ident, tasks, post, state, handle) -> None:
                 (tids, vals), attempts = retry_call(
                     attempt, policy, site="parallel.block", seed=unit
                 )
-            telemetry = None
             if obs_on:
                 REGISTRY.histogram(
                     "parallel_block_seconds", "wall time per worker block"
                 ).observe(sp.elapsed)
-                if is_process:
-                    telemetry = {
-                        "spans": get_tracer().snapshot(),
-                        "metrics": REGISTRY.to_dict(),
-                    }
-            payload = (tids, vals, attempts, sp.elapsed, telemetry)
-            msg = (slot, ident, unit, True, payload)
+            ok, payload = True, (tids, vals, attempts, sp.elapsed)
         except Exception as exc:  # retries exhausted or guards tripped
             # flattened to a string: multi-arg exception constructors
             # (RetryExhausted, InjectedFault) do not survive pickling
-            msg = (slot, ident, unit, False, f"{type(exc).__name__}: {exc}")
+            ok, payload = False, f"{type(exc).__name__}: {exc}"
         if handle is not None and handle.stopped:
             return  # abandoned meanwhile: the unit went back to the pool
-        post(msg)
+        telemetry = worker_snapshot() if is_process else None
+        post((slot, ident, unit, ok, payload, telemetry))
 
 
 @dataclass
@@ -837,14 +745,14 @@ def run_fleet(
         with _ABANDONED_LOCK:
             _ABANDONED[:] = [t for t in _ABANDONED if t.is_alive()]
             _ABANDONED.append(h.proc)
-        REGISTRY.counter(
-            "abandoned_threads", "fleet thread workers abandoned at the hang deadline"
-        ).inc()
+        emit("thread_abandoned", slot=h.slot, unit=unit)
 
     def fail_unit(unit: int) -> None:
         """One failure strike; quarantine-complete or re-dispatch."""
         if sup.record_failure(unit):
-            results[unit] = complete_quarantined(plan, ctx, q_sorted, unit, sup)
+            tids, vals, kind = _complete_on_coordinator(plan, ctx, q_sorted, unit)
+            sup.on_quarantine(unit, kind)
+            results[unit] = (tids, vals)
             recovery["fallbacks"] += 1
         elif unit not in results:
             pending.appendleft(unit)
@@ -876,7 +784,8 @@ def run_fleet(
 
     def receive(msg) -> None:
         nonlocal last_elapsed
-        slot, ident, unit, ok, payload = msg
+        slot, ident, unit, ok, payload, telemetry = msg
+        merge_worker_snapshot(telemetry)
         h = slots[slot]
         if h.ident != ident:
             return  # from a replaced worker: its units were already re-pooled
@@ -886,12 +795,11 @@ def run_fleet(
         if unit in results:
             return
         if ok:
-            tids, vals, attempts, elapsed, telemetry = payload
+            tids, vals, attempts, elapsed = payload
             results[unit] = (tids, vals)
             recovery["retries"] += attempts - 1
             sup.record_duration(elapsed)
             last_elapsed = elapsed
-            _merge_worker_telemetry(telemetry)
         else:
             # in-worker retries exhausted or guards tripped
             recovery["retries"] += policy.max_retries
@@ -920,14 +828,15 @@ def run_fleet(
                 continue
             waited = now - last
             if waited > deadline_s:
-                sup.on_heartbeat_miss(h.slot, unit, waited, deadline_s)
-                with span("supervisor.reap", slot=h.slot, unit=unit, kind="hang"):
-                    kill(h, unit)
+                emit(
+                    "supervisor.heartbeat_miss", slot=h.slot, unit=unit,
+                    waited_s=waited, deadline_s=deadline_s,
+                )
+                kill(h, unit)
                 sup.on_reap(h.slot, unit, waited, deadline_s, "hang")
                 replace(h, struck=True)
             elif cfg.memory_budget and mine and rss > cfg.memory_budget:
-                with span("supervisor.reap", slot=h.slot, unit=unit, kind="oom"):
-                    kill(h, unit)
+                kill(h, unit)
                 sup.on_reap(h.slot, unit, waited, deadline_s, "oom")
                 replace(h, struck=True)
 
@@ -941,7 +850,10 @@ def run_fleet(
         while rss > cfg.shed_fraction * cfg.memory_budget and not plan_shed_exhausted:
             freed = plan.shed_memory()
             if freed > 0:
-                sup.on_memory_shed(freed, rss, cfg.memory_budget)
+                emit(
+                    "supervisor.memory_shed", freed_bytes=int(freed), rss=int(rss),
+                    budget=int(cfg.memory_budget),
+                )
                 rss = current_rss()
             else:
                 plan_shed_exhausted = True
@@ -1041,12 +953,8 @@ def run_plan_units(
                 recovery["fallbacks"] += len(results) - sup.n_quarantines - by_workers
     for unit in range(plan.n_units):
         if unit not in results:
-            with span("robust.fallback", kind="plan_unit", unit=unit):
-                tids, vals, _ = _complete_on_coordinator(plan, ctx, q_sorted, unit)
-            REGISTRY.counter(
-                "block_fallbacks", "blocks recovered via graceful degradation"
-            ).inc()
-            journal.emit("fallback", site="parallel.block", kind="plan_unit", unit=unit)
+            tids, vals, _ = _complete_on_coordinator(plan, ctx, q_sorted, unit)
+            emit("fallback", site="parallel.block", kind="plan_unit", unit=unit)
             results[unit] = (tids, vals)
             recovery["fallbacks"] += 1
     return results

@@ -1,4 +1,5 @@
-"""Tests for the structured run journal (repro.obs.journal)."""
+"""Tests for the structured run journal (repro.obs.journal) and the
+event table that feeds it (repro.obs.events)."""
 
 import json
 import os
@@ -6,10 +7,15 @@ import os
 import numpy as np
 import pytest
 
-from repro.obs import REGISTRY, journal, tracing
+from repro.obs import EVENTS, REGISTRY, emit, journal, tracing
+from repro.obs.events import validate_event
 from repro.obs.journal import Journal, read_journal
 from repro.obs.tracing import span
-from repro.robust.guards import NumericalCorruptionError, check_finite
+from repro.robust.guards import (
+    NumericalCorruptionError,
+    check_finite,
+    solve_with_recovery,
+)
 from repro.robust.retry import RetryExhausted, RetryPolicy, retry_call
 
 
@@ -29,8 +35,8 @@ def clean_obs():
 def test_envelope_and_sequence(tmp_path):
     path = tmp_path / "run.jsonl"
     with Journal(str(path)) as j:
-        j.emit("alpha", x=1)
-        j.emit("beta", arr=np.float64(2.5), n=np.int64(7))
+        j.write("alpha", {"x": 1})
+        j.write("beta", {"arr": np.float64(2.5), "n": np.int64(7)})
     events = read_journal(str(path))
     assert [e["event"] for e in events] == ["alpha", "beta"]
     for i, e in enumerate(events):
@@ -43,37 +49,47 @@ def test_envelope_and_sequence(tmp_path):
 
 
 def test_emit_noop_without_active_journal():
-    journal.emit("ignored", x=1)  # must not raise
+    emit("retry", site="s", attempt=1, error="E")  # must not raise
+    assert REGISTRY.counter("block_retries").value == 1  # counted regardless
+
+
+def test_emit_unknown_event_or_missing_key_raises():
+    """A typo in an event name or a payload key fails loudly."""
+    with pytest.raises(KeyError, match="retyr"):
+        emit("retyr", site="s", attempt=1, error="E")
+    with pytest.raises(ValueError, match="attempt"):
+        emit("retry", site="s", error="E")
+    assert REGISTRY.names() == []  # nothing was counted
 
 
 def test_append_mode_extends_existing_file(tmp_path):
     path = tmp_path / "run.jsonl"
     with Journal(str(path)) as j:
-        j.emit("first")
+        j.write("first", {})
     with Journal(str(path)) as j:
-        j.emit("second")
+        j.write("second", {})
     assert [e["event"] for e in read_journal(str(path))] == ["first", "second"]
 
 
 def test_emit_after_close_is_noop(tmp_path):
     path = tmp_path / "run.jsonl"
     j = Journal(str(path))
-    j.emit("kept")
+    j.write("kept", {})
     j.close()
-    j.emit("dropped")
+    j.write("dropped", {})
     assert [e["event"] for e in read_journal(str(path))] == ["kept"]
 
 
 def test_forked_child_inherits_inert_journal(tmp_path):
     path = tmp_path / "run.jsonl"
     with Journal(str(path)) as j:
-        j.emit("parent")
+        j.write("parent", {})
         pid = os.fork()
-        if pid == 0:  # child: emit must be a no-op
-            j.emit("child")
+        if pid == 0:  # child: write must be a no-op
+            j.write("child", {})
             os._exit(0)
         os.waitpid(pid, 0)
-        j.emit("parent_again")
+        j.write("parent_again", {})
     assert [e["event"] for e in read_journal(str(path))] == [
         "parent",
         "parent_again",
@@ -122,11 +138,32 @@ def test_retry_and_guard_trips_are_journaled(tmp_path):
                 RetryPolicy(max_retries=1, base_delay=0.0),
                 site="test.site",
             )
+        # restarted GMRES on a cyclic shift stagnates at every restart
+        # length, so the recovery escalates and then solves densely
+        n = 8
+        A = np.roll(np.eye(n), 1, axis=0)
+        b = np.zeros(n)
+        b[0] = 1.0
+        out = solve_with_recovery(
+            lambda v: A @ v, b, restart=1, tol=1e-12, maxiter=200,
+            escalations=(2,), dense_limit=n,
+        )
+        assert out.result.converged
     journal.set_journal(None)
     events = read_journal(str(path))
     kinds = [e["event"] for e in events]
     assert kinds.count("retry") == 2
     assert "guard_trip" in kinds
+    assert kinds.count("gmres_escalation") == 1
+    assert kinds.count("gmres_dense_fallback") == 1
+    assert kinds.count("gmres_stagnation") >= 1
+    # every event's journal line count equals its counter
+    counters = REGISTRY.to_dict()["counters"]
+    for name in ("retry", "guard_trip", "gmres_escalation", "gmres_dense_fallback",
+                 "gmres_stagnation"):
+        assert kinds.count(name) == counters[EVENTS[name].counter], name
+    esc = next(e for e in events if e["event"] == "gmres_escalation")
+    assert esc["data"] == {"restart": 2, "reason": "stagnation"}
     retry_ev = next(e for e in events if e["event"] == "retry")
     assert retry_ev["data"] == {
         "site": "test.site",
@@ -179,7 +216,7 @@ def test_plan_compile_journaled(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# schema v2: the supervisor.* event family
+# the event table's schema (v2: adds the supervisor.* family)
 # ---------------------------------------------------------------------------
 def test_schema_v1_journal_still_parses(tmp_path):
     """The v2 bump changed no envelope field, so v1 journals written by
@@ -195,8 +232,8 @@ def test_schema_v1_journal_still_parses(tmp_path):
     }
     path.write_text(json.dumps(v1) + "\n")
     assert read_journal(str(path)) == [v1]
-    # ...but a v1 entry can never validate as a supervisor event
-    assert not journal.validate_supervisor_event(v1)
+    # ...but a v1 entry never validates against the current table
+    assert not validate_event(v1)
 
 
 def test_every_emitted_supervisor_event_validates(tmp_path):
@@ -208,13 +245,16 @@ def test_every_emitted_supervisor_event_validates(tmp_path):
     with Journal(str(path)) as j:
         journal.set_journal(j)
         sup = Supervisor(SupervisorConfig())
-        sup.on_heartbeat_miss(0, 3, 1.5, 1.0)
+        emit(
+            "supervisor.heartbeat_miss", slot=0, unit=3, waited_s=1.5,
+            deadline_s=1.0,
+        )
         sup.on_reap(0, 3, 1.5, 1.0, "hang")
         sup.on_worker_death(1, None)
         sup.record_failure(3)
         sup.record_failure(3)
         sup.on_quarantine(3, "redo")
-        sup.on_memory_shed(1024, 2048, 4096)
+        emit("supervisor.memory_shed", freed_bytes=1024, rss=2048, budget=4096)
         sup.trip("worker_mortality")
         sup.on_degrade("process", "thread", "worker_mortality", 5)
     journal.set_journal(None)
@@ -222,13 +262,15 @@ def test_every_emitted_supervisor_event_validates(tmp_path):
         e for e in read_journal(str(path)) if e["event"].startswith("supervisor.")
     ]
     # the synthetic run exercised the full v2 event family
-    assert {e["event"] for e in sup_events} == set(journal.SUPERVISOR_EVENTS)
+    assert {e["event"] for e in sup_events} == {
+        name for name in EVENTS if name.startswith("supervisor.")
+    }
     for e in sup_events:
         assert e["v"] == journal.SCHEMA_VERSION == 2
-        assert journal.validate_supervisor_event(e)
+        assert validate_event(e)
 
 
-def test_validate_supervisor_event_rejects_malformed():
+def test_validate_event_rejects_malformed():
     good = {
         "v": 2,
         "event": "supervisor.reap",
@@ -240,14 +282,12 @@ def test_validate_supervisor_event_rejects_malformed():
             "kind": "hang",
         },
     }
-    assert journal.validate_supervisor_event(good)
-    assert not journal.validate_supervisor_event({**good, "v": 1})  # old envelope
-    assert not journal.validate_supervisor_event(
-        {**good, "event": "supervisor.unknown"}
-    )
-    assert not journal.validate_supervisor_event({**good, "data": {"slot": 0}})
-    assert not journal.validate_supervisor_event(
-        {"v": 2, "event": "retry", "data": {}}  # not a supervisor event
+    assert validate_event(good)
+    assert not validate_event({**good, "v": 1})  # old envelope
+    assert not validate_event({**good, "event": "supervisor.unknown"})
+    assert not validate_event({**good, "data": {"slot": 0}})
+    assert not validate_event(
+        {"v": 2, "event": "retry", "data": {}}  # missing required keys
     )
 
 

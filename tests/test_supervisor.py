@@ -23,6 +23,7 @@ from repro.core.treecode import Treecode
 from repro.data.distributions import make_distribution, unit_charges
 from repro.direct import direct_potential
 from repro.obs import REGISTRY, journal, tracing
+from repro.obs.events import validate_event
 from repro.obs.journal import Journal, read_journal
 from repro.parallel import evaluate_plan_parallel
 from repro.parallel.executors import scatter_add
@@ -372,7 +373,7 @@ class TestHangReaping:
         ]
         assert reaps, "reaps must be journaled"
         for e in reaps:
-            assert journal.validate_supervisor_event(e)
+            assert validate_event(e)
             # the watchdog scan period is capped at deadline/2, so a
             # silent worker is reaped within 2x the deadline
             assert e["data"]["waited_s"] <= 2.0 * e["data"]["deadline_s"]

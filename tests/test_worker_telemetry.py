@@ -1,5 +1,6 @@
 """Cross-process telemetry: worker snapshot/merge, per-event pids in
-Chrome traces, and serial/process counter agreement under fault load."""
+Chrome traces, and serial/process counter and journal agreement under
+fault load."""
 
 import json
 import os
@@ -10,7 +11,8 @@ import pytest
 from repro.core.degree import FixedDegree
 from repro.core.treecode import Treecode
 from repro.data.distributions import make_distribution, unit_charges
-from repro.obs import REGISTRY, tracing
+from repro.obs import REGISTRY, journal, tracing
+from repro.obs.journal import Journal, read_journal
 from repro.obs.metrics import MetricsRegistry, bucket_quantiles
 from repro.obs.tracing import span
 from repro.parallel import evaluate_plan_parallel
@@ -138,9 +140,10 @@ def test_bucket_quantiles_empty_and_zero():
 # ---------------------------------------------------------------------------
 # end to end: process backend == serial backend, with worker pids
 # ---------------------------------------------------------------------------
-def _run_plan(plan, q, backend, n_workers):
-    """One observed evaluate_plan_parallel run; returns (potential,
-    counters, distinct span pids)."""
+def _run_plan(plan, q, backend, n_workers, journal_path):
+    """One observed, journaled evaluate_plan_parallel run; returns
+    (potential, counters, distinct span pids, chrome trace, journal
+    lines)."""
     tracing.get_tracer().clear()
     REGISTRY.reset()
     tracing.enable()
@@ -149,12 +152,17 @@ def _run_plan(plan, q, backend, n_workers):
     # so every worker's first unit attempt faults and retries — the
     # recovery telemetry is guaranteed to flow through the merge
     set_injector(FaultInjector(parse_fault_spec("block_error:0.2"), seed=4))
-    res = evaluate_plan_parallel(
-        plan,
-        q,
-        n_threads=n_workers,
-        backend="thread" if backend == "serial" else backend,
-    )
+    with Journal(str(journal_path)) as j:
+        journal.set_journal(j)
+        try:
+            res = evaluate_plan_parallel(
+                plan,
+                q,
+                n_threads=n_workers,
+                backend="thread" if backend == "serial" else backend,
+            )
+        finally:
+            journal.set_journal(None)
     set_injector(None)
     counters = {
         k: v
@@ -164,7 +172,7 @@ def _run_plan(plan, q, backend, n_workers):
     pids = {e["pid"] for e in tracing.get_tracer().events()}
     chrome = tracing.get_tracer().to_chrome_trace()
     tracing.disable()
-    return res.potential, counters, pids, chrome
+    return res.potential, counters, pids, chrome, read_journal(str(journal_path))
 
 
 @pytest.mark.skipif(os.name != "posix", reason="fork-based process pool")
@@ -176,8 +184,12 @@ def test_process_backend_matches_serial_under_faults(tmp_path):
     tc = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.5)
     plan = tc.compile_plan(n_units=6)
 
-    phi_s, counters_s, pids_s, _ = _run_plan(plan, q2, "serial", 1)
-    phi_p, counters_p, pids_p, chrome = _run_plan(plan, q2, "process", 2)
+    phi_s, counters_s, pids_s, _, lines_s = _run_plan(
+        plan, q2, "serial", 1, tmp_path / "serial.jsonl"
+    )
+    phi_p, counters_p, pids_p, chrome, lines_p = _run_plan(
+        plan, q2, "process", 2, tmp_path / "process.jsonl"
+    )
 
     # bitwise-identical result despite retries and a different backend
     np.testing.assert_array_equal(phi_s, phi_p)
@@ -193,6 +205,19 @@ def test_process_backend_matches_serial_under_faults(tmp_path):
     assert counters_p.get("faults_injected", 0) > 0
     assert counters_p.get("block_retries", 0) > 0
     assert counters_p["worker_snapshots_merged"] > 0
+
+    # the journal and the counters agree on both backends: events raised
+    # inside process workers reach the parent's journal under their pids
+    for lines, counters in ((lines_s, counters_s), (lines_p, counters_p)):
+        kinds = [e["event"] for e in lines]
+        for event, counter in (
+            ("fault_injected", "faults_injected"),
+            ("retry", "block_retries"),
+            ("fallback", "block_fallbacks"),
+        ):
+            assert kinds.count(event) == counters.get(counter, 0), event
+    worker_retries = [e for e in lines_p if e["event"] == "retry"]
+    assert worker_retries and all(e["pid"] != os.getpid() for e in worker_retries)
 
     # spans from the workers carry their true pids
     assert pids_s == {os.getpid()}
