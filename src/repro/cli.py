@@ -98,9 +98,7 @@ def _table1(args) -> str:
         structured = [4000, 8000, 16000, 32000, 64000]
         unstructured = [("gaussian", 32000), ("overlapping_gaussians", 48000)]
     elif args.scale == "smoke":
-        # tiny instances sized for CI gates: a forced rotation backend
-        # builds one operator per far pair on these irregular trees, so
-        # the usual 'small' sizes would take minutes per case
+        # tiny instances sized for CI gates
         structured = [1000]
         unstructured = [("gaussian", 1500)]
     else:
@@ -121,27 +119,24 @@ def _table1(args) -> str:
     if tol is not None:
         from .experiments import run_variable_order_case
 
-        backend = getattr(args, "translation_backend", "auto")
-        # a forced backend is exercised by the cluster plan's M2L
-        # pipeline; the target-major plan stores no translations
-        vo_mode = "target" if backend == "auto" else "cluster"
-        out.append(
-            f"variable-order plans at tol={tol:g} (err <= ledger <= tol), "
-            f"translation backend {backend}:"
-        )
+        # the smoke scale also compiles each instance as a box-centred
+        # cluster plan (dual MAC); its tolerance-driven degrees cost
+        # O(p^4) per box pair, minutes per instance at larger scales
+        modes = ("target", "cluster") if args.scale == "smoke" else ("target",)
+        out.append(f"variable-order plans at tol={tol:g} (err <= ledger <= tol):")
         cases = [("uniform", n) for n in structured] + unstructured
         for dist, n in cases:
             s = None if args.seed is None else args.seed + n
-            vo = run_variable_order_case(
-                dist, n, tol, alpha=args.alpha, seed=s, mode=vo_mode,
-                translation_backend=backend,
-            )
-            flag = "ok" if vo["contained"] else "VIOLATED"
-            out.append(
-                f"  {dist} n={n}: err {vo['max_err']:.3e} <= ledger "
-                f"{vo['max_ledger']:.3e} <= tol [{flag}], degrees "
-                f"{vo['p_min']}..{vo['p_max']}, terms {vo['terms']}"
-            )
+            for mode in modes:
+                vo = run_variable_order_case(
+                    dist, n, tol, alpha=args.alpha, seed=s, mode=mode
+                )
+                flag = "ok" if vo["contained"] else "VIOLATED"
+                out.append(
+                    f"  {dist} n={n} {mode}: err {vo['max_err']:.3e} <= "
+                    f"ledger {vo['max_ledger']:.3e} <= tol [{flag}], degrees "
+                    f"{vo['p_min']}..{vo['p_max']}, terms {vo['terms']}"
+                )
     return "\n".join(out)
 
 
@@ -459,7 +454,8 @@ def main(argv=None) -> int:
         default="small",
         help="instance sizes: 'small' (minutes), 'full' (paper scale), or "
         "'smoke' (seconds; table1 shrinks to two tiny instances for CI "
-        "gates, other experiments fall back to 'small' sizes)",
+        "gates and, with --tol, also checks them as cluster plans; other "
+        "experiments fall back to 'small' sizes)",
     )
     parser.add_argument("--p0", type=int, default=4, help="base multipole degree")
     parser.add_argument("--alpha", type=float, default=0.4, help="MAC parameter")
@@ -472,15 +468,6 @@ def main(argv=None) -> int:
         "per-interaction degrees keep every target's Theorem-1 error "
         "ledger <= TOL (table1 appends per-case containment checks; "
         "table3 adds a target-tol operator row)",
-    )
-    parser.add_argument(
-        "--translation-backend",
-        choices=("dense", "rotation", "auto"),
-        default="auto",
-        help="multipole translation kernels for compiled plans: 'dense' "
-        "(O(p^4) grid correlation), 'rotation' (rotate-translate-rotate, "
-        "O(p^3)), or 'auto' (rotation at degrees >= the calibrated "
-        "crossover; REPRO_M2L_CROSSOVER overrides)",
     )
     parser.add_argument(
         "--plan-cache",

@@ -281,7 +281,7 @@ class Treecode:
             )
             if self.p_eval.shape != (self.tree.n_nodes,):
                 raise ValueError("degree policy returned wrong-shaped array")
-            self._build_expansions()
+        self._coeffs: np.ndarray | None = None
 
         self.base_stats = TreecodeStats(
             build_time=sw_build.elapsed, upward_time=sw_up.elapsed
@@ -298,6 +298,19 @@ class Treecode:
     # ------------------------------------------------------------------
     # upward pass
     # ------------------------------------------------------------------
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Multipole coefficients of every node, ``(n_nodes, ncoef)``.
+
+        Built by the upward pass on first use — the un-planned
+        :meth:`evaluate` — or by :meth:`set_charges`; compiled plans form
+        their own coefficients and never read these.  The build's time
+        joins ``base_stats.upward_time``.
+        """
+        if self._coeffs is None:
+            self._build_expansions()
+        return self._coeffs
+
     def _store_degrees(self) -> np.ndarray:
         """Degree to which each node's expansion must be computed.
 
@@ -313,6 +326,11 @@ class Treecode:
         return p_store
 
     def _build_expansions(self) -> None:
+        with stopwatch("treecode.upward", upward=self.upward) as sw:
+            self._coeffs = self._upward_pass()
+        self.base_stats.upward_time += sw.elapsed
+
+    def _upward_pass(self) -> np.ndarray:
         tree = self.tree
         if self.upward == "p2m":
             p_store = self.p_eval.copy()
@@ -344,7 +362,7 @@ class Treecode:
         # must fail loudly here, not as poisoned far-field potentials
         coeffs = maybe_corrupt("treecode.coeffs", coeffs)
         check_finite("treecode.coeffs", coeffs, context="multipole coefficients")
-        self.coeffs = coeffs
+        return coeffs
 
     def _p2m_nodes(self, node_ids: np.ndarray, p_store: np.ndarray, coeffs: np.ndarray) -> None:
         """Form multipole expansions for the given nodes directly from
@@ -661,7 +679,6 @@ class Treecode:
         rows_dtype=np.float64,
         n_units: int | None = None,
         tol: float | None = None,
-        translation_backend: str = "auto",
         cache_dir=None,
     ):
         """Freeze this treecode's geometry into a compiled plan for
@@ -695,13 +712,6 @@ class Treecode:
         the charges held when the plan is compiled (``set_charges``
         before compiling to re-anchor); the a-posteriori ledger the plan
         reports always bounds the true error regardless.
-
-        ``translation_backend`` selects the M2L kernels of a cluster
-        plan: ``"dense"`` (O((p+1)^4) grid correlation), ``"rotation"``
-        (rotate-translate-rotate, O((p+1)^3)), or ``"auto"`` (rotation
-        at degrees >=
-        :data:`~repro.parallel.partition.ROTATION_CROSSOVER_P`, dense
-        below).  The two backends agree to ~1e-12 in complex128.
 
         ``cache_dir`` enables the persistent content-addressed plan
         store (:mod:`repro.perf.store`): matching plans are restored
@@ -741,7 +751,6 @@ class Treecode:
             rows_dtype=rows_dtype,
             n_units=n_units,
             tol=tol,
-            translation_backend=translation_backend,
             cache_dir=cache_dir,
         )
 

@@ -116,7 +116,6 @@ def run_variable_order_case(
     alpha: float = 0.4,
     seed: int | None = None,
     mode: str = "target",
-    translation_backend: str = "auto",
 ) -> dict:
     """Target-accuracy variable-order plan on one Table-1 instance.
 
@@ -127,21 +126,14 @@ def run_variable_order_case(
     (max error, ledger maxima, selected degree range, terms evaluated).
     Target-major mode is the default — it matches Table 1's
     particle-cluster MAC semantics; pass ``mode="cluster"`` to exercise
-    the dual-MAC plan on the same instance.  ``translation_backend``
-    selects the cluster plan's M2L kernels (dense / rotation / auto);
-    the containment chain must hold under either backend.
+    the dual-MAC plan (box-centred, lattice M2L) on the same instance.
     """
     seed = n if seed is None else seed
     pts = make_distribution(distribution, n, seed=seed)
     q = unit_charges(n, seed=seed + 1, signed=True)
     ref = direct_potential(pts, q)
     tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=alpha)
-    plan = tc.compile_plan(
-        mode=mode,
-        tol=tol,
-        accumulate_bounds=True,
-        translation_backend=translation_backend,
-    )
+    plan = tc.compile_plan(mode=mode, tol=tol, accumulate_bounds=True)
     res = plan.execute(q)
     max_err = float(np.abs(res.potential - ref).max())
     max_ledger = float(res.error_bound.max())
@@ -150,7 +142,6 @@ def run_variable_order_case(
         "n": n,
         "tol": float(tol),
         "mode": mode,
-        "translation_backend": translation_backend,
         "max_err": max_err,
         "max_ledger": max_ledger,
         "predicted_ledger": float(plan.predicted_ledger_max),

@@ -17,7 +17,6 @@ __all__ = [
     "compile_plan",
     "DEFAULT_MEMORY_BUDGET",
     "ClusterPlan",
-    "batched_m2l",
     "ENV_PLAN_CACHE",
     "PlanStoreError",
     "plan_digest",
@@ -27,7 +26,7 @@ __all__ = [
 ]
 
 _PLAN_SYMBOLS = {"CompiledPlan", "compile_plan", "DEFAULT_MEMORY_BUDGET"}
-_CLUSTER_SYMBOLS = {"ClusterPlan", "batched_m2l"}
+_CLUSTER_SYMBOLS = {"ClusterPlan"}
 _STORE_SYMBOLS = {
     "ENV_PLAN_CACHE",
     "PlanStoreError",

@@ -256,15 +256,9 @@ class CompiledPlan:
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
         rows_dtype=np.float64,
         tol: float | None = None,
-        translation_backend: str = "auto",
     ) -> None:
         if compute not in ("potential", "both"):
             raise ValueError(f"compute must be 'potential' or 'both', got {compute!r}")
-        if translation_backend not in ("dense", "rotation", "auto"):
-            raise ValueError(
-                "translation_backend must be 'dense', 'rotation' or 'auto', "
-                f"got {translation_backend!r}"
-            )
         rows_dtype = np.dtype(rows_dtype)
         if rows_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError(
@@ -283,10 +277,6 @@ class CompiledPlan:
         self.memory_budget = int(memory_budget)
         self.rows_dtype = rows_dtype
         self.tol = None if tol is None else float(tol)
-        #: translation kernel selection ("dense", "rotation" or "auto");
-        #: consumed by the cluster plan's M2L pipeline — the target-major
-        #: plan stores no translations, so it only records the knob
-        self.translation_backend = translation_backend
         #: degree cap of per-pair selection — the VariableDegree policy's
         #: cap when that policy drives the plan; other policies' p_max
         #: attributes cap *their own* schedules, not pair selection
@@ -333,7 +323,6 @@ class CompiledPlan:
             far_spilled=int(self.n_far_spilled),
             tol=self.tol,
             predicted_ledger_max=self.predicted_ledger_max,
-            translation_backend=self.translation_backend,
             degree_hist={str(k): int(v) for k, v in sorted(degree_hist.items())},
         )
 
@@ -380,7 +369,7 @@ class CompiledPlan:
                 scatter_add(pred, ft, bnd)
                 self.predicted_ledger_max = float(pred.max())
             self.pair_degrees = np.asarray(pdeg, dtype=np.int64)
-            cols, p2m_mem = self._build_coefficients(fn, pdeg)
+            cols, p2m_mem = self._build_coefficients(fn, pdeg, tree)
             mem += p2m_mem
             order = np.argsort(pdeg, kind="stable")
             fn, ft, pdeg, cols = fn[order], ft[order], pdeg[order], cols[order]
@@ -454,9 +443,10 @@ class CompiledPlan:
         self._static_stats = stats
         self.memory_bytes = int(mem)
 
-    def _build_coefficients(self, fn: np.ndarray, pdeg: np.ndarray):
-        """P2M operators keyed by each source node's *maximum* pair
-        degree, and the per-degree coefficient operands far pairs read.
+    def _build_coefficients(self, fn: np.ndarray, pdeg: np.ndarray, tree):
+        """P2M operators of ``tree``'s nodes keyed by each source node's
+        *maximum* pair degree, and the per-degree coefficient operands
+        far pairs read.
 
         A node referenced by pairs at several degrees (variable-order
         plans) gets one operator at the largest of them: the multipole
@@ -471,7 +461,6 @@ class CompiledPlan:
         Returns ``(cols, bytes)``: each pair's row in its degree's
         operand, and the materialized bytes.
         """
-        tree = self.tc.tree
         Psrc = np.full(tree.n_nodes, -1, dtype=np.int64)
         np.maximum.at(Psrc, fn, pdeg)
         srow = np.full(tree.n_nodes, -1, dtype=np.int64)
@@ -1022,7 +1011,6 @@ def compile_plan(
     rows_dtype=np.float64,
     n_units: int | None = None,
     tol: float | None = None,
-    translation_backend: str = "auto",
     cache_dir=None,
 ) -> CompiledPlan:
     """Freeze a treecode into a compiled evaluation plan.
@@ -1043,7 +1031,7 @@ def compile_plan(
     ``cache_dir`` (or the ``REPRO_PLAN_CACHE`` environment variable
     when it is ``None``; pass ``""`` to force-disable) enables the
     persistent plan store (:mod:`repro.perf.store`): if a plan with the
-    same content digest — points, charges, policy, tolerance, backend,
+    same content digest — points, charges, policy, tolerance,
     dtype, plan configuration, library version — exists on disk it is
     restored by zero-copy ``mmap`` instead of compiled; otherwise the
     freshly compiled plan is written back.  Corrupt or stale files
@@ -1066,7 +1054,6 @@ def compile_plan(
             rows_dtype,
             n_units,
             tol,
-            translation_backend,
         )
         return cached_plan(
             cache,
@@ -1083,7 +1070,6 @@ def compile_plan(
                 rows_dtype=rows_dtype,
                 n_units=n_units,
                 tol=tol,
-                translation_backend=translation_backend,
                 cache_dir="",
             ),
         )
@@ -1100,7 +1086,6 @@ def compile_plan(
             rows_dtype=rows_dtype,
             n_units=n_units,
             tol=tol,
-            translation_backend=translation_backend,
         )
     if mode != "target":
         raise ValueError(f"mode must be 'target' or 'cluster', got {mode!r}")
@@ -1116,5 +1101,4 @@ def compile_plan(
         memory_budget=memory_budget,
         rows_dtype=rows_dtype,
         tol=tol,
-        translation_backend=translation_backend,
     )

@@ -20,8 +20,8 @@ memory-mapping:
 * **Content addressing** — the cache key is a SHA-256 digest over the
   inputs the compiler is a pure function of: particle positions and
   charges (Morton-sorted), the degree policy and its parameters, the
-  MAC ``alpha``/softening/leaf size, ``tol``, the translation backend,
-  the row dtype, plan mode/compute flags, and the library version.
+  MAC ``alpha``/softening/leaf size, ``tol``, the row dtype, plan
+  mode/compute flags, and the library version.
   Any change — a perturbed point, a different tolerance, a library
   upgrade — changes the digest and misses the cache.
 * **Zero-copy loads** — the file is mapped read-only once
@@ -82,8 +82,10 @@ ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 #: ``(A, B, D, st, ct, cp, sp)`` tuples; cluster groups carry their
 #: compile-time displacement dedup.  3: frozen operators are
 #: ``scipy.sparse`` BSR/CSR matrices — P2M, far and L2P rows, one near
-#: CSR per plan).
-STORE_FORMAT_VERSION = 3
+#: CSR per plan.  4: cluster groups hold lattice M2L schedules — operator
+#: runs, scale rows and a target sum matrix — over per-direction
+#: operators; treecodes may carry no expansions).
+STORE_FORMAT_VERSION = 4
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64
@@ -495,7 +497,6 @@ def plan_digest(
     rows_dtype,
     n_units,
     tol,
-    translation_backend: str,
 ) -> str:
     """Cache key for one ``compile_plan`` invocation.
 
@@ -523,7 +524,6 @@ def plan_digest(
         "rows_dtype": np.dtype(rows_dtype).str,
         "n_units": None if n_units is None else int(n_units),
         "tol": None if tol is None else float(tol),
-        "translation_backend": translation_backend,
         "self_targets": bool(self_targets),
     }
     arrays = [tree.points, tree.charges]

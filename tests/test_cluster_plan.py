@@ -8,7 +8,7 @@ import pytest
 from repro import AdaptiveChargeDegree, FixedDegree, Treecode
 from repro.direct import pairwise_potential
 from repro.parallel import evaluate_plan_parallel, resolve_workers
-from repro.perf import ClusterPlan, batched_m2l
+from repro.perf import ClusterPlan
 from repro.robust import faults as faults_mod
 from repro.robust.faults import FaultInjector, parse_fault_spec, set_injector
 from repro.robust.retry import RetryPolicy
@@ -117,6 +117,10 @@ class TestClusterPlan:
 
 class TestBatchedM2L:
     def test_matches_reference_m2l(self, rng):
+        """The plan's M2L — one lattice operator per canonical direction,
+        distance and octant folded into two scale vectors — matches
+        ``translations.m2l`` in complex128."""
+        from repro.multipole import lattice
         from repro.multipole.harmonics import ncoef
         from repro.multipole.translations import m2l
 
@@ -125,12 +129,17 @@ class TestBatchedM2L:
             C = rng.standard_normal((B, ncoef(p))) + 1j * rng.standard_normal(
                 (B, ncoef(p))
             )
-            d = rng.standard_normal((B, 3)) * 2.0 + 3.0
-            want = np.stack([m2l(C[i], d[i], p).reshape(-1) for i in range(B)])
-            got64 = batched_m2l(C, d, p, dtype=np.complex128)
-            np.testing.assert_allclose(got64, want, rtol=1e-12, atol=1e-12)
-            got32 = batched_m2l(C, d, p, dtype=np.complex64)
-            np.testing.assert_allclose(got32, want, rtol=2e-5, atol=2e-5)
+            d = rng.integers(-6, 7, size=(B, 3))
+            d[np.all(d == 0, axis=1)] = [3, 1, 2]
+            want = np.stack([m2l(C[i], 0.25 * d[i], p)[0] for i in range(B)])
+            key, octs, r2 = lattice.lattice_keys(d)
+            T = lattice.m2l_operators(lattice.unpack_keys(key), p)
+            rho = 0.25 * np.sqrt(r2)
+            _, inv = lattice.scales(p, rho, octs)
+            X = np.stack([C.real, C.imag], axis=-1).reshape(B, -1) * inv
+            Y = np.einsum("bi,bij->bj", X, T) * (inv / rho[:, None])
+            got = Y[:, 0::2] + 1j * Y[:, 1::2]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ def _digest(tc, plan, **over):
         rows_dtype=plan.rows_dtype,
         n_units=None,
         tol=None,
-        translation_backend=plan.translation_backend,
     )
     kw.update(over)
     return plan_digest(tc, **kw)
@@ -114,8 +113,8 @@ def test_warm_start_operators_wrap_the_mmap(built, tmp_path):
 
 
 def test_digest_invalidation(built, rng):
-    """Perturbed points, a different tol, backend or dtype each change
-    the content digest — the cache key the store addresses plans by."""
+    """Perturbed points, a different tol, dtype or mode each change the
+    content digest — the cache key the store addresses plans by."""
     pts, q, tc = built
     plan = tc.compile_plan(cache_dir="")
     base = _digest(tc, plan)
@@ -127,7 +126,6 @@ def test_digest_invalidation(built, rng):
     assert _digest(tc2, plan) != base
 
     assert _digest(tc, plan, tol=1e-6) != base
-    assert _digest(tc, plan, translation_backend="rotation") != base
     assert _digest(tc, plan, rows_dtype=np.float32) != base
     assert _digest(tc, plan, mode="cluster") != base
 

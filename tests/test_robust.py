@@ -263,8 +263,10 @@ class TestGuards:
     def test_coeff_injection_fails_loudly(self, clean_injector, small_cloud):
         pts, q = small_cloud
         set_injector(FaultInjector(parse_fault_spec("coeff_nan:1.0"), seed=0))
+        # expansions are built by the first un-planned evaluation
+        tc = Treecode(pts, q, degree_policy=AdaptiveChargeDegree(p0=3, alpha=0.7))
         with pytest.raises(NumericalCorruptionError, match="treecode.coeffs"):
-            Treecode(pts, q, degree_policy=AdaptiveChargeDegree(p0=3, alpha=0.7))
+            tc.evaluate()
 
     def test_bound_accounting_agrees(self):
         check_bound_accounting("t", np.array([1.0, 2.0]), {0: 1.5, 1: 1.5})

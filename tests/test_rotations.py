@@ -1,6 +1,7 @@
 """Tests for the rotation-accelerated translation pipeline: Wigner-d
-rotation operators, axial O(p^3) kernels, the cluster/FMM backend knob,
-and the bounded translation operator caches."""
+rotation operators, axial O(p^3) kernels, the FMM backend knob, the
+bounded translation operator caches, and the cluster plan's lattice
+translation kernel against a per-pair dense reference."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,12 @@ import pytest
 from repro import FixedDegree, Treecode
 from repro.direct import pairwise_potential
 from repro.multipole.harmonics import cart_to_sph, ncoef, sph_harmonics
+from repro.multipole.lattice import (
+    lattice_keys,
+    m2l_operators,
+    scales,
+    unpack_keys,
+)
 from repro.multipole.rotations import (
     RotationCache,
     build_rotation_operators,
@@ -34,7 +41,6 @@ from repro.parallel.partition import (
     resolve_backend,
     translation_cost,
 )
-from repro.perf.cluster import _dedup_rows, _singular_grid, batched_m2l
 from repro.robust import faults as faults_mod
 from repro.robust.faults import FaultInjector, parse_fault_spec, set_injector
 from repro.robust.retry import RetryPolicy
@@ -337,87 +343,96 @@ class TestBackendSelection:
 
 
 # ----------------------------------------------------------------------
-# Cluster plan rotation backend
+# Cluster plan translation kernel
 # ----------------------------------------------------------------------
 
 
+def _interleaved(C):
+    """Complex coefficients as interleaved ``[Re c, Im c]`` real rows."""
+    return np.stack([C.real, C.imag], axis=-1).reshape(*C.shape[:-1], -1)
+
+
+def _dense_reference(plan):
+    """Swap a cluster plan's lattice GEMMs for per-pair
+    ``translations.m2l`` in complex128 over the same box pairs, box
+    centres and target sums (single charge vectors only)."""
+    centers = plan.tc.tree.center_geom
+
+    def group(X, g):
+        nc = ncoef(g.p)
+        tgts = np.empty(g.cols.size, dtype=np.int64)
+        tgts[g.red.indices] = np.repeat(g.utgt, np.diff(g.red.indptr))
+        srcs = plan._operand_nodes[g.p][g.cols]
+        C = X[g.cols, 0::2] + 1j * X[g.cols, 1::2]
+        L = m2l(C, centers[srcs] - centers[tgts], g.p)
+        return g.red @ _interleaved(L[:, :nc])
+
+    plan._m2l_group = group
+    return plan
+
+
 class TestClusterRotationBackend:
+    """The cluster plan's translation kernel (one lattice operator per
+    canonical direction) against the per-pair dense reference."""
+
     def test_c128_agrees_with_dense_and_ledger_unchanged(self, small_cloud):
-        """tol-mode (complex128) rotation plans must agree with dense to
-        1e-12 and leave the a-posteriori ledger bitwise identical."""
+        """tol-mode lattice plans must agree with the complex128 dense
+        reference to 1e-12 and leave the a-posteriori ledger bitwise
+        identical."""
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
         tol = 2e-4
-        dense = tc.compile_plan(
-            mode="cluster", tol=tol, accumulate_bounds=True,
-            translation_backend="dense",
-        ).execute(q)
-        rot = tc.compile_plan(
-            mode="cluster", tol=tol, accumulate_bounds=True,
-            translation_backend="rotation",
-        ).execute(q)
+        kw = dict(mode="cluster", tol=tol, accumulate_bounds=True, cache_dir="")
+        dense = _dense_reference(tc.compile_plan(**kw)).execute(q)
+        lat = tc.compile_plan(**kw).execute(q)
         scale = np.abs(dense.potential).max()
-        assert np.abs(dense.potential - rot.potential).max() <= 1e-12 * scale
-        np.testing.assert_array_equal(dense.error_bound, rot.error_bound)
-        # containment chain holds under the rotation backend
+        assert np.abs(dense.potential - lat.potential).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(dense.error_bound, lat.error_bound)
+        # containment chain holds under the lattice kernel
         exact = pairwise_potential(pts, pts, q, exclude=np.arange(len(q)))
-        err = np.abs(rot.potential - exact).max()
-        assert err <= rot.error_bound.max() <= tol
+        err = np.abs(lat.potential - exact).max()
+        assert err <= lat.error_bound.max() <= tol
 
-    def test_fixed_degree_c64_parity_within_rounding(self, small_cloud):
+    def test_fixed_degree_parity_within_rounding(self, small_cloud):
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(6), alpha=0.5)
-        dense = tc.compile_plan(
-            mode="cluster", translation_backend="dense"
-        ).execute(q)
-        rot = tc.compile_plan(
-            mode="cluster", translation_backend="rotation"
-        ).execute(q)
-        scale = np.abs(dense.potential).max()
-        assert np.abs(dense.potential - rot.potential).max() <= 1e-5 * scale
+        plan = tc.compile_plan(mode="cluster", cache_dir="")
+        dense = _dense_reference(tc.compile_plan(mode="cluster", cache_dir=""))
+        lat, ref = plan.execute(q), dense.execute(q)
+        scale = np.abs(ref.potential).max()
+        assert np.abs(ref.potential - lat.potential).max() <= 1e-12 * scale
 
     def test_gradient_parity(self, small_cloud):
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5)
-        dense = tc.compile_plan(
-            mode="cluster", compute="both", translation_backend="dense"
-        ).execute(q)
-        rot = tc.compile_plan(
-            mode="cluster", compute="both", translation_backend="rotation"
-        ).execute(q)
+        kw = dict(mode="cluster", compute="both", cache_dir="")
+        dense = _dense_reference(tc.compile_plan(**kw)).execute(q)
+        lat = tc.compile_plan(**kw).execute(q)
         gs = np.abs(dense.gradient).max()
-        assert np.abs(dense.gradient - rot.gradient).max() <= 1e-5 * gs
+        assert np.abs(dense.gradient - lat.gradient).max() <= 1e-12 * gs
 
-    def test_auto_falls_back_on_irregular_directions(self, small_cloud):
-        """abs_com-centered boxes give ~unique directions per pair; auto
-        must decline to build a per-pair operator cache."""
-        pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(9), alpha=0.5)
-        auto = tc.compile_plan(mode="cluster", translation_backend="auto")
-        dense = tc.compile_plan(mode="cluster", translation_backend="dense")
-        assert len(auto._rot_cache) == 0
-        np.testing.assert_array_equal(
-            auto.execute(q).potential, dense.execute(q).potential
-        )
-
-    def test_forced_rotation_populates_shared_cache(self, small_cloud):
+    def test_operators_shared_by_direction(self, small_cloud):
+        """One operator per canonical lattice direction, shared by every
+        unit, level and octant, and counted in the plan's memory."""
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5)
-        plan = tc.compile_plan(mode="cluster", translation_backend="rotation")
-        assert len(plan._rot_cache) > 0
-        assert plan._rot_cache.requested >= plan._rot_cache.built
-        assert plan.memory_bytes >= plan._rot_cache.nbytes
+        plan = tc.compile_plan(mode="cluster", cache_dir="")
+        ops = {op for u in plan._units for g in u.groups for op in g.ops.tolist()}
+        assert ops == set(range(len(plan._m2l_ops)))
+        assert len(plan._m2l_ops) < plan.n_box_pairs // 10
+        assert plan.memory_bytes >= sum(T.nbytes for T in plan._m2l_ops)
 
     def test_backend_validation(self, small_cloud):
+        """Cluster plans have no translation-backend knob."""
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.5)
-        with pytest.raises(ValueError, match="translation_backend"):
-            tc.compile_plan(mode="cluster", translation_backend="fft")
+        with pytest.raises(TypeError, match="translation_backend"):
+            tc.compile_plan(mode="cluster", translation_backend="dense")
 
     def test_serial_thread_process_identical(self, small_cloud):
         plan = Treecode(
             *small_cloud, degree_policy=FixedDegree(5), alpha=0.5
-        ).compile_plan(mode="cluster", translation_backend="rotation")
+        ).compile_plan(mode="cluster")
         q = small_cloud[1]
         serial = plan.execute(q)
         thr = evaluate_plan_parallel(plan, q, n_threads=3, retry=FAST)
@@ -431,7 +446,7 @@ class TestClusterRotationBackend:
         pts, q = small_cloud
         plan = Treecode(
             pts, q, degree_policy=FixedDegree(5), alpha=0.5
-        ).compile_plan(mode="cluster", translation_backend="rotation")
+        ).compile_plan(mode="cluster")
         set_injector(None)
         clean = evaluate_plan_parallel(plan, q, n_threads=2, backend="process")
         set_injector(FaultInjector(parse_fault_spec("block_error:0.2"), seed=3))
@@ -443,50 +458,51 @@ class TestClusterRotationBackend:
 
 
 class TestBatchedM2LDedup:
+    """Pairs sharing a lattice direction share one operator, keyed at
+    compile by exact integer offsets."""
+
     def test_duplicated_rows_bitwise_equal_unique_build(self, rng):
-        """The compile-time unique-row singular-grid gather must be
-        bitwise identical to building the grid row by row."""
+        """Operators built once per unique direction and gathered are
+        bitwise those built row by row: each is an elementwise function
+        of its direction."""
         p = 5
-        base = rng.standard_normal((4, 3)) + 3.0
-        idx = rng.integers(0, 4, size=48)
-        d = base[idx]
-        C = rng.standard_normal((48, ncoef(p))) + 1j * rng.standard_normal(
-            (48, ncoef(p))
-        )
-        dedup = _dedup_rows(d)
-        assert dedup is not None and dedup[0].shape[0] <= 4
-        grid = (_singular_grid(dedup[0], p, np.complex128), dedup[1])
-        got = batched_m2l(C, d, p, dtype=np.complex128, grid=grid)
+        base = rng.integers(-4, 5, size=(4, 3))
+        base[np.all(base == 0, axis=1)] = [1, 2, 3]
+        d = base[rng.integers(0, 4, size=48)] * rng.integers(1, 4, size=(48, 1))
+        key = lattice_keys(d)[0]
+        uk, inv = np.unique(key, return_inverse=True)
+        assert uk.size <= 4
+        got = m2l_operators(unpack_keys(uk), p)[inv]
         want = np.concatenate(
-            [
-                batched_m2l(C[i : i + 1], d[i : i + 1], p, np.complex128)
-                for i in range(48)
-            ]
+            [m2l_operators(unpack_keys(key[i : i + 1]), p) for i in range(48)]
         )
         np.testing.assert_array_equal(got, want)
 
     def test_small_batches_skip_dedup(self, rng):
+        """A one-pair direction is an operator like any other: the
+        kernel matches ``translations.m2l`` for a single offset."""
         p = 3
-        d = np.tile(rng.standard_normal((1, 3)) + 3.0, (8, 1))
-        assert _dedup_rows(d) is None
-        C = rng.standard_normal((8, ncoef(p))) + 1j * rng.standard_normal(
-            (8, ncoef(p))
-        )
-        got = batched_m2l(C, d, p, dtype=np.complex128)
-        want = np.concatenate(
-            [
-                batched_m2l(C[i : i + 1], d[i : i + 1], p, np.complex128)
-                for i in range(8)
-            ]
-        )
-        np.testing.assert_array_equal(got, want)
+        d = np.array([[2, -1, 5]])
+        C = _conj_symmetric_rows(rng, 1, p)
+        key, octs, r2 = lattice_keys(d)
+        T = m2l_operators(unpack_keys(key), p)[0]
+        rho = 0.5 * np.sqrt(r2)
+        _, inv = scales(p, rho, octs)
+        Y = ((_interleaved(C) * inv) @ T) * (inv / rho[:, None])
+        want = m2l(C, 0.5 * d, p)
+        got = Y[:, 0::2] + 1j * Y[:, 1::2]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_distinct_rows_skip_dedup(self, rng):
-        """Charge-centred trees emit (nearly) distinct displacements:
-        the decision is made at compile and rejects them."""
-        d = rng.standard_normal((64, 3)) + 3.0
-        assert _dedup_rows(d) is None
-        assert _dedup_rows(np.concatenate([d[:20]] * 3)) is not None
+        """Distinct directions never share a key; gcd multiples and
+        octant mirrors always do."""
+        d = rng.integers(-9, 10, size=(64, 3))
+        d[np.all(d == 0, axis=1)] = [1, 0, 0]
+        key = lattice_keys(d)[0]
+        a = np.abs(d)
+        canon = a // np.gcd.reduce(a, axis=1)[:, None]
+        assert np.unique(key).size == np.unique(canon, axis=0).shape[0]
+        np.testing.assert_array_equal(lattice_keys(-3 * d)[0], key)
 
     def test_execute_never_dedups(self, rng, monkeypatch):
         """Cluster execute reuses the compile-time decisions: a
@@ -497,7 +513,7 @@ class TestBatchedM2LDedup:
         pts = rng.random((400, 3))
         q = rng.uniform(-1, 1, 400)
         tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
-        plan = tc.compile_plan(mode="cluster", cache_dir="", translation_backend="dense")
+        plan = tc.compile_plan(mode="cluster", cache_dir="")
         ref = plan.execute(q).potential
         calls = []
         real_unique = np.unique

@@ -30,7 +30,7 @@ from repro.multipole.translations import (
     _sq_grid,
     to_full_grid,
 )
-from repro.perf.cluster import _singular_grid as cluster_grid
+from repro.multipole.lattice import _singular_grid as cluster_grid
 
 DEGREES = [0, 1, 2, 5, 12, 20]
 
