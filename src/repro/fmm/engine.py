@@ -9,11 +9,22 @@ Theorem 3's adaptive-degree idea transfers: for uniform charge density,
 level ``l`` clusters carry ``8^(L-l)`` times the leaf charge, so the
 improved schedule raises the degree by ``c`` per level above the leaves.
 
-Vectorization strategy: cells are linearized in Morton order so the
-children of cell ``c`` are ``8c .. 8c+7``; every translation at a level
-is grouped by its *relative offset* (8 offsets for M2M/L2L, ≤316 for
-M2L), and each group is one batched operator application — the shared
-shift broadcasts against all cell coefficient rows at once.
+The first :meth:`UniformFMM.evaluate` compiles the grid into frozen
+operators, and every evaluation runs them:
+
+* P2M and L2P are block-sparse row operators over the particles;
+* M2M and L2L are the dense translation kernels, one batched
+  application per child octant;
+* M2L is one real GEMM per (level, offset) group.  The 316 V-list
+  offsets are integer multiples of the cell edge, so each reduces to
+  one of 49 canonical lattice directions shared by every level
+  (:mod:`repro.multipole.lattice`); the offset's distance and octant
+  scalings are folded into a per-group copy of that direction's
+  operator;
+* the near field is one CSR over (particles × particles).
+
+Cells are linearized in Morton order, so the children of cell ``c``
+are ``8c .. 8c+7``.
 """
 
 from __future__ import annotations
@@ -22,19 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.bounds import degree_for_tolerance, degree_increment_per_level
-from ..multipole.expansion import l2p, p2m_terms
 from ..multipole.harmonics import ncoef, regular_solid, term_count
-from ..multipole.rotations import RotationCache, rotate_packed
-from ..multipole.translations import (
-    axial_l2l,
-    axial_m2l,
-    axial_m2m,
-    l2l,
-    m2l,
-    m2l_operator,
-    m2m,
-)
+from ..multipole.lattice import lattice_keys, m2l_operators, scales, unpack_keys
+from ..multipole.translations import l2l, m2m
 from ..obs import emit
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import is_enabled, span, stopwatch
@@ -43,6 +44,15 @@ from ..robust.guards import check_finite
 from ..tree.morton import deinterleave3, interleave3
 
 __all__ = ["UniformFMM", "FMMStats", "level_degrees"]
+
+#: Integer cell offsets within three cells of a target: the V-list
+#: offsets (not neighbours), in the order their M2L groups are applied
+_CUBE = np.array(
+    [(dx, dy, dz) for dx in range(-3, 4) for dy in range(-3, 4) for dz in range(-3, 4)]
+)
+_VLIST = _CUBE[np.abs(_CUBE).max(axis=1) > 1]
+#: The 27 neighbour offsets of a leaf, itself included
+_NEIGHBOURS = _CUBE[np.abs(_CUBE).max(axis=1) <= 1]
 
 
 @dataclass
@@ -68,6 +78,19 @@ def level_degrees(p0: int, n_levels: int, c: float = 0.0, p_max: int = 30) -> li
     return [min(p_max, p0 + int(np.ceil(c * (L - l)))) for l in range(n_levels)]
 
 
+def _offset_pairs(pos, cells, d, ncell: int, vlist: bool):
+    """Cell pairs ``(tgt, src)`` at offset ``d``: each of ``cells`` (at
+    integer coordinates ``pos`` on a grid of ``ncell`` per axis) with
+    the cell ``d`` away, where that cell exists — and, for a V-list,
+    is a child of a neighbour of the target's parent."""
+    s = pos + d
+    valid = ((s >= 0) & (s < ncell)).all(axis=1)
+    if vlist:
+        valid &= (np.abs((s >> 1) - (pos >> 1)) <= 1).all(axis=1)
+    s = s[valid].astype(np.uint64)
+    return cells[valid], interleave3(s[:, 0], s[:, 1], s[:, 2]).astype(np.int64)
+
+
 class UniformFMM:
     """FMM over a uniform octree of depth ``level``.
 
@@ -81,41 +104,15 @@ class UniformFMM:
         ``~log8(n / 8)`` so leaves hold a handful of particles.
     degrees:
         Per-level degree list (root..leaf), e.g. from
-        :func:`level_degrees`; an int means fixed degree.
-    tol:
-        Target far-field accuracy.  When set, the degree schedule is
-        derived from the actual charges via :meth:`tolerance_degrees`
-        (overriding ``degrees``): the leaf degree solves the Theorem-1
-        inverse at the worst V-list geometry and coarser levels grow by
-        :func:`~repro.core.bounds.degree_increment_per_level`.
-    tol_p_max:
-        Degree cap of the ``tol``-derived schedule.
-    use_plan:
-        Freeze the geometry into a plan (P2M rows, probed M2L operator
-        matrices per offset group, L2P rows, near pair lists) at the
-        *second* :meth:`evaluate`, so repeated evaluations over the same
-        grid — e.g. after :meth:`set_charges` — skip all geometry
-        recomputation.  The first evaluation always runs the direct
-        path, so one-shot uses pay nothing.
-    translation_backend:
-        ``"dense"``, ``"rotation"`` or ``"auto"``: kernel family for the
-        M2M/M2L/L2L sweeps.  The rotation pipeline
-        (rotate-translate-rotate, O((p+1)^3) per translation) shines on
-        the uniform grid: the ≤316 V-list offsets have the *same* unit
-        directions at every level (offsets scale with the cell edge), so
-        one small shared operator cache covers the whole hierarchy —
-        and, in the planned path, replaces the per-offset dense
-        ``(Tr, Ti)`` operator matrices, shrinking plan memory from
-        O(offsets · p^4) to O(dirs · p^3).  ``"auto"`` rotates at
-        degrees >=
-        :data:`~repro.parallel.partition.ROTATION_CROSSOVER_P`.
+        :func:`level_degrees`; an int means fixed degree.  Level ``l``
+        runs its M2L and L2L at ``degrees[l]``; multipoles are stored
+        at the largest degree of levels ``2..L``.
     plan_cache:
         Persistent plan-cache directory (see :mod:`repro.perf.store`).
         ``None`` consults the ``REPRO_PLAN_CACHE`` environment
-        variable; ``""`` disables.  When the plan would compile (second
-        :meth:`evaluate`), a warm cache restores the frozen geometry —
-        P2M/L2P rows, M2L operator matrices, rotation operators, near
-        pair lists — as a zero-copy ``mmap`` instead.
+        variable; ``""`` disables.  A warm cache restores the frozen
+        operators of the first :meth:`evaluate` as a zero-copy
+        ``mmap`` instead of compiling them.
     """
 
     def __init__(
@@ -124,37 +121,13 @@ class UniformFMM:
         charges: np.ndarray,
         level: int | None = None,
         degrees: int | list[int] = 6,
-        tol: float | None = None,
-        tol_p_max: int = 30,
-        use_plan: bool = True,
-        translation_backend: str = "auto",
         plan_cache: str | None = None,
     ) -> None:
-        self.use_plan = bool(use_plan)
-        if translation_backend not in ("dense", "rotation", "auto"):
-            raise ValueError(
-                "translation_backend must be 'dense', 'rotation' or "
-                f"'auto', got {translation_backend!r}"
-            )
-        self.translation_backend = translation_backend
-        #: shared rotation operators — directions repeat across levels
-        self._rot_cache = RotationCache()
         points = np.ascontiguousarray(points, dtype=np.float64)
-        charges = np.ascontiguousarray(charges, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError(f"points must be (n, 3), got {points.shape}")
         n = points.shape[0]
-        self._col_batch = charges.ndim == 2
-        if charges.ndim not in (1, 2) or charges.shape[0] != n:
-            raise ValueError(
-                f"charges must be ({n},) or ({n}, k), got {charges.shape}"
-            )
-        if self._col_batch and charges.shape[1] == 0:
-            raise ValueError("charge batch must have at least one column")
-        if self._col_batch and charges.shape[1] == 1:
-            # single-column batch: run the 1-D path (bitwise-identical to
-            # a plain vector); evaluate() restores the column axis
-            charges = charges[:, 0]
+        charges = self._check_charges(charges, n)
         if n == 0:
             raise ValueError("need at least one particle")
 
@@ -192,33 +165,19 @@ class UniformFMM:
         n_cells = 8**self.L
         self.cell_start = np.searchsorted(cell, np.arange(n_cells), side="left")
         self.cell_end = np.searchsorted(cell, np.arange(n_cells), side="right")
-        self.tol = None if tol is None else float(tol)
-        if self.tol is not None:
-            self.degrees = self.tolerance_degrees(self.tol, p_max=tol_p_max)
         self.stats = FMMStats()
-        # frozen-geometry plan (P2M rows, M2L operator matrices, L2P
-        # rows, near pair lists) — built lazily at the second evaluate()
+        # frozen operators, compiled (or loaded) by the first evaluate()
         self._plan = None
-        self._n_evals = 0
         self.plan_cache = plan_cache
         self.plan_memory_bytes = 0
         self.plan_compile_time = 0.0
 
-    def set_charges(self, charges: np.ndarray) -> None:
-        """Replace the charges, keeping the grid and the frozen plan.
-
-        The geometry operators depend on positions and degrees only, so
-        repeated ``set_charges`` + :meth:`evaluate` pays just the linear
-        algebra — the FMM analogue of the treecode's compiled matvec.
-
-        ``charges`` may be an ``(n, k)`` batch of stacked charge
-        vectors: :meth:`evaluate` then returns an ``(n, k)`` potential
-        with every translation sweep folded over the batch (one BLAS-3
-        pass per operator group), and ``k=1`` stays bitwise-identical to
-        the plain-vector path.
-        """
+    def _check_charges(self, charges: np.ndarray, n: int) -> np.ndarray:
+        """Validate ``(n,)`` / ``(n, k)`` charges and record whether the
+        result is a column batch.  A single-column batch runs the 1-D
+        path (bitwise-identical to a plain vector); :meth:`evaluate`
+        restores the column axis."""
         charges = np.ascontiguousarray(charges, dtype=np.float64)
-        n = self.points.shape[0]
         self._col_batch = charges.ndim == 2
         if charges.ndim not in (1, 2) or charges.shape[0] != n:
             raise ValueError(
@@ -228,7 +187,21 @@ class UniformFMM:
             raise ValueError("charge batch must have at least one column")
         if self._col_batch and charges.shape[1] == 1:
             charges = charges[:, 0]
-        self.charges = charges[self.perm]
+        return charges
+
+    def set_charges(self, charges: np.ndarray) -> None:
+        """Replace the charges, keeping the grid and the frozen plan.
+
+        The operators depend on positions and degrees only, so repeated
+        ``set_charges`` + :meth:`evaluate` pays just the linear algebra
+        — the FMM analogue of the treecode's compiled matvec.
+
+        ``charges`` may be an ``(n, k)`` batch of stacked charge
+        vectors: :meth:`evaluate` then returns an ``(n, k)`` potential
+        with every operator applied once over the batch, and ``k=1``
+        stays bitwise-identical to the plain-vector path.
+        """
+        self.charges = self._check_charges(charges, self.points.shape[0])[self.perm]
 
     def _abs_charges(self) -> np.ndarray:
         """Per-particle absolute charge, reduced over batch columns.
@@ -253,33 +226,10 @@ class UniformFMM:
         return out.reshape(B, k, out.shape[1])
 
     # ------------------------------------------------------------------
-    def _rot_id(self, d: np.ndarray, p: int) -> tuple[int, float]:
-        """Rotation-cache id and distance for one translation vector."""
-        d = np.asarray(d, dtype=np.float64).reshape(3)
-        rho = float(np.sqrt(d @ d))
-        kid = int(self._rot_cache.ids_for((d / rho)[None, :], p)[0])
-        return kid, rho
-
-    def _apply_rotated(self, X, kid: int, rho: float, p: int, axial):
-        """Rotate-translate-rotate with one shared-direction operator."""
-        ops = self._rot_cache.get(kid)
-        Cr = rotate_packed(X, ops, p)
-        La = axial(Cr, rho, p)
-        return rotate_packed(La, ops, p, inverse=True)
-
-    def _use_rotation(self, p: int) -> bool:
-        from ..parallel.partition import resolve_backend
-
-        return resolve_backend(self.translation_backend, p) == "rotation"
-
-    # ------------------------------------------------------------------
     def _cell_centers(self, l: int) -> np.ndarray:
         """Centers of all cells at level ``l`` in Morton order, (8^l, 3)."""
-        ids = np.arange(8**l, dtype=np.uint64)
-        x, y, z = deinterleave3(ids)
         h = self.edge / (1 << l)
-        g = np.stack([x, y, z], axis=1).astype(np.float64)
-        return self.lo + (g + 0.5) * h
+        return self.lo + (self._coords(l) + 0.5) * h
 
     def _coords(self, l: int) -> np.ndarray:
         ids = np.arange(8**l, dtype=np.uint64)
@@ -319,69 +269,14 @@ class UniformFMM:
             degs.append(min(p_max, p0 + inc))
         return degs
 
-    def tolerance_degrees(self, tol: float, p_max: int = 30) -> list[int]:
-        """Target-accuracy degree schedule (root..leaf) for ``tol``.
-
-        The leaf degree solves the Theorem-1 inverse
-        (:func:`~repro.core.bounds.degree_for_tolerance`) at the worst
-        V-list geometry of the uniform grid — source sphere
-        ``a = (sqrt(3)/2) h`` (``h`` the leaf cell edge) against the
-        nearest well-separated center ``r = 2h``, ratio ``a/r ~ 0.433``
-        — for the largest occupied leaf charge, with the per-interaction
-        budget ``tol`` split over the at most 189 V-list sources on each
-        of the ``L - 1`` active levels.  Coarser levels add
-        ``ceil(c * (L - l))`` with
-        ``c = degree_increment_per_level(a/r)``: one level up multiplies
-        the worst cell charge by at most 8 while ``a/r`` is
-        scale-invariant on the uniform grid, which is exactly the
-        Theorem-3/Theorem-5 schedule.  Degrees are clamped to ``p_max``
-        (the M2L operator cost grows as ``p^4``; the schedule is a
-        guide, the a-posteriori check is comparison against direct
-        summation).
-        """
-        tol = float(tol)
-        if tol <= 0:
-            raise ValueError(f"tol must be > 0, got {tol}")
-        L = self.L
-        h = self.edge / (1 << L)
-        a = np.sqrt(3.0) / 2.0 * h
-        r = 2.0 * h
-        cell_abs = np.bincount(
-            self.cell_of, weights=self._abs_charges(), minlength=8**L
-        )
-        A_leaf = float(cell_abs.max())
-        if A_leaf <= 0.0:
-            return [0] * (L + 1)
-        n_active = max(L - 1, 1)
-        eps0 = tol / (n_active * 189.0)
-        p_leaf = int(degree_for_tolerance(A_leaf, a, r, eps0, p_max=p_max))
-        c = degree_increment_per_level(a / r)
-        return [
-            min(p_max, p_leaf + int(np.ceil(c * (L - l))))
-            for l in range(L + 1)
-        ]
-
     # ------------------------------------------------------------------
     def _ensure_plan(self) -> dict:
-        """Freeze the grid geometry into reusable operators.
+        """The frozen operators, compiled at the first call.
 
-        * **P2M rows** ``G``: per-particle ``rho^n conj(Y)`` relative to
-          its leaf center, so the leaf upward pass is one segmented GEMV.
-        * **M2L operator matrices**: the translation is real-linear (not
-          complex-linear — conjugate symmetry enters), so each
-          (level, offset) group's operator is probed once with the basis
-          ``[I; iI]`` into a pair of complex matrices ``(Tr, Ti)``;
-          applying it is ``M.real @ Tr + M.imag @ Ti``, two BLAS GEMMs.
-        * **L2P rows** ``R``: per-particle ``w · Y rho^n`` at the leaf
-          degree; the downward leaf pass is one row-wise contraction.
-        * **Near pair lists**: the (target cell, source cell) pairs per
-          neighbor offset, in the direct path's traversal order.
-
-        With a plan cache (``plan_cache`` / ``REPRO_PLAN_CACHE``), the
-        frozen geometry is looked up by a content digest over the
-        Morton-sorted points, the degree schedule and the grid/backend
-        configuration; a hit restores the plan *and* the rotation
-        operator cache it references as zero-copy mmap views.
+        With a plan cache (``plan_cache`` / ``REPRO_PLAN_CACHE``), they
+        are looked up by a content digest over the Morton-sorted points,
+        the degree schedule and the grid; a hit restores them as
+        zero-copy mmap views.
         """
         if self._plan is not None:
             return self._plan
@@ -398,20 +293,10 @@ class UniformFMM:
                 "degrees": [int(p) for p in self.degrees],
                 "edge": float(self.edge),
                 "lo": [float(v) for v in self.lo],
-                "translation_backend": self.translation_backend,
             },
             [self.points],
         )
-        bundle = cached_plan(
-            cache,
-            digest,
-            lambda: {"plan": self._compile_plan(), "rot": self._rot_cache},
-            kind="fmm",
-        )
-        # the plan's rotation group ids index the cache it was saved
-        # with — adopt it (id-stably rebuilt on a warm load)
-        self._rot_cache = bundle["rot"]
-        self._plan = bundle["plan"]
+        self._plan = cached_plan(cache, digest, self._compile_plan, kind="fmm")
         if self.plan_memory_bytes == 0:  # warm load: report the mapped size
             try:
                 self.plan_memory_bytes = int(
@@ -422,12 +307,30 @@ class UniformFMM:
         return self._plan
 
     def _compile_plan(self) -> dict:
-        from ..perf.operators import bsr, index_dtype, op_nbytes
+        """Freeze the grid into operators.
+
+        * ``p2m``: BSR of per-particle rows ``rho^n conj(Y)`` about the
+          leaf centre at the storage degree, one block row per occupied
+          leaf;
+        * ``l2p``: BSR of weighted rows ``w · rho^n Y`` at the leaf
+          degree, one block row per particle;
+        * ``ops``: the dense lattice M2L operator of each canonical
+          direction of the V-list offsets, at the storage degree (a
+          lower degree reads its leading block); ``op_of``, ``octs`` and
+          ``r2`` give each offset's direction, octant and squared
+          integer length;
+        * ``m2l``: per level, ``(offset index, target cells, source
+          cells)`` groups;
+        * ``near``: CSR of ``1/r`` over (particles × particles) from
+          every occupied leaf to its non-empty neighbours, coincident
+          pairs zero.
+        """
+        from ..perf.operators import assemble_near, bsr, csr, index_dtype, op_nbytes
         from ..perf.plan import _row_blocks
 
         with stopwatch("plan.compile", engine="fmm", level=self.L) as sw:
             L, degs = self.L, self.degrees
-            p_store = max(degs[2:]) if L >= 2 else degs[-1]
+            p_store = max(degs[2:])
             centers_L = self._cell_centers(L)
             occupied = np.nonzero(self.cell_end > self.cell_start)[0]
             pL = degs[L]
@@ -455,96 +358,58 @@ class UniformFMM:
             l2p_op = bsr(
                 R, slot[self.cell_of], np.arange(n + 1, dtype=idt), occupied.size
             )
-            mem = op_nbytes(p2m, l2p_op)
 
-            m2l_groups: dict[int, list] = {}
+            key, octs, r2 = lattice_keys(_VLIST)
+            ukey, op_of = np.unique(key, return_inverse=True)
+            ops = m2l_operators(unpack_keys(ukey), p_store)
+            m2l = {}
             for l in range(2, L + 1):
-                p = degs[l]
-                use_rot = self._use_rotation(p)
-                pos = self._coords(l)
-                ncell = 1 << l
-                h = self.edge / ncell
-                order = np.arange(8**l)
-                groups = []
-                for dx in range(-3, 4):
-                    for dy in range(-3, 4):
-                        for dz in range(-3, 4):
-                            if max(abs(dx), abs(dy), abs(dz)) <= 1:
-                                continue
-                            src_x = pos[:, 0] + dx
-                            src_y = pos[:, 1] + dy
-                            src_z = pos[:, 2] + dz
-                            valid = (
-                                (src_x >= 0) & (src_x < ncell)
-                                & (src_y >= 0) & (src_y < ncell)
-                                & (src_z >= 0) & (src_z < ncell)
-                            )
-                            if l > 2:
-                                valid &= (
-                                    (np.abs((src_x >> 1) - (pos[:, 0] >> 1)) <= 1)
-                                    & (np.abs((src_y >> 1) - (pos[:, 1] >> 1)) <= 1)
-                                    & (np.abs((src_z >> 1) - (pos[:, 2] >> 1)) <= 1)
-                                )
-                            tgt = order[valid]
-                            if tgt.size == 0:
-                                continue
-                            src = interleave3(
-                                src_x[valid].astype(np.uint64),
-                                src_y[valid].astype(np.uint64),
-                                src_z[valid].astype(np.uint64),
-                            ).astype(np.int64)
-                            d = np.array([[dx * h, dy * h, dz * h]])
-                            if use_rot:
-                                # offsets scale with h, so their unit
-                                # directions repeat at every level — the
-                                # cache holds <= 316 operators total
-                                kid, rho = self._rot_id(d[0], p)
-                                groups.append(("rot", tgt, src, kid, rho))
-                                mem += tgt.nbytes + src.nbytes
-                            else:
-                                Tr, Ti = m2l_operator(d, p, p)
-                                groups.append(("dense", tgt, src, Tr, Ti))
-                                mem += (
-                                    tgt.nbytes + src.nbytes
-                                    + Tr.nbytes + Ti.nbytes
-                                )
-                m2l_groups[l] = groups
-            mem += self._rot_cache.nbytes
+                pos, cells = self._coords(l), np.arange(8**l)
+                m2l[l] = []
+                for i, d in enumerate(_VLIST):
+                    tgt, src = _offset_pairs(pos, cells, d, 1 << l, True)
+                    if tgt.size:
+                        m2l[l].append((i, tgt, src))
+            mem = op_nbytes(p2m, l2p_op) + ops.nbytes + sum(
+                t.nbytes + s.nbytes for g in m2l.values() for _, t, s in g
+            )
 
-            near_pairs = []
-            coordsL = self._coords(L)
-            ncell = 1 << L
-            for dx in range(-1, 2):
-                for dy in range(-1, 2):
-                    for dz in range(-1, 2):
-                        tgt_pos = coordsL[occupied]
-                        sx = tgt_pos[:, 0] + dx
-                        sy = tgt_pos[:, 1] + dy
-                        sz = tgt_pos[:, 2] + dz
-                        valid = (
-                            (sx >= 0) & (sx < ncell)
-                            & (sy >= 0) & (sy < ncell)
-                            & (sz >= 0) & (sz < ncell)
-                        )
-                        tcells = occupied[valid]
-                        if tcells.size == 0:
-                            continue
-                        scells = interleave3(
-                            sx[valid].astype(np.uint64),
-                            sy[valid].astype(np.uint64),
-                            sz[valid].astype(np.uint64),
-                        ).astype(np.int64)
-                        nonempty = self.cell_end[scells] > self.cell_start[scells]
-                        tcells, scells = tcells[nonempty], scells[nonempty]
-                        if tcells.size:
-                            near_pairs.append((tcells, scells))
-                            mem += tcells.nbytes + scells.nbytes
-            self._plan = {
+            # near: each occupied leaf's particles see the particle
+            # ranges of its non-empty neighbours, one source list each
+            pos = self._coords(L)[occupied]
+            count = self.cell_end - self.cell_start
+            pairs = [
+                _offset_pairs(pos, occupied, d, 1 << L, False)
+                for d in _NEIGHBOURS
+            ]
+            tc = np.concatenate([t[count[s] > 0] for t, s in pairs])
+            sc = np.concatenate([s[count[s] > 0] for t, s in pairs])
+            c = count[tc]
+            first = np.cumsum(c) - c
+            rows = np.arange(c.sum()) + np.repeat(self.cell_start[tc] - first, c)
+            indptr, indices, data, _ = assemble_near(
+                self.points,
+                self.points,
+                rows,
+                np.repeat(slot[sc], c),
+                [np.arange(self.cell_start[o], self.cell_end[o]) for o in occupied],
+                n,
+                True,
+                0.0,
+                False,
+            )
+            near = csr(data, indices, indptr, n)
+            mem += op_nbytes(near)
+            plan = {
                 "p2m": p2m,
                 "l2p": l2p_op,
                 "occupied": occupied,
-                "m2l": m2l_groups,
-                "near": near_pairs,
+                "ops": ops,
+                "op_of": op_of,
+                "octs": octs,
+                "r2": r2,
+                "m2l": m2l,
+                "near": near,
             }
         self.plan_compile_time = sw.elapsed
         self.plan_memory_bytes = int(mem)
@@ -559,297 +424,86 @@ class UniformFMM:
             memory_bytes=self.plan_memory_bytes,
             compile_s=float(self.plan_compile_time),
             level=int(self.L),
-            translation_backend=self.translation_backend,
         )
-        return self._plan
+        return plan
 
     # ------------------------------------------------------------------
     def evaluate(self) -> np.ndarray:
         """Potential at every source particle (original order),
         self-interaction excluded.
 
-        With an ``(n, k)`` charge batch (see :meth:`set_charges`) the
-        result is ``(n, k)``: column ``j`` is the potential due to
-        ``charges[:, j]``, with every translation group applied once
-        over the folded batch."""
+        The first call compiles the plan.  With an ``(n, k)`` charge
+        batch (see :meth:`set_charges`) the result is ``(n, k)``: column
+        ``j`` is the potential due to ``charges[:, j]``, with every
+        operator applied once over the batch."""
+        from ..perf.operators import apply, complex_layout, real_layout
+
+        plan = self._ensure_plan()
         L = self.L
         degs = self.degrees
-        p_store = max(degs[2:]) if L >= 2 else degs[-1]
+        p_store = max(degs[2:])
         nc_store = ncoef(p_store)
         kdim = self.charges.shape[1:]  # () for a vector, (k,) for a batch
-        obs_on = is_enabled()
-        plan = None
-        if self.use_plan and (self._plan is not None or self._n_evals >= 1):
-            plan = self._ensure_plan()
-        outer = span("fmm.evaluate", n=int(self.points.shape[0]), level=L).__enter__()
-        m2l_before = self.stats.n_m2l
-        terms_before = self.stats.n_terms_m2l
-        pp_before = self.stats.n_pp_pairs
-
-        # ---- upward: P2M at leaves, then M2M ----
-        sw = stopwatch("fmm.upward", level=L).__enter__()
-        centers_L = self._cell_centers(L)
-        M = {L: np.zeros((8**L,) + kdim + (nc_store,), dtype=np.complex128)}
-        if plan is not None:
-            from ..perf.operators import apply, complex_layout
-
-            occupied = plan["occupied"]
-            Y = apply(plan["p2m"], self.charges)
-            M[L][occupied] = complex_layout(
-                Y.reshape((occupied.size, 2 * nc_store) + kdim), nc_store
-            )
-        else:
-            occupied = np.nonzero(self.cell_end > self.cell_start)[0]
-            for c in occupied:
-                s, e = self.cell_start[c], self.cell_end[c]
-                rel = self.points[s:e] - centers_L[c]
-                if self.charges.ndim == 1:
-                    M[L][c] = p2m_terms(rel, self.charges[s:e], p_store).sum(axis=0)
-                else:
-                    M[L][c] = np.stack(
-                        [
-                            p2m_terms(rel, self.charges[s:e, j], p_store).sum(axis=0)
-                            for j in range(self.charges.shape[1])
-                        ]
-                    )
-        rot_up = self._use_rotation(p_store)
-        for l in range(L - 1, 1, -1):
-            child_centers = self._cell_centers(l + 1)
-            parent_centers = self._cell_centers(l)
-            Ml = np.zeros((8**l,) + kdim + (nc_store,), dtype=np.complex128)
-            child_ids = np.arange(8 ** (l + 1))
-            parent_ids = child_ids >> 3
-            # group children by their octant: each octant shares one shift
-            for oct_ in range(8):
-                sel = child_ids[(child_ids & 7) == oct_]
-                par = parent_ids[sel]
-                shift = (child_centers[sel[0]] - parent_centers[par[0]])[None, :]
-                if rot_up:
-                    kid, rho = self._rot_id(shift[0], p_store)
-                    Ml[par] += self._kfold(
-                        M[l + 1][sel],
-                        lambda X: self._apply_rotated(
-                            X, kid, rho, p_store, axial_m2m
-                        ),
-                    )
-                else:
-                    Ml[par] += self._kfold(
-                        M[l + 1][sel], lambda X: m2m(X, shift, p_store)
-                    )
-            M[l] = Ml
-        sw.__exit__(None, None, None)
-        self.stats.times["upward"] = sw.elapsed
-
-        # ---- M2L at every level (V-lists grouped by offset) ----
-        sw = stopwatch("fmm.m2l").__enter__()
-        Llocal = {
-            l: np.zeros((8**l,) + kdim + (ncoef(degs[l]),), dtype=np.complex128)
-            for l in range(2, L + 1)
-        }
-        if plan is not None:
-            for l in range(2, L + 1):
-                p = degs[l]
-                nc_p = ncoef(p)
-                Ll = Llocal[l]
-                Ml = M[l]
-                for kind, tgt, src, a, b in plan["m2l"][l]:
-                    X = Ml[src][..., :nc_p]
-                    if kind == "rot":
-                        Ll[tgt] += self._kfold(
-                            X, lambda C: self._apply_rotated(C, a, b, p, axial_m2l)
+        occupied = plan["occupied"]
+        st = self.stats
+        before = (st.n_m2l, st.n_terms_m2l, st.n_pp_pairs)
+        with span("fmm.evaluate", n=int(self.points.shape[0]), level=L):
+            # ---- upward: P2M at leaves, then M2M ----
+            with stopwatch("fmm.upward", level=L) as sw:
+                M = {L: np.zeros((8**L,) + kdim + (nc_store,), dtype=np.complex128)}
+                Y = apply(plan["p2m"], self.charges)
+                M[L][occupied] = complex_layout(
+                    Y.reshape((occupied.size, 2 * nc_store) + kdim), nc_store
+                )
+                for l in range(L - 1, 1, -1):
+                    M[l] = np.zeros((8**l,) + kdim + (nc_store,), dtype=np.complex128)
+                    for sel, par, shift in self._octant_shifts(l):
+                        M[l][par] += self._kfold(
+                            M[l + 1][sel], lambda X: m2m(X, shift, p_store)
                         )
-                    else:
-                        # matmul broadcasts over the batch axis natively
-                        Ll[tgt] += X.real @ a + X.imag @ b
-                    self.stats.n_m2l += tgt.size
-                    self.stats.n_terms_m2l += tgt.size * term_count(p)
-            sw.__exit__(None, None, None)
-            self.stats.times["m2l"] = sw.elapsed
-        else:
-            self._m2l_direct(M, Llocal, sw)
+            st.times["upward"] = sw.elapsed
 
-        # ---- downward: L2L ----
-        sw = stopwatch("fmm.l2l").__enter__()
-        for l in range(2, L):
-            p_par, p_child = degs[l], degs[l + 1]
-            rot_down = self._use_rotation(p_par)
-            child_centers = self._cell_centers(l + 1)
-            parent_centers = self._cell_centers(l)
-            child_ids = np.arange(8 ** (l + 1))
-            parent_ids = child_ids >> 3
-            for oct_ in range(8):
-                sel = child_ids[(child_ids & 7) == oct_]
-                par = parent_ids[sel]
-                shift = (child_centers[sel[0]] - parent_centers[par[0]])[None, :]
-                if rot_down:
-                    kid, rho = self._rot_id(shift[0], p_par)
-                    shifted = self._kfold(
-                        Llocal[l][par],
-                        lambda X: self._apply_rotated(
-                            X, kid, rho, p_par, axial_l2l
-                        ),
-                    )
-                else:
-                    shifted = self._kfold(
-                        Llocal[l][par], lambda X: l2l(X, shift, p_par)
-                    )
-                Llocal[l + 1][sel] += shifted[..., : ncoef(p_child)]
-        sw.__exit__(None, None, None)
-        self.stats.times["l2l"] = sw.elapsed
+            # ---- M2L: one GEMM per (level, offset) group ----
+            with stopwatch("fmm.m2l") as sw:
+                Llocal = {
+                    l: np.zeros((8**l,) + kdim + (ncoef(degs[l]),), dtype=np.complex128)
+                    for l in range(2, L + 1)
+                }
+                for l in range(2, L + 1):
+                    self._m2l_level(plan, l, M[l], Llocal[l])
+            st.times["m2l"] = sw.elapsed
 
-        # ---- leaf: L2P + near field ----
-        sw = stopwatch("fmm.near").__enter__()
-        n = self.points.shape[0]
-        phi = np.zeros((n,) + kdim, dtype=np.float64)
-        pL = degs[L]
-        if plan is not None:
-            from ..perf.operators import apply, real_layout
-
-            X = real_layout(Llocal[L][plan["occupied"]])
-            phi += apply(plan["l2p"], X.reshape((-1,) + X.shape[2:]))
-            for tcells, scells in plan["near"]:
-                for tc, sc in zip(tcells, scells):
-                    ts, te = self.cell_start[tc], self.cell_end[tc]
-                    ss, se = self.cell_start[sc], self.cell_end[sc]
-                    d = self.points[ts:te, None, :] - self.points[None, ss:se, :]
-                    r2 = np.einsum("tsi,tsi->ts", d, d)
-                    with np.errstate(divide="ignore"):
-                        inv = 1.0 / np.sqrt(r2)
-                    inv[r2 == 0.0] = 0.0
-                    phi[ts:te] += inv @ self.charges[ss:se]
-                    self.stats.n_pp_pairs += (te - ts) * (se - ss)
-        else:
-            for c in occupied:
-                s, e = self.cell_start[c], self.cell_end[c]
-                rel = self.points[s:e] - centers_L[c]
-                Lc = Llocal[L][c]
-                if Lc.ndim == 1:
-                    phi[s:e] += l2p(Lc, rel, pL)
-                else:
-                    phi[s:e] += np.stack(
-                        [l2p(Lc[j], rel, pL) for j in range(Lc.shape[0])],
-                        axis=1,
-                    )
-            self._near_direct(phi, occupied)
-        sw.__exit__(None, None, None)
-        self.stats.times["near"] = sw.elapsed
-        return self._finish(phi, obs_on, outer, m2l_before, terms_before, pp_before)
-
-    def _m2l_direct(self, M, Llocal, sw) -> None:
-        """Direct (un-planned) M2L sweep, one batched translation per
-        (level, offset) group."""
-        L, degs = self.L, self.degrees
-        for l in range(2, L + 1):
-            p = degs[l]
-            use_rot = self._use_rotation(p)
-            coords = self._coords(l)
-            ncell = 1 << l
-            h = self.edge / ncell
-            order = np.arange(8**l)
-            pos = coords  # integer coords per linear id
-            for dx in range(-3, 4):
-                for dy in range(-3, 4):
-                    for dz in range(-3, 4):
-                        if max(abs(dx), abs(dy), abs(dz)) <= 1:
-                            continue
-                        # well-separated at this level; for l > 2 the
-                        # sources must also be children of the parent's
-                        # neighborhood (the classic V-list condition)
-                        src_x = pos[:, 0] + dx
-                        src_y = pos[:, 1] + dy
-                        src_z = pos[:, 2] + dz
-                        valid = (
-                            (src_x >= 0) & (src_x < ncell)
-                            & (src_y >= 0) & (src_y < ncell)
-                            & (src_z >= 0) & (src_z < ncell)
+            # ---- downward: L2L ----
+            with stopwatch("fmm.l2l") as sw:
+                for l in range(2, L):
+                    p_par = degs[l]
+                    # L2L of a degree-p local is exact at degree p: the
+                    # child takes the leading coefficients both degrees hold
+                    m = ncoef(min(p_par, degs[l + 1]))
+                    for sel, par, shift in self._octant_shifts(l):
+                        shifted = self._kfold(
+                            Llocal[l][par], lambda X: l2l(X, shift, p_par)
                         )
-                        if l > 2:
-                            valid &= (
-                                (np.abs((src_x >> 1) - (pos[:, 0] >> 1)) <= 1)
-                                & (np.abs((src_y >> 1) - (pos[:, 1] >> 1)) <= 1)
-                                & (np.abs((src_z >> 1) - (pos[:, 2] >> 1)) <= 1)
-                            )
-                        tgt = order[valid]
-                        if tgt.size == 0:
-                            continue
-                        src = interleave3(
-                            src_x[valid].astype(np.uint64),
-                            src_y[valid].astype(np.uint64),
-                            src_z[valid].astype(np.uint64),
-                        ).astype(np.int64)
-                        d = np.array([[dx * h, dy * h, dz * h]])
-                        X = M[l][src][..., : ncoef(p)]
-                        if use_rot:
-                            kid, rho = self._rot_id(d[0], p)
-                            Llocal[l][tgt] += self._kfold(
-                                X,
-                                lambda C: self._apply_rotated(
-                                    C, kid, rho, p, axial_m2l
-                                ),
-                            )
-                        else:
-                            Llocal[l][tgt] += self._kfold(
-                                X, lambda C: m2l(C, d, p, p)
-                            )
-                        self.stats.n_m2l += tgt.size
-                        self.stats.n_terms_m2l += tgt.size * term_count(p)
-        sw.__exit__(None, None, None)
-        self.stats.times["m2l"] = sw.elapsed
+                        Llocal[l + 1][sel, ..., :m] += shifted[..., :m]
+            st.times["l2l"] = sw.elapsed
 
-    def _near_direct(self, phi: np.ndarray, occupied: np.ndarray) -> None:
-        """Direct (un-planned) near-field sweep over neighbor offsets."""
-        L = self.L
-        coordsL = self._coords(L)
-        ncell = 1 << L
-        for dx in range(-1, 2):
-            for dy in range(-1, 2):
-                for dz in range(-1, 2):
-                    tgt_pos = coordsL[occupied]
-                    sx = tgt_pos[:, 0] + dx
-                    sy = tgt_pos[:, 1] + dy
-                    sz = tgt_pos[:, 2] + dz
-                    valid = (
-                        (sx >= 0) & (sx < ncell)
-                        & (sy >= 0) & (sy < ncell)
-                        & (sz >= 0) & (sz < ncell)
-                    )
-                    tcells = occupied[valid]
-                    if tcells.size == 0:
-                        continue
-                    scells = interleave3(
-                        sx[valid].astype(np.uint64),
-                        sy[valid].astype(np.uint64),
-                        sz[valid].astype(np.uint64),
-                    ).astype(np.int64)
-                    nonempty = self.cell_end[scells] > self.cell_start[scells]
-                    tcells, scells = tcells[nonempty], scells[nonempty]
-                    for tc, sc in zip(tcells, scells):
-                        ts, te = self.cell_start[tc], self.cell_end[tc]
-                        ss, se = self.cell_start[sc], self.cell_end[sc]
-                        d = self.points[ts:te, None, :] - self.points[None, ss:se, :]
-                        r2 = np.einsum("tsi,tsi->ts", d, d)
-                        with np.errstate(divide="ignore"):
-                            inv = 1.0 / np.sqrt(r2)
-                        inv[r2 == 0.0] = 0.0
-                        phi[ts:te] += inv @ self.charges[ss:se]
-                        self.stats.n_pp_pairs += (te - ts) * (se - ss)
-
-    def _finish(self, phi, obs_on, outer, m2l_before, terms_before, pp_before):
-        """Metrics, un-sorting and output guards shared by both paths."""
-        n = phi.shape[0]
-        self._n_evals += 1
-        if obs_on:
+            # ---- leaf: L2P + near field ----
+            with stopwatch("fmm.near") as sw:
+                X = real_layout(Llocal[L][occupied])
+                phi = apply(plan["l2p"], X.reshape((-1,) + X.shape[2:]))
+                phi += apply(plan["near"], self.charges)
+                st.n_pp_pairs += int(plan["near"].nnz)
+            st.times["near"] = sw.elapsed
+        if is_enabled():
             REGISTRY.counter("fmm_m2l_ops", "M2L translations applied").inc(
-                self.stats.n_m2l - m2l_before
+                st.n_m2l - before[0]
             )
             REGISTRY.counter(
                 "fmm_terms_m2l", "multipole terms evaluated in M2L"
-            ).inc(self.stats.n_terms_m2l - terms_before)
+            ).inc(st.n_terms_m2l - before[1])
             REGISTRY.counter(
                 "fmm_pp_pairs", "FMM near-field particle pairs evaluated"
-            ).inc(self.stats.n_pp_pairs - pp_before)
-
-        outer.__exit__(None, None, None)
+            ).inc(st.n_pp_pairs - before[2])
         out = np.empty(phi.shape, dtype=np.float64)
         out[self.perm] = phi
         # fault-injection site + guard: a corrupted FMM potential must
@@ -859,3 +513,36 @@ class UniformFMM:
         if self._col_batch and out.ndim == 1:
             out = out[:, None]  # (n, 1) request ran the bitwise 1-D path
         return out
+
+    def _octant_shifts(self, l: int):
+        """Per child octant at level ``l + 1``: the child cells, their
+        parents at level ``l`` and the shared child-minus-parent shift
+        ``(1, 3)``."""
+        child_centers = self._cell_centers(l + 1)
+        parent_centers = self._cell_centers(l)
+        child_ids = np.arange(8 ** (l + 1))
+        for oct_ in range(8):
+            sel = child_ids[(child_ids & 7) == oct_]
+            par = sel >> 3
+            yield sel, par, (child_centers[sel[0]] - parent_centers[par[0]])[None, :]
+
+    def _m2l_level(self, plan: dict, l: int, M: np.ndarray, Lloc: np.ndarray) -> None:
+        """Add the V-list M2L of level ``l`` into its locals ``Lloc``.
+
+        Complex coefficients viewed as float64 are the interleaved real
+        layout of the lattice operators.  An offset ``d = ρ û`` with
+        octant signs ``S`` translates by ``S D(ρ)⁻¹ T(û) D(ρ)⁻¹ S / ρ``
+        (``D(ρ) = diag(ρⁿ)``), folded into one copy of ``T(û)`` per
+        group.
+        """
+        p = self.degrees[l]
+        n2 = 2 * ncoef(p)
+        rho = np.sqrt(plan["r2"]) * (self.edge / (1 << l))
+        _, inv = scales(p, rho, plan["octs"])
+        Mf, Lf = M.view(np.float64), Lloc.view(np.float64)
+        for i, tgt, src in plan["m2l"][l]:
+            T = plan["ops"][plan["op_of"][i], :n2, :n2] * (inv[i] / rho[i])
+            T *= inv[i][:, None]
+            Lf[tgt] += Mf[src, ..., :n2] @ T
+            self.stats.n_m2l += tgt.size
+            self.stats.n_terms_m2l += tgt.size * term_count(p)

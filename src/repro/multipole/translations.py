@@ -51,9 +51,6 @@ from .rotations import RotationCache, rotate_packed
 __all__ = [
     "m2m",
     "m2l",
-    "m2l_geometry",
-    "m2l_from_geometry",
-    "m2l_operator",
     "l2l",
     "axial_m2m",
     "axial_m2l",
@@ -271,55 +268,6 @@ def m2m(coeffs: np.ndarray, shifts: np.ndarray, p: int) -> np.ndarray:
     return from_full_grid(out, p)
 
 
-def m2l_geometry(d: np.ndarray, p_src: int, p_loc: int | None = None) -> np.ndarray:
-    """Geometry factor of :func:`m2l` for displacements ``d``.
-
-    The M2L translation splits into a charge-dependent part (the
-    rescaled multipole grid) and a geometry-only part — the scaled
-    singular grid ``shat`` of the displacement, which is what a compiled
-    plan can freeze or batch.  Returns shape
-    ``(B, p_src + p_loc + 1, 2 (p_src + p_loc) + 1)``.
-    """
-    if p_loc is None:
-        p_loc = p_src
-    ptot = p_src + p_loc
-    S = _singular_grid(d, ptot)
-    return S * (_iphase_grid(ptot, +1) * _sq_grid(ptot)) * _valid_mask(ptot)
-
-
-def m2l_from_geometry(
-    coeffs: np.ndarray, shat: np.ndarray, p_src: int, p_loc: int | None = None
-) -> np.ndarray:
-    """Apply precomputed M2L geometry (from :func:`m2l_geometry`) to
-    multipole coefficients; ``m2l(C, d, ...)`` equals
-    ``m2l_from_geometry(C, m2l_geometry(d, ...), ...)`` exactly."""
-    if p_loc is None:
-        p_loc = p_src
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.complex128))
-    B = coeffs.shape[0]
-    ps, pl = p_src, p_loc
-    ptot = ps + pl
-
-    sq_s = _sq_grid(ps)
-    mask_s = _valid_mask(ps)
-    Mfull = to_full_grid(coeffs, ps)
-    signs = (-1.0) ** np.arange(ps + 1)
-    mhat = Mfull * (_iphase_grid(ps, -1) / sq_s) * signs[None, :, None] * mask_s
-
-    Lhat = np.zeros((B, pl + 1, 2 * pl + 1), dtype=np.complex128)
-    C = ptot  # mu-axis offset of shat
-    for n in range(ps + 1):
-        for m in range(-n, n + 1):
-            a = mhat[:, n, m + ps]
-            # mu = m - k for k in [-pl, pl] -> slice reversed along mu.
-            sl = shat[:, n : n + pl + 1, m - pl + C : m + pl + C + 1][:, :, ::-1]
-            Lhat += a[:, None, None] * sl
-    sq_l = _sq_grid(pl)
-    Lfull = Lhat * (_iphase_grid(pl, -1) / sq_l)
-    Lfull *= _valid_mask(pl)
-    return from_full_grid(Lfull, pl)
-
-
 def m2l(coeffs: np.ndarray, d: np.ndarray, p_src: int, p_loc: int | None = None) -> np.ndarray:
     """Convert multipole expansions into local expansions.
 
@@ -340,30 +288,32 @@ def m2l(coeffs: np.ndarray, d: np.ndarray, p_src: int, p_loc: int | None = None)
     if p_loc is None:
         p_loc = p_src
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-    shat = m2l_geometry(d, p_src, p_loc)
-    return m2l_from_geometry(coeffs, shat, p_src, p_loc)
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.complex128))
+    B = coeffs.shape[0]
+    ps, pl = p_src, p_loc
+    ptot = ps + pl
+    # scaled singular grid of the displacements
+    S = _singular_grid(d, ptot)
+    shat = S * (_iphase_grid(ptot, +1) * _sq_grid(ptot)) * _valid_mask(ptot)
 
+    sq_s = _sq_grid(ps)
+    mask_s = _valid_mask(ps)
+    Mfull = to_full_grid(coeffs, ps)
+    signs = (-1.0) ** np.arange(ps + 1)
+    mhat = Mfull * (_iphase_grid(ps, -1) / sq_s) * signs[None, :, None] * mask_s
 
-def m2l_operator(d: np.ndarray, p_src: int, p_loc: int | None = None):
-    """Probe the (real-linear) M2L operator for one displacement.
-
-    M2L is real-linear but not complex-linear (conjugate symmetry of the
-    packed layout enters), so the operator for a fixed displacement is
-    the matrix pair ``(Tr, Ti)`` obtained by probing with ``[I; iI]``;
-    applying it to a batch of coefficient rows ``M`` is
-    ``M.real @ Tr + M.imag @ Ti`` — two GEMMs.  This is the shared
-    batching primitive of the uniform-FMM plan and the compiled-plan
-    tests.
-    """
-    if p_loc is None:
-        p_loc = p_src
-    eye = np.eye(ncoef(p_src), dtype=np.complex128)
-    d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-    shat = m2l_geometry(d, p_src, p_loc)
-    shat_b = np.broadcast_to(shat, (eye.shape[0],) + shat.shape[1:])
-    Tr = m2l_from_geometry(eye, shat_b, p_src, p_loc)
-    Ti = m2l_from_geometry(1j * eye, shat_b, p_src, p_loc)
-    return Tr, Ti
+    Lhat = np.zeros((B, pl + 1, 2 * pl + 1), dtype=np.complex128)
+    C = ptot  # mu-axis offset of shat
+    for n in range(ps + 1):
+        for m in range(-n, n + 1):
+            a = mhat[:, n, m + ps]
+            # mu = m - k for k in [-pl, pl] -> slice reversed along mu.
+            sl = shat[:, n : n + pl + 1, m - pl + C : m + pl + C + 1][:, :, ::-1]
+            Lhat += a[:, None, None] * sl
+    sq_l = _sq_grid(pl)
+    Lfull = Lhat * (_iphase_grid(pl, -1) / sq_l)
+    Lfull *= _valid_mask(pl)
+    return from_full_grid(Lfull, pl)
 
 
 def l2l(coeffs: np.ndarray, shifts: np.ndarray, p: int) -> np.ndarray:

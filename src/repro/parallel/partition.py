@@ -10,7 +10,6 @@ the inputs to both the real executors and the machine model.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,51 +22,13 @@ __all__ = [
     "make_blocks",
     "BlockProfile",
     "profile_blocks",
-    "ROTATION_CROSSOVER_P",
     "translation_cost",
-    "resolve_backend",
 ]
 
-#: Degree at which the rotation (O(p^3)) translation backend overtakes
-#: the dense (O(p^4)) kernels under ``translation_backend="auto"``.
-#: Calibrated with ``benchmarks/bench_kernels.py --mode m2l`` (the
-#: rotation pipeline pays fixed per-direction rotation setup that only
-#: amortizes once the dense contraction grows past ~this degree);
-#: override with ``REPRO_M2L_CROSSOVER`` for ablations.
-ROTATION_CROSSOVER_P = int(os.environ.get("REPRO_M2L_CROSSOVER", "7"))
-
-
-def translation_cost(p, backend: str = "dense") -> np.ndarray:
-    """Per-translation flop model used by the plan compilers' balancers.
-
-    ``(p+1)^4`` for the dense kernels, ``(p+1)^3`` for the
-    rotation-accelerated ones; ``backend="auto"`` applies the
-    :data:`ROTATION_CROSSOVER_P` selection per degree.  Vectorized over
-    ``p``.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    dense = (p + 1.0) ** 4
-    if backend == "dense":
-        return dense
-    rot = (p + 1.0) ** 3
-    if backend == "rotation":
-        return rot
-    if backend != "auto":
-        raise ValueError(
-            f"backend must be 'dense', 'rotation' or 'auto', got {backend!r}"
-        )
-    return np.where(p >= ROTATION_CROSSOVER_P, rot, dense)
-
-
-def resolve_backend(backend: str, p: int) -> str:
-    """Resolve a ``translation_backend`` knob for one degree group."""
-    if backend == "auto":
-        return "rotation" if p >= ROTATION_CROSSOVER_P else "dense"
-    if backend not in ("dense", "rotation"):
-        raise ValueError(
-            f"backend must be 'dense', 'rotation' or 'auto', got {backend!r}"
-        )
-    return backend
+def translation_cost(p) -> np.ndarray:
+    """Per-translation flop model used by the plan compilers' balancers:
+    ``(p+1)^4`` for the dense kernels.  Vectorized over ``p``."""
+    return (np.asarray(p, dtype=np.float64) + 1.0) ** 4
 
 
 def make_blocks(

@@ -253,7 +253,7 @@ class ClusterPlan(CompiledPlan):
         mem = 0
         budget_used = 0
         stats = TreecodeStats(n_targets=int(self.tgt.shape[0]))
-        self._tol_p_max = min(self._tol_p_max, _M2L_MAX_P)
+        self._pair_p_max = min(self._pair_p_max, _M2L_MAX_P)
 
         pairs = dual_traverse(tree, tc.alpha)
         fs, ft = pairs.far_src, pairs.far_tgt
@@ -442,7 +442,7 @@ class ClusterPlan(CompiledPlan):
             asum,
             r_pair,
             self.tol / maxcnt[ft],
-            p_max=self._tol_p_max,
+            p_max=self._pair_p_max,
             nodes=fs,
         )
         # predicted ledger: per-box bound sums pushed down to the leaves

@@ -282,7 +282,7 @@ class CompiledPlan:
         #: attributes cap *their own* schedules, not pair selection
         from ..core.degree import VariableDegree
 
-        self._tol_p_max = (
+        self._pair_p_max = (
             int(tc.degree_policy.p_max)
             if isinstance(tc.degree_policy, VariableDegree)
             else 60
@@ -361,7 +361,7 @@ class CompiledPlan:
                     tree.radius[fn],
                     r_all,
                     budgets,
-                    p_max=self._tol_p_max,
+                    p_max=self._pair_p_max,
                     nodes=fn,
                 )
                 bnd = theorem1_bound(A_all, tree.radius[fn], r_all, pdeg)

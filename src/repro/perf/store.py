@@ -2,7 +2,7 @@ r"""Persistent content-addressed plan store with zero-copy mmap loads.
 
 Compiling an evaluation plan (:mod:`repro.perf.plan` /
 :mod:`repro.perf.cluster`) costs seconds at scale — spherical-harmonic
-row materialization, dual-tree traversal, rotation-operator builds —
+row materialization, dual-tree traversal, lattice-operator builds —
 while *applying* one costs milliseconds.  Serving workloads (a BEM
 solve restarted with a new right-hand side, a sweep driver re-launched
 per configuration, CI re-running the same table) pay that compile on
@@ -31,9 +31,9 @@ memory-mapping:
   plan's ``scipy.sparse`` operators are stored as their ``data`` /
   ``indices`` / ``indptr`` arrays and rewrapped around the mapped
   buffers on load; index arrays two matrices share are stored once.
-  Rotation operators (:class:`~repro.multipole.rotations.RotationCache`)
-  are not stored as bytes — they are rebuilt deterministically from
-  their quantized directions and degrees, preserving operator ids.
+  Dense lattice M2L operators (:mod:`repro.multipole.lattice`) are
+  plain arrays like any other, so cluster and FMM plans restore them
+  from the mapping too; no operator is rebuilt on load.
 * **Corruption and staleness detection** — a truncated file, a
   garbled header, an unknown format version or a digest mismatch all
   raise :class:`PlanStoreError` with a machine-readable ``reason``;
@@ -84,8 +84,9 @@ ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 #: ``scipy.sparse`` BSR/CSR matrices — P2M, far and L2P rows, one near
 #: CSR per plan.  4: cluster groups hold lattice M2L schedules — operator
 #: runs, scale rows and a target sum matrix — over per-direction
-#: operators; treecodes may carry no expansions).
-STORE_FORMAT_VERSION = 4
+#: operators; treecodes may carry no expansions.  5: FMM plans hold
+#: lattice M2L operators and a near CSR instead of a rotation cache).
+STORE_FORMAT_VERSION = 5
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64
@@ -207,22 +208,6 @@ def _encode(obj, arrays: list, ids: dict, registry: dict):
                 "indptr": _encode(obj.indptr, arrays, ids, registry),
             }
         }
-    # RotationCache: store directions + degrees, rebuild operators on load
-    from ..multipole.rotations import RotationCache
-
-    if isinstance(obj, RotationCache):
-        dirs = (
-            np.stack(obj._dirs, axis=0)
-            if obj._dirs
-            else np.empty((0, 3), dtype=np.float64)
-        )
-        ps = [(-1 if op is None else int(op.p)) for op in obj._ops]
-        return {
-            "__rc__": {
-                "dirs": _encode(np.ascontiguousarray(dirs), arrays, ids, registry),
-                "ps": ps,
-            }
-        }
     cname = type(obj).__name__
     cls = registry.get(cname)
     if cls is None or type(obj) is not cls:
@@ -268,11 +253,6 @@ def _decode(node, arrays: list, registry: dict):
             _decode(m[k], arrays, registry) for k in ("data", "indices", "indptr")
         )
         return cls(parts, shape=tuple(m["shape"]), copy=False)
-    if "__rc__" in node:
-        return _rebuild_rotation_cache(
-            _decode(node["__rc__"]["dirs"], arrays, registry),
-            node["__rc__"]["ps"],
-        )
     if "__o__" in node:
         cls = registry.get(node["__o__"])
         if cls is None:
@@ -283,38 +263,6 @@ def _decode(node, arrays: list, registry: dict):
             object.__setattr__(obj, k, _decode(v, arrays, registry))
         return obj
     raise PlanStoreError("corrupt", f"unknown node {sorted(node)!r}")
-
-
-def _rebuild_rotation_cache(dirs: np.ndarray, ps: list):
-    """Reconstruct a :class:`RotationCache` id-stably.
-
-    Operators are rebuilt from their canonical quantized directions in
-    per-degree batches — :func:`build_rotation_operators` evaluates
-    each direction independently, so the rebuilt matrices are bitwise
-    those of the original compile.
-    """
-    from ..multipole.rotations import (
-        RotationCache,
-        build_rotation_operators,
-        direction_keys,
-    )
-
-    cache = RotationCache()
-    dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
-    keys = direction_keys(dirs) if dirs.shape[0] else dirs.astype(np.int64)
-    for i in range(dirs.shape[0]):
-        cache._ids[keys[i].tobytes()] = i
-        cache._dirs.append(dirs[i])
-        cache._ops.append(None)
-    ps_arr = np.asarray(ps, dtype=np.int64)
-    for p in np.unique(ps_arr[ps_arr >= 0]):
-        sel = np.nonzero(ps_arr == p)[0]
-        built = build_rotation_operators(dirs[sel], int(p))
-        for k, op in zip(sel, built):
-            cache._ops[int(k)] = op
-    cache.built = int(np.count_nonzero(ps_arr >= 0))
-    cache.requested = cache.built
-    return cache
 
 
 # ---------------------------------------------------------------------------

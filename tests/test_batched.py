@@ -150,8 +150,7 @@ def test_fmm_batch_columns(rng):
     q = rng.uniform(-1, 1, 900)
     Q = _batch(q, 3)
     fmm = UniformFMM(pts, q, level=2, degrees=5)
-    fmm.evaluate()  # warm: the second evaluate compiles the plan
-    single = fmm.evaluate()  # plan path — what the batches run through
+    single = fmm.evaluate()  # compiles the plan the batches run through
     fmm.set_charges(q[:, None])
     k1 = fmm.evaluate()
     assert k1.shape == (900, 1)

@@ -247,12 +247,15 @@ class TestFmmPlan:
         pts = rng.random((700, 3))
         q = rng.uniform(-1.0, 1.0, 700)
         fmm = UniformFMM(pts, q, level=2, degrees=5)
-        first = fmm.evaluate()  # un-planned
-        second = fmm.evaluate()  # compiles and runs the plan
+        assert fmm._plan is None
+        first = fmm.evaluate()  # compiles and runs the plan
         assert fmm._plan is not None
-        np.testing.assert_allclose(second, first, rtol=0, atol=1e-11)
-        assert set(fmm.stats.times) == {"upward", "m2l", "l2l", "near"}
         assert fmm.plan_compile_time > 0.0
+        assert set(fmm.stats.times) == {"upward", "m2l", "l2l", "near"}
+        plan = fmm._plan
+        second = fmm.evaluate()  # reuses it
+        assert fmm._plan is plan
+        np.testing.assert_array_equal(second, first)
 
     def test_set_charges_matches_fresh(self, rng):
         pts = rng.random((700, 3))
@@ -260,19 +263,10 @@ class TestFmmPlan:
         q2 = rng.uniform(-1.0, 1.0, 700)
         fmm = UniformFMM(pts, q, level=2, degrees=5)
         fmm.evaluate()
-        fmm.evaluate()
         fmm.set_charges(q2)
         planned = fmm.evaluate()
-        reference = UniformFMM(pts, q2, level=2, degrees=5, use_plan=False).evaluate()
-        np.testing.assert_allclose(planned, reference, rtol=0, atol=1e-11)
-
-    def test_use_plan_false_never_compiles(self, rng):
-        pts = rng.random((300, 3))
-        q = rng.uniform(-1.0, 1.0, 300)
-        fmm = UniformFMM(pts, q, level=2, degrees=4, use_plan=False)
-        fmm.evaluate()
-        fmm.evaluate()
-        assert fmm._plan is None
+        reference = UniformFMM(pts, q2, level=2, degrees=5).evaluate()
+        np.testing.assert_array_equal(planned, reference)
 
 
 # ----------------------------------------------------------------------

@@ -36,11 +36,7 @@ from repro.multipole.translations import (
     translation_cache_stats,
 )
 from repro.parallel import evaluate_plan_parallel
-from repro.parallel.partition import (
-    ROTATION_CROSSOVER_P,
-    resolve_backend,
-    translation_cost,
-)
+from repro.parallel.partition import translation_cost
 from repro.robust import faults as faults_mod
 from repro.robust.faults import FaultInjector, parse_fault_spec, set_injector
 from repro.robust.retry import RetryPolicy
@@ -315,31 +311,14 @@ class TestTranslationCacheBounds:
 
 
 # ----------------------------------------------------------------------
-# Cost model / crossover selection
+# Cost model
 # ----------------------------------------------------------------------
 
 
 class TestBackendSelection:
     def test_translation_cost_models(self):
-        p = np.array([2, ROTATION_CROSSOVER_P, 20])
-        np.testing.assert_array_equal(translation_cost(p, "dense"), (p + 1.0) ** 4)
-        np.testing.assert_array_equal(
-            translation_cost(p, "rotation"), (p + 1.0) ** 3
-        )
-        auto = translation_cost(p, "auto")
-        assert auto[0] == (p[0] + 1.0) ** 4
-        assert auto[1] == (p[1] + 1.0) ** 3
-        assert auto[2] == (p[2] + 1.0) ** 3
-        with pytest.raises(ValueError, match="backend"):
-            translation_cost(p, "fft")
-
-    def test_resolve_backend(self):
-        assert resolve_backend("dense", 40) == "dense"
-        assert resolve_backend("rotation", 1) == "rotation"
-        assert resolve_backend("auto", ROTATION_CROSSOVER_P) == "rotation"
-        assert resolve_backend("auto", ROTATION_CROSSOVER_P - 1) == "dense"
-        with pytest.raises(ValueError, match="backend"):
-            resolve_backend("fft", 4)
+        p = np.array([2, 7, 20])
+        np.testing.assert_array_equal(translation_cost(p), (p + 1.0) ** 4)
 
 
 # ----------------------------------------------------------------------
@@ -526,40 +505,3 @@ class TestBatchedM2LDedup:
         got = plan.execute(q).potential
         assert calls == []
         np.testing.assert_array_equal(got, ref)
-
-
-# ----------------------------------------------------------------------
-# FMM engine backend
-# ----------------------------------------------------------------------
-
-
-class TestFMMRotationBackend:
-    def test_dense_rotation_parity_both_paths(self, rng):
-        from repro.fmm.engine import UniformFMM
-
-        pts = rng.random((600, 3))
-        q = rng.uniform(-1.0, 1.0, 600)
-        fd = UniformFMM(pts, q, level=2, degrees=6, translation_backend="dense")
-        fr = UniformFMM(
-            pts, q, level=2, degrees=6, translation_backend="rotation"
-        )
-        d1, r1 = fd.evaluate(), fr.evaluate()  # direct path
-        d2, r2 = fd.evaluate(), fr.evaluate()  # planned path
-        scale = np.abs(d1).max()
-        assert np.abs(d1 - r1).max() <= 1e-12 * scale
-        assert np.abs(d2 - r2).max() <= 1e-12 * scale
-        # the uniform grid's offset directions are shared: <= 316 V-list
-        # directions + 8 octants, across *all* levels
-        assert 0 < len(fr._rot_cache) <= 324
-        assert fr.plan_memory_bytes < fd.plan_memory_bytes
-
-    def test_validation(self, rng):
-        from repro.fmm.engine import UniformFMM
-
-        with pytest.raises(ValueError, match="translation_backend"):
-            UniformFMM(
-                rng.random((32, 3)),
-                np.ones(32),
-                level=2,
-                translation_backend="fft",
-            )
