@@ -14,9 +14,10 @@ the operator is
 The treecode is built **once** over the Gauss points: the octree, the
 degree schedule (from the quadrature weights — "all parameters for the
 degree of an interaction are available at the time of tree
-construction") and the vertex interaction lists are geometry-only, so
-every GMRES matvec pays only for re-forming the expansions with the new
-charges and re-evaluating the cached lists.
+construction") and the vertex interaction lists are geometry-only.  The
+first matvec compiles them into a target-major plan
+(:class:`~repro.perf.plan.CompiledPlan`), so every GMRES matvec pays
+only for the plan's sparse products with the new charges.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ class OperatorGeometry:
     one mesh, differing only in degree policy; the quadrature, the
     octree and the per-``alpha`` vertex interaction lists depend on none
     of that, so they are computed once here and handed to each operator.
-    The octree's charge aggregates are per-operator state —
-    :class:`~repro.core.treecode.Treecode` re-derives them from its own
-    charges when reusing a tree — so sharing is safe even though the
-    operators interleave ``set_charges`` calls.
+    Operators never change their treecode's charges: every matvec runs
+    a compiled plan, which takes the charges explicitly, so sharing the
+    octree is safe.
     """
 
     def __init__(self, mesh: TriangleMesh, n_gauss: int = 6) -> None:
@@ -93,15 +93,11 @@ class SingleLayerOperator:
         Gauss points per element (the paper uses 6).
     degree_policy, alpha, leaf_size:
         Treecode configuration (see :class:`~repro.core.treecode.Treecode`).
-    use_plan:
-        Compile the geometry into a
-        :class:`~repro.perf.plan.CompiledPlan` lazily at the *second*
-        matvec, so iterative solves (GMRES) amortize the compile while
-        one-shot applications pay nothing.  ``False`` keeps the seed
-        ``set_charges`` + ``evaluate_lists`` path on every application.
     plan_budget:
         Memory budget (bytes) for the plan's precomputed operators;
         ``None`` uses :data:`~repro.perf.plan.DEFAULT_MEMORY_BUDGET`.
+        ``0`` is the on-the-fly mode: nothing is frozen and every matvec
+        rebuilds its rows from geometry.
     tol:
         Target far-field accuracy for the compiled plan (variable-order
         mode, see :meth:`~repro.core.treecode.Treecode.compile_plan`).
@@ -110,13 +106,12 @@ class SingleLayerOperator:
         selection is anchored at the quadrature weights (the structure
         charges available "at the time of tree construction"), so the
         guarantee applies to densities with ``|sigma| <= 4 pi`` and
-        scales linearly beyond.  Requires ``use_plan``; ignored until
-        the plan compiles at the second matvec.
+        scales linearly beyond.
     plan_cache:
         Persistent plan-cache directory (see
         :meth:`~repro.core.treecode.Treecode.compile_plan`).  ``None``
         consults the ``REPRO_PLAN_CACHE`` environment variable; ``""``
-        disables caching.  A warm cache turns the second-matvec compile
+        disables caching.  A warm cache turns the first-matvec compile
         into a zero-copy ``mmap`` load.
     geometry:
         A shared :class:`OperatorGeometry` for the same mesh/``n_gauss``,
@@ -138,16 +133,11 @@ class SingleLayerOperator:
         degree_policy: DegreePolicy | None = None,
         alpha: float = 0.5,
         leaf_size: int = 32,
-        use_plan: bool = True,
         plan_budget: int | None = None,
         tol: float | None = None,
         plan_cache: str | None = None,
         geometry: OperatorGeometry | None = None,
     ) -> None:
-        if tol is not None and not use_plan:
-            raise ValueError(
-                "tol (variable-order plans) requires use_plan=True"
-            )
         if geometry is not None:
             if geometry.mesh is not mesh or geometry.n_gauss != n_gauss:
                 raise ValueError(
@@ -183,7 +173,6 @@ class SingleLayerOperator:
         else:
             with span("treecode.traverse", targets=int(mesh.n_vertices)):
                 self._lists = self.treecode.traverse(mesh.vertices, self_targets=False)
-        self.use_plan = bool(use_plan)
         self.plan_budget = plan_budget
         self.tol = None if tol is None else float(tol)
         self.plan_cache = plan_cache
@@ -218,23 +207,17 @@ class SingleLayerOperator:
     def matvec(self, sigma: np.ndarray) -> np.ndarray:
         """Apply the operator: potential at the vertices for density sigma.
 
-        With ``use_plan`` (default), the second application compiles the
-        frozen geometry into a plan; that and every later matvec is then
-        pure linear algebra over the precomputed operators.
+        The first application compiles the frozen geometry into a plan
+        (or loads it from the plan store); every application is then
+        pure linear algebra over the plan's operators.
 
         ``sigma`` may be a ``(V, k)`` batch of stacked densities; the
-        result is then ``(V, k)``.  A ``k > 1`` batch compiles the plan
-        immediately (a batch *is* repeated application, so the lazy
-        second-matvec policy would only delay the win) and executes all
-        columns in one batched pass; single columns keep today's
-        behavior bitwise.
+        result is then ``(V, k)``, all columns executed in one batched
+        pass.
         """
         with span("bem.matvec", matvec=self.n_matvecs):
             q = self.charges_for(sigma)
-            batch = q.ndim == 2
-            if self.use_plan and self._plan is None and (
-                self.n_matvecs >= 1 or (batch and q.shape[1] > 1)
-            ):
+            if self._plan is None:
                 self._plan = self.treecode.compile_plan(
                     targets=self.mesh.vertices,
                     lists=self._lists,
@@ -242,34 +225,12 @@ class SingleLayerOperator:
                     tol=self.tol,
                     cache_dir=self.plan_cache,
                 )
-            if self._plan is not None:
-                res = self._plan.execute(q)
-                potential = res.potential
-                self.stats.merge(res.stats)
-            elif batch:
-                # the seed evaluate_lists path has no batched kernel:
-                # plan-less batches run column-by-column
-                potential = np.empty(
-                    (self.mesh.n_vertices, q.shape[1]), dtype=np.float64
-                )
-                for j in range(q.shape[1]):
-                    self.treecode.set_charges(q[:, j])
-                    res = self.treecode.evaluate_lists(
-                        self._lists, self.mesh.vertices, self_targets=False
-                    )
-                    potential[:, j] = res.potential
-                    self.stats.merge(res.stats)
-            else:
-                self.treecode.set_charges(q)
-                res = self.treecode.evaluate_lists(
-                    self._lists, self.mesh.vertices, self_targets=False
-                )
-                potential = res.potential
-                self.stats.merge(res.stats)
+            res = self._plan.execute(q)
+            self.stats.merge(res.stats)
         if is_enabled():
             REGISTRY.counter("bem_matvecs", "boundary-operator applications").inc()
         self.n_matvecs += 1
-        return potential
+        return res.potential
 
     __call__ = matvec
 

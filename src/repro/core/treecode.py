@@ -15,9 +15,13 @@ Evaluation is organized in two phases:
    (leaf, target-block) pairs.  The walk is vectorized over the target
    frontier of each node, so its cost is a few NumPy calls per tree
    node.
-2. **Evaluation** — far pairs are grouped by degree and evaluated in
-   large vectorized batches (:func:`repro.multipole.expansion.m2p_rows`);
-   near pairs are dense kernel blocks.
+2. **Evaluation** — the lists are compiled into a target-major
+   :class:`~repro.perf.plan.CompiledPlan` and executed: P2M products
+   form the expansions, far pairs are grouped by degree and evaluated
+   in large vectorized chunks, near pairs are dense kernel blocks.
+   :meth:`Treecode.evaluate` compiles the plan fully spilled (nothing
+   is frozen, every chunk is evaluated from geometry); repeated callers
+   keep a plan from :meth:`Treecode.compile_plan` instead.
 
 The two-phase structure also yields, for free, the paper's
 instrumentation ("number of multipole terms evaluated", interactions
@@ -39,18 +43,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..direct import pairwise_potential
-from ..multipole.expansion import m2p_rows, p2m_terms
-from ..multipole.gradient import m2p_rows_grad
-from ..multipole.harmonics import ncoef, term_count
-from ..multipole.translations import m2m
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import is_enabled, span, stopwatch
-from ..perf.scatter import scatter_add
-from ..robust.faults import maybe_corrupt
-from ..robust.guards import check_bound_accounting, check_finite
+from ..robust.guards import check_finite
 from ..tree.octree import Octree, build_octree
-from .bounds import theorem1_bound
 from .degree import AdaptiveChargeDegree, DegreePolicy, FixedDegree
 
 __all__ = [
@@ -60,12 +56,6 @@ __all__ = [
     "InteractionLists",
     "record_eval_metrics",
 ]
-
-#: Maximum far-field pairs evaluated in one vectorized batch.
-_FAR_CHUNK = 200_000
-#: Maximum target×source products per near-field dense block.
-_NEAR_BUDGET = 4_000_000
-
 
 @dataclass
 class TreecodeStats:
@@ -191,13 +181,6 @@ class Treecode:
         Octree leaf capacity.
     expansion_center:
         Passed to :func:`~repro.tree.octree.build_octree`.
-    upward:
-        ``"m2m"`` (default) builds internal expansions by translating
-        children upward, exactly as the paper describes ("multipole
-        series are computed a-priori to the maximum required degree");
-        ``"p2m"`` forms each node's expansion directly from its particle
-        slice — mathematically identical, kept as a cross-check and for
-        very heterogeneous degree schedules.
     softening:
         Plummer softening length ε applied to the *near-field* kernel
         (``1/sqrt(r²+ε²)``), as gravitational n-body codes do; the far
@@ -233,15 +216,12 @@ class Treecode:
         alpha: float = 0.5,
         leaf_size: int = 16,
         expansion_center: str = "abs_com",
-        upward: str = "m2m",
         max_depth: int = 20,
         softening: float = 0.0,
         tree: Octree | None = None,
     ) -> None:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        if upward not in ("m2m", "p2m"):
-            raise ValueError(f"upward must be 'm2m' or 'p2m', got {upward!r}")
         if softening < 0.0:
             raise ValueError(f"softening must be >= 0, got {softening}")
         self.alpha = float(alpha)
@@ -251,7 +231,6 @@ class Treecode:
             if degree_policy is not None
             else AdaptiveChargeDegree(p0=4, alpha=alpha)
         )
-        self.upward = upward
         check_finite("treecode.points", np.asarray(points), context="input positions")
         check_finite("treecode.charges", np.asarray(charges), context="input charges")
 
@@ -263,9 +242,7 @@ class Treecode:
                 ):
                     raise ValueError("reused tree does not match the given points")
                 self.tree: Octree = tree
-                self._set_charge_aggregates(
-                    np.asarray(charges, dtype=np.float64)
-                )
+                self.set_charges(charges)
             else:
                 self.tree = build_octree(
                     points,
@@ -275,13 +252,13 @@ class Treecode:
                     max_depth=max_depth,
                 )
 
-        with stopwatch("treecode.upward", upward=upward) as sw_up:
+        # the degree schedule; expansions are formed by the plans
+        with stopwatch("treecode.upward") as sw_up:
             self.p_eval = np.asarray(
                 self.degree_policy.degrees(self.tree), dtype=np.int64
             )
             if self.p_eval.shape != (self.tree.n_nodes,):
                 raise ValueError("degree policy returned wrong-shaped array")
-        self._coeffs: np.ndarray | None = None
 
         self.base_stats = TreecodeStats(
             build_time=sw_build.elapsed, upward_time=sw_up.elapsed
@@ -294,115 +271,6 @@ class Treecode:
             REGISTRY.gauge("tree_nodes", "node count of the most recent octree").set(
                 self.tree.n_nodes
             )
-
-    # ------------------------------------------------------------------
-    # upward pass
-    # ------------------------------------------------------------------
-    @property
-    def coeffs(self) -> np.ndarray:
-        """Multipole coefficients of every node, ``(n_nodes, ncoef)``.
-
-        Built by the upward pass on first use — the un-planned
-        :meth:`evaluate` — or by :meth:`set_charges`; compiled plans form
-        their own coefficients and never read these.  The build's time
-        joins ``base_stats.upward_time``.
-        """
-        if self._coeffs is None:
-            self._build_expansions()
-        return self._coeffs
-
-    def _store_degrees(self) -> np.ndarray:
-        """Degree to which each node's expansion must be computed.
-
-        With the m2m upward pass a node's coefficients feed its parent's
-        translation, so they must reach the maximum evaluation degree of
-        any ancestor: ``p_store[i] = max(p_eval[i], p_store[parent])``.
-        """
-        tree = self.tree
-        p_store = self.p_eval.copy()
-        for d in range(1, tree.height):
-            ids = tree.nodes_at_level(d)
-            p_store[ids] = np.maximum(p_store[ids], p_store[tree.parent[ids]])
-        return p_store
-
-    def _build_expansions(self) -> None:
-        with stopwatch("treecode.upward", upward=self.upward) as sw:
-            self._coeffs = self._upward_pass()
-        self.base_stats.upward_time += sw.elapsed
-
-    def _upward_pass(self) -> np.ndarray:
-        tree = self.tree
-        if self.upward == "p2m":
-            p_store = self.p_eval.copy()
-        else:
-            p_store = self._store_degrees()
-        self.p_store = p_store
-        pmax = int(p_store.max())
-        nc = ncoef(pmax)
-        coeffs = np.zeros((tree.n_nodes, nc), dtype=np.complex128)
-
-        if self.upward == "p2m":
-            self._p2m_nodes(np.arange(tree.n_nodes), p_store, coeffs)
-        else:
-            # Leaves: direct P2M at the stored degree.
-            self._p2m_nodes(tree.leaf_ids(), p_store, coeffs)
-            # Internal nodes: translate children upward, one batched m2m
-            # per (level, parent-degree) group.
-            for d in range(tree.height - 1, 0, -1):
-                ids = tree.nodes_at_level(d)
-                parents = tree.parent[ids]
-                pdeg = p_store[parents]
-                for p in np.unique(pdeg):
-                    sel = ids[pdeg == p]
-                    par = tree.parent[sel]
-                    shifts = tree.center_exp[sel] - tree.center_exp[par]
-                    contrib = m2m(coeffs[sel, : ncoef(int(p))], shifts, int(p))
-                    np.add.at(coeffs[:, : ncoef(int(p))], par, contrib)
-        # fault-injection site + NaN/Inf guard: corrupted expansions
-        # must fail loudly here, not as poisoned far-field potentials
-        coeffs = maybe_corrupt("treecode.coeffs", coeffs)
-        check_finite("treecode.coeffs", coeffs, context="multipole coefficients")
-        return coeffs
-
-    def _p2m_nodes(self, node_ids: np.ndarray, p_store: np.ndarray, coeffs: np.ndarray) -> None:
-        """Form multipole expansions for the given nodes directly from
-        their particle slices, vectorized across nodes.
-
-        Nodes are grouped by stored degree; within a group the ragged
-        per-node particle slices are flattened into one segmented array
-        and reduced with ``add.reduceat`` — one harmonics evaluation for
-        the whole group instead of one per node.
-        """
-        tree = self.tree
-        pts, q = tree.points, tree.charges
-        for p in np.unique(p_store[node_ids]):
-            p = int(p)
-            group = node_ids[p_store[node_ids] == p]
-            counts = (tree.end[group] - tree.start[group]).astype(np.int64)
-            # chunk so the flattened (rows, ncoef) block stays bounded
-            row_budget = max(1, 4_000_000 // max(ncoef(p), 1))
-            lo = 0
-            while lo < group.size:
-                hi = lo
-                rows = 0
-                while hi < group.size and (rows == 0 or rows + counts[hi] <= row_budget):
-                    rows += counts[hi]
-                    hi += 1
-                sub = group[lo:hi]
-                cnts = counts[lo:hi]
-                cum = np.concatenate([[0], np.cumsum(cnts)])
-                total = int(cum[-1])
-                pidx = (
-                    np.arange(total)
-                    - np.repeat(cum[:-1], cnts)
-                    + np.repeat(tree.start[sub], cnts)
-                )
-                owner = np.repeat(np.arange(sub.size), cnts)
-                rel = pts[pidx] - tree.center_exp[sub][owner]
-                contrib = p2m_terms(rel, q[pidx], p)
-                segsum = np.add.reduceat(contrib, cum[:-1], axis=0)
-                coeffs[sub, : ncoef(p)] = segsum
-                lo = hi
 
     # ------------------------------------------------------------------
     # traversal
@@ -471,6 +339,13 @@ class Treecode:
             over all accepted interactions — a rigorous a-posteriori
             error bound on the returned potential.
 
+        Each call compiles the interaction lists into a fully spilled
+        target-major plan (``memory_budget=0``: nothing is frozen) and
+        executes it once, so a one-shot evaluation pays no operator
+        memory.  The compile goes through the plan store like
+        :meth:`compile_plan` with ``cache_dir=None``.  The result's
+        ``stats.eval_time`` covers compile and execute.
+
         Returns
         -------
         :class:`TreecodeResult`
@@ -483,179 +358,42 @@ class Treecode:
         if tgt.ndim != 2 or tgt.shape[1] != 3:
             raise ValueError(f"targets must have shape (t, 3), got {tgt.shape}")
 
+        from ..perf.plan import compile_plan
+
         with span("treecode.evaluate", targets=int(tgt.shape[0]), compute=compute):
             with stopwatch("treecode.traverse", targets=int(tgt.shape[0])) as sw:
                 lists = self.traverse(tgt, self_targets)
-            result = self.evaluate_lists(
-                lists,
-                tgt,
-                self_targets=self_targets,
-                compute=compute,
-                accumulate_bounds=accumulate_bounds,
-            )
+            with stopwatch("treecode.eval") as sw_eval:
+                # tol=None: the per-node degree schedule, even under a
+                # VariableDegree policy (per-pair selection is a plan option)
+                plan = compile_plan(
+                    self,
+                    lists,
+                    tgt,
+                    self_targets=self_targets,
+                    compute=compute,
+                    accumulate_bounds=accumulate_bounds,
+                    memory_budget=0,
+                )
+                charges = np.empty_like(tree.charges)
+                charges[tree.perm] = tree.charges
+                result = plan.execute(charges)
         result.stats.traverse_time = sw.elapsed
+        result.stats.eval_time = sw_eval.elapsed
         return result
 
-    def evaluate_lists(
-        self,
-        lists: InteractionLists,
-        tgt: np.ndarray,
-        self_targets: bool = False,
-        compute: str = "potential",
-        accumulate_bounds: bool = False,
-    ) -> TreecodeResult:
-        """Evaluate pre-computed interaction lists at the given targets.
-
-        The geometry-dependent traversal and the charge-dependent
-        arithmetic are separated so that callers with fixed geometry but
-        changing charges — the BEM matrix-vector product inside GMRES —
-        can cache the lists and pay only for the arithmetic on every
-        application (after :meth:`set_charges`).
-        """
-        tree = self.tree
-        obs_on = is_enabled()
-        sw_eval = stopwatch("treecode.eval").__enter__()
-        nt = tgt.shape[0]
-        phi = np.zeros(nt, dtype=np.float64)
-        grad = np.zeros((nt, 3), dtype=np.float64) if compute == "both" else None
-        bound = np.zeros(nt, dtype=np.float64) if accumulate_bounds else None
-        stats = TreecodeStats(n_targets=nt)
-
-        # ---- far field: group pairs by degree, evaluate in chunks ----
-        fn, ft = lists.far_nodes, lists.far_targets
-        with span("treecode.far_field", pairs=int(fn.size)):
-            if fn.size:
-                pdeg = self.p_eval[fn]
-                order = np.argsort(pdeg, kind="stable")
-                fn, ft, pdeg = fn[order], ft[order], pdeg[order]
-                uniq, starts = np.unique(pdeg, return_index=True)
-                bnds = list(starts) + [fn.size]
-                for u, (lo, hi) in zip(uniq, zip(bnds[:-1], bnds[1:])):
-                    p = int(u)
-                    npairs = hi - lo
-                    stats.n_pc_interactions += npairs
-                    stats.n_terms += npairs * term_count(p)
-                    stats.interactions_by_degree[p] = (
-                        stats.interactions_by_degree.get(p, 0) + npairs
-                    )
-                    for clo in range(lo, hi, _FAR_CHUNK):
-                        chi = min(clo + _FAR_CHUNK, hi)
-                        nodes = fn[clo:chi]
-                        tids = ft[clo:chi]
-                        if obs_on:
-                            REGISTRY.histogram(
-                                "far_chunk_size",
-                                "far-field pairs per vectorized batch",
-                            ).observe(chi - clo)
-                        rel = tgt[tids] - tree.center_exp[nodes]
-                        if grad is None:
-                            vals = m2p_rows(self.coeffs[nodes], rel, p)
-                        else:
-                            vals, gv = m2p_rows_grad(self.coeffs[nodes], rel, p)
-                            scatter_add(grad, tids, gv)
-                        scatter_add(phi, tids, vals)
-                        if bound is not None:
-                            r = np.sqrt(
-                                np.einsum("ij,ij->i", rel, rel)
-                            )
-                            b = theorem1_bound(
-                                tree.abs_charge[nodes], tree.radius[nodes], r, p
-                            )
-                            scatter_add(bound, tids, b)
-                            # Theorem-1 budget per tree level — the
-                            # accounting the paper's theorems sum over
-                            lsum = np.bincount(tree.level[nodes], weights=b)
-                            for L, s_ in enumerate(lsum):
-                                if s_:
-                                    stats.bound_by_level[L] = (
-                                        stats.bound_by_level.get(L, 0.0) + float(s_)
-                                    )
-                # per-level accounting (cheap bincount over all pairs)
-                lev = tree.level[fn]
-                cnt = np.bincount(lev)
-                for L, c in enumerate(cnt):
-                    if c:
-                        stats.interactions_by_level[L] = (
-                            stats.interactions_by_level.get(L, 0) + int(c)
-                        )
-
-        # ---- near field: dense blocks per leaf ----
-        with span("treecode.near_field", blocks=len(lists.near)):
-            for leaf, tids in lists.near:
-                s, e = int(tree.start[leaf]), int(tree.end[leaf])
-                cnt = e - s
-                if cnt == 0:
-                    continue
-                step = max(1, _NEAR_BUDGET // cnt)
-                src = tree.points[s:e]
-                qs = tree.charges[s:e]
-                for lo in range(0, tids.size, step):
-                    blk = tids[lo : lo + step]
-                    if obs_on:
-                        REGISTRY.histogram(
-                            "near_block_size",
-                            "target x source products per near-field dense block",
-                        ).observe(blk.size * cnt)
-                    if self_targets:
-                        excl = np.where((blk >= s) & (blk < e), blk - s, -1)
-                    else:
-                        excl = None
-                    phi[blk] += pairwise_potential(
-                        tgt[blk], src, qs, exclude=excl, softening=self.softening
-                    )
-                    if grad is not None:
-                        grad[blk] += _near_gradient(
-                            tgt[blk], src, qs, excl, softening=self.softening
-                        )
-                    n_excl = int(np.count_nonzero(excl >= 0)) if excl is not None else 0
-                    stats.n_pp_pairs += blk.size * cnt - n_excl
-        sw_eval.__exit__(None, None, None)
-        stats.eval_time = sw_eval.elapsed
-        if obs_on:
-            record_eval_metrics(stats)
-
-        if self_targets:
-            # un-sort back to the caller's original particle order
-            inv = self.tree.perm
-            out_phi = np.empty_like(phi)
-            out_phi[inv] = phi
-            phi = out_phi
-            if grad is not None:
-                og = np.empty_like(grad)
-                og[inv] = grad
-                grad = og
-            if bound is not None:
-                ob = np.empty_like(bound)
-                ob[inv] = bound
-                bound = ob
-
-        check_finite("treecode.potential", phi, context="evaluated potential")
-        if bound is not None:
-            check_bound_accounting(
-                "treecode.bounds", bound, stats.bound_by_level
-            )
-        return TreecodeResult(potential=phi, gradient=grad, error_bound=bound, stats=stats)
-
     def set_charges(self, charges: np.ndarray) -> None:
-        """Replace the source charges and rebuild the expansions.
+        """Replace the source charges.
 
-        The tree structure, expansion centers and degree schedule are
-        kept (the paper fixes all degree-selection parameters at tree
-        construction time); only the coefficient arrays and the charge
-        aggregates are recomputed.  This is the fast path for iterative
-        solvers where the geometry is fixed but the density changes on
-        every matrix-vector product.
+        Re-sorts them into Morton order and recomputes the per-node
+        charge aggregates (``abs_charge``/``net_charge``) the degree
+        policies, bounds and plan digests read.  The tree structure,
+        expansion centers and degree schedule are kept (the paper fixes
+        all degree-selection parameters at tree construction time).
+        Compiled plans hold no charge state, so this never invalidates
+        one.
         """
         charges = np.asarray(charges, dtype=np.float64)
-        self._set_charge_aggregates(charges)
-        with span("treecode.set_charges", n=int(charges.shape[0])):
-            self._build_expansions()
-
-    def _set_charge_aggregates(self, charges: np.ndarray) -> None:
-        """Re-sort charges into Morton order and recompute the per-node
-        charge aggregates (``abs_charge``/``net_charge``) on the shared
-        tree — everything :meth:`set_charges` does short of rebuilding
-        the expansions."""
         tree = self.tree
         if charges.shape != (tree.n_particles,):
             raise ValueError(
@@ -688,7 +426,7 @@ class Treecode:
         source particles, self-interaction excluded, results in input
         order), matching :meth:`evaluate`.  Pass cached ``lists`` to skip
         the traversal.  ``plan.execute(q)`` then equals
-        ``set_charges(q)`` + :meth:`evaluate_lists` to rounding, without
+        ``set_charges(q)`` + :meth:`evaluate` to rounding, without
         touching this treecode's state.
 
         ``mode="target"`` builds the target-major
@@ -768,16 +506,3 @@ class Treecode:
             f"degrees {self.p_eval.min()}..{self.p_eval.max()})"
         )
 
-
-def _near_gradient(targets, sources, charges, exclude, softening: float = 0.0):
-    """Dense near-field gradient block (∇ of sum q/|x-s|, optionally
-    Plummer-softened)."""
-    d = targets[:, None, :] - sources[None, :, :]
-    r2 = np.einsum("tsi,tsi->ts", d, d) + softening * softening
-    with np.errstate(divide="ignore"):
-        w = charges / (r2 * np.sqrt(r2))
-    w[r2 == 0.0] = 0.0
-    if exclude is not None:
-        rows = np.nonzero(exclude >= 0)[0]
-        w[rows, exclude[rows]] = 0.0
-    return -np.einsum("ts,tsi->ti", w, d)

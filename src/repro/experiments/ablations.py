@@ -68,7 +68,7 @@ def run_cost_ratio(
                 tc = Treecode(pts, q, degree_policy=policy, alpha=alpha, tree=tree)
                 if lists is None:
                     lists = tc.traverse(tree.points, self_targets=True)
-                res = tc.evaluate_lists(lists, tree.points, self_targets=True)
+                res = tc.compile_plan(lists=lists, memory_budget=0).execute(q)
                 terms[name] = res.stats.n_terms
                 height = tc.height
             measured = terms["new"] / terms["orig"]
@@ -106,7 +106,7 @@ def run_alpha_sweep(
                 tc = Treecode(pts, q, degree_policy=policy, alpha=a, tree=tree)
                 if lists is None:
                     lists = tc.traverse(tree.points, self_targets=True)
-                res = tc.evaluate_lists(lists, tree.points, self_targets=True)
+                res = tc.compile_plan(lists=lists, memory_budget=0).execute(q)
                 row += [relative_l2_error(res.potential, ref), res.stats.n_terms]
             return row
 

@@ -94,8 +94,8 @@ def run_table2(
 
     ``par==ser`` holds when the parallel potential is bitwise equal to
     the serial ``plan.execute`` and within the plan tolerance (rtol
-    1e-9, atol 1e-12) of the un-planned ``tc.evaluate()``: the plan
-    regroups the un-planned sums, so those two agree only to rounding.
+    1e-9, atol 1e-12) of ``tc.evaluate()``, which executes a fully
+    spilled plan of the same lists (every row rebuilt from geometry).
     """
     if backend not in ("serial", "thread", "process"):
         raise ValueError(

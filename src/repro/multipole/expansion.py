@@ -178,9 +178,11 @@ def contract_rows(coeff_rows: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
 def m2p_rows(coeff_rows: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
     """Evaluate a *different* multipole expansion per target.
 
-    This is the hot path of the treecode: the traversal produces a flat
-    list of (cluster, target) interaction pairs, and after grouping by
-    degree each pair carries its own coefficient row.
+    The per-pair form of the treecode's far field: the traversal produces
+    a flat list of (cluster, target) interaction pairs, and after
+    grouping by degree each pair carries its own coefficient row.  The
+    compiled plans (:mod:`repro.perf.plan`) apply the same contraction
+    as frozen sparse rows.
 
     Parameters
     ----------

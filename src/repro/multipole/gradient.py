@@ -17,10 +17,10 @@ import numpy as np
 from .expansion import contract_rows
 from .harmonics import irregular_solid, ladder_terms, ncoef, regular_solid
 
-__all__ = ["m2p_grad", "m2p_grad_rows", "m2p_rows_grad", "l2p_grad"]
+__all__ = ["grad_contract_rows", "m2p_grad", "m2p_grad_rows", "m2p_rows_grad", "l2p_grad"]
 
 
-def _grad_contract(coeff_rows: np.ndarray, T: np.ndarray, p: int, regular: bool):
+def grad_contract_rows(coeff_rows: np.ndarray, T: np.ndarray, p: int, regular: bool):
     """``(t, 3)`` gradients of per-row expansions ``coeff_rows`` (``(t,
     >= ncoef(p))``) over the batch-last solid table ``T``, one
     degree-run of orders per ladder term (no ``(3, ncoef, t)`` row
@@ -37,7 +37,7 @@ def m2p_grad_rows(coeff_rows: np.ndarray, rel_targets: np.ndarray, p: int) -> np
     """Per-pair gradient evaluation (row ``i`` of ``coeff_rows`` belongs
     to target ``i``); the gradient analogue of
     :func:`repro.multipole.expansion.m2p_rows`."""
-    return _grad_contract(coeff_rows, irregular_solid(rel_targets, p + 1), p, False)
+    return grad_contract_rows(coeff_rows, irregular_solid(rel_targets, p + 1), p, False)
 
 
 def m2p_rows_grad(coeff_rows: np.ndarray, rel_targets: np.ndarray, p: int):
@@ -45,7 +45,7 @@ def m2p_rows_grad(coeff_rows: np.ndarray, rel_targets: np.ndarray, p: int):
     irregular table — :func:`~repro.multipole.expansion.m2p_rows` and
     :func:`m2p_grad_rows` in a single geometry pass."""
     T = irregular_solid(rel_targets, p + 1)
-    return contract_rows(coeff_rows, T, p), _grad_contract(coeff_rows, T, p, False)
+    return contract_rows(coeff_rows, T, p), grad_contract_rows(coeff_rows, T, p, False)
 
 
 def m2p_grad(coeffs: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
@@ -62,4 +62,4 @@ def l2p_grad(coeffs: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
     """Gradient of a local expansion at targets relative to its center."""
     rel_targets = np.asarray(rel_targets, dtype=np.float64)
     rows = np.broadcast_to(np.asarray(coeffs)[: ncoef(p)], (rel_targets.shape[0], ncoef(p)))
-    return _grad_contract(rows, regular_solid(rel_targets, p), p, True)
+    return grad_contract_rows(rows, regular_solid(rel_targets, p), p, True)

@@ -29,7 +29,7 @@ target offset absorbed into the effective cluster radius.  The plan
 accumulates this per-target when compiled with ``accumulate_bounds``
 and books it into ``bound_by_level`` under the source box's level, so
 :func:`~repro.robust.guards.check_bound_accounting` holds exactly as in
-the un-planned path.
+the target-major path.
 
 **Box centres.**  A cluster plan compiles against a box-centred view of
 the treecode's octree (:func:`_box_view`): the same nodes, expanded
@@ -38,8 +38,8 @@ them.  The well-separated-pair MAC (Engblom) and the bound above hold
 for any centre, and box centres put every pair displacement on a
 dyadic lattice, so M2L runs as one GEMM per (degree, canonical
 direction) run of pairs against a shared operator, and L2L as one GEMM
-per level (:mod:`repro.multipole.lattice`).  The un-planned and
-target-major paths keep their charge-centred expansions.
+per level (:mod:`repro.multipole.lattice`).  The target-major plans
+keep their charge-centred expansions.
 """
 
 from __future__ import annotations
@@ -51,11 +51,7 @@ import numpy as np
 
 from ..core.bounds import theorem1_bound
 from ..core.degree import select_pair_degrees
-from ..core.treecode import (
-    _NEAR_BUDGET,
-    Treecode,
-    TreecodeStats,
-)
+from ..core.treecode import Treecode, TreecodeStats
 from ..multipole.harmonics import ncoef, regular_solid, term_count
 from ..multipole.lattice import (
     interleave_index,
@@ -79,6 +75,7 @@ from .operators import (
     op_nbytes,
 )
 from .plan import (
+    _NEAR_BUDGET,
     _NEAR_ENTRY_BYTES,
     DEFAULT_MEMORY_BUDGET,
     CompiledPlan,
@@ -204,7 +201,7 @@ class ClusterPlan(CompiledPlan):
     only index arrays, the lattice operators and the per-target L2P
     rows, all resident.  The near field is the same CSR as the
     target-major plan's, budget-gated the same way.  :meth:`execute`
-    matches the target-major plan (and the un-planned evaluator) within
+    matches the target-major plan (and so :meth:`Treecode.evaluate`) within
     the Theorem-1 truncation ledgers: the cluster path expands about
     box centres and adds the target-side truncation, which the dual
     bound accounts for.

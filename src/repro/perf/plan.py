@@ -1,4 +1,4 @@
-r"""Compiled evaluation plans: geometry-frozen sparse matvecs.
+r"""Compiled evaluation plans: the treecode's one evaluator.
 
 The treecode's evaluation cost per application splits into a
 *geometry-dependent* part (solid harmonics, power tables, near-field
@@ -11,15 +11,17 @@ the charges change.
 A :class:`CompiledPlan` freezes a built :class:`~repro.core.treecode.Treecode`
 plus cached :class:`~repro.core.treecode.InteractionLists` into
 ``scipy.sparse`` matrices (:mod:`repro.perf.operators`), so each
-subsequent application is a handful of compiled sparse products:
+subsequent application is a handful of compiled sparse products.  It
+is also the one-shot evaluator: :meth:`~repro.core.treecode.Treecode.evaluate`
+compiles a fully spilled plan (``memory_budget=0``) and executes it
+once.
 
 * **P2M transfer operators** — one BSR matrix per storage degree with
   ``(2·nc, 1)`` blocks: block row a source node, block column one of
   its particles, data ``[Re G; Im G]`` for the geometry rows ``G =
   rho^n conj(Y_n^m)``.  One product forms every coefficient of the
   group, for a single charge vector or an ``(n, k)`` batch, in the real
-  layout ``[Re C | Im C]`` — replacing the full harmonics recomputation
-  of :meth:`~repro.core.treecode.Treecode.set_charges`.
+  layout ``[Re C | Im C]``.
 * **Far-field row operators** — each chunk of (cluster, target) pairs
   of one degree is a BSR matrix with ``(1, 2·nc)`` blocks: block row a
   pair (its value is scattered onto the pair's target), block column
@@ -28,7 +30,9 @@ subsequent application is a handful of compiled sparse products:
   r^{n+1}``.  Gradient rows are ``(3, 2·nc)``
   blocks over the same operand.  Rows are materialized under a
   configurable **memory budget**; chunks over budget *spill*: their
-  rows are rebuilt transiently on every application.
+  potential rows are rebuilt transiently on every application, and
+  their gradients contract the operand rows against the irregular
+  table without materializing gradient rows.
 * **Near-field kernels** — every frozen near block of the plan is one
   CSR matrix over (targets × sources), self-exclusion and softening
   baked in as zeros; gradient kernels are three more value arrays on
@@ -37,8 +41,9 @@ subsequent application is a handful of compiled sparse products:
 * **Bincount scatter** — per-target accumulation of far chunks uses
   :func:`~repro.perf.scatter.scatter_add` instead of ``np.add.at``.
 
-Results agree with the un-planned path to rounding (``<= 1e-12``),
-including gradients, Theorem-1 bound accumulation and
+Results agree with a per-pair reference (direct P2M per node, M2P per
+far pair, dense near field) to rounding (``<= 1e-12``), including
+gradients, Theorem-1 bound accumulation and
 :class:`~repro.core.treecode.TreecodeStats` interaction counts (which
 are exactly equal — they are frozen at compile time).
 
@@ -50,11 +55,10 @@ after construction) and to the lists/targets it was compiled from.
 state.  Any geometry change means a new ``Treecode`` and therefore a
 new plan.
 
-Fault-tolerance parity: planned coefficient formation passes through
-the same ``treecode.coeffs`` injection site and NaN/Inf guard as the
-upward pass, and the output potential runs the same final guards, so a
-fault injected during plan execution degrades exactly like the
-un-planned path.
+Fault tolerance: coefficient formation passes through the
+``treecode.coeffs`` injection site and NaN/Inf guard, and the output
+potential runs the final finiteness and bound-accounting guards, so an
+injected fault fails loudly instead of poisoning potentials.
 """
 
 from __future__ import annotations
@@ -66,16 +70,14 @@ import numpy as np
 from ..core.bounds import theorem1_bound
 from ..core.degree import select_pair_degrees
 from ..core.treecode import (
-    _FAR_CHUNK,
-    _NEAR_BUDGET,
     InteractionLists,
     Treecode,
     TreecodeResult,
     TreecodeStats,
-    _near_gradient,
     record_eval_metrics,
 )
 from ..multipole.expansion import m_weights
+from ..multipole.gradient import grad_contract_rows
 from ..multipole.harmonics import (
     irregular_solid,
     ncoef,
@@ -106,12 +108,17 @@ __all__ = ["CompiledPlan", "compile_plan", "DEFAULT_MEMORY_BUDGET"]
 
 #: Default cap on precomputed far-row + near-kernel bytes; beyond it,
 #: chunks spill to on-the-fly evaluation.  P2M transfer operators are
-#: always resident (they are what makes ``set_charges`` cheap) and are
+#: always resident (they form every expansion in one product) and are
 #: counted in :attr:`CompiledPlan.memory_bytes` but not budget-gated.
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
 #: Budget bytes per frozen near entry: float64 value + int32 column.
 _NEAR_ENTRY_BYTES = 8 + 4
+
+#: Maximum far-field pairs evaluated in one vectorized chunk.
+_FAR_CHUNK = 200_000
+#: Maximum target×source products per near-field dense block.
+_NEAR_BUDGET = 4_000_000
 
 
 @dataclass
@@ -206,6 +213,20 @@ def _add_incidences(frozen: tuple, rows: np.ndarray, src: np.ndarray) -> None:
         cols_l.append(src)
     rows_l.append(rows)
     lists_l.append(np.full(rows.size, len(cols_l) - 1))
+
+
+def _near_gradient(targets, sources, charges, exclude, softening: float = 0.0):
+    """Dense near-field gradient block (∇ of sum q/|x-s|, optionally
+    Plummer-softened) of a spilled near block."""
+    d = targets[:, None, :] - sources[None, :, :]
+    r2 = np.einsum("tsi,tsi->ts", d, d) + softening * softening
+    with np.errstate(divide="ignore"):
+        w = charges / (r2 * np.sqrt(r2))
+    w[r2 == 0.0] = 0.0
+    if exclude is not None:
+        rows = np.nonzero(exclude >= 0)[0]
+        w[rows, exclude[rows]] = 0.0
+    return -np.einsum("ts,tsi->ti", w, d)
 
 
 def _storage_degrees(sP: np.ndarray) -> np.ndarray:
@@ -333,7 +354,7 @@ class CompiledPlan:
         mem = 0
         budget_used = 0
 
-        # ---- far field: degree grouping identical to evaluate_lists ----
+        # ---- far field: pairs grouped by degree, in traversal order ----
         fn, ft = lists.far_nodes, lists.far_targets
         self._p2m_groups: list[_P2MGroup] = []
         self._operands: dict[int, tuple] = {}
@@ -496,7 +517,7 @@ class CompiledPlan:
         """Index structure of one far chunk.  Each pair is its own block
         row, so the product yields per-pair values that the caller
         scatters onto their targets in traversal order — the summation
-        order of the un-planned path (folding a target's pairs into one
+        order of a per-pair evaluation (folding a target's pairs into one
         block row would sum all their terms in one running dot, which
         drifts from it by several ulps)."""
         idt = index_dtype(tids.size, self.n_targets, self._operand_nodes[p].size)
@@ -507,15 +528,23 @@ class CompiledPlan:
             cols=cols.astype(idt),
         )
 
-    def _far_operators(self, ch: _FarChunk, want_grad: bool, want_bound: bool, dtype):
-        """``(op, gop, bgeom)`` of a far chunk built from geometry — at
-        compile time, and on every application of a spilled or shed
-        chunk (the arithmetic is the same, so spilled results are
-        bitwise the resident ones)."""
-        tree = self.tc.tree
+    def _far_table(self, ch: _FarChunk, want_grad: bool):
+        """``(T, nodes, rel)`` of a far chunk: the irregular solid table
+        of its pairs (at ``p+1`` when ``want_grad``), their source nodes
+        and target offsets from the expansion centres."""
         nodes = self._operand_nodes[ch.p][ch.cols]
-        rel = self.tgt[ch.tids] - tree.center_exp[nodes]
-        T = irregular_solid(rel, ch.p + 1 if want_grad else ch.p)
+        rel = self.tgt[ch.tids] - self.tc.tree.center_exp[nodes]
+        return irregular_solid(rel, ch.p + 1 if want_grad else ch.p), nodes, rel
+
+    def _far_operators(
+        self, ch: _FarChunk, want_grad: bool, want_bound: bool, dtype, table=None
+    ):
+        """``(op, gop, bgeom)`` of a far chunk built from geometry (or
+        from its :meth:`_far_table` ``table``) — at compile time, and on
+        every application of a spilled or shed chunk (the arithmetic is
+        the same, so spilled potentials are bitwise the resident
+        ones)."""
+        T, nodes, rel = table or self._far_table(ch, want_grad)
         data, gdata = _row_blocks(T, ch.p, False, want_grad, dtype)
         n_rows = self._operand_nodes[ch.p].size
         op = bsr(data, ch.cols, ch.indptr, n_rows)
@@ -523,7 +552,7 @@ class CompiledPlan:
         bgeom = None
         if want_bound:
             r = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-            bgeom = theorem1_bound(1.0, tree.radius[nodes], r, ch.p)
+            bgeom = theorem1_bound(1.0, self.tc.tree.radius[nodes], r, ch.p)
         return op, gop, bgeom
 
     def _freeze_near(self, frozen: tuple, grad: bool) -> int:
@@ -623,7 +652,7 @@ class CompiledPlan:
         operands ``{p: (X, A)}`` the far units read.
 
         Passes the ``treecode.coeffs`` fault-injection site and NaN/Inf
-        guard, exactly like the un-planned upward pass.
+        guard.
         """
         stored: dict = {}
         with span("plan.p2m", groups=len(self._p2m_groups)):
@@ -666,17 +695,25 @@ class CompiledPlan:
 
     def _far_unit(self, ctx, ch: _FarChunk, phi, grad, bound, stats):
         X, A = ctx[ch.p]
+        Xf = X.reshape((-1,) + X.shape[2:])
         op, gop, bgeom = ch.op, ch.gop, ch.bgeom
-        if op is None:  # spilled or shed: rebuild the rows for this product
+        if op is None:  # spilled or shed: rebuild the potential rows
             want_bound = bound is not None and bgeom is None
-            op, gop, built = self._far_operators(
-                ch, grad is not None, want_bound, np.float64
+            table = self._far_table(ch, grad is not None)
+            op, _, built = self._far_operators(
+                ch, False, want_bound, np.float64, table
             )
             bgeom = built if want_bound else bgeom
-        Xf = X.reshape((-1,) + X.shape[2:])
         scatter_add(phi, ch.tids, apply(op, Xf))
+        op = None  # a spilled chunk's rows go before its gradient pass
         if grad is not None:
-            scatter_add(grad, ch.tids, apply(gop, Xf).reshape(-1, 3))
+            if gop is not None:
+                g = apply(gop, Xf).reshape(-1, 3)
+            else:  # operand rows against the table: no (pairs, 3, 2·nc) rows
+                nc = ncoef(ch.p)
+                Ct = (X[:, :nc] + 1j * X[:, nc : 2 * nc]).T.copy()
+                g = grad_contract_rows(Ct[:, ch.cols].T, table[0], ch.p, False)
+            scatter_add(grad, ch.tids, g)
         if bound is not None:
             b = A[ch.cols] * (bgeom if A.ndim == 1 else bgeom[:, None])
             scatter_add(bound, ch.tids, b)
@@ -848,8 +885,8 @@ class CompiledPlan:
 
     def _shed_stage2(self) -> int:
         """Drop far rows and near kernels to the spilled paths (exact
-        float64 recompute — full accuracy returns, at un-planned
-        evaluation speed)."""
+        float64 recompute — full accuracy returns, at the speed of a
+        fully spilled plan)."""
         freed = 0
         for ch in self._far_chunks:
             for A in (ch.op, ch.gop):
@@ -930,10 +967,9 @@ class CompiledPlan:
     def execute(self, charges: np.ndarray) -> TreecodeResult:
         """Apply the frozen operators to a charge vector.
 
-        Equivalent to ``tc.set_charges(charges)`` followed by
-        ``tc.evaluate_lists(...)`` with the compiled configuration, but
-        without touching any treecode state; agreement is to rounding
-        (``<= 1e-12``).
+        A pure function of ``charges``: no treecode state is read or
+        written beyond the frozen geometry, and plans compiled at any
+        memory budget agree to rounding (``<= 1e-12``).
 
         ``charges`` may be an ``(n, k)`` batch of stacked charge
         vectors; every operator then multiplies the whole batch in one

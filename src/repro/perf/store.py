@@ -85,8 +85,9 @@ ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 #: CSR per plan.  4: cluster groups hold lattice M2L schedules — operator
 #: runs, scale rows and a target sum matrix — over per-direction
 #: operators; treecodes may carry no expansions.  5: FMM plans hold
-#: lattice M2L operators and a near CSR instead of a rotation cache).
-STORE_FORMAT_VERSION = 5
+#: lattice M2L operators and a near CSR instead of a rotation cache.
+#: 6: treecodes carry no upward-pass state and digests no ``upward``).
+STORE_FORMAT_VERSION = 6
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64
@@ -462,7 +463,6 @@ def plan_digest(
         "policy_fields": {k: v for k, v in sorted(vars(policy).items())},
         "alpha": tc.alpha,
         "softening": tc.softening,
-        "upward": tc.upward,
         "leaf_size": int(tree.leaf_size),
         "expansion_center": tree.expansion_center,
         "mode": mode,

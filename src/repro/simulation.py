@@ -5,7 +5,10 @@ astrophysics ... and molecular dynamics") needs more than a potential
 evaluator: a time integrator whose force engine is rebuilt every step.
 This module provides a kick-drift-kick leapfrog
 (:class:`LeapfrogIntegrator`) with energy diagnostics, so the treecode
-is usable as a drop-in n-body engine.
+is usable as a drop-in n-body engine.  Each force evaluation builds the
+step's treecode and runs its dual-traversal cluster plan
+(:class:`~repro.perf.cluster.ClusterPlan`, box-box M2L into per-leaf
+local expansions) with gradients.
 
 Conventions: "charges" are masses for gravity (``sign = -1``) or real
 charges for electrostatics (``sign = +1``); the pairwise interaction
@@ -48,7 +51,8 @@ class LeapfrogIntegrator:
     Parameters
     ----------
     degree_policy, alpha, leaf_size, softening:
-        Treecode configuration, rebuilt every step (particles move).
+        Treecode configuration, rebuilt every step (particles move);
+        forces come from its cluster plan.
     G:
         Coupling constant.
     sign:
@@ -89,10 +93,18 @@ class LeapfrogIntegrator:
             softening=self.softening,
         )
 
+    def _evaluate(self, state: SimulationState, compute: str):
+        # positions change every step, so a stored plan would never hit
+        plan = self._treecode(state).compile_plan(
+            mode="cluster", compute=compute, cache_dir=""
+        )
+        return plan.execute(state.masses)
+
     def forces(self, state: SimulationState) -> np.ndarray:
         """Accelerations at the current positions (also caches the
-        per-particle potential for :meth:`energy`)."""
-        res = self._treecode(state).evaluate(compute="both")
+        per-particle potential for :meth:`energy`).  Compiles one
+        cluster plan."""
+        res = self._evaluate(state, "both")
         self._last_potential = res.potential
         # interaction energy sign: gravity = -G q q / r
         return self.sign * (-self.G) * res.gradient
@@ -104,7 +116,7 @@ class LeapfrogIntegrator:
         leapfrog evaluates forces exactly at integer steps).
         """
         if self._last_potential is None:
-            res = self._treecode(state).evaluate()
+            res = self._evaluate(state, "potential")
             self._last_potential = res.potential
         kin = state.kinetic_energy()
         pot = float(0.5 * self.sign * self.G * np.sum(state.masses * self._last_potential))

@@ -12,6 +12,7 @@ from repro.perf import ClusterPlan
 from repro.robust import faults as faults_mod
 from repro.robust.faults import FaultInjector, parse_fault_spec, set_injector
 from repro.robust.retry import RetryPolicy
+from treecode_reference import assert_matches_reference, reference_evaluate
 
 FAST = RetryPolicy(max_retries=3, base_delay=0.0, max_delay=0.0)
 
@@ -169,12 +170,12 @@ class TestFloat32Rows:
 
 
 # ----------------------------------------------------------------------
-# Satellite: 1 MiB spill path (pc plan) vs un-planned evaluation
+# 1 MiB spill path (pc plan) vs the per-pair reference
 # ----------------------------------------------------------------------
 
 
 class TestSpillPath:
-    def test_spilled_plan_matches_unplanned(self, small_cloud):
+    def test_spilled_plan_matches_reference(self, small_cloud):
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
         plan = tc.compile_plan(
@@ -182,15 +183,8 @@ class TestSpillPath:
         )
         assert plan.n_far_spilled + plan.n_near_spilled > 0
         assert plan.memory_bytes <= 1 << 20
-        direct = tc.evaluate(compute="both", accumulate_bounds=True)
-        res = plan.execute(q)
-        assert np.max(np.abs(res.potential - direct.potential)) <= 1e-12
-        np.testing.assert_allclose(
-            res.gradient, direct.gradient, rtol=1e-9, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            res.error_bound, direct.error_bound, rtol=1e-9, atol=1e-12
-        )
+        ref = reference_evaluate(tc, compute="both", accumulate_bounds=True)
+        assert_matches_reference(plan.execute(q), ref)
 
 
 # ----------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_box_view_shares_nodes_with_exact_radius(rng):
     np.testing.assert_allclose(
         tree.domain_lo + ic * unit, tree.center_geom, rtol=0, atol=1e-14
     )
-    # the un-planned path keeps its charge-centred expansions
+    # the target-major plans keep their charge-centred expansions
     assert tree.expansion_center == "abs_com"
 
 

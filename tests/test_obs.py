@@ -208,8 +208,9 @@ def test_treecode_evaluate_spans_and_counters_match_stats(rng):
         "treecode.upward",
         "treecode.traverse",
         "treecode.eval",
-        "treecode.far_field",
-        "treecode.near_field",
+        "plan.compile",
+        "plan.far_field",
+        "plan.near_field",
     } <= names
     counters = rec.report()["metrics"]["counters"]
     s = res.stats
@@ -316,6 +317,7 @@ def test_disabled_run_records_nothing(rng):
     tc = Treecode(pts, np.ones(300), degree_policy=FixedDegree(3), alpha=0.5)
     tc.evaluate()
     assert len(tracing.get_tracer()) == 0
-    assert REGISTRY.names() == []
+    # evaluate compiles a plan: events count with tracing off, nothing else
+    assert REGISTRY.names() == ["plan_compiles"]
     # stats timing still works without observability
     assert tc.base_stats.build_time > 0

@@ -17,6 +17,7 @@ from repro.robust.faults import FaultInjector, parse_fault_spec, set_injector
 from repro.robust.guards import NumericalCorruptionError
 from repro.robust.retry import RetryPolicy
 from repro.tree.octree import build_octree
+from treecode_reference import assert_matches_reference, reference_evaluate
 
 FAST = RetryPolicy(max_retries=3, base_delay=0.0, max_delay=0.0)
 
@@ -31,8 +32,8 @@ def injector_guard():
 
 
 def assert_stats_equal(a, b):
-    """Interaction counts are frozen at compile time and must match the
-    un-planned evaluation *exactly* (they are integers, not floats)."""
+    """Interaction counts are frozen at compile time and must match
+    *exactly* (they are integers, not floats)."""
     assert a.n_targets == b.n_targets
     assert a.n_pc_interactions == b.n_pc_interactions
     assert a.n_pp_pairs == b.n_pp_pairs
@@ -55,32 +56,17 @@ class TestPlanEquivalence:
     def test_self_eval_matches_direct(self, small_cloud, policy):
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=policy, alpha=0.6)
-        direct = tc.evaluate(compute="both", accumulate_bounds=True)
+        ref = reference_evaluate(tc, compute="both", accumulate_bounds=True)
         plan = tc.compile_plan(compute="both", accumulate_bounds=True)
-        res = plan.execute(q)
-        assert np.max(np.abs(res.potential - direct.potential)) <= 1e-12
-        np.testing.assert_allclose(res.gradient, direct.gradient, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(
-            res.error_bound, direct.error_bound, rtol=1e-9, atol=1e-12
-        )
-        assert_stats_equal(res.stats, direct.stats)
-        assert set(res.stats.bound_by_level) == set(direct.stats.bound_by_level)
-        for L, v in direct.stats.bound_by_level.items():
-            assert res.stats.bound_by_level[L] == pytest.approx(v, rel=1e-9)
+        assert_matches_reference(plan.execute(q), ref)
 
     def test_external_targets(self, small_cloud, rng):
         pts, q = small_cloud
         tgt = rng.random((150, 3)) * 1.5 - 0.25
         tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5)
-        direct = tc.evaluate(tgt, compute="both", accumulate_bounds=True)
+        ref = reference_evaluate(tc, tgt, compute="both", accumulate_bounds=True)
         plan = tc.compile_plan(targets=tgt, compute="both", accumulate_bounds=True)
-        res = plan.execute(q)
-        assert np.max(np.abs(res.potential - direct.potential)) <= 1e-12
-        np.testing.assert_allclose(res.gradient, direct.gradient, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(
-            res.error_bound, direct.error_bound, rtol=1e-9, atol=1e-12
-        )
-        assert_stats_equal(res.stats, direct.stats)
+        assert_matches_reference(plan.execute(q), ref)
 
     def test_plan_is_pure_across_charge_swaps(self, small_cloud, rng):
         """One plan serves many charge vectors; the treecode's own state
@@ -91,9 +77,8 @@ class TestPlanEquivalence:
         for seed in range(3):
             q2 = np.random.default_rng(seed).uniform(-1, 1, pts.shape[0])
             tc.set_charges(q2)
-            direct = tc.evaluate()
             res = plan.execute(q2)
-            assert np.max(np.abs(res.potential - direct.potential)) <= 1e-12
+            assert_matches_reference(res, reference_evaluate(tc))
 
     def test_spill_matches_precomputed(self, small_cloud):
         """A zero budget spills every far chunk and near block to
@@ -173,15 +158,9 @@ class TestSharedGeometry:
         mesh = icosphere(1)
         x = rng.uniform(0.5, 1.5, mesh.n_vertices)
         geometry = OperatorGeometry(mesh, n_gauss=3)
-        solo = SingleLayerOperator(
-            mesh, n_gauss=3, degree_policy=FixedDegree(5), use_plan=False
-        )
+        solo = SingleLayerOperator(mesh, n_gauss=3, degree_policy=FixedDegree(5))
         shared = SingleLayerOperator(
-            mesh,
-            n_gauss=3,
-            degree_policy=FixedDegree(5),
-            use_plan=False,
-            geometry=geometry,
+            mesh, n_gauss=3, degree_policy=FixedDegree(5), geometry=geometry
         )
         np.testing.assert_allclose(shared.matvec(x), solo.matvec(x), rtol=1e-12)
         # a second operator on the same geometry object shares the octree
@@ -189,7 +168,6 @@ class TestSharedGeometry:
             mesh,
             n_gauss=3,
             degree_policy=AdaptiveChargeDegree(p0=4, alpha=0.5),
-            use_plan=False,
             geometry=geometry,
         )
         assert other.treecode.tree is shared.treecode.tree
@@ -214,27 +192,46 @@ class TestSharedGeometry:
 
 
 class TestBemPlan:
-    def test_matvec_matches_unplanned(self, rng):
+    def test_matvec_matches_reference(self, rng):
         mesh = icosphere(2)
         x = rng.uniform(0.5, 1.5, mesh.n_vertices)
         y = rng.uniform(-1.0, 1.0, mesh.n_vertices)
-        planned = SingleLayerOperator(
-            mesh, n_gauss=3, degree_policy=FixedDegree(5), alpha=0.5
+        op = SingleLayerOperator(mesh, n_gauss=3, degree_policy=FixedDegree(5), alpha=0.5)
+
+        def reference(sigma):
+            # the operator's tree: structure charges are the weights
+            tc = Treecode(
+                op.points, op.weights, degree_policy=FixedDegree(5),
+                alpha=0.5, leaf_size=32,
+            )
+            tc.set_charges(op.charges_for(sigma))
+            return reference_evaluate(tc, mesh.vertices).potential
+
+        # the first application compiles; later ones reuse the plan
+        v1 = op.matvec(x)
+        plan = op._plan
+        assert plan is not None
+        np.testing.assert_allclose(v1, reference(x), rtol=0, atol=1e-12)
+        v2 = op.matvec(y)
+        assert op._plan is plan
+        np.testing.assert_allclose(v2, reference(y), rtol=0, atol=1e-12)
+        v3 = op.matvec(x)
+        np.testing.assert_array_equal(v3, v1)
+        assert op.n_matvecs == 3
+
+    def test_on_the_fly_budget_matches_frozen(self, rng):
+        """``plan_budget=0`` freezes nothing and gives the same
+        potentials, batched or not."""
+        mesh = icosphere(2)
+        X = rng.uniform(-1.0, 1.0, (mesh.n_vertices, 3))
+        frozen = SingleLayerOperator(mesh, n_gauss=3, degree_policy=FixedDegree(5))
+        spilled = SingleLayerOperator(
+            mesh, n_gauss=3, degree_policy=FixedDegree(5), plan_budget=0
         )
-        fallback = SingleLayerOperator(
-            mesh, n_gauss=3, degree_policy=FixedDegree(5), alpha=0.5, use_plan=False
-        )
-        # first application pays no compile (one-shot callers unaffected)
-        v1 = planned.matvec(x)
-        assert planned._plan is None
-        np.testing.assert_allclose(v1, fallback.matvec(x), rtol=0, atol=1e-12)
-        # the second application compiles; later ones reuse the plan
-        v2 = planned.matvec(y)
-        assert planned._plan is not None
-        np.testing.assert_allclose(v2, fallback.matvec(y), rtol=0, atol=1e-12)
-        v3 = planned.matvec(x)
-        np.testing.assert_allclose(v3, v1, rtol=0, atol=1e-12)
-        assert planned.n_matvecs == 3
+        a, b = frozen.matvec(X), spilled.matvec(X)
+        assert spilled._plan.n_far_precomputed == spilled._plan.n_near_precomputed == 0
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spilled.matvec(X[:, 0]), a[:, 0], rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -308,14 +305,14 @@ class TestParallelPlan:
 
 
 # ----------------------------------------------------------------------
-# Fault-injection parity with the un-planned path
+# Fault injection at the coefficient site
 # ----------------------------------------------------------------------
 
 
 class TestPlanFaultParity:
     def test_coeff_corruption_degrades_identically(self, small_cloud, injector_guard):
         """A NaN injected at the coefficient site must trip the same
-        guard in the planned and un-planned upward passes."""
+        guard in a resident plan and in evaluate's spilled one."""
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
         plan = tc.compile_plan()
@@ -323,7 +320,7 @@ class TestPlanFaultParity:
         with pytest.raises(NumericalCorruptionError):
             plan.execute(q)
         with pytest.raises(NumericalCorruptionError):
-            tc.set_charges(q)
+            tc.evaluate()
 
 
 # ----------------------------------------------------------------------

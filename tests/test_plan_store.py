@@ -241,6 +241,35 @@ def test_previous_format_version_recompiles(built, tmp_path):
         assert np.array_equal(load_plan(path).execute(q).potential, fresh.potential)
 
 
+def test_format5_file_misses_as_version(built, tmp_path, monkeypatch):
+    """Format 6 dropped the treecode's upward-pass state and the
+    ``upward`` digest key: a format-5 file is a ``version`` miss, for
+    ``evaluate``'s spilled plans (which go through the store) too."""
+    from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
+
+    assert STORE_FORMAT_VERSION == 6
+    pts, q, tc = built
+    monkeypatch.setenv(ENV_PLAN_CACHE, str(tmp_path))
+    fresh = tc.evaluate()
+    (path,) = tmp_path.glob("*.plan")
+    blob = bytearray(path.read_bytes())
+    off = len(_MAGIC)
+    blob[off : off + 4] = np.uint32(5).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(PlanStoreError) as exc:
+        load_plan(path)
+    assert exc.value.reason == "version"
+
+    REGISTRY.reset()
+    try:
+        got = tc.evaluate()
+        assert _miss_counts() == {"version": 1}
+        assert REGISTRY.counter("plan_compiles").value == 1
+    finally:
+        REGISTRY.reset()
+    np.testing.assert_array_equal(got.potential, fresh.potential)
+
+
 def test_absent_file_raises_absent(tmp_path):
     with pytest.raises(PlanStoreError) as exc:
         load_plan(tmp_path / "nope.plan")

@@ -263,7 +263,7 @@ class TestGuards:
     def test_coeff_injection_fails_loudly(self, clean_injector, small_cloud):
         pts, q = small_cloud
         set_injector(FaultInjector(parse_fault_spec("coeff_nan:1.0"), seed=0))
-        # expansions are built by the first un-planned evaluation
+        # expansions are formed when evaluate executes its plan
         tc = Treecode(pts, q, degree_policy=AdaptiveChargeDegree(p0=3, alpha=0.7))
         with pytest.raises(NumericalCorruptionError, match="treecode.coeffs"):
             tc.evaluate()

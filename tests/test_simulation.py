@@ -97,3 +97,54 @@ def test_zero_steps_noop():
     LeapfrogIntegrator(degree_policy=FixedDegree(4)).run(state, dt=1e-3, n_steps=0)
     assert np.array_equal(state.positions, pos0)
     assert state.step == 0
+
+
+def test_each_force_evaluation_compiles_one_cluster_plan(tmp_path):
+    from repro.obs import journal
+    from repro.obs.journal import Journal, read_journal
+
+    state = make_state(n=200)
+    integ = LeapfrogIntegrator(degree_policy=FixedDegree(5), softening=0.01)
+    path = tmp_path / "run.jsonl"
+    with Journal(str(path)) as j:
+        journal.set_journal(j)
+        try:
+            for _ in range(2):
+                integ.forces(state)
+                state.positions += 1e-3 * state.velocities
+        finally:
+            journal.set_journal(None)
+    modes = [
+        e["data"]["mode"] for e in read_journal(str(path)) if e["event"] == "plan_compile"
+    ]
+    assert modes == ["cluster", "cluster"]
+
+
+def test_step_kick_no_worse_than_target_major_forces():
+    """One step of unit masses on a 1,000-point uniform cloud: the
+    velocity kick from cluster-plan forces is at least as close to the
+    exact kick as one from target-major forces (``Treecode.evaluate``)."""
+    from repro import Treecode
+    from repro.direct import direct_gradient
+
+    rng = np.random.default_rng(1)
+    n, dt = 1000, 1e-3
+    x = rng.random((n, 3))
+    v = 0.1 * rng.standard_normal((n, 3))
+    m = np.ones(n)
+
+    def kick(accel):  # gravity: acceleration = grad sum m/r
+        a0 = accel(x)
+        return 0.5 * dt * (a0 + accel(x + dt * (v + 0.5 * dt * a0)))
+
+    exact = kick(lambda y: direct_gradient(y, m))
+    target = kick(lambda y: Treecode(y, m).evaluate(compute="both").gradient)
+    state = SimulationState(positions=x.copy(), velocities=v.copy(), masses=m.copy())
+    LeapfrogIntegrator().run(state, dt, 1, record_every=0)
+    cluster = state.velocities - v
+
+    def err(k):
+        return np.linalg.norm(k - exact) / np.linalg.norm(exact)
+
+    assert err(cluster) <= err(target)
+    assert err(cluster) < 1e-3

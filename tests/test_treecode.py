@@ -6,6 +6,7 @@ import pytest
 from repro.core.degree import AdaptiveChargeDegree, FixedDegree, LevelDegree
 from repro.core.treecode import Treecode
 from repro.direct import direct_gradient, direct_potential
+from treecode_reference import assert_matches_reference, reference_evaluate
 
 
 def rel_err(a, b):
@@ -66,13 +67,6 @@ def test_error_bound_is_rigorous(small_cloud):
         assert np.all(np.abs(res.potential - ref) <= res.error_bound + 1e-12)
 
 
-def test_upward_modes_agree(small_cloud):
-    pts, q = small_cloud
-    r_m2m = Treecode(pts, q, degree_policy=AdaptiveChargeDegree(p0=4), upward="m2m").evaluate()
-    r_p2m = Treecode(pts, q, degree_policy=AdaptiveChargeDegree(p0=4), upward="p2m").evaluate()
-    assert np.allclose(r_m2m.potential, r_p2m.potential, rtol=1e-9, atol=1e-11)
-
-
 def test_external_targets(positive_cloud, rng):
     pts, q = positive_cloud
     tgt = rng.random((50, 3)) * 0.5 + 2.0  # outside the cloud
@@ -127,10 +121,9 @@ def test_results_in_original_order(rng):
 def test_set_charges_consistency(small_cloud, rng):
     pts, q = small_cloud
     tc = Treecode(pts, q, degree_policy=FixedDegree(6), alpha=0.5)
-    lists = tc.traverse(tc.tree.points, self_targets=True)
     q2 = rng.uniform(-1, 1, len(q))
     tc.set_charges(q2)
-    res = tc.evaluate_lists(lists, tc.tree.points, self_targets=True)
+    res = tc.evaluate()
     ref = direct_potential(pts, q2)
     assert rel_err(res.potential, ref) < 2e-3
 
@@ -144,13 +137,20 @@ def test_set_charges_rebuilds_aggregates(small_cloud):
         tc.set_charges(np.zeros(3))
 
 
-def test_evaluate_lists_matches_evaluate(small_cloud):
+@pytest.mark.parametrize(
+    "policy",
+    [FixedDegree(5), AdaptiveChargeDegree(p0=3, alpha=0.5)],
+    ids=["fixed", "adaptive"],
+)
+def test_evaluate_matches_reference(small_cloud, rng, policy):
+    """evaluate (a fully spilled plan) against the per-pair reference,
+    at the source points and at external targets."""
     pts, q = small_cloud
-    tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5)
-    r1 = tc.evaluate()
-    lists = tc.traverse(tc.tree.points, self_targets=True)
-    r2 = tc.evaluate_lists(lists, tc.tree.points, self_targets=True)
-    assert np.allclose(r1.potential, r2.potential, rtol=1e-14)
+    tc = Treecode(pts, q, degree_policy=policy, alpha=0.5)
+    for targets in (None, rng.random((80, 3)) * 1.5 - 0.25):
+        res = tc.evaluate(targets, compute="both", accumulate_bounds=True)
+        ref = reference_evaluate(tc, targets, compute="both", accumulate_bounds=True)
+        assert_matches_reference(res, ref)
 
 
 def test_traversal_covers_every_source_once(small_cloud):
@@ -193,8 +193,6 @@ def test_invalid_parameters(small_cloud):
         Treecode(pts, q, alpha=1.0)
     with pytest.raises(ValueError):
         Treecode(pts, q, alpha=0.0)
-    with pytest.raises(ValueError):
-        Treecode(pts, q, upward="sideways")
     tc = Treecode(pts, q, degree_policy=FixedDegree(3))
     with pytest.raises(ValueError):
         tc.evaluate(compute="everything")
