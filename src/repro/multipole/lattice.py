@@ -12,8 +12,17 @@ displacement ``d = ρ û`` only through
 
 So one dense real ``(2nc × 2nc)`` operator per canonical direction
 ``(|dx|, |dy|, |dz|) / gcd`` (:func:`lattice_keys`) serves every level,
-distance and octant.  L2L is the same construction over the eight
-octant diagonals of child shifts (:func:`l2l_operator`).
+distance and octant.  Cluster plans go one step further and split the
+distance factor in two.  With ``h`` a box half size and ``ρ = κ_s h_s =
+κ_t h_t``, the per-box powers ``h_s⁻ⁿ`` and ``h_t⁻ʲ⁻¹`` are powers of two
+times a root constant, and ``κ_s``, ``κ_t`` depend only on the squared
+offset in units of the pair's finer box and the level step
+(:func:`level_keys`).  One operator ``diag(κ_s⁻ⁿ) T(û) diag(κ_t⁻ʲ⁻¹)``
+per (direction, length, level step) key (:func:`key_operators`) then
+leaves no per-pair scaling at all.  Direction operators recur across
+plans of the same cloud and are memoised under a byte cap
+(:func:`direction_operators`).  L2L is the same construction over the
+eight octant diagonals of child shifts (:func:`l2l_operator`).
 
 All operators act on rows in the *interleaved* real layout ``[Re c_0,
 Im c_0, Re c_1, Im c_1, ...]`` of packed coefficients (row convention
@@ -23,6 +32,7 @@ Im c_0, Re c_1, Im c_1, ...]`` of packed coefficients (row convention
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +48,11 @@ from .translations import _iphase_grid, _sq_grid
 
 __all__ = [
     "m2l_operators",
+    "direction_operators",
+    "key_operators",
+    "key_diagonals",
+    "level_keys",
+    "interleaved_degrees",
     "l2l_operator",
     "interleave_index",
     "octant_signs",
@@ -57,6 +72,16 @@ _KEY_BITS = 21
 #: Matrix entries per operator-building pass (bounds the complex
 #: temporaries of :func:`m2l_operators` to ~32 MB each).
 _BUILD_PASS = 1 << 21
+
+#: Byte cap of the direction-operator memo of :func:`direction_operators`;
+#: entries are evicted oldest first.  Default cluster plans of uniform
+#: clouds fill 10 MB at n=3000 and 19 MB at n=20k (one entry per
+#: direction and degree); one degree-40 operator alone takes 24 MB.
+_MEMO_BYTES = 32 << 20
+
+_memo: dict = {}  #: ``(packed direction key, degree) -> operator``
+_memo_bytes = 0
+_memo_lock = threading.Lock()
 
 
 def _singular_grid(d_u: np.ndarray, p: int, dtype=np.complex128) -> np.ndarray:
@@ -129,6 +154,77 @@ def m2l_operators(u: np.ndarray, p: int) -> np.ndarray:
         cp *= f
         cm *= fm
         _real_operator(cp.reshape(-1, nc, nc), cm.reshape(-1, nc, nc), T[lo:hi])
+    return T
+
+
+def direction_operators(keys: np.ndarray, p: int) -> list:
+    """Degree-``p`` M2L operators ``(2nc, 2nc)`` of packed canonical
+    direction ``keys`` (:func:`lattice_keys`; repeats allowed), one
+    read-only array per key.
+
+    Direction operators recur in every plan compiled on the same cloud,
+    so they are memoised per (key, degree) in a FIFO memo capped at
+    :data:`_MEMO_BYTES` bytes; all misses are built in one
+    :func:`m2l_operators` call.
+    """
+    global _memo_bytes
+    ukeys, inv = np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
+    with _memo_lock:
+        found = [_memo.get((k, p)) for k in ukeys.tolist()]
+    miss = [i for i, T in enumerate(found) if T is None]
+    if miss:
+        built = m2l_operators(unpack_keys(ukeys[miss]), p)
+        built.setflags(write=False)
+        with _memo_lock:
+            for i, T in zip(miss, built):
+                found[i] = T
+                if _memo.setdefault((int(ukeys[i]), p), T) is T:
+                    _memo_bytes += T.nbytes
+            while _memo_bytes > _MEMO_BYTES and _memo:
+                _memo_bytes -= _memo.pop(next(iter(_memo))).nbytes
+    return [found[i] for i in inv.tolist()]
+
+
+def level_keys(r2: np.ndarray, ls: np.ndarray, lt: np.ndarray, lmax: int):
+    """Level-normalised parts of the keys of box pairs at source and
+    target levels ``ls``, ``lt`` whose centres are ``|d|² = r2`` apart in
+    units of the level-``lmax`` half size: ``(r2 >> 2·(lmax − max(ls,
+    lt)), ls − lt)`` — the squared offset in units of the pair's finer
+    box (exact: box centres of level ``L`` sit on odd multiples of its
+    half size) and the level step."""
+    shift = 2 * (lmax - np.maximum(ls, lt)).astype(np.int64)
+    return r2 >> shift, (ls - lt).astype(np.int64)
+
+
+@lru_cache(maxsize=_CACHE_DEGREES)
+def interleaved_degrees(p: int) -> np.ndarray:
+    """Degree ``n`` of each coefficient of the interleaved degree-``p``
+    layout, as int32 (the exponent dtype of ``np.ldexp``'s fast loop);
+    cached per degree, read-only."""
+    out = np.repeat(degree_of_index(p)[0], 2).astype(np.int32)
+    out.setflags(write=False)
+    return out
+
+
+def key_diagonals(kappa: np.ndarray, p: int):
+    """``(κ_s⁻ⁿ, κ_t⁻ʲ⁻¹)`` over the interleaved degree-``p`` layout,
+    one row per key, for ``kappa`` rows ``(κ_s, κ_t)``."""
+    ns2 = interleaved_degrees(p)
+    kappa = np.asarray(kappa, dtype=np.float64).reshape(-1, 2)
+    inv = power_table(1.0 / kappa, p)  # (K, 2, p + 1)
+    return inv[:, 0, ns2], inv[:, 1, ns2] / kappa[:, 1:]
+
+
+def key_operators(keys: np.ndarray, kappa: np.ndarray, p: int) -> np.ndarray:
+    """Degree-``p`` M2L operators ``diag(κ_s⁻ⁿ) T(û) diag(κ_t⁻ʲ⁻¹)`` of
+    lattice keys: packed directions ``keys`` (:func:`direction_operators`)
+    with distance rows ``kappa = (κ_s, κ_t)``, as one ``(keys, 2nc,
+    2nc)`` array."""
+    left, right = key_diagonals(kappa, p)
+    T = np.empty((left.shape[0],) + (left.shape[1],) * 2)
+    for Tk, D, lk in zip(T, direction_operators(keys, p), left):
+        np.multiply(D, lk[:, None], out=Tk)
+    T *= right[:, None, :]
     return T
 
 
@@ -208,7 +304,7 @@ def octant_signs(p: int) -> np.ndarray:
 def scales(p: int, rho: np.ndarray, octs: np.ndarray):
     """Per-row diagonal scalings ``(S_o · ρⁿ, S_o · ρ⁻ⁿ)`` over the
     interleaved degree-``p`` layout, ``S_o`` the octant sign pattern."""
-    ns2 = np.repeat(degree_of_index(p)[0], 2)
+    ns2 = interleaved_degrees(p)
     S = octant_signs(p)[octs]
     return S * power_table(rho, p)[:, ns2], S * power_table(1.0 / rho, p)[:, ns2]
 

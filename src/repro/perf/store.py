@@ -86,8 +86,11 @@ ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 #: runs, scale rows and a target sum matrix — over per-direction
 #: operators; treecodes may carry no expansions.  5: FMM plans hold
 #: lattice M2L operators and a near CSR instead of a rotation cache.
-#: 6: treecodes carry no upward-pass state and digests no ``upward``).
-STORE_FORMAT_VERSION = 6
+#: 6: treecodes carry no upward-pass state and digests no ``upward``.
+#: 7: cluster M2L operators are per lattice key — direction, length and
+#: level step — and groups lose their scale tables: pairs read folded
+#: operand rows and sum into (octant, target) buckets).
+STORE_FORMAT_VERSION = 7
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64

@@ -247,7 +247,7 @@ def test_format5_file_misses_as_version(built, tmp_path, monkeypatch):
     ``evaluate``'s spilled plans (which go through the store) too."""
     from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
 
-    assert STORE_FORMAT_VERSION == 6
+    assert STORE_FORMAT_VERSION >= 6
     pts, q, tc = built
     monkeypatch.setenv(ENV_PLAN_CACHE, str(tmp_path))
     fresh = tc.evaluate()
@@ -354,3 +354,33 @@ def test_unwritable_cache_dir_still_compiles(built, monkeypatch, tmp_path):
     plan = tc.compile_plan(cache_dir=str(blocked / "cache"))
     ref = tc.compile_plan(cache_dir="")
     assert np.array_equal(plan.execute(q).potential, ref.execute(q).potential)
+
+
+def test_format6_file_misses_as_version(built, tmp_path):
+    """Format 7 keys cluster M2L operators by (direction, length, level
+    step) and drops the groups' scale tables: a format-6 cluster plan is
+    a ``version`` miss, and the recompile is bitwise a fresh compile."""
+    from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
+
+    assert STORE_FORMAT_VERSION == 7
+    pts, q, tc = built
+    fresh = tc.compile_plan(mode="cluster", cache_dir="").execute(q)
+    tc.compile_plan(mode="cluster", cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("*.plan")
+    blob = bytearray(path.read_bytes())
+    off = len(_MAGIC)
+    blob[off : off + 4] = np.uint32(6).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(PlanStoreError) as exc:
+        load_plan(path)
+    assert exc.value.reason == "version"
+
+    REGISTRY.reset()
+    tracing.enable()
+    try:
+        plan = tc.compile_plan(mode="cluster", cache_dir=str(tmp_path))
+        assert _miss_counts() == {"version": 1}
+    finally:
+        tracing.set_enabled(False)
+        REGISTRY.reset()
+    np.testing.assert_array_equal(plan.execute(q).potential, fresh.potential)
