@@ -105,7 +105,7 @@ def bench_warmstart(tc: Treecode, repeats: int) -> dict:
 
         digest = plan_digest(
             tc, None, True, "potential", False, plan.memory_budget,
-            "cluster", plan.rows_dtype, None, None,
+            "cluster", None, None,
         )
         path = cache / f"{digest}.plan"
         nbytes = save_plan(plan, path, digest=digest)

@@ -414,7 +414,6 @@ class Treecode:
         memory_budget: int | None = None,
         lists: InteractionLists | None = None,
         mode: str = "target",
-        rows_dtype=np.float64,
         n_units: int | None = None,
         tol: float | None = None,
         cache_dir=None,
@@ -434,10 +433,7 @@ class Treecode:
         ``mode="cluster"`` builds the dual-traversal
         :class:`~repro.perf.cluster.ClusterPlan` (box-box M2L into
         per-leaf local expansions; requires ``targets=None``; ``lists``
-        is not used).  ``rows_dtype=np.float32`` stores far/L2P row
-        matrices in single precision, roughly halving plan memory at the
-        cost of ~1e-7 relative rounding — well inside the Theorem-1
-        truncation ledger.  ``n_units`` controls the number of far work
+        is not used).  ``n_units`` controls the number of far work
         units a cluster plan is split into (parallelism granularity).
 
         ``tol`` switches the compiler to **variable-order** mode: each
@@ -486,7 +482,6 @@ class Treecode:
                 DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
             ),
             mode=mode,
-            rows_dtype=rows_dtype,
             n_units=n_units,
             tol=tol,
             cache_dir=cache_dir,

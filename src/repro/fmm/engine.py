@@ -352,7 +352,7 @@ class UniformFMM:
             np.negative(Rt[:nc].imag.T, out=G[:, nc:, 0])
             ptr = np.append(self.cell_start[occupied], n).astype(idt)
             p2m = bsr(G, np.arange(n, dtype=idt), ptr, n)
-            R, _ = _row_blocks(Rt, pL, True, False, np.float64)
+            R, _ = _row_blocks(Rt, pL, True, False)
             slot = np.zeros(8**L, dtype=idt)
             slot[occupied] = np.arange(occupied.size, dtype=idt)
             l2p_op = bsr(
@@ -387,13 +387,14 @@ class UniformFMM:
             c = count[tc]
             first = np.cumsum(c) - c
             rows = np.arange(c.sum()) + np.repeat(self.cell_start[tc] - first, c)
+            pts_t = np.ascontiguousarray(self.points.T)
             indptr, indices, data, _ = assemble_near(
-                self.points,
-                self.points,
+                pts_t,
+                pts_t,
                 rows,
                 np.repeat(slot[sc], c),
-                [np.arange(self.cell_start[o], self.cell_end[o]) for o in occupied],
-                n,
+                np.arange(n),
+                ptr,
                 True,
                 0.0,
                 False,

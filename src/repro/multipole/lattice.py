@@ -109,20 +109,21 @@ def _m2l_gather(p: int) -> tuple:
     ``(j + n, m - k)`` for the source coefficient and at ``(j + n, -m -
     k)`` for its conjugate mirror (none at ``m = 0``), both times
     ``i^{-|m|} (-1)^n / sq(n, m) · i^{-|k|} / sq(j, k)``.  Returns
-    ``(idx_plus, idx_minus, f_plus, f_minus)``, flat over the
-    ``(nc, nc)`` matrix, read-only.
+    ``(idx_plus, idx_minus, f, mirror)``: int32 grid indices and the
+    factor, flat over the ``(nc, nc)`` matrix, and the source rows with
+    a mirror (``m > 0``); read-only.  24 bytes an entry (21 MB at
+    p=42): the factor is not stored a second time with the mirrorless
+    rows zeroed.
     """
     ns, ms = degree_of_index(p)
     ptot, width = 2 * p, 4 * p + 1
     ph = _iphase_grid(p, -1)[ns, p + ms] / _sq_grid(p)[ns, p + ms]
-    f = (ph * (-1.0) ** ns)[:, None] * ph[None, :]
-    fm = np.where((ms > 0)[:, None], f, 0.0)
     row = (ns[:, None] + ns[None, :]) * width + ptot
     out = (
-        (row + ms[:, None] - ms[None, :]).ravel(),
-        (row - ms[:, None] - ms[None, :]).ravel(),
-        f.ravel(),
-        fm.ravel(),
+        (row + ms[:, None] - ms[None, :]).ravel().astype(np.int32),
+        (row - ms[:, None] - ms[None, :]).ravel().astype(np.int32),
+        ((ph * (-1.0) ** ns)[:, None] * ph[None, :]).ravel(),
+        ms > 0,
     )
     for a in out:
         a.setflags(write=False)
@@ -144,7 +145,7 @@ def m2l_operators(u: np.ndarray, p: int) -> np.ndarray:
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1, 3)
     nc = ncoef(p)
-    ip, im, f, fm = _m2l_gather(p)
+    ip, im, f, mirror = _m2l_gather(p)
     T = np.empty((u.shape[0], 2 * nc, 2 * nc))
     step = max(1, _BUILD_PASS // (nc * nc))
     for lo in range(0, u.shape[0], step):
@@ -152,8 +153,12 @@ def m2l_operators(u: np.ndarray, p: int) -> np.ndarray:
         S = np.ascontiguousarray(_singular_grid(u[lo:hi], p).reshape(-1, hi - lo).T)
         cp, cm = S[:, ip], S[:, im]
         cp *= f
-        cm *= fm
-        _real_operator(cp.reshape(-1, nc, nc), cm.reshape(-1, nc, nc), T[lo:hi])
+        # source rows without a mirror (m = 0) take a complex zero factor
+        cm3 = cm.reshape(-1, nc, nc)
+        zero = cm3[:, ~mirror] * 0.0
+        cm *= f
+        cm3[:, ~mirror] = zero
+        _real_operator(cp.reshape(-1, nc, nc), cm3, T[lo:hi])
     return T
 
 

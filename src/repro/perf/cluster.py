@@ -54,7 +54,10 @@ level.  M2L has no per-pair scaling:
   direction-major pass per far unit (:meth:`ClusterPlan._m2l_rebuilt`),
   which builds each direction once and scales those pairs itself.
 
-The target-major plans keep their charge-centred expansions.
+The target-major plans keep their charge-centred expansions.  The near
+field is the target-major plan's (:meth:`CompiledPlan._compile_near`):
+each target leaf's particles see one source list, the concatenated
+particles of its near-listed source leaves.
 """
 
 from __future__ import annotations
@@ -95,15 +98,7 @@ from .operators import (
     index_dtype,
     op_nbytes,
 )
-from .plan import (
-    _NEAR_BUDGET,
-    _NEAR_ENTRY_BYTES,
-    DEFAULT_MEMORY_BUDGET,
-    CompiledPlan,
-    _add_incidences,
-    _NearBlock,
-    _row_blocks,
-)
+from .plan import DEFAULT_MEMORY_BUDGET, CompiledPlan, _row_blocks
 
 __all__ = ["ClusterPlan"]
 
@@ -236,12 +231,13 @@ class ClusterPlan(CompiledPlan):
 
     ``n_far_spilled`` is always 0: the far field stores no row matrices,
     only index arrays, the lattice operators and the per-target L2P
-    rows, all resident.  The near field is the same CSR as the
-    target-major plan's, budget-gated the same way.  :meth:`execute`
-    matches the target-major plan (and so :meth:`Treecode.evaluate`) within
-    the Theorem-1 truncation ledgers: the cluster path expands about
-    box centres and adds the target-side truncation, which the dual
-    bound accounts for.
+    rows, all resident.  The near field is the target-major plan's:
+    row-range units over incidences, the leading units within budget
+    frozen into one CSR and the rest re-assembled per application.
+    :meth:`execute` matches the target-major plan (and so
+    :meth:`Treecode.evaluate`) within the Theorem-1 truncation ledgers:
+    the cluster path expands about box centres and adds the target-side
+    truncation, which the dual bound accounts for.
     """
 
     _mode = "cluster"
@@ -254,7 +250,6 @@ class ClusterPlan(CompiledPlan):
         compute: str = "potential",
         accumulate_bounds: bool = False,
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
-        rows_dtype=np.float64,
         n_units: int | None = None,
         tol: float | None = None,
     ) -> None:
@@ -274,7 +269,6 @@ class ClusterPlan(CompiledPlan):
             compute=compute,
             accumulate_bounds=accumulate_bounds,
             memory_budget=memory_budget,
-            rows_dtype=rows_dtype,
             tol=tol,
         )
 
@@ -432,32 +426,26 @@ class ClusterPlan(CompiledPlan):
                     want_bounds,
                 )
 
-        # ---- near field: per target leaf against its source leaves -----
-        frozen = ([], [], [])  # incidence rows, their source lists, lists
-        self._near_spill: list[_NearBlock] = []
+        # ---- near field: each target leaf's particles against the
+        # concatenated particles of its near-listed source leaves -------
         nsrc, ntgt = pairs.near_src, pairs.near_tgt
-        if nsrc.size:
-            cs = tree.end[nsrc] - tree.start[nsrc]
-            ctn = tree.end[ntgt] - tree.start[ntgt]
-            stats.n_pp_pairs = int(np.sum(cs * ctn)) - int(
-                np.sum(np.where(nsrc == ntgt, ctn, 0))
-            )
-            order = np.lexsort((nsrc, ntgt))
-            nsrc, ntgt, cs = nsrc[order], ntgt[order], cs[order]
-            # every target leaf's source particles, concatenated in
-            # source-leaf order, for all leaves at once
-            off = np.zeros(nsrc.size + 1, dtype=np.int64)
-            np.cumsum(cs, out=off[1:])
-            sidx = np.arange(off[-1]) + np.repeat(tree.start[nsrc] - off[:-1], cs)
-            utl, tstarts = np.unique(ntgt, return_index=True)
-            bnds = list(tstarts) + [nsrc.size]
-            for leaf, lo, hi in zip(utl, bnds[:-1], bnds[1:]):
-                nb_mem, budget_used = self._compile_near_leaf(
-                    int(leaf), nsrc[lo:hi], sidx[off[lo] : off[hi]],
-                    off[lo:hi] - off[lo], grad_wanted, budget_used, frozen,
-                )
-                mem += nb_mem
-        mem += self._freeze_near(frozen, grad_wanted)
+        cs = tree.end[nsrc] - tree.start[nsrc]
+        ctn = tree.end[ntgt] - tree.start[ntgt]
+        stats.n_pp_pairs = int(np.sum(cs * ctn)) - int(
+            np.sum(np.where(nsrc == ntgt, ctn, 0))
+        )
+        order = np.lexsort((nsrc, ntgt))
+        nsrc, ntgt, cs = nsrc[order], ntgt[order], cs[order]
+        cum = np.zeros(nsrc.size + 1, dtype=np.int64)
+        np.cumsum(cs, out=cum[1:])
+        src = np.arange(cum[-1]) + np.repeat(tree.start[nsrc] - cum[:-1], cs)
+        utl, tstarts = np.unique(ntgt, return_index=True)
+        off = cum[np.append(tstarts, nsrc.size)]
+        cnt = tree.end[utl] - tree.start[utl]
+        first = np.cumsum(cnt) - cnt
+        rows = np.arange(cnt.sum()) + np.repeat(tree.start[utl] - first, cnt)
+        lists = np.repeat(np.arange(utl.size), cnt)
+        mem += self._compile_near(rows, lists, src, off, grad_wanted, budget_used)
 
         self._static_stats = stats
         self.memory_bytes = int(mem)
@@ -633,7 +621,7 @@ class ClusterPlan(CompiledPlan):
             idt = index_dtype(tidx.size, sel_l.size)
             pos = np.repeat(np.arange(sel_l.size, dtype=idt), cnts)
             R = regular_solid(tgt[tidx] - tree.center_exp[sel_l[pos]], pd)
-            data, gdata = _row_blocks(R, pd, True, grad_wanted, self.rows_dtype)
+            data, gdata = _row_blocks(R, pd, True, grad_wanted)
             il = interleave_index(ncoef(pd), ncoef(pd))
             indptr = np.arange(tidx.size + 1, dtype=idt)
             op = bsr(data[:, :, il], pos, indptr, sel_l.size)
@@ -646,41 +634,6 @@ class ClusterPlan(CompiledPlan):
             )
         self._units.append(unit)
         return mem
-
-    def _compile_near_leaf(
-        self, leaf: int, srcs: np.ndarray, sidx: np.ndarray, first: np.ndarray,
-        grad_wanted: bool, budget_used: int, frozen: tuple,
-    ) -> tuple[int, int]:
-        """Near rows of one target leaf against ``sidx``, the concatenated
-        particles of its (sorted) near-listed source leaves ``srcs``,
-        each starting at ``first``; in row slices of <= ``_NEAR_BUDGET``
-        products: slices within budget join the ``frozen`` incidences,
-        the rest become spilled blocks.  Returns (bytes, updated
-        budget_used)."""
-        tree = self.tc.tree
-        s, e = int(tree.start[leaf]), int(tree.end[leaf])
-        if e == s:
-            return 0, budget_used
-        entry = _NEAR_ENTRY_BYTES + (3 * 8 if grad_wanted else 0)
-        mem, src = 0, None
-        step = max(1, _NEAR_BUDGET // max(1, int(sidx.size)))
-        for lo in range(0, e - s, step):
-            hi = min(lo + step, e - s)
-            rows = np.arange(s + lo, s + hi)
-            cost = (hi - lo) * sidx.size * entry
-            if budget_used + cost <= self.memory_budget:
-                _add_incidences(frozen, rows, sidx)
-                budget_used += cost
-                continue
-            if src is None:  # one copy shared by the leaf's spilled blocks
-                src = sidx.copy()
-                mem += src.nbytes
-            # self exclusion: the target leaf appears among its own sources
-            pos = np.nonzero(srcs == leaf)[0]
-            excl = int(first[pos[0]]) + np.arange(lo, hi) if pos.size else None
-            self._near_spill.append(_NearBlock(tids=rows, src=src, excl=excl))
-            mem += rows.nbytes + (excl.nbytes if excl is not None else 0)
-        return mem, budget_used
 
     # -- execution -----------------------------------------------------
     @property
@@ -913,8 +866,9 @@ class ClusterPlan(CompiledPlan):
         ]
 
     def _shed_stage2(self) -> int:
-        """Drop near kernels to the exact recompute path.  L2P rows have
-        no on-the-fly fallback, so they stay (float32 after stage 1)."""
+        """Drop near kernels; every near unit is then re-assembled on each
+        application.  L2P rows have no on-the-fly fallback, so they stay
+        (float32 after stage 1)."""
         return self._drop_near()
 
     def _refresh_spill_counts(self) -> None:

@@ -16,10 +16,12 @@ arrays and applied with one compiled sparse product:
 * near kernels are one CSR matrix over (targets × sources); gradient
   kernels are three more value arrays sharing its ``indices``/``indptr``.
 
-Near work units are contiguous row ranges of the near CSR, applied by
-:func:`csr_rows` straight from the matrix's own arrays.  A matrix whose
-data has been cast to float32 (memory shedding) is applied to a float32
-operand (:func:`apply`), never by upcasting its data per product.
+Near work units are contiguous row ranges of the near field, applied
+by :func:`csr_product` straight from CSR arrays: the plan's frozen
+ones, or those :func:`assemble_near` re-assembles from the unit's
+incidences.  A matrix whose data has been cast to float32 (memory
+shedding) is applied to a float32 operand (:func:`apply`), never by
+upcasting its data per product.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = [
     "bsr",
     "csr",
     "apply",
-    "csr_rows",
+    "csr_product",
     "op_nbytes",
     "real_layout",
     "complex_layout",
@@ -93,19 +95,20 @@ def apply(A, x: np.ndarray) -> np.ndarray:
     return A @ x.astype(A.dtype, copy=False)
 
 
-def csr_rows(A: sp.csr_matrix, r0: int, r1: int, x: np.ndarray) -> np.ndarray:
-    """Rows ``[r0, r1)`` of ``A @ x`` (``x`` of shape ``(n,)`` or ``(n,
-    k)``), computed in ``A``'s dtype by the compiled CSR kernel reading
-    ``A``'s arrays in place — per row the same arithmetic as ``A @ x``."""
-    x = np.ascontiguousarray(x, dtype=A.dtype)
-    ptr = A.indptr[r0 : r1 + 1]
-    y = np.zeros((r1 - r0,) + x.shape[1:], dtype=A.dtype)
+def csr_product(indptr, indices, data, n_cols: int, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` (``x`` of shape ``(n,)`` or ``(n, k)``) for the CSR
+    arrays of ``A``, computed in ``data``'s dtype by scipy's compiled
+    kernel reading the arrays in place.  ``indptr[r0 : r1 + 1]`` of a
+    larger matrix gives its rows ``[r0, r1)`` — per row the same
+    arithmetic as the whole product."""
+    x = np.ascontiguousarray(x, dtype=data.dtype)
+    m = indptr.size - 1
+    y = np.zeros((m,) + x.shape[1:], dtype=data.dtype)
     if x.ndim == 1:
-        _sparsetools.csr_matvec(r1 - r0, A.shape[1], ptr, A.indices, A.data, x, y)
+        _sparsetools.csr_matvec(m, n_cols, indptr, indices, data, x, y)
     else:
         _sparsetools.csr_matvecs(
-            r1 - r0, A.shape[1], x.shape[1], ptr, A.indices, A.data,
-            x.ravel(), y.ravel(),
+            m, n_cols, x.shape[1], indptr, indices, data, x.ravel(), y.ravel()
         )
     return y
 
@@ -160,41 +163,43 @@ def near_values(tgt_t, src_t, rows, cols, exclude_self, softening, out, gout=Non
 
 
 def assemble_near(
-    tgt, points, rows, lists, list_cols, n_rows, exclude_self, softening, grad
+    tgt_t, src_t, rows, lists, src, off, exclude_self, softening, grad, span=None
 ):
     """Near-field CSR over (targets × sources) from incidences: target
-    ``rows[i]`` sees the sources of list ``lists[i]``, one of the
-    non-empty column arrays ``list_cols``.
+    ``rows[i]`` sees the sources of list ``lists[i]``, the non-empty
+    slice ``src[off[k] : off[k + 1]]`` of the concatenated source lists.
+    Coordinates come transposed, as :func:`near_values` reads them.
 
-    Returns ``(indptr, indices, data, gdata)`` — ``gdata`` the ``(3,
-    nnz)`` gradient values sharing ``indices``/``indptr``, or ``None``.
-    A row lists its sources list by list, in order of each list's first
-    source; values are written straight into the final arrays,
-    :data:`_NEAR_PASS` entries a pass.
+    Returns ``(indptr, indices, data, gdata)`` over the target rows
+    ``span = (r0, r1)`` (default every target), which must hold every
+    incidence row; ``gdata`` is the ``(3, nnz)`` gradient values
+    sharing ``indices``/``indptr``, or ``None``.  A row lists its
+    sources list by list, in order of each list's first source; values
+    are written straight into the final arrays, :data:`_NEAR_PASS`
+    entries a pass.  Entries are functions of their (row, source) pair
+    alone, so re-assembling all incidences of some rows reproduces
+    those rows of the whole field bitwise.
     """
-    sizes = np.array([c.size for c in list_cols], dtype=np.int64)
-    ptr = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    cols_all = np.concatenate(list_cols)
-    tgt_t, src_t = np.ascontiguousarray(tgt.T), np.ascontiguousarray(points.T)
-    order = np.lexsort((cols_all[ptr[:-1]][lists], rows))
-    rows, lists = rows[order], lists[order]
-    cnt = sizes[lists]
-    off = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(cnt, out=off[1:])
-    nnz = int(off[-1])
-    idt = index_dtype(nnz, points.shape[0])
-    indptr = off[np.searchsorted(rows, np.arange(n_rows + 1))].astype(idt)
+    r0, r1 = (0, tgt_t.shape[1]) if span is None else span
+    start = off[lists]
+    order = np.lexsort((src[start], rows))
+    rows, start = rows[order], start[order]
+    cnt = (off[lists[order] + 1] - start).astype(np.int64)
+    off_e = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(cnt, out=off_e[1:])
+    nnz = int(off_e[-1])
+    idt = index_dtype(nnz, src_t.shape[1])
+    indptr = off_e[np.searchsorted(rows, np.arange(r0, r1 + 1))].astype(idt)
     indices = np.empty(nnz, dtype=idt)
     data = np.empty(nnz, dtype=np.float64)
     gdata = np.empty((3, nnz), dtype=np.float64) if grad else None
     i = 0
     while i < rows.size:
-        j = max(i + 1, int(np.searchsorted(off, off[i] + _NEAR_PASS, "right")) - 1)
-        lo, hi = int(off[i]), int(off[j])
+        j = max(i + 1, int(np.searchsorted(off_e, off_e[i] + _NEAR_PASS, "right")) - 1)
+        lo, hi = int(off_e[i]), int(off_e[j])
         c = cnt[i:j]
-        pos = np.arange(hi - lo) + np.repeat(ptr[lists[i:j]] - (off[i:j] - lo), c)
-        cols = cols_all[pos]
+        pos = np.arange(hi - lo) + np.repeat(start[i:j] - (off_e[i:j] - lo), c)
+        cols = src[pos]
         indices[lo:hi] = cols
         near_values(
             tgt_t, src_t, np.repeat(rows[i:j], c), cols, exclude_self, softening,

@@ -33,11 +33,16 @@ once.
   potential rows are rebuilt transiently on every application, and
   their gradients contract the operand rows against the irregular
   table without materializing gradient rows.
-* **Near-field kernels** — every frozen near block of the plan is one
-  CSR matrix over (targets × sources), self-exclusion and softening
-  baked in as zeros; gradient kernels are three more value arrays on
-  the same ``indices``/``indptr``.  Blocks over budget stay dense
-  on-the-fly blocks.
+* **Near field** — incidences (target rows × shared source lists, the
+  lists stored once as one concatenated array plus offsets) cut into
+  row-range work units, one per target leaf, whatever the budget.  The
+  leading units that fit the budget are one frozen CSR matrix over
+  (targets × sources), self-exclusion and softening baked in as zeros;
+  gradient kernels are three more value arrays on the same
+  ``indices``/``indptr``.  Every other unit — spilled, shed, or
+  quarantined — is re-assembled from its incidences by
+  :func:`~repro.perf.operators.assemble_near`, the routine that builds
+  the frozen CSR, so its values are bitwise the frozen ones.
 * **Bincount scatter** — per-target accumulation of far chunks uses
   :func:`~repro.perf.scatter.scatter_add` instead of ``np.add.at``.
 
@@ -91,14 +96,12 @@ from ..obs.tracing import is_enabled, span, stopwatch
 from ..robust.faults import maybe_corrupt
 from ..robust.guards import check_bound_accounting, check_finite
 from .operators import (
-    _NEAR_PASS,
     apply,
     assemble_near,
     bsr,
     csr,
-    csr_rows,
+    csr_product,
     index_dtype,
-    near_values,
     op_nbytes,
     row_ranges,
 )
@@ -117,8 +120,11 @@ _NEAR_ENTRY_BYTES = 8 + 4
 
 #: Maximum far-field pairs evaluated in one vectorized chunk.
 _FAR_CHUNK = 200_000
-#: Maximum target×source products per near-field dense block.
+#: Maximum near entries per near work unit.
 _NEAR_BUDGET = 4_000_000
+#: Near entries re-assembled per pass when a whole plan's spilled near
+#: units are evaluated together (bounds the transient CSR arrays).
+_NEAR_RUN = 1 << 18
 
 
 @dataclass
@@ -146,16 +152,7 @@ class _FarChunk:
     bgeom: np.ndarray | None = None  #: per pair Theorem-1 factor at unit charge
 
 
-@dataclass
-class _NearBlock:
-    """Budget-spilled near block, evaluated dense on the fly."""
-
-    tids: np.ndarray  #: target indices of the block
-    src: np.ndarray  #: source particle indices (Morton-sorted space)
-    excl: np.ndarray | None = None  #: per-target excluded position in ``src``
-
-
-def _row_blocks(T: np.ndarray, p: int, regular: bool, want_grad: bool, dtype):
+def _row_blocks(T: np.ndarray, p: int, regular: bool, want_grad: bool):
     """BSR block data of evaluation rows over the batch-last solid table
     ``T`` (regular at degree ``p``, or irregular at ``p`` — ``p+1`` when
     ``want_grad``): potential blocks ``(B, 1, 2·nc)`` ``[w·Re T, -w·Im
@@ -164,13 +161,13 @@ def _row_blocks(T: np.ndarray, p: int, regular: bool, want_grad: bool, dtype):
     :func:`~repro.multipole.harmonics.solid_gradient`)."""
     nc = ncoef(p)
     w = m_weights(p)
-    data = np.empty((T.shape[1], 1, 2 * nc), dtype=dtype)
+    data = np.empty((T.shape[1], 1, 2 * nc))
     np.multiply(T[:nc].real.T, w, out=data[:, 0, :nc])
     np.multiply(T[:nc].imag.T, -w, out=data[:, 0, nc:])
     if not want_grad:
         return data, None
     G = solid_gradient(T, p, regular).transpose(2, 0, 1)
-    gdata = np.empty((T.shape[1], 3, 2 * nc), dtype=dtype)
+    gdata = np.empty((T.shape[1], 3, 2 * nc))
     gdata[:, :, :nc] = G.real
     np.negative(G.imag, out=gdata[:, :, nc:])
     return data, gdata
@@ -203,32 +200,6 @@ def _build_p2m_group(tree, p: int, un: np.ndarray) -> _P2MGroup:
     return _P2MGroup(p=p, nodes=un, op=op)
 
 
-def _add_incidences(frozen: tuple, rows: np.ndarray, src: np.ndarray) -> None:
-    """Record frozen near rows ``rows`` seeing the sources ``src`` in the
-    ``(rows, lists, list_cols)`` incidence lists of
-    :func:`~repro.perf.operators.assemble_near`; consecutive blocks of
-    one source list share it."""
-    rows_l, lists_l, cols_l = frozen
-    if not cols_l or cols_l[-1] is not src:
-        cols_l.append(src)
-    rows_l.append(rows)
-    lists_l.append(np.full(rows.size, len(cols_l) - 1))
-
-
-def _near_gradient(targets, sources, charges, exclude, softening: float = 0.0):
-    """Dense near-field gradient block (∇ of sum q/|x-s|, optionally
-    Plummer-softened) of a spilled near block."""
-    d = targets[:, None, :] - sources[None, :, :]
-    r2 = np.einsum("tsi,tsi->ts", d, d) + softening * softening
-    with np.errstate(divide="ignore"):
-        w = charges / (r2 * np.sqrt(r2))
-    w[r2 == 0.0] = 0.0
-    if exclude is not None:
-        rows = np.nonzero(exclude >= 0)[0]
-        w[rows, exclude[rows]] = 0.0
-    return -np.einsum("ts,tsi->ti", w, d)
-
-
 def _storage_degrees(sP: np.ndarray) -> np.ndarray:
     """Distinct storage degrees of a pair batch — a single one in
     fixed-degree plans, found there without ``np.unique``'s hashing."""
@@ -246,8 +217,9 @@ class CompiledPlan:
     geometry.
 
     Work units, the granularity the parallel executors schedule at, are
-    the far chunks, then contiguous row ranges of the near CSR (one per
-    target leaf), then the budget-spilled near blocks.
+    the far chunks, then contiguous row ranges of the near field (one
+    per target leaf, split at ``_NEAR_BUDGET`` entries), whatever the
+    memory budget.
 
     Attributes
     ----------
@@ -258,8 +230,9 @@ class CompiledPlan:
         Far chunks materialized vs. spilled to on-the-fly evaluation
         under the memory budget.
     n_near_precomputed, n_near_spilled:
-        Near units with resident kernels (row ranges of the near CSR)
-        vs. evaluated on the fly (spilled blocks, and shed row ranges).
+        Near units with resident kernels (the frozen near CSR) vs.
+        re-assembled from their incidences on every application
+        (spilled under the budget, or shed).
     compile_time:
         Wall seconds spent compiling.
     """
@@ -275,16 +248,10 @@ class CompiledPlan:
         compute: str = "potential",
         accumulate_bounds: bool = False,
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
-        rows_dtype=np.float64,
         tol: float | None = None,
     ) -> None:
         if compute not in ("potential", "both"):
             raise ValueError(f"compute must be 'potential' or 'both', got {compute!r}")
-        rows_dtype = np.dtype(rows_dtype)
-        if rows_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(
-                f"rows_dtype must be float64 or float32, got {rows_dtype}"
-            )
         if tol is not None and tol <= 0:
             raise ValueError(f"tol must be > 0, got {tol}")
         tgt = np.asarray(tgt, dtype=np.float64)
@@ -296,7 +263,6 @@ class CompiledPlan:
         self.compute = compute
         self.accumulate_bounds = bool(accumulate_bounds)
         self.memory_budget = int(memory_budget)
-        self.rows_dtype = rows_dtype
         self.tol = None if tol is None else float(tol)
         #: degree cap of per-pair selection — the VariableDegree policy's
         #: cap when that policy drives the plan; other policies' p_max
@@ -396,7 +362,6 @@ class CompiledPlan:
             fn, ft, pdeg, cols = fn[order], ft[order], pdeg[order], cols[order]
             uniq, starts = np.unique(pdeg, return_index=True)
             bnds = list(starts) + [fn.size]
-            fsize = self.rows_dtype.itemsize
             for u, (lo, hi) in zip(uniq, zip(bnds[:-1], bnds[1:])):
                 p = int(u)
                 npairs = hi - lo
@@ -411,14 +376,14 @@ class CompiledPlan:
                     k = chi - clo
                     ch = self._far_chunk(p, ft[clo:chi], cols[clo:chi])
                     mem += ch.tids.nbytes + ch.indptr.nbytes + ch.cols.nbytes
-                    cost = 2 * k * nc * fsize
+                    cost = 2 * k * nc * 8
                     if grad_wanted:
-                        cost += 3 * k * 2 * nc * fsize
+                        cost += 3 * k * 2 * nc * 8
                     if self.accumulate_bounds:
                         cost += k * 8
                     if budget_used + cost <= self.memory_budget:
                         ch.op, ch.gop, ch.bgeom = self._far_operators(
-                            ch, grad_wanted, self.accumulate_bounds, self.rows_dtype
+                            ch, grad_wanted, self.accumulate_bounds
                         )
                         budget_used += cost
                         mem += cost
@@ -429,37 +394,20 @@ class CompiledPlan:
                 if c:
                     stats.interactions_by_level[L] = int(c)
 
-        # ---- near field: per leaf, blocks of <= _NEAR_BUDGET products --
-        frozen = ([], [], [])  # incidence rows, their source lists, lists
-        self._near_spill: list[_NearBlock] = []
-        entry = _NEAR_ENTRY_BYTES + (3 * 8 if grad_wanted else 0)
-        for leaf, tids in lists.near:
-            s, e = int(tree.start[leaf]), int(tree.end[leaf])
-            cnt = e - s
-            if cnt == 0:
-                continue
-            step = max(1, _NEAR_BUDGET // cnt)
-            src = np.arange(s, e)
-            spilled = False
-            for lo in range(0, tids.size, step):
-                blk = tids[lo : lo + step]
-                if self.self_targets:
-                    excl = np.where((blk >= s) & (blk < e), blk - s, -1)
-                    n_excl = int(np.count_nonzero(excl >= 0))
-                else:
-                    excl = None
-                    n_excl = 0
-                stats.n_pp_pairs += blk.size * cnt - n_excl
-                cost = blk.size * cnt * entry
-                if budget_used + cost <= self.memory_budget:
-                    _add_incidences(frozen, blk, src)
-                    budget_used += cost
-                    continue
-                self._near_spill.append(_NearBlock(tids=blk, src=src, excl=excl))
-                mem += blk.nbytes + (excl.nbytes if excl is not None else 0)
-                mem += 0 if spilled else src.nbytes
-                spilled = True
-        mem += self._freeze_near(frozen, grad_wanted)
+        # ---- near field: each target row against its near-listed leaves
+        leaves = np.array([leaf for leaf, _ in lists.near], dtype=np.int64)
+        tids = [t for _, t in lists.near]
+        s, e = tree.start[leaves], tree.end[leaves]
+        rows = np.concatenate(tids) if tids else np.empty(0, dtype=np.int64)
+        which = np.repeat(np.arange(leaves.size), [t.size for t in tids])
+        off = np.zeros(leaves.size + 1, dtype=np.int64)
+        np.cumsum(e - s, out=off[1:])
+        src = np.arange(off[-1]) + np.repeat(s - off[:-1], e - s)
+        stats.n_pp_pairs = int(np.sum((e - s)[which]))
+        if self.self_targets:
+            own = (rows >= s[which]) & (rows < e[which])
+            stats.n_pp_pairs -= int(np.count_nonzero(own))
+        mem += self._compile_near(rows, which, src, off, grad_wanted, budget_used)
 
         self._static_stats = stats
         self.memory_bytes = int(mem)
@@ -537,7 +485,7 @@ class CompiledPlan:
         return irregular_solid(rel, ch.p + 1 if want_grad else ch.p), nodes, rel
 
     def _far_operators(
-        self, ch: _FarChunk, want_grad: bool, want_bound: bool, dtype, table=None
+        self, ch: _FarChunk, want_grad: bool, want_bound: bool, table=None
     ):
         """``(op, gop, bgeom)`` of a far chunk built from geometry (or
         from its :meth:`_far_table` ``table``) — at compile time, and on
@@ -545,7 +493,7 @@ class CompiledPlan:
         the same, so spilled potentials are bitwise the resident
         ones)."""
         T, nodes, rel = table or self._far_table(ch, want_grad)
-        data, gdata = _row_blocks(T, ch.p, False, want_grad, dtype)
+        data, gdata = _row_blocks(T, ch.p, False, want_grad)
         n_rows = self._operand_nodes[ch.p].size
         op = bsr(data, ch.cols, ch.indptr, n_rows)
         gop = None if gdata is None else bsr(gdata, ch.cols, ch.indptr, n_rows)
@@ -555,41 +503,76 @@ class CompiledPlan:
             bgeom = theorem1_bound(1.0, self.tc.tree.radius[nodes], r, ch.p)
         return op, gop, bgeom
 
-    def _freeze_near(self, frozen: tuple, grad: bool) -> int:
-        """Assemble the frozen near incidences (:func:`_add_incidences`)
-        into the plan's near CSR and split it into row-range work units;
-        returns the materialized bytes."""
-        self._near_K = self._near_G = None
-        self._near_indptr = self._near_indices = None
-        self._near_units = np.zeros((0, 2), dtype=np.int64)
-        rows, lists, list_cols = frozen
-        if not rows:
-            return 0
-        tree = self.tc.tree
-        indptr, indices, data, gdata = assemble_near(
-            self.tgt,
-            tree.points,
-            np.concatenate(rows),
-            np.concatenate(lists),
-            list_cols,
-            self.n_targets,
-            self.self_targets,
-            self.tc.softening,
-            grad,
-        )
-        n = tree.n_particles
-        self._near_indptr, self._near_indices = indptr, indices
-        self._near_K = csr(data, indices, indptr, n)
-        if gdata is not None:
-            self._near_G = tuple(csr(g, indices, indptr, n) for g in gdata)
-        # units: one per target leaf (rows are Morton-sorted particles),
-        # or per leaf_size consecutive targets for external targets
+    def _compile_near(self, rows, lists, src, off, grad: bool, budget_used: int) -> int:
+        """Compile the near field from incidences: target ``rows[i]`` sees
+        the sources ``src[off[k] : off[k + 1]]`` of list ``k = lists[i]``.
+
+        The rows are cut into work units — one per target leaf (or per
+        ``leaf_size`` external targets), split at ``_NEAR_BUDGET``
+        entries — whatever the budget.  The leading units that fit the
+        budget are assembled into the plan's frozen near CSR; the
+        incidences of the others are kept (the source lists once, as one
+        concatenated array plus offsets), and
+        :func:`~repro.perf.operators.assemble_near` re-assembles them on
+        every application.  Returns the materialized bytes.
+        """
+        tree, nt = self.tc.tree, self.n_targets
+        keep = off[lists + 1] > off[lists]
+        rows, lists = rows[keep], lists[keep]
+        order = np.lexsort((src[off[lists]], rows))
+        rows, lists = rows[order], lists[order]
+        cum = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(off[lists + 1] - off[lists], out=cum[1:])
+        indptr = cum[np.searchsorted(rows, np.arange(nt + 1))]
         if self.self_targets:
             starts = tree.start[tree.leaf_ids()]
         else:
-            starts = np.arange(0, self.n_targets, tree.leaf_size)
-        self._near_units = row_ranges(indptr, starts, _NEAR_BUDGET)
-        return op_nbytes(self._near_K, *(self._near_G or ()))
+            starts = np.arange(0, nt, tree.leaf_size)
+        units = row_ranges(indptr, starts, _NEAR_BUDGET)
+        self._near_units = units
+        self._near_cum = np.append(indptr[units[:, 0]], indptr[-1])
+        entry = _NEAR_ENTRY_BYTES + (3 * 8 if grad else 0)
+        cost = np.cumsum(np.diff(self._near_cum) * entry)
+        nf = int(np.searchsorted(cost, self.memory_budget - budget_used, "right"))
+        self._near_frozen = nf
+        split = int(np.searchsorted(rows, units[nf - 1, 1])) if nf else 0
+        mem = 0
+        self._near_K = self._near_G = None
+        self._near_indptr = self._near_indices = self._near_xyz = None
+        if nf:
+            n = tree.n_particles
+            indptr, indices, data, gdata = assemble_near(
+                *self._near_coords(), rows[:split], lists[:split], src, off,
+                self.self_targets, self.tc.softening, grad,
+            )
+            self._near_indptr, self._near_indices = indptr, indices
+            self._near_K = csr(data, indices, indptr, n)
+            if gdata is not None:
+                self._near_G = tuple(csr(g, indices, indptr, n) for g in gdata)
+            mem += op_nbytes(self._near_K, *(self._near_G or ()))
+        self._near_inc = None
+        if nf < units.shape[0]:
+            idt = index_dtype(nt, off[-1] + 1, tree.n_particles)
+            inc = (rows[split:], lists[split:], src, off)
+            self._near_inc = tuple(a.astype(idt) for a in inc)
+            mem += sum(a.nbytes for a in self._near_inc)
+            tgt_t, src_t = self._near_coords()
+            mem += src_t.nbytes + (0 if tgt_t is src_t else tgt_t.nbytes)
+        else:
+            self._near_xyz = None
+        return mem
+
+    def _near_coords(self) -> tuple:
+        """``(tgt_t, src_t)``: targets and sources as C-contiguous ``(3,
+        n)`` arrays, the layout :func:`~repro.perf.operators.assemble_near`
+        gathers from.  Kept by plans with spilled near units; a frozen
+        plan builds them again when shedding or quarantine first
+        re-assembles a unit."""
+        if self._near_xyz is None:
+            src_t = np.ascontiguousarray(self.tc.tree.points.T)
+            tgt_t = src_t if self.self_targets else np.ascontiguousarray(self.tgt.T)
+            self._near_xyz = (tgt_t, src_t)
+        return self._near_xyz
 
     # -- execution -----------------------------------------------------
     @property
@@ -601,15 +584,14 @@ class CompiledPlan:
         return len(self._far_chunks)
 
     @property
-    def _n_near_rows_units(self) -> int:
+    def _n_near_units(self) -> int:
         return self._near_units.shape[0]
 
     @property
     def n_units(self) -> int:
-        """Independent work units (far units, near row ranges, spilled
-        near blocks) — the granularity the parallel executor schedules
-        at."""
-        return self._n_far_units + self._n_near_rows_units + len(self._near_spill)
+        """Independent work units (far units, then near row ranges) — the
+        granularity the parallel executor schedules at."""
+        return self._n_far_units + self._n_near_units
 
     def _clone_stats(self) -> TreecodeStats:
         s = self._static_stats
@@ -700,9 +682,7 @@ class CompiledPlan:
         if op is None:  # spilled or shed: rebuild the potential rows
             want_bound = bound is not None and bgeom is None
             table = self._far_table(ch, grad is not None)
-            op, _, built = self._far_operators(
-                ch, False, want_bound, np.float64, table
-            )
+            op, _, built = self._far_operators(ch, False, want_bound, table)
             bgeom = built if want_bound else bgeom
         scatter_add(phi, ch.tids, apply(op, Xf))
         op = None  # a spilled chunk's rows go before its gradient pass
@@ -726,95 +706,73 @@ class CompiledPlan:
                     )
 
     def _near_field(self, q_sorted, phi, grad) -> None:
-        """Whole near field: the CSR rows in one product (exact
-        recompute when shed), then the spilled blocks."""
-        with span("plan.near_field", units=self.n_units - self._n_far_units):
-            if self._n_near_rows_units:
-                vals, gvals = self._near_rows(
-                    q_sorted, 0, self.n_targets, grad is not None
-                )
-                phi += vals
+        """Whole near field: the resident frozen units in one product,
+        then the others re-assembled in runs of about ``_NEAR_RUN``
+        entries."""
+        with span("plan.near_field", units=self._n_near_units):
+            cum, nf, m = self._near_cum, self._near_frozen, self._n_near_units
+            j = nf if self._near_K is not None else 0
+            runs = [(0, j)] if j else []
+            while j < m:
+                end = nf if j < nf else m
+                j1 = int(np.searchsorted(cum, cum[j] + _NEAR_RUN, "right")) - 1
+                runs.append((j, min(end, max(j1, j + 1))))
+                j = runs[-1][1]
+            for j0, j1 in runs:
+                r0, r1 = int(self._near_units[j0, 0]), int(self._near_units[j1 - 1, 1])
+                vals, gvals = self._near_rows(q_sorted, j0, j1, grad is not None)
+                phi[r0:r1] += vals
                 if grad is not None:
-                    grad += gvals
-            for nb in self._near_spill:
-                phi[nb.tids] += self._near_block(q_sorted, nb)
-                if grad is not None:
-                    grad[nb.tids] += _near_gradient(
-                        self.tgt[nb.tids],
-                        self.tc.tree.points[nb.src],
-                        q_sorted[nb.src],
-                        nb.excl,
-                        softening=self.tc.softening,
-                    )
+                    grad[r0:r1] += gvals
 
-    def _near_rows(self, q_sorted, r0: int, r1: int, want_grad=False, exact=False):
-        """Near potential (and ``(rows, 3)`` gradient) of CSR rows ``[r0,
-        r1)``: one product over the frozen kernels, or — when they were
-        shed, or ``exact`` — kernels recomputed from coordinates on the
-        same sparsity, a bounded number of entries per pass."""
-        if self._near_K is not None and not exact:
-            vals = csr_rows(self._near_K, r0, r1, q_sorted)
-            gvals = None
-            if want_grad:
-                gvals = -np.stack(
-                    [csr_rows(G, r0, r1, q_sorted) for G in self._near_G], axis=1
-                )
-            return vals, gvals
-        tree, ptr = self.tc.tree, self._near_indptr
-        tgt_t, src_t = self.tgt.T.copy(), tree.points.T.copy()
-        vals = np.empty((r1 - r0,) + q_sorted.shape[1:])
-        gvals = np.empty((r1 - r0, 3)) if want_grad else None
-        ra = r0
-        while ra < r1:
-            rb = int(np.searchsorted(ptr, ptr[ra] + _NEAR_PASS, "right")) - 1
-            rb = min(r1, max(rb, ra + 1))
-            lo, hi = int(ptr[ra]), int(ptr[rb])
-            rows = np.repeat(np.arange(ra, rb), np.diff(ptr[ra : rb + 1]))
-            cols = self._near_indices[lo:hi]
-            data = np.empty(hi - lo)
-            gdata = np.empty((3, hi - lo)) if want_grad else None
-            near_values(
-                tgt_t, src_t, rows, cols, self.self_targets, self.tc.softening,
-                data, gdata,
+    def _near_rows(self, q_sorted, j0: int, j1: int, want_grad=False, exact=False):
+        """Near potential (and ``(rows, 3)`` gradient) of the rows of near
+        units ``[j0, j1)``, all frozen or all spilled: one product over
+        the frozen kernels while they are resident (and not ``exact``),
+        otherwise the units re-assembled by
+        :func:`~repro.perf.operators.assemble_near` from their
+        incidences — a frozen unit's incidences being its CSR rows, each
+        row its own source list.  Entries, and so results, are bitwise
+        the frozen ones."""
+        r0, r1 = int(self._near_units[j0, 0]), int(self._near_units[j1 - 1, 1])
+        frozen = j1 <= self._near_frozen
+        if frozen and self._near_K is not None and not exact:
+            K = self._near_K
+            ptr, indices = K.indptr[r0 : r1 + 1], K.indices
+            data, gdata = K.data, [G.data for G in self._near_G or ()]
+        else:
+            if frozen:
+                ptr = self._near_indptr
+                rows = r0 + np.flatnonzero(np.diff(ptr[r0 : r1 + 1]))
+                inc = (rows, rows, self._near_indices, ptr)
+            else:
+                rows, lists, src, off = self._near_inc
+                a, b = np.searchsorted(rows, np.array([r0, r1], dtype=rows.dtype))
+                inc = (rows[a:b], lists[a:b], src, off)
+            ptr, indices, data, gdata = assemble_near(
+                *self._near_coords(), *inc, self.self_targets, self.tc.softening,
+                want_grad, span=(r0, r1),
             )
-            sub = ptr[ra : rb + 1] - lo
-            vals[ra - r0 : rb - r0] = csr(data, cols, sub, tree.n_particles) @ q_sorted
-            if want_grad:
-                for a in range(3):
-                    gvals[ra - r0 : rb - r0, a] = -(
-                        csr(gdata[a], cols, sub, tree.n_particles) @ q_sorted
-                    )
-            ra = rb
+        n = self.tc.tree.n_particles
+        vals = csr_product(ptr, indices, data, n, q_sorted)
+        gvals = None
+        if want_grad:
+            gvals = -np.stack(
+                [csr_product(ptr, indices, g, n, q_sorted) for g in gdata], axis=1
+            )
         return vals, gvals
 
-    def _near_block(self, q_sorted, nb: _NearBlock) -> np.ndarray:
-        """Dense on-the-fly potential of one spilled near block."""
-        from ..direct import pairwise_potential
-
-        return pairwise_potential(
-            self.tgt[nb.tids],
-            self.tc.tree.points[nb.src],
-            q_sorted[nb.src],
-            exclude=nb.excl,
-            softening=self.tc.softening,
-        )
-
     def _near_unit(self, q_sorted, j: int, exact: bool = False):
-        """Near unit ``j`` (row ranges first, then spilled blocks) as
-        ``(target_indices, values)``."""
-        nr = self._n_near_rows_units
-        if j < nr:
-            r0, r1 = (int(r) for r in self._near_units[j])
-            return np.arange(r0, r1), self._near_rows(q_sorted, r0, r1, exact=exact)[0]
-        nb = self._near_spill[j - nr]
-        return nb.tids, self._near_block(q_sorted, nb)
+        """Near unit ``j`` as ``(target_indices, values)``."""
+        r0, r1 = (int(r) for r in self._near_units[j])
+        return np.arange(r0, r1), self._near_rows(q_sorted, j, j + 1, exact=exact)[0]
 
     def _far_unit_output(self, ctx, q_sorted, i):
         ch = self._far_chunks[i]
         X, _ = ctx[ch.p]
         op = ch.op
         if op is None:
-            op = self._far_operators(ch, False, False, np.float64)[0]
+            op = self._far_operators(ch, False, False)[0]
         return ch.tids, apply(op, X.reshape((-1,) + X.shape[2:]))
 
     def execute_unit(self, ctx, q_sorted, i):
@@ -856,8 +814,9 @@ class CompiledPlan:
         machinery, no precomputed operators — each far (cluster,
         target) pair is replaced by the exact contribution of the
         cluster's particles (within the Theorem-1 bound of the
-        approximated value), and near units recompute their kernels
-        from raw coordinates.  Returns ``(target_indices, values)``.
+        approximated value), and near units are re-assembled from their
+        incidences in float64 whatever memory shedding has done.
+        Returns ``(target_indices, values)``.
         """
         nf = self._n_far_units
         if i < nf:
@@ -885,7 +844,7 @@ class CompiledPlan:
 
     def _shed_stage2(self) -> int:
         """Drop far rows and near kernels to the spilled paths (exact
-        float64 recompute — full accuracy returns, at the speed of a
+        float64 re-assembly — full accuracy returns, at the speed of a
         fully spilled plan)."""
         freed = 0
         for ch in self._far_chunks:
@@ -896,8 +855,8 @@ class CompiledPlan:
         return freed + self._drop_near()
 
     def _drop_near(self) -> int:
-        """Release the near kernel values, keeping their sparsity; the
-        row ranges then recompute kernels on the fly."""
+        """Release the near kernel values, keeping their sparsity; every
+        near unit is then re-assembled on each application."""
         if self._near_K is None:
             return 0
         freed = sum(A.data.nbytes for A in (self._near_K, *(self._near_G or ())))
@@ -939,9 +898,8 @@ class CompiledPlan:
         self._refresh_near_counts()
 
     def _refresh_near_counts(self) -> None:
-        rows = self._n_near_rows_units
-        self.n_near_precomputed = rows if self._near_K is not None else 0
-        self.n_near_spilled = len(self._near_spill) + rows - self.n_near_precomputed
+        self.n_near_precomputed = self._near_frozen if self._near_K is not None else 0
+        self.n_near_spilled = self._n_near_units - self.n_near_precomputed
 
     def finalize(self, phi, grad=None, bound=None, stats=None):
         """Common epilogue: un-sort self-target results back to input
@@ -1044,7 +1002,6 @@ def compile_plan(
     accumulate_bounds: bool = False,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     mode: str = "target",
-    rows_dtype=np.float64,
     n_units: int | None = None,
     tol: float | None = None,
     cache_dir=None,
@@ -1087,7 +1044,6 @@ def compile_plan(
             accumulate_bounds,
             memory_budget,
             mode,
-            rows_dtype,
             n_units,
             tol,
         )
@@ -1103,7 +1059,6 @@ def compile_plan(
                 accumulate_bounds=accumulate_bounds,
                 memory_budget=memory_budget,
                 mode=mode,
-                rows_dtype=rows_dtype,
                 n_units=n_units,
                 tol=tol,
                 cache_dir="",
@@ -1119,7 +1074,6 @@ def compile_plan(
             compute=compute,
             accumulate_bounds=accumulate_bounds,
             memory_budget=memory_budget,
-            rows_dtype=rows_dtype,
             n_units=n_units,
             tol=tol,
         )
@@ -1135,6 +1089,5 @@ def compile_plan(
         compute=compute,
         accumulate_bounds=accumulate_bounds,
         memory_budget=memory_budget,
-        rows_dtype=rows_dtype,
         tol=tol,
     )

@@ -20,7 +20,7 @@ memory-mapping:
 * **Content addressing** — the cache key is a SHA-256 digest over the
   inputs the compiler is a pure function of: particle positions and
   charges (Morton-sorted), the degree policy and its parameters, the
-  MAC ``alpha``/softening/leaf size, ``tol``, the row dtype, plan
+  MAC ``alpha``/softening/leaf size, ``tol``, the memory budget, plan
   mode/compute flags, and the library version.
   Any change — a perturbed point, a different tolerance, a library
   upgrade — changes the digest and misses the cache.
@@ -89,8 +89,11 @@ ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 #: 6: treecodes carry no upward-pass state and digests no ``upward``.
 #: 7: cluster M2L operators are per lattice key — direction, length and
 #: level step — and groups lose their scale tables: pairs read folded
-#: operand rows and sum into (octant, target) buckets).
-STORE_FORMAT_VERSION = 7
+#: operand rows and sum into (octant, target) buckets).  8: near fields
+#: are row-range units over incidences — a frozen CSR for the leading
+#: units and the incidences of the rest — with no dense spilled blocks,
+#: and the digest drops the row dtype.
+STORE_FORMAT_VERSION = 8
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64
@@ -129,7 +132,7 @@ def _registry() -> dict:
     from ..core.treecode import InteractionLists, Treecode, TreecodeStats
     from ..tree.octree import Octree
     from .cluster import ClusterPlan, _FarGroup, _FarUnit, _L2PGroup
-    from .plan import CompiledPlan, _FarChunk, _NearBlock, _P2MGroup
+    from .plan import CompiledPlan, _FarChunk, _P2MGroup
 
     classes = [
         Treecode,
@@ -145,7 +148,6 @@ def _registry() -> dict:
         ClusterPlan,
         _P2MGroup,
         _FarChunk,
-        _NearBlock,
         _FarGroup,
         _L2PGroup,
         _FarUnit,
@@ -446,7 +448,6 @@ def plan_digest(
     accumulate_bounds: bool,
     memory_budget: int,
     mode: str,
-    rows_dtype,
     n_units,
     tol,
 ) -> str:
@@ -472,7 +473,6 @@ def plan_digest(
         "compute": compute,
         "accumulate_bounds": bool(accumulate_bounds),
         "memory_budget": int(memory_budget),
-        "rows_dtype": np.dtype(rows_dtype).str,
         "n_units": None if n_units is None else int(n_units),
         "tol": None if tol is None else float(tol),
         "self_targets": bool(self_targets),

@@ -77,7 +77,7 @@ class TestClusterPlan:
 
     def test_never_spills_far_field(self, small_cloud):
         """Cluster far field is O(pairs + boxes·p^2) — it precomputes no
-        row matrices, so even a 1 MiB budget spills only near blocks."""
+        row matrices, so even a 1 MiB budget spills only near units."""
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
         tight = tc.compile_plan(mode="cluster", memory_budget=1 << 20)
@@ -141,32 +141,6 @@ class TestBatchedM2L:
             Y = np.einsum("bi,bij->bj", X, T) * (inv / rho[:, None])
             got = Y[:, 0::2] + 1j * Y[:, 1::2]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-# ----------------------------------------------------------------------
-# Satellite: float32 far rows (pc plan)
-# ----------------------------------------------------------------------
-
-
-class TestFloat32Rows:
-    def test_error_within_10x_of_f64_ledger(self, small_cloud):
-        pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
-        f64 = tc.compile_plan(accumulate_bounds=True)
-        f32 = tc.compile_plan(accumulate_bounds=True, rows_dtype=np.float32)
-        assert f32.memory_bytes < f64.memory_bytes
-        exact = _direct_potential(pts, q)
-        r64, r32 = f64.execute(q), f32.execute(q)
-        err32 = np.abs(r32.potential - exact)
-        # single-precision rows only perturb within the truncation-error
-        # budget the float64 plan already certifies
-        assert np.all(err32 <= 10.0 * (r64.error_bound + 1e-12))
-
-    def test_rejects_other_dtypes(self, small_cloud):
-        pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.5)
-        with pytest.raises(ValueError, match="rows_dtype"):
-            tc.compile_plan(rows_dtype=np.int32)
 
 
 # ----------------------------------------------------------------------

@@ -81,7 +81,7 @@ class TestPlanEquivalence:
             assert_matches_reference(res, reference_evaluate(tc))
 
     def test_spill_matches_precomputed(self, small_cloud):
-        """A zero budget spills every far chunk and near block to
+        """A zero budget spills every far chunk and near unit to
         on-the-fly evaluation; results must not change."""
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.6)
@@ -118,7 +118,7 @@ class TestPlanEquivalence:
         plan = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.5).compile_plan()
         text = plan.describe()
         assert "CompiledPlan" in text and "MB" in text
-        # far chunks, then near CSR row ranges, then spilled near blocks
+        # far chunks, then near row ranges (frozen or spilled alike)
         assert plan.n_units == (
             len(plan._far_chunks)
             + plan.n_near_precomputed

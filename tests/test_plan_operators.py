@@ -7,6 +7,12 @@ Covers both plan modes, fixed and variable-order plans (including
 storage degrees above the evaluation degree), potentials and gradients,
 single vectors and batches, the unit decomposition the executors
 schedule, and the exact last-resort evaluation of near row ranges.
+
+The near field has one path at every memory budget: frozen units are
+the leading row ranges of one CSR, every other unit is re-assembled
+from its incidences by ``assemble_near`` — so near values are bitwise
+those of the default-budget plan at any budget, after memory shedding,
+and under quarantine.
 """
 
 import numpy as np
@@ -15,7 +21,8 @@ import scipy.sparse as sp
 
 from repro.core.degree import FixedDegree
 from repro.core.treecode import Treecode
-from repro.perf.operators import complex_layout, csr_rows, real_layout, row_ranges
+from repro.perf.operators import complex_layout, csr_product, real_layout, row_ranges
+from repro.perf.plan import DEFAULT_MEMORY_BUDGET
 from repro.perf.scatter import scatter_add
 
 N = 500
@@ -126,6 +133,67 @@ def test_direct_near_unit_is_direct_summation(cloud, mode):
         np.testing.assert_allclose(vals, frozen, rtol=1e-13, atol=0)
 
 
+def _near_parts(plan, q, grad):
+    """The plan's whole near field (potential, gradient) and every near
+    unit through ``execute_unit`` and ``execute_unit_direct``."""
+    qs = plan.sort_charges(q)
+    phi = np.zeros((plan.n_targets,) + qs.shape[1:])
+    g = np.zeros((plan.n_targets, 3)) if grad else None
+    plan._near_field(qs, phi, g)
+    nf = plan.n_units - plan._near_units.shape[0]
+    units = [plan.execute_unit(None, qs, i) for i in range(nf, plan.n_units)]
+    direct = [plan.execute_unit_direct(qs, i) for i in range(nf, plan.n_units)]
+    return phi, g, units, direct
+
+
+#: a budget that freezes some near units of every (mode, compute) plan
+#: over ``cloud`` and spills the rest
+PARTIAL = 200_000
+
+
+@pytest.mark.parametrize("budget", ["zero", "partial", "default", "shed"])
+@pytest.mark.parametrize("compute", ["potential", "both"])
+@pytest.mark.parametrize("mode", ["target", "cluster"])
+def test_near_field_is_bitwise_at_every_budget(cloud, mode, compute, budget):
+    pts, q, Q = cloud
+    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+    kw = dict(mode=mode, compute=compute, cache_dir="")
+    ref = tc.compile_plan(**kw)
+    m = ref._near_units.shape[0]
+    assert ref.n_near_precomputed == m and ref.n_near_spilled == 0
+    if budget == "shed":
+        plan = tc.compile_plan(**kw)
+        assert plan.shed_memory() > 0 and plan.shed_memory() > 0
+        assert plan._near_K is None
+    else:
+        mb = {"zero": 0, "partial": PARTIAL, "default": DEFAULT_MEMORY_BUDGET}
+        plan = tc.compile_plan(memory_budget=mb[budget], **kw)
+    pre = plan.n_near_precomputed
+    assert {"zero": pre == 0, "partial": 0 < pre < m, "default": pre == m,
+            "shed": pre == 0}[budget]
+    assert pre + plan.n_near_spilled == m
+    # the unit layout does not depend on the budget
+    assert plan.n_units == ref.n_units
+    assert np.array_equal(plan._near_units, ref._near_units)
+    if budget == "zero":  # incidences, not entries: no per-entry arrays
+        assert plan._near_indices is None
+        assert sum(a.size for a in plan._near_inc) < ref._near_indices.size // 2
+    grad = compute == "both"
+    phi, g, units, direct = _near_parts(plan, q, grad)
+    rphi, rg, runits, _ = _near_parts(ref, q, grad)
+    np.testing.assert_array_equal(phi, rphi)
+    if grad:
+        np.testing.assert_array_equal(g, rg)
+    else:
+        np.testing.assert_array_equal(_near_parts(plan, Q, False)[0],
+                                      _near_parts(ref, Q, False)[0])
+    for (t, v), (td, vd), (rt, rv) in zip(units, direct, runits):
+        np.testing.assert_array_equal(t, rt)
+        np.testing.assert_array_equal(td, rt)
+        np.testing.assert_array_equal(v, rv)
+        np.testing.assert_array_equal(vd, rv)
+
+
 def test_operators_are_scipy_sparse(cloud):
     target, _ = _plans(cloud, "target", None, "both")
     assert all(isinstance(g.op, sp.bsr_matrix) for g in target._p2m_groups)
@@ -167,11 +235,12 @@ def test_csr_rows_and_ranges():
         assert r0 // 7 == (r1 - 1) // 7  # never crosses a start
         assert A.indptr[r1] - A.indptr[r0] <= 10 or r1 - r0 == 1
         # per row the same arithmetic as the whole product
-        assert np.array_equal(csr_rows(A, r0, r1, x), (A @ x)[r0:r1])
-        assert np.array_equal(csr_rows(A, r0, r1, X), (A @ X)[r0:r1])
+        rows = (A.indptr[r0 : r1 + 1], A.indices, A.data, 30)
+        assert np.array_equal(csr_product(*rows, x), (A @ x)[r0:r1])
+        assert np.array_equal(csr_product(*rows, X), (A @ X)[r0:r1])
         covered[r0:r1] = True
     # every row holding entries belongs to a unit
     assert not np.any(np.diff(A.indptr)[~covered])
     # float32 data runs in float32
     A32 = sp.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
-    assert csr_rows(A32, 0, 40, x).dtype == np.float32
+    assert csr_product(A32.indptr, A32.indices, A32.data, 30, x).dtype == np.float32

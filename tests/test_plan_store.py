@@ -44,7 +44,6 @@ def _digest(tc, plan, **over):
         accumulate_bounds=False,
         memory_budget=plan.memory_budget,
         mode="target",
-        rows_dtype=plan.rows_dtype,
         n_units=None,
         tol=None,
     )
@@ -113,7 +112,7 @@ def test_warm_start_operators_wrap_the_mmap(built, tmp_path):
 
 
 def test_digest_invalidation(built, rng):
-    """Perturbed points, a different tol, dtype or mode each change the
+    """Perturbed points, a different tol or mode each change the
     content digest — the cache key the store addresses plans by."""
     pts, q, tc = built
     plan = tc.compile_plan(cache_dir="")
@@ -126,7 +125,6 @@ def test_digest_invalidation(built, rng):
     assert _digest(tc2, plan) != base
 
     assert _digest(tc, plan, tol=1e-6) != base
-    assert _digest(tc, plan, rows_dtype=np.float32) != base
     assert _digest(tc, plan, mode="cluster") != base
 
     # policy parameters feed the digest too
@@ -362,7 +360,7 @@ def test_format6_file_misses_as_version(built, tmp_path):
     a ``version`` miss, and the recompile is bitwise a fresh compile."""
     from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
 
-    assert STORE_FORMAT_VERSION == 7
+    assert STORE_FORMAT_VERSION >= 7
     pts, q, tc = built
     fresh = tc.compile_plan(mode="cluster", cache_dir="").execute(q)
     tc.compile_plan(mode="cluster", cache_dir=str(tmp_path))
@@ -384,3 +382,42 @@ def test_format6_file_misses_as_version(built, tmp_path):
         tracing.set_enabled(False)
         REGISTRY.reset()
     np.testing.assert_array_equal(plan.execute(q).potential, fresh.potential)
+
+
+def test_format7_file_misses_as_version(built, tmp_path):
+    """Format 8 stores near fields as row-range units over incidences,
+    without dense spilled blocks: a format-7 file of a partly spilled
+    plan is a ``version`` miss, and the recompile is bitwise a fresh
+    compile."""
+    from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
+
+    assert STORE_FORMAT_VERSION == 8
+    pts, q, tc = built
+    kw = dict(compute="both", memory_budget=1 << 20)
+    fresh = tc.compile_plan(cache_dir="", **kw).execute(q)
+    tc.compile_plan(cache_dir=str(tmp_path), **kw)
+    (path,) = tmp_path.glob("*.plan")
+    blob = bytearray(path.read_bytes())
+    off = len(_MAGIC)
+    blob[off : off + 4] = np.uint32(7).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(PlanStoreError) as exc:
+        load_plan(path)
+    assert exc.value.reason == "version"
+
+    REGISTRY.reset()
+    tracing.enable()
+    try:
+        plan = tc.compile_plan(cache_dir=str(tmp_path), **kw)
+        assert _miss_counts() == {"version": 1}
+    finally:
+        tracing.set_enabled(False)
+        REGISTRY.reset()
+    assert plan.n_near_precomputed > 0 and plan.n_near_spilled > 0
+    got = plan.execute(q)
+    np.testing.assert_array_equal(got.potential, fresh.potential)
+    np.testing.assert_array_equal(got.gradient, fresh.gradient)
+    # the healed file restores the spilled incidences from the mapping
+    loaded = load_plan(path)
+    assert all(_reaches_memmap(a) for a in loaded._near_inc)
+    np.testing.assert_array_equal(loaded.execute(q).gradient, fresh.gradient)
