@@ -145,7 +145,13 @@ def bench_cluster(
     pts = make_distribution("uniform", n, seed=n)
     q = unit_charges(n, seed=n + 1, signed=True)
     q2 = unit_charges(n, seed=n + 2, signed=True)
-    tc = Treecode(pts, q, degree_policy=AdaptiveChargeDegree(p0=p0, alpha=alpha), alpha=alpha)
+    # the full tree, pinned: the smoke gate scales this plan's memory
+    # linearly to n=50k, which holds at a fixed depth and not across
+    # the cut levels a chosen plan moves between with n
+    tc = Treecode(
+        pts, q, degree_policy=AdaptiveChargeDegree(p0=p0, alpha=alpha), alpha=alpha,
+        leaf_size=16,
+    )
     lists = tc.traverse(tc.tree.points, self_targets=True)
     spilled = tc.compile_plan(lists=lists, memory_budget=0)
     t_fb, _ = _time_best(lambda: spilled.execute(q2), repeats)
@@ -300,15 +306,18 @@ def bench_variable_order(n: int, repeats: int, alpha: float = 0.5, p0: int = 4) 
     pts = make_distribution("uniform", n, seed=n)
     q = unit_charges(n, seed=n + 1, signed=True)
     q2 = unit_charges(n, seed=n + 2, signed=True)
+    # both plans on the full tree, pinned: the comparison is of degree
+    # selection, and a chosen cut would move with the degrees
     tc = Treecode(
-        pts, q, degree_policy=AdaptiveChargeDegree(p0=p0, alpha=alpha), alpha=alpha
+        pts, q, degree_policy=AdaptiveChargeDegree(p0=p0, alpha=alpha), alpha=alpha,
+        leaf_size=16,
     )
     base = tc.compile_plan(mode="cluster", accumulate_bounds=True)
     tol = float(base.execute(q2).error_bound.max())
 
     var = tc.compile_plan(mode="cluster", tol=tol)
     p_max = int(var.pair_degrees.max()) if var.pair_degrees.size else 0
-    tcf = Treecode(pts, q, degree_policy=FixedDegree(p_max), alpha=alpha)
+    tcf = Treecode(pts, q, degree_policy=FixedDegree(p_max), alpha=alpha, leaf_size=16)
     fixed = tcf.compile_plan(mode="cluster")
     t_var, _ = _time_best(lambda: var.execute(q2), repeats)
     t_fixed, _ = _time_best(lambda: fixed.execute(q2), repeats)

@@ -178,7 +178,10 @@ class Treecode:
     alpha:
         MAC parameter in ``(0, 1)``.
     leaf_size:
-        Octree leaf capacity.
+        Octree leaf capacity.  ``None`` (the default) builds leaves of
+        16 and lets each cluster plan choose the level it cuts that
+        octree at with a cost model; an integer pins the full tree.
+        Target-major and ``tol`` plans always use the full tree.
     expansion_center:
         Passed to :func:`~repro.tree.octree.build_octree`.
     softening:
@@ -214,7 +217,7 @@ class Treecode:
         charges: np.ndarray,
         degree_policy: DegreePolicy | None = None,
         alpha: float = 0.5,
-        leaf_size: int = 16,
+        leaf_size: int | None = None,
         expansion_center: str = "abs_com",
         max_depth: int = 20,
         softening: float = 0.0,
@@ -226,6 +229,8 @@ class Treecode:
             raise ValueError(f"softening must be >= 0, got {softening}")
         self.alpha = float(alpha)
         self.softening = float(softening)
+        #: ``None`` lets cluster plans choose their octree cut level
+        self.leaf_size = None if leaf_size is None else int(leaf_size)
         self.degree_policy = (
             degree_policy
             if degree_policy is not None
@@ -247,7 +252,7 @@ class Treecode:
                 self.tree = build_octree(
                     points,
                     charges,
-                    leaf_size=leaf_size,
+                    leaf_size=16 if leaf_size is None else leaf_size,
                     expansion_center=expansion_center,
                     max_depth=max_depth,
                 )

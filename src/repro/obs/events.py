@@ -108,6 +108,8 @@ EVENTS: dict[str, Event] = {
     # compiled plans and the plan store
     "plan_compile": _e("plan_compiles", "mode targets memory_bytes compile_s",
                        "evaluation plans compiled"),
+    "plan_depth": _e("plan_depth_choices", "chosen height candidates",
+                     "cluster-plan octree cut levels chosen by the cost model"),
     "plan_shed": _e("plan_sheds", "stage freed_bytes memory_bytes",
                     "plan memory-shed stages run"),
     "plan_cache.hit": _e("plan_cache_hits", "kind digest path load_s",

@@ -58,6 +58,13 @@ The target-major plans keep their charge-centred expansions.  The near
 field is the target-major plan's (:meth:`CompiledPlan._compile_near`):
 each target leaf's particles see one source list, the concatenated
 particles of its near-listed source leaves.
+
+**The cut.**  On a ``Treecode(leaf_size=None)`` a plan chooses the
+octree level it cuts at (:func:`_cut_view`): a coarse cut moves work
+from M2L into the near CSR, and the dual bound holds at any cut.  One
+full-depth traversal prices every level (:func:`_cut_terms`,
+:func:`_price_cuts`) and the plan compiles the cheapest whose near field
+fits the budget; an explicit leaf size, or ``tol``, keeps the full tree.
 """
 
 from __future__ import annotations
@@ -86,6 +93,7 @@ from ..multipole.lattice import (
     scales,
     unpack_keys,
 )
+from ..obs import emit
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import is_enabled, span
 from ..parallel.partition import translation_cost
@@ -98,7 +106,7 @@ from .operators import (
     index_dtype,
     op_nbytes,
 )
-from .plan import DEFAULT_MEMORY_BUDGET, CompiledPlan, _row_blocks
+from .plan import _NEAR_ENTRY_BYTES, DEFAULT_MEMORY_BUDGET, CompiledPlan, _row_blocks
 
 __all__ = ["ClusterPlan"]
 
@@ -131,27 +139,153 @@ def _box_view(tree: Octree) -> tuple[Octree, np.ndarray, float]:
     ``tree`` except ``center_exp`` (the geometric box centres) and
     ``radius`` (the exact enclosing radius about them, one segmented
     max per level); ``ic`` are the integer box-centre coordinates in
-    ``unit`` — the finest level's half size — so every centre
+    ``unit`` — the view's finest level's half size — so every centre
     displacement is ``unit`` times an exact integer vector.
     """
-    unit = float(tree.half_size[tree.level_ranges[-1][0]])
-    ic = np.rint((tree.center_geom - tree.domain_lo) / unit).astype(np.int64)
-    if tree.expansion_center == "box":
-        return tree, ic, unit
-    r2 = np.empty(tree.n_nodes)
-    for lo, hi in tree.level_ranges:
-        cnt = tree.end[lo:hi] - tree.start[lo:hi]
-        first = np.cumsum(cnt) - cnt
-        pidx = np.arange(int(cnt.sum())) + np.repeat(tree.start[lo:hi] - first, cnt)
-        d = tree.points[pidx] - np.repeat(tree.center_geom[lo:hi], cnt, axis=0)
-        r2[lo:hi] = np.maximum.reduceat(np.einsum("ij,ij->i", d, d), first)
-    view = dataclasses.replace(
-        tree,
-        center_exp=tree.center_geom,
-        radius=np.sqrt(r2),
-        expansion_center="box",
-    )
+    if tree.expansion_center != "box":
+        r2 = np.empty(tree.n_nodes)
+        for lo, hi in tree.level_ranges:
+            cnt = tree.end[lo:hi] - tree.start[lo:hi]
+            first = np.cumsum(cnt) - cnt
+            pidx = np.arange(int(cnt.sum())) + np.repeat(
+                tree.start[lo:hi] - first, cnt
+            )
+            d = tree.points[pidx] - np.repeat(tree.center_geom[lo:hi], cnt, axis=0)
+            r2[lo:hi] = np.maximum.reduceat(np.einsum("ij,ij->i", d, d), first)
+        tree = dataclasses.replace(
+            tree,
+            center_exp=tree.center_geom,
+            radius=np.sqrt(r2),
+            expansion_center="box",
+        )
+    return _cut_view(tree, tree.height - 1)
+
+
+def _cut_view(view: Octree, cut: int) -> tuple[Octree, np.ndarray, float]:
+    """``(view, ic, unit)`` of a box-centred ``view`` cut at level
+    ``cut``: nodes are stored level by level, so the cut keeps the
+    node-id prefix ``[0, level_ranges[cut][1])`` — every kept node keeps
+    its id and with it its degree — and the level-``cut`` nodes become
+    leaves.  The full height returns ``view`` itself."""
+    top = view.height - 1
+    if not min(1, top) <= cut <= top:
+        raise ValueError(f"cut must be in [1, {top}], got {cut}")
+    lo, hi = view.level_ranges[cut]
+    if hi < view.n_nodes:
+        at_cut = view.level[:hi] == cut
+        nodes = {
+            f.name: getattr(view, f.name)[:hi]
+            for f in dataclasses.fields(view)
+            if f.name not in ("points", "charges", "perm", "domain_lo", "domain_hi")
+            and isinstance(getattr(view, f.name), np.ndarray)
+        }
+        nodes["n_children"] = np.where(at_cut, 0, nodes["n_children"]).astype(np.int32)
+        nodes["first_child"] = np.where(at_cut, -1, nodes["first_child"])
+        view = dataclasses.replace(
+            view, level_ranges=view.level_ranges[: cut + 1], **nodes
+        )
+    unit = float(view.half_size[lo])
+    ic = np.rint((view.center_geom - view.domain_lo) / unit).astype(np.int64)
     return view, ic, unit
+
+
+#: Cost model of a cut (see DESIGN.md, "Choosing the cut"): seconds per
+#: unit of each term, for compile plus one execute.  Fitted once by
+#: ``python benchmarks/bench_depth.py --fit`` and fixed here, so the same
+#: inputs always choose the same cut.
+_CUT_COST = {
+    "near": 1.29e-08,  #: per near CSR entry: assembled once, applied once
+    "near_grad": 2.632e-08,  #: per near entry, extra for the gradient arrays
+    "flops": 4.959e-10,  #: per M2L GEMM flop of one execute (with its pair's passes)
+    "pairs": 0.0,  #: per box pair: keys, sorts and sums at compile, gathers per execute
+    "rows": 1.624e-08,  #: per P2M and L2P coefficient row entry, built and applied
+    "base": 0.01108,  #: per candidate with any far field: operators, units, L2L
+}
+#: Seconds per pair (far and near) of a dual traversal.  The full height
+#: compiles from the traversal that priced it, every other cut traverses
+#: its own view, so the full height is credited its traversal.
+_TRAVERSE_PAIR_S = 1.33e-07
+
+
+def _gemm_flops(p) -> np.ndarray:
+    """M2L GEMM flops of a box pair at degree ``p``: one ``(2·nc)²``
+    operator applied to a ``2·nc`` row."""
+    nc2 = (np.asarray(p) + 1.0) * (np.asarray(p) + 2)
+    return 2.0 * nc2 * nc2
+
+
+def _cut_terms(view: Octree, pairs, degrees: np.ndarray, grad: bool) -> dict:
+    """Cost-model terms of cutting the box-centred ``view`` at each level
+    ``1 .. height - 1``, priced from its one full-depth dual traversal
+    ``pairs`` (per-node degrees ``degrees``).
+
+    Nodes split level by level, so a cut traversal makes the full one's
+    decisions on every pair of nodes above the cut: its far pairs are
+    those whose deeper box is at most at the cut level (exactly, but for
+    a rare pair whose full traversal split a cut-level box against a
+    larger box), and by the partition property every particle pair no
+    such far pair covers is one near entry.  One weighted bincount per
+    term over the far pairs' deeper levels prices every cut.
+    """
+    H = view.height
+    fs, ft = pairs.far_src, pairs.far_tgt
+    cnt = (view.end - view.start).astype(np.float64)
+    fl = np.maximum(view.level[fs], view.level[ft]).astype(np.int64)
+
+    def upto(w=None) -> np.ndarray:
+        return np.cumsum(np.bincount(fl, weights=w, minlength=H))[1:H]
+
+    p = degrees[fs]
+    # P2M rows appear with a source's shallowest pair; L2P rows are
+    # every target at the highest degree the cut's pairs reach
+    first = np.full(view.n_nodes, H, dtype=np.int64)
+    np.minimum.at(first, fs, fl)
+    has = first < H
+    row = cnt * (degrees + 1) * (degrees + 2)
+    p2m = np.cumsum(np.bincount(first[has], weights=row[has], minlength=H))[1:H]
+    pmax = np.full(H, -1.0)
+    np.maximum.at(pmax, fl, p)
+    pmax = np.maximum.accumulate(pmax)[1:H]
+    l2p = np.where(pmax >= 0, view.n_particles * (pmax + 1) * (pmax + 2), 0.0)
+    n_pairs = upto()
+    near = float(view.n_particles) ** 2 - upto(cnt[fs] * cnt[ft])
+    reuse = np.zeros(H - 1)
+    reuse[-1] = pairs.n_far + pairs.n_near
+    return {
+        "cut": np.arange(1, H),
+        "reuse": reuse,
+        "near": near,
+        "near_grad": near if grad else np.zeros_like(near),
+        "flops": upto(_gemm_flops(p)),
+        "pairs": n_pairs,
+        "rows": p2m + l2p * (4.0 if grad else 1.0),
+        "base": (n_pairs > 0).astype(np.float64),
+    }
+
+
+def _price_cuts(terms: dict, memory_budget: int, grad: bool) -> list[dict]:
+    """Predicted compile-plus-one-execute seconds of every candidate cut.
+    A cut whose near CSR and coefficient rows would not fit the memory
+    budget beside the operators' share is dropped (its near field would
+    be re-assembled on every execute), except the full height, which is
+    always a candidate."""
+    entry = _NEAR_ENTRY_BYTES + (3 * 8 if grad else 0)
+    nbytes = terms["near"] * entry + terms["rows"] * 8
+    room = memory_budget - memory_budget // _OPERATOR_SHARE
+    seconds = sum(_CUT_COST[k] * terms[k] for k in _CUT_COST)
+    seconds = seconds - _TRAVERSE_PAIR_S * terms["reuse"]
+    last = int(terms["cut"][-1])
+    return [
+        {
+            "cut": int(c),
+            "near_entries": int(terms["near"][i]),
+            "m2l_flops": float(terms["flops"][i]),
+            "box_pairs": int(terms["pairs"][i]),
+            "seconds": float(seconds[i]),
+            "fits": bool(nbytes[i] <= room or c == last),
+        }
+        for i, c in enumerate(terms["cut"])
+    ]
 
 
 def _key_ids(dkey: np.ndarray, r2f: np.ndarray, step: np.ndarray):
@@ -238,6 +372,10 @@ class ClusterPlan(CompiledPlan):
     :meth:`Treecode.evaluate`) within the Theorem-1 truncation ledgers:
     the cluster path expands about box centres and adds the target-side
     truncation, which the dual bound accounts for.
+
+    ``cut_level`` is the octree level the plan cut at and ``cut_costs``
+    the cost model's candidates (empty when the cut was pinned).  ``cut``
+    compiles a given level instead, for benchmarks and tests.
     """
 
     _mode = "cluster"
@@ -252,6 +390,7 @@ class ClusterPlan(CompiledPlan):
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
         n_units: int | None = None,
         tol: float | None = None,
+        cut: int | None = None,
     ) -> None:
         if not self_targets:
             raise ValueError(
@@ -261,6 +400,7 @@ class ClusterPlan(CompiledPlan):
         if n_units is not None and n_units < 1:
             raise ValueError(f"n_units must be >= 1, got {n_units}")
         self._n_units_req = n_units
+        self._cut_req = cut
         super().__init__(
             tc,
             None,
@@ -275,7 +415,6 @@ class ClusterPlan(CompiledPlan):
     # -- compilation ---------------------------------------------------
     def _compile(self, lists) -> None:  # noqa: ARG002 - dual walk, no lists
         tc = self.tc
-        tree, ic, _ = _box_view(tc.tree)
         grad_wanted = self.compute == "both"
         want_bounds = self.accumulate_bounds
         mem = 0
@@ -283,7 +422,35 @@ class ClusterPlan(CompiledPlan):
         stats = TreecodeStats(n_targets=int(self.tgt.shape[0]))
         self._pair_p_max = min(self._pair_p_max, _M2L_MAX_P)
 
-        pairs = dual_traverse(tree, tc.alpha)
+        # ---- the cut: pinned (an explicit leaf size, a tol plan, whose
+        # degrees are selected against the full tree's ledger, or a
+        # requested level), or the cheapest candidate priced from one
+        # full-depth traversal ----------------------------------------
+        full, _, _ = _box_view(tc.tree)
+        top = full.height - 1
+        pairs = None
+        #: per candidate cut: predicted work and seconds (chosen plans)
+        self.cut_costs: list[dict] = []
+        if self._cut_req is not None:
+            cut = int(self._cut_req)
+        elif tc.leaf_size is not None or self.tol is not None or top <= 1:
+            cut = top
+        else:
+            pairs = dual_traverse(full, tc.alpha)
+            self.cut_costs = _price_cuts(
+                _cut_terms(full, pairs, tc.p_eval, grad_wanted),
+                self.memory_budget,
+                grad_wanted,
+            )
+            fits = [c for c in self.cut_costs if c["fits"]]
+            cut = min(fits, key=lambda c: c["seconds"])["cut"]
+            emit("plan_depth", chosen=cut, height=top, candidates=self.cut_costs)
+        tree, ic, _ = _cut_view(full, cut)
+        if pairs is None or cut != top:
+            pairs = dual_traverse(tree, tc.alpha)
+        #: octree level the plan cuts at: its nodes there are the leaves
+        self.cut_level = cut
+        self._n_nodes = tree.n_nodes
         fs, ft = pairs.far_src, pairs.far_tgt
         r_pair = pairs.far_r
         if not fs.size:
@@ -445,7 +612,7 @@ class ClusterPlan(CompiledPlan):
         first = np.cumsum(cnt) - cnt
         rows = np.arange(cnt.sum()) + np.repeat(tree.start[utl] - first, cnt)
         lists = np.repeat(np.arange(utl.size), cnt)
-        mem += self._compile_near(rows, lists, src, off, grad_wanted, budget_used)
+        mem += self._compile_near(tree, rows, lists, src, off, grad_wanted, budget_used)
 
         self._static_stats = stats
         self.memory_bytes = int(mem)
@@ -635,6 +802,21 @@ class ClusterPlan(CompiledPlan):
         self._units.append(unit)
         return mem
 
+    def _predicted_work(self) -> dict:
+        """The cut and its work per execute: near entries, box pairs and
+        M2L GEMM flops, plus the cost model's seconds when it chose the
+        cut."""
+        work = {
+            "cut": self.cut_level,
+            "near_entries": int(self._near_cum[-1]),
+            "box_pairs": int(self.n_box_pairs),
+            "m2l_flops": float(np.sum(_gemm_flops(self.pair_degrees))),
+        }
+        for c in self.cut_costs:
+            if c["cut"] == self.cut_level:
+                work["predicted_s"] = c["seconds"]
+        return work
+
     # -- execution -----------------------------------------------------
     @property
     def _n_far_units(self) -> int:
@@ -736,7 +918,7 @@ class ClusterPlan(CompiledPlan):
     def _far_unit_eval(self, ctx, u: _FarUnit, phi, grad, bound, stats):
         """Evaluate one far unit: lattice M2L into box locals, L2L
         push-down, frozen L2P.  Writes only to ``[u.tlo, u.thi)``."""
-        n_nodes = self.tc.tree.n_nodes
+        n_nodes = self._n_nodes
         nc2max = 2 * ncoef(self._Pmax)
         first = next(iter(ctx.values()), None)
         kb = (
@@ -878,8 +1060,10 @@ class ClusterPlan(CompiledPlan):
 
     def describe(self) -> str:
         """One-line summary of the compiled structure."""
+        how = "chosen" if self.cut_costs else "pinned"
         return (
             f"ClusterPlan(targets={self.n_targets}, "
+            f"cut={self.cut_level} ({how}), "
             f"box_pairs={self.n_box_pairs}, units={len(self._units)}, "
             f"m2l_keys={len(self._m2l_ops)} over {len(self._m2l_dirs)} dirs "
             f"({int(self._m2l_rebuild.sum())} rebuilt per execute), "

@@ -49,8 +49,16 @@ __all__ = [
 ]
 
 #: Near entries evaluated per pass while assembling or recomputing near
-#: kernels — bounds the transient ``(entries, 3)`` displacement array.
+#: kernels — bounds the transient ``(entries, 3)`` displacement array
+#: and the tiles of a broadcast block.
 _NEAR_PASS = 1 << 14
+#: Consecutive rows that see the same source sequence are one dense
+#: block of the near CSR; a block of at least ``_BLOCK_ROWS`` rows and
+#: ``_BLOCK_MIN`` entries broadcasts its rows against its sources instead
+#: of gathering coordinates per entry (smaller blocks would pay more in
+#: per-block calls than they save).
+_BLOCK_ROWS = 4
+_BLOCK_MIN = 1 << 13
 
 
 def index_dtype(*extents: int):
@@ -162,6 +170,58 @@ def near_values(tgt_t, src_t, rows, cols, exclude_self, softening, out, gout=Non
                 np.multiply(d[a], wg, out=gout[a])
 
 
+def _block_values(tgt_t, src_t, R, S, exclude_self, softening, out, gout):
+    """:func:`near_values` of every row ``R`` against every source
+    ``S``, broadcast into the ``(rows, sources)`` block ``out`` (and
+    ``gout``, ``(3, rows, sources)``) in tiles of about ``_NEAR_PASS``
+    entries.  The arithmetic is ``near_values``'s, operation for
+    operation, so entries are bitwise equal; dead entries get ``r² =
+    ∞``, which makes both kernels exact zeros."""
+    m = S.size
+    step = max(1, _NEAR_PASS // m)
+    sxyz = [src_t[a][S] for a in range(3)]
+    eps2 = softening * softening
+    ordered = bool(np.all(S[1:] > S[:-1]))
+    for q0 in range(0, R.size, step):
+        Rq = R[q0 : q0 + step]
+        t = [tgt_t[a][Rq] for a in range(3)]
+        d0 = np.subtract.outer(t[0], sxyz[0])
+        r2 = d0 * d0
+        d1 = np.subtract.outer(t[1], sxyz[1])
+        if gout is None:
+            d1 *= d1
+            r2 += d1
+            d2 = np.subtract.outer(t[2], sxyz[2], out=d1)
+            d2 *= d2
+            r2 += d2
+        else:
+            d2 = np.subtract.outer(t[2], sxyz[2])
+            r2 += d1 * d1
+            r2 += d2 * d2
+        if eps2:
+            r2 += eps2
+        if exclude_self:
+            if ordered:
+                j = np.minimum(np.searchsorted(S, Rq), m - 1)
+                i = np.flatnonzero(S[j] == Rq)
+                r2[i, j[i]] = np.inf
+            else:
+                r2[np.equal.outer(Rq, S)] = np.inf
+        if r2.min() == 0.0:
+            r2[r2 == 0.0] = np.inf
+        o = out[q0 : q0 + step]
+        if gout is None:
+            np.sqrt(r2, out=r2)
+            np.divide(1.0, r2, out=o)
+            continue
+        wg = np.sqrt(r2)
+        np.divide(1.0, wg, out=o)
+        wg *= r2
+        np.divide(1.0, wg, out=wg)
+        for a, d in enumerate((d0, d1, d2)):
+            np.multiply(d, wg, out=gout[a, q0 : q0 + step])
+
+
 def assemble_near(
     tgt_t, src_t, rows, lists, src, off, exclude_self, softening, grad, span=None
 ):
@@ -174,17 +234,21 @@ def assemble_near(
     ``span = (r0, r1)`` (default every target), which must hold every
     incidence row; ``gdata`` is the ``(3, nnz)`` gradient values
     sharing ``indices``/``indptr``, or ``None``.  A row lists its
-    sources list by list, in order of each list's first source; values
-    are written straight into the final arrays, :data:`_NEAR_PASS`
-    entries a pass.  Entries are functions of their (row, source) pair
-    alone, so re-assembling all incidences of some rows reproduces
-    those rows of the whole field bitwise.
+    sources list by list, in order of each list's first source, and
+    values are written straight into the final arrays.  Consecutive
+    rows with the same lists are one dense block of the CSR: a large
+    block is broadcast (:func:`_block_values`), the rest go through
+    :func:`near_values`, :data:`_NEAR_PASS` entries a pass.  Entries are
+    functions of their (row, source) pair alone, and both kernels do
+    the same arithmetic, so re-assembling all incidences of some rows
+    reproduces those rows of the whole field bitwise.
     """
     r0, r1 = (0, tgt_t.shape[1]) if span is None else span
     start = off[lists]
     order = np.lexsort((src[start], rows))
-    rows, start = rows[order], start[order]
-    cnt = (off[lists[order] + 1] - start).astype(np.int64)
+    rows, lists = rows[order], lists[order]
+    start = off[lists]
+    cnt = (off[lists + 1] - start).astype(np.int64)
     off_e = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(cnt, out=off_e[1:])
     nnz = int(off_e[-1])
@@ -193,20 +257,66 @@ def assemble_near(
     indices = np.empty(nnz, dtype=idt)
     data = np.empty(nnz, dtype=np.float64)
     gdata = np.empty((3, nnz), dtype=np.float64) if grad else None
-    i = 0
-    while i < rows.size:
-        j = max(i + 1, int(np.searchsorted(off_e, off_e[i] + _NEAR_PASS, "right")) - 1)
-        lo, hi = int(off_e[i]), int(off_e[j])
+
+    def sources(i, j):
+        """Source columns of incidences ``[i, j)``, entry by entry."""
+        lo = off_e[i]
         c = cnt[i:j]
-        pos = np.arange(hi - lo) + np.repeat(start[i:j] - (off_e[i:j] - lo), c)
-        cols = src[pos]
-        indices[lo:hi] = cols
-        near_values(
-            tgt_t, src_t, np.repeat(rows[i:j], c), cols, exclude_self, softening,
-            data[lo:hi], None if gdata is None else gdata[:, lo:hi],
+        return src[np.arange(off_e[j] - lo) + np.repeat(start[i:j] - off_e[i:j] + lo, c)]
+
+    def per_entry(i, i_end):
+        while i < i_end:
+            j = int(np.searchsorted(off_e, off_e[i] + _NEAR_PASS, "right")) - 1
+            j = min(i_end, max(i + 1, j))
+            lo, hi = int(off_e[i]), int(off_e[j])
+            cols = sources(i, j)
+            indices[lo:hi] = cols
+            near_values(
+                tgt_t, src_t, np.repeat(rows[i:j], cnt[i:j]), cols, exclude_self,
+                softening, data[lo:hi], None if gdata is None else gdata[:, lo:hi],
+            )
+            i = j
+
+    i = 0
+    for b0, b1, nr in _blocks(rows, lists, off_e).tolist():
+        per_entry(i, b0)
+        c = (b1 - b0) // nr
+        lo, hi = int(off_e[b0]), int(off_e[b1])
+        S = sources(b0, b0 + c)
+        shape = (nr, S.size)
+        indices[lo:hi].reshape(shape)[:] = S
+        _block_values(
+            tgt_t, src_t, rows[b0:b1:c], S, exclude_self, softening,
+            data[lo:hi].reshape(shape),
+            None if gdata is None else gdata[:, lo:hi].reshape((3,) + shape),
         )
-        i = j
+        i = b1
+    per_entry(i, rows.size)
     return indptr, indices, data, gdata
+
+
+def _blocks(rows, lists, off_e) -> np.ndarray:
+    """Large dense blocks of row-sorted incidences, as ``(first, end,
+    rows)`` incidence ranges: maximal runs of consecutive rows whose
+    list sequences are equal, with at least ``_BLOCK_ROWS`` rows and
+    ``_BLOCK_MIN`` entries."""
+    if rows.size == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    f = np.flatnonzero(np.append(True, rows[1:] != rows[:-1]))
+    c = np.diff(np.append(f, rows.size))
+    same = np.zeros(f.size, dtype=bool)
+    if f.size > 1:
+        # row k repeats row k - 1 when its count and every list match
+        eq = np.repeat(c[1:] == c[:-1], c[1:])
+        prev = np.arange(f[1], rows.size) - np.repeat(c[:-1], c[1:])
+        eq &= lists[f[1] :] == lists[np.where(eq, prev, 0)]
+        same[1:] = np.logical_and.reduceat(eq, f[1:] - f[1])
+    first = np.flatnonzero(~same)
+    nr = np.diff(np.append(first, f.size))
+    b0 = f[first]
+    b1 = np.append(b0[1:], rows.size)
+    keep = (nr >= _BLOCK_ROWS) & (off_e[b1] - off_e[b0] >= _BLOCK_MIN)
+    return np.stack([b0[keep], b1[keep], nr[keep]], axis=1)
 
 
 def row_ranges(indptr: np.ndarray, starts: np.ndarray, budget: int) -> np.ndarray:

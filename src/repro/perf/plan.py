@@ -279,6 +279,7 @@ class CompiledPlan:
         self.predicted_ledger_max: float | None = None if tol is None else 0.0
         with stopwatch("plan.compile", targets=int(tgt.shape[0])) as sw:
             self._compile(lists)
+            sw.set(**self._predicted_work())
         self._refresh_spill_counts()
         self.compile_time = sw.elapsed
         degree_hist = dict(self._static_stats.interactions_by_degree)
@@ -407,7 +408,7 @@ class CompiledPlan:
         if self.self_targets:
             own = (rows >= s[which]) & (rows < e[which])
             stats.n_pp_pairs -= int(np.count_nonzero(own))
-        mem += self._compile_near(rows, which, src, off, grad_wanted, budget_used)
+        mem += self._compile_near(tree, rows, which, src, off, grad_wanted, budget_used)
 
         self._static_stats = stats
         self.memory_bytes = int(mem)
@@ -503,12 +504,14 @@ class CompiledPlan:
             bgeom = theorem1_bound(1.0, self.tc.tree.radius[nodes], r, ch.p)
         return op, gop, bgeom
 
-    def _compile_near(self, rows, lists, src, off, grad: bool, budget_used: int) -> int:
+    def _compile_near(
+        self, tree, rows, lists, src, off, grad: bool, budget_used: int
+    ) -> int:
         """Compile the near field from incidences: target ``rows[i]`` sees
         the sources ``src[off[k] : off[k + 1]]`` of list ``k = lists[i]``.
 
-        The rows are cut into work units — one per target leaf (or per
-        ``leaf_size`` external targets), split at ``_NEAR_BUDGET``
+        The rows are cut into work units — one per leaf of ``tree`` (or
+        per ``leaf_size`` external targets), split at ``_NEAR_BUDGET``
         entries — whatever the budget.  The leading units that fit the
         budget are assembled into the plan's frozen near CSR; the
         incidences of the others are kept (the source lists once, as one
@@ -516,7 +519,7 @@ class CompiledPlan:
         :func:`~repro.perf.operators.assemble_near` re-assembles them on
         every application.  Returns the materialized bytes.
         """
-        tree, nt = self.tc.tree, self.n_targets
+        nt = self.n_targets
         keep = off[lists + 1] > off[lists]
         rows, lists = rows[keep], lists[keep]
         order = np.lexsort((src[off[lists]], rows))
@@ -573,6 +576,11 @@ class CompiledPlan:
             tgt_t = src_t if self.self_targets else np.ascontiguousarray(self.tgt.T)
             self._near_xyz = (tgt_t, src_t)
         return self._near_xyz
+
+    def _predicted_work(self) -> dict:
+        """Work the compiled plan predicts per execute, attached to its
+        ``plan.compile`` span."""
+        return {"near_entries": int(self._near_cum[-1])}
 
     # -- execution -----------------------------------------------------
     @property

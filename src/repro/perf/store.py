@@ -92,8 +92,10 @@ ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 #: operand rows and sum into (octant, target) buckets).  8: near fields
 #: are row-range units over incidences — a frozen CSR for the leading
 #: units and the incidences of the rest — with no dense spilled blocks,
-#: and the digest drops the row dtype.
-STORE_FORMAT_VERSION = 8
+#: and the digest drops the row dtype.  9: cluster plans cut the octree
+#: at a level a cost model chooses (their nodes, radii and leaves are a
+#: cut view's), and the digest says whether the cut is chosen or pinned.
+STORE_FORMAT_VERSION = 9
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64
@@ -468,6 +470,12 @@ def plan_digest(
         "alpha": tc.alpha,
         "softening": tc.softening,
         "leaf_size": int(tree.leaf_size),
+        # a cluster plan on a Treecode(leaf_size=None) chooses its cut
+        # level; an explicit leaf size pins the full tree
+        "cut": (
+            None if mode != "cluster" else
+            "pinned" if tc.leaf_size is not None else "chosen"
+        ),
         "expansion_center": tree.expansion_center,
         "mode": mode,
         "compute": compute,

@@ -25,8 +25,10 @@ MODES = ("target", "cluster")
 def built(rng):
     pts = rng.random((N, 3))
     q = rng.uniform(-1, 1, N)
+    # leaf_size pins the full tree: cluster batches run through M2L
     tc = Treecode(
-        pts, q, degree_policy=AdaptiveChargeDegree(p0=4, alpha=0.5), alpha=0.5
+        pts, q, degree_policy=AdaptiveChargeDegree(p0=4, alpha=0.5), alpha=0.5,
+        leaf_size=16,
     )
     return pts, q, tc
 

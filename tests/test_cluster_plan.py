@@ -43,9 +43,9 @@ class TestClusterPlan:
         """The cluster plan's Theorem-1 ledger (with the dual-MAC pair
         radius a_src + a_tgt) must bound the true error per target."""
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=policy, alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=policy, alpha=0.5, leaf_size=16)
         plan = tc.compile_plan(mode="cluster", accumulate_bounds=True)
-        assert isinstance(plan, ClusterPlan)
+        assert isinstance(plan, ClusterPlan) and plan.n_box_pairs > 0
         res = plan.execute(q)
         exact = _direct_potential(pts, q)
         err = np.abs(res.potential - exact)
@@ -53,7 +53,7 @@ class TestClusterPlan:
 
     def test_matches_pc_plan_within_combined_ledgers(self, small_cloud):
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
         pc = tc.compile_plan(compute="both", accumulate_bounds=True)
         cc = tc.compile_plan(
             mode="cluster", compute="both", accumulate_bounds=True
@@ -70,7 +70,9 @@ class TestClusterPlan:
         """Sum of the per-level ledger == sum of per-target bounds (the
         finalize guard enforces this; check the numbers directly too)."""
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=AdaptiveChargeDegree(p0=3), alpha=0.5)
+        tc = Treecode(
+            pts, q, degree_policy=AdaptiveChargeDegree(p0=3), alpha=0.5, leaf_size=16
+        )
         res = tc.compile_plan(mode="cluster", accumulate_bounds=True).execute(q)
         ledger = sum(res.stats.bound_by_level.values())
         assert ledger == pytest.approx(float(np.sum(res.error_bound)), rel=1e-6)
@@ -79,7 +81,7 @@ class TestClusterPlan:
         """Cluster far field is O(pairs + boxes·p^2) — it precomputes no
         row matrices, so even a 1 MiB budget spills only near units."""
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
         tight = tc.compile_plan(mode="cluster", memory_budget=1 << 20)
         assert tight.n_far_spilled == 0
         full = tc.compile_plan(mode="cluster")
@@ -90,7 +92,7 @@ class TestClusterPlan:
         """Unit duplication (a target box appearing in several units)
         must not inflate the frozen interaction counts."""
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
         plan = tc.compile_plan(mode="cluster")
         s = plan.execute(q).stats
         assert s.n_pc_interactions == plan.n_box_pairs
@@ -195,9 +197,9 @@ class TestProcessBackend:
 
     def test_block_errors_recovered_exactly(self, small_cloud, injector_guard):
         pts, q = small_cloud
-        plan = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5).compile_plan(
-            mode="cluster"
-        )
+        plan = Treecode(
+            pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16
+        ).compile_plan(mode="cluster")
         set_injector(None)
         clean = evaluate_plan_parallel(plan, q, n_threads=2, backend="process")
         set_injector(FaultInjector(parse_fault_spec("block_error:0.2"), seed=3))
@@ -211,9 +213,9 @@ class TestProcessBackend:
         """block_kill hard-kills workers (os._exit) — the parent must
         complete the remaining units serially and still match."""
         pts, q = small_cloud
-        plan = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5).compile_plan(
-            mode="cluster"
-        )
+        plan = Treecode(
+            pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16
+        ).compile_plan(mode="cluster")
         set_injector(None)
         clean = evaluate_plan_parallel(plan, q, n_threads=2, backend="process")
         set_injector(FaultInjector(parse_fault_spec("block_kill:0.5"), seed=5))

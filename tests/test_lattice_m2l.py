@@ -147,7 +147,8 @@ def plan_and_charges():
     pts = uniform_cube(900, seed=5)
     q = rng.uniform(-1, 1, 900)
     Q = rng.uniform(-1, 1, (900, 5))
-    plan = Treecode(pts, q).compile_plan(mode="cluster", cache_dir="")
+    plan = Treecode(pts, q, leaf_size=16).compile_plan(mode="cluster", cache_dir="")
+    assert plan.n_box_pairs > 0
     return plan, q, Q
 
 
@@ -170,9 +171,10 @@ def test_plan_m2l_dirs_gauge(rng):
     REGISTRY.reset()
     tracing.enable()
     try:
-        plan = Treecode(pts, rng.uniform(-1, 1, 400)).compile_plan(
+        plan = Treecode(pts, rng.uniform(-1, 1, 400), leaf_size=16).compile_plan(
             mode="cluster", cache_dir=""
         )
+        assert plan.n_box_pairs > 0
         plan.execute(np.ones(400))
         assert REGISTRY.gauge("plan_m2l_dirs").value == len(plan._m2l_dirs)
         pairs = REGISTRY.counter("plan_m2l_pairs", labelnames=("backend",))
@@ -217,6 +219,7 @@ def test_tol_plan_containment(geometry, tol, rng):
     q = rng.uniform(-1, 1, n)
     tc = Treecode(pts, q, degree_policy=FixedDegree(4), leaf_size=8)
     plan = tc.compile_plan(mode="cluster", tol=tol, accumulate_bounds=True)
+    assert plan.n_box_pairs > 0
     res = plan.execute(q)
     coincide = np.all(pts[:, None, :] == pts[None, :, :], axis=2)
     np.fill_diagonal(coincide, False)
@@ -310,6 +313,7 @@ def test_folded_m2l_matches_per_pair_reference():
     pts, q = _adaptive_cloud()
     tc = Treecode(pts, q, degree_policy=_CycleDegree(), leaf_size=8)
     plan = tc.compile_plan(mode="cluster", cache_dir="")
+    assert plan.n_box_pairs > 0
     worst, octs, steps, degs, _ = _folded_vs_per_pair(plan, q)
     assert octs == set(range(8))
     assert {-1, 0, 1} <= steps
@@ -385,6 +389,7 @@ def test_batch_columns_agree_on_adaptive_cloud():
     plan = Treecode(pts, q, degree_policy=_CycleDegree(), leaf_size=8).compile_plan(
         mode="cluster", cache_dir=""
     )
+    assert plan.n_box_pairs > 0
     single = plan.execute(q).potential
     assert np.array_equal(plan.execute(q[:, None]).potential[:, 0], single)
     many = plan.execute(Q).potential
@@ -413,9 +418,9 @@ def test_second_compile_builds_no_direction_operator(monkeypatch):
     calls = _count_builds(monkeypatch, lattice)
     pts = uniform_cube(900, seed=5)
     q = np.random.default_rng(5).uniform(-1, 1, 900)
-    tc = Treecode(pts, q)
+    tc = Treecode(pts, q, leaf_size=16)
     first = tc.compile_plan(mode="cluster", cache_dir="")
-    assert sum(calls) > 0
+    assert first.n_box_pairs > 0 and sum(calls) > 0
     calls.clear()
     second = tc.compile_plan(mode="cluster", cache_dir="")
     assert calls == []
@@ -430,8 +435,9 @@ def test_memo_cap_leaves_results_unchanged(monkeypatch, cap):
     first and changes no operator or potential."""
     pts = uniform_cube(900, seed=5)
     q = np.random.default_rng(5).uniform(-1, 1, 900)
-    tc = Treecode(pts, q)
+    tc = Treecode(pts, q, leaf_size=16)
     ref = tc.compile_plan(mode="cluster", cache_dir="")
+    assert ref.n_box_pairs > 0
     monkeypatch.setattr(lattice, "_memo", {})
     monkeypatch.setattr(lattice, "_memo_bytes", 0)
     monkeypatch.setattr(lattice, "_MEMO_BYTES", cap)
@@ -451,8 +457,9 @@ def test_rebuilt_operators_once_per_unit_direction(monkeypatch):
     rng = np.random.default_rng(2)
     q = rng.uniform(-1, 1, 400)
     Q = rng.uniform(-1, 1, (400, 3))
-    tc = Treecode(pts, q, degree_policy=_CycleDegree())
+    tc = Treecode(pts, q, degree_policy=_CycleDegree(), leaf_size=16)
     frozen = tc.compile_plan(mode="cluster", cache_dir="")
+    assert frozen.n_box_pairs > 0
     assert all(T is not None for T in frozen._m2l_ops)
     tight = tc.compile_plan(mode="cluster", cache_dir="", memory_budget=1 << 20)
     rebuilt = np.array([T is None for T in tight._m2l_ops])

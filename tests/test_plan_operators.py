@@ -22,6 +22,7 @@ import scipy.sparse as sp
 from repro.core.degree import FixedDegree
 from repro.core.treecode import Treecode
 from repro.perf.operators import complex_layout, csr_product, real_layout, row_ranges
+from repro.perf.cluster import ClusterPlan
 from repro.perf.plan import DEFAULT_MEMORY_BUDGET
 from repro.perf.scatter import scatter_add
 
@@ -53,10 +54,14 @@ CASES = [
 
 
 def _plans(cloud, mode, tol, compute="potential"):
+    """The default-budget plan and its fully spilled oracle.  The leaf
+    size pins the full tree: a chosen cut depends on the budget."""
     pts, q, _ = cloud
-    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
     kw = dict(mode=mode, tol=tol, compute=compute, cache_dir="")
-    return tc.compile_plan(**kw), tc.compile_plan(memory_budget=0, **kw)
+    plan = tc.compile_plan(**kw)
+    assert mode == "target" or plan.n_box_pairs > 0
+    return plan, tc.compile_plan(memory_budget=0, **kw)
 
 
 @pytest.mark.parametrize("mode,tol", CASES)
@@ -153,21 +158,31 @@ PARTIAL = 200_000
 
 @pytest.mark.parametrize("budget", ["zero", "partial", "default", "shed"])
 @pytest.mark.parametrize("compute", ["potential", "both"])
-@pytest.mark.parametrize("mode", ["target", "cluster"])
+@pytest.mark.parametrize("mode", ["target", "cluster", "cluster-cut"])
 def test_near_field_is_bitwise_at_every_budget(cloud, mode, compute, budget):
     pts, q, Q = cloud
-    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
-    kw = dict(mode=mode, compute=compute, cache_dir="")
-    ref = tc.compile_plan(**kw)
+    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
+
+    def compile_(**kw):
+        # "cluster-cut": a cluster plan cut one level below the root,
+        # each unit one broadcast block of an octant's rows
+        if mode == "cluster-cut":
+            return ClusterPlan(tc, tc.tree.points, compute=compute, cut=1, **kw)
+        return tc.compile_plan(mode=mode, compute=compute, cache_dir="", **kw)
+
+    ref = compile_()
     m = ref._near_units.shape[0]
     assert ref.n_near_precomputed == m and ref.n_near_spilled == 0
     if budget == "shed":
-        plan = tc.compile_plan(**kw)
+        plan = compile_()
         assert plan.shed_memory() > 0 and plan.shed_memory() > 0
         assert plan._near_K is None
     else:
-        mb = {"zero": 0, "partial": PARTIAL, "default": DEFAULT_MEMORY_BUDGET}
-        plan = tc.compile_plan(memory_budget=mb[budget], **kw)
+        partial = PARTIAL
+        if mode == "cluster-cut":  # the entries of the first half of the units
+            partial = (12 + 24 * (compute == "both")) * int(ref._near_cum[m // 2])
+        mb = {"zero": 0, "partial": partial, "default": DEFAULT_MEMORY_BUDGET}
+        plan = compile_(memory_budget=mb[budget])
     pre = plan.n_near_precomputed
     assert {"zero": pre == 0, "partial": 0 < pre < m, "default": pre == m,
             "shed": pre == 0}[budget]

@@ -32,7 +32,8 @@ N = 600
 def built(rng):
     pts = rng.random((N, 3))
     q = rng.uniform(-1, 1, N)
-    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+    # the leaf size pins the full tree: cluster round-trips carry M2L
+    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
     return pts, q, tc
 
 
@@ -129,9 +130,16 @@ def test_digest_invalidation(built, rng):
 
     # policy parameters feed the digest too
     tc3 = Treecode(
-        pts, q, degree_policy=AdaptiveChargeDegree(p0=4, alpha=0.5), alpha=0.5
+        pts, q, degree_policy=AdaptiveChargeDegree(p0=4, alpha=0.5), alpha=0.5,
+        leaf_size=16,
     )
     assert _digest(tc3, plan) != base
+
+    # a chosen cut and a pinned one are different cluster plans; the
+    # target-major plan ignores the knob
+    chosen = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+    assert _digest(chosen, plan, mode="cluster") != _digest(tc, plan, mode="cluster")
+    assert _digest(chosen, plan) == base
 
 
 def test_cached_compile_hits_and_is_bitwise(built, tmp_path):
@@ -391,7 +399,7 @@ def test_format7_file_misses_as_version(built, tmp_path):
     compile."""
     from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
 
-    assert STORE_FORMAT_VERSION == 8
+    assert STORE_FORMAT_VERSION >= 8
     pts, q, tc = built
     kw = dict(compute="both", memory_budget=1 << 20)
     fresh = tc.compile_plan(cache_dir="", **kw).execute(q)
@@ -421,3 +429,42 @@ def test_format7_file_misses_as_version(built, tmp_path):
     loaded = load_plan(path)
     assert all(_reaches_memmap(a) for a in loaded._near_inc)
     np.testing.assert_array_equal(loaded.execute(q).gradient, fresh.gradient)
+
+
+def test_format8_file_misses_as_version(built, tmp_path):
+    """Format 9 cluster plans compile a cut view of the octree, chosen by
+    the cost model, and their digest says whether the cut is chosen or
+    pinned: a format-8 file is a ``version`` miss, and the recompile is
+    bitwise a fresh compile at the same cut."""
+    from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
+
+    assert STORE_FORMAT_VERSION == 9
+    pts, q, _ = built
+    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+    fresh_plan = tc.compile_plan(mode="cluster", cache_dir="")
+    assert fresh_plan.cut_level < tc.tree.height - 1
+    fresh = fresh_plan.execute(q)
+    tc.compile_plan(mode="cluster", cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("*.plan")
+    blob = bytearray(path.read_bytes())
+    off = len(_MAGIC)
+    blob[off : off + 4] = np.uint32(8).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(PlanStoreError) as exc:
+        load_plan(path)
+    assert exc.value.reason == "version"
+
+    REGISTRY.reset()
+    tracing.enable()
+    try:
+        plan = tc.compile_plan(mode="cluster", cache_dir=str(tmp_path))
+        assert _miss_counts() == {"version": 1}
+    finally:
+        tracing.set_enabled(False)
+        REGISTRY.reset()
+    assert plan.cut_level == fresh_plan.cut_level
+    np.testing.assert_array_equal(plan.execute(q).potential, fresh.potential)
+    loaded = load_plan(path)
+    assert loaded.cut_level == fresh_plan.cut_level
+    assert loaded.cut_costs == fresh_plan.cut_costs
+    np.testing.assert_array_equal(loaded.execute(q).potential, fresh.potential)

@@ -366,11 +366,13 @@ class TestClusterRotationBackend:
         reference to 1e-12 and leave the a-posteriori ledger bitwise
         identical."""
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
         tol = 2e-4
         kw = dict(mode="cluster", tol=tol, accumulate_bounds=True, cache_dir="")
         dense = _dense_reference(tc.compile_plan(**kw)).execute(q)
-        lat = tc.compile_plan(**kw).execute(q)
+        lat_plan = tc.compile_plan(**kw)
+        assert lat_plan.n_box_pairs > 0
+        lat = lat_plan.execute(q)
         scale = np.abs(dense.potential).max()
         assert np.abs(dense.potential - lat.potential).max() <= 1e-12 * scale
         np.testing.assert_array_equal(dense.error_bound, lat.error_bound)
@@ -381,7 +383,7 @@ class TestClusterRotationBackend:
 
     def test_fixed_degree_parity_within_rounding(self, small_cloud):
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(6), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(6), alpha=0.5, leaf_size=16)
         plan = tc.compile_plan(mode="cluster", cache_dir="")
         dense = _dense_reference(tc.compile_plan(mode="cluster", cache_dir=""))
         lat, ref = plan.execute(q), dense.execute(q)
@@ -390,7 +392,7 @@ class TestClusterRotationBackend:
 
     def test_gradient_parity(self, small_cloud):
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16)
         kw = dict(mode="cluster", compute="both", cache_dir="")
         dense = _dense_reference(tc.compile_plan(**kw)).execute(q)
         lat = tc.compile_plan(**kw).execute(q)
@@ -401,8 +403,9 @@ class TestClusterRotationBackend:
         """One operator per canonical lattice direction, shared by every
         unit, level and octant, and counted in the plan's memory."""
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16)
         plan = tc.compile_plan(mode="cluster", cache_dir="")
+        assert plan.n_box_pairs > 0
         ops = {op for u in plan._units for g in u.groups for op in g.ops.tolist()}
         assert ops == set(range(len(plan._m2l_ops)))
         assert len(plan._m2l_ops) < plan.n_box_pairs // 10
@@ -411,13 +414,13 @@ class TestClusterRotationBackend:
     def test_backend_validation(self, small_cloud):
         """Cluster plans have no translation-backend knob."""
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.5, leaf_size=16)
         with pytest.raises(TypeError, match="translation_backend"):
             tc.compile_plan(mode="cluster", translation_backend="dense")
 
     def test_serial_thread_process_identical(self, small_cloud):
         plan = Treecode(
-            *small_cloud, degree_policy=FixedDegree(5), alpha=0.5
+            *small_cloud, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16
         ).compile_plan(mode="cluster")
         q = small_cloud[1]
         serial = plan.execute(q)
@@ -431,7 +434,7 @@ class TestClusterRotationBackend:
     def test_block_errors_recovered_exactly(self, small_cloud, injector_guard):
         pts, q = small_cloud
         plan = Treecode(
-            pts, q, degree_policy=FixedDegree(5), alpha=0.5
+            pts, q, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16
         ).compile_plan(mode="cluster")
         set_injector(None)
         clean = evaluate_plan_parallel(plan, q, n_threads=2, backend="process")
@@ -498,7 +501,7 @@ class TestBatchedM2LDedup:
 
         pts = rng.random((400, 3))
         q = rng.uniform(-1, 1, 400)
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
         plan = tc.compile_plan(mode="cluster", cache_dir="")
         ref = plan.execute(q).potential
         calls = []

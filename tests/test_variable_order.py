@@ -41,7 +41,7 @@ class TestDegreeSelection:
         bound must produce an all-monopole plan — the selector picks the
         *minimal* sufficient degree, and 0 suffices everywhere."""
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
         plan = tc.compile_plan(mode=mode, tol=1e9, accumulate_bounds=True)
         assert plan.pair_degrees.size > 0
         assert int(plan.pair_degrees.max()) == 0
@@ -55,7 +55,8 @@ class TestDegreeSelection:
         never silently clamp (clamping would break ``ledger <= tol``)."""
         pts, q = small_cloud
         tc = Treecode(
-            pts, q, degree_policy=VariableDegree(tol=1e-12, p_max=2), alpha=0.5
+            pts, q, degree_policy=VariableDegree(tol=1e-12, p_max=2), alpha=0.5,
+            leaf_size=16,
         )
         with pytest.raises(DegreeSelectionError, match="p_max=2") as exc:
             tc.compile_plan(mode=mode, tol=1e-12)
@@ -72,7 +73,8 @@ class TestDegreeSelection:
     def test_tol_defaults_from_policy(self, small_cloud, mode):
         pts, q = small_cloud
         tc = Treecode(
-            pts, q, degree_policy=VariableDegree(tol=2e-4), alpha=0.5
+            pts, q, degree_policy=VariableDegree(tol=2e-4), alpha=0.5,
+            leaf_size=16,
         )
         plan = tc.compile_plan(mode=mode)
         assert plan.tol == pytest.approx(2e-4)
@@ -84,7 +86,7 @@ class TestDegreeSelection:
         """``tol=None`` must leave the fixed-degree compile path exactly
         as it was — identical potentials and interaction stats."""
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
         a = tc.compile_plan(mode=mode)
         b = tc.compile_plan(mode=mode, tol=None)
         ra, rb = a.execute(q), b.execute(q)
@@ -105,8 +107,9 @@ class TestContainment:
     @pytest.mark.parametrize("tol", [1e-2, 1e-5])
     def test_error_within_ledger_within_tol(self, small_cloud, mode, tol):
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
         plan = tc.compile_plan(mode=mode, tol=tol, accumulate_bounds=True)
+        assert mode == "target" or plan.n_box_pairs > 0
         res = plan.execute(q)
         exact = _direct_potential(pts, q)
         max_err = float(np.abs(res.potential - exact).max())
@@ -120,7 +123,7 @@ class TestContainment:
         interaction histogram (``plan_degree_bucket_pairs``) and the
         predicted-ledger gauge."""
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
         tracing.enable()
         REGISTRY.reset()
         try:
@@ -159,7 +162,7 @@ def test_inherit_only_leaves_compile_and_bound(tol):
         np.column_stack([t, np.full(n, 0.5), np.full(n, 0.5)])
     )
     q = rng.uniform(-1.0, 1.0, n)
-    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
     plan = tc.compile_plan(mode="cluster", tol=tol, accumulate_bounds=True)
     res = plan.execute(q)
     exact = _direct_potential(pts, q)
@@ -177,7 +180,7 @@ def test_inherit_only_leaves_compile_and_bound(tol):
 class TestExecutorParity:
     def _variable_plan(self, small_cloud):
         pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
         return tc.compile_plan(mode="cluster", tol=1e-5), q
 
     def test_serial_thread_process_identical(self, small_cloud):
