@@ -14,13 +14,19 @@ the operator is
 The treecode is built **once** over the Gauss points: the octree, the
 degree schedule (from the quadrature weights — "all parameters for the
 degree of an interaction are available at the time of tree
-construction") and the vertex interaction lists are geometry-only.  The
-first matvec compiles them into a target-major plan
-(:class:`~repro.perf.plan.CompiledPlan`), so every GMRES matvec pays
-only for the plan's sparse products with the new charges.
+construction") and the vertex interaction lists are geometry-only.
+Each Gauss-point charge is a fixed linear function of the nodal
+density, ``q = W σ`` with three entries per row of ``W`` (weight ×
+shape value / 4π).  The first matvec compiles the geometry into a
+target-major plan (:class:`~repro.perf.plan.CompiledPlan`) with ``W``
+folded into its P2M and near operators, so every GMRES matvec pays only
+for the plan's sparse products with the new densities — the charges
+are never formed.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -32,9 +38,22 @@ from ..tree.octree import build_octree
 from .mesh import TriangleMesh
 from .quadrature import mesh_quadrature, triangle_rule
 
-__all__ = ["SingleLayerOperator", "OperatorGeometry"]
+__all__ = ["SingleLayerOperator", "OperatorGeometry", "quadrature_map"]
 
 _FOUR_PI = 4.0 * np.pi
+
+
+def quadrature_map(weights, gp_nodes, gp_shape, n_vertices: int):
+    """The map ``W`` from nodal densities to Gauss-point charges, ``q =
+    W σ``: CSR ``(G, V)``, row ``g`` holding ``w_g N_c(g) / 4π`` at the
+    three nodes ``c`` of its element."""
+    # scipy.sparse loads with the plan machinery, at the first matvec
+    import scipy.sparse as sp
+
+    G = weights.size
+    data = (weights[:, None] * gp_shape / _FOUR_PI).ravel()
+    indptr = np.arange(0, 3 * G + 1, 3)
+    return sp.csr_matrix((data, gp_nodes.ravel(), indptr), shape=(G, n_vertices))
 
 
 class OperatorGeometry:
@@ -42,11 +61,12 @@ class OperatorGeometry:
 
     Table-3-style sweeps build many :class:`SingleLayerOperator`\\ s over
     one mesh, differing only in degree policy; the quadrature, the
-    octree and the per-``alpha`` vertex interaction lists depend on none
-    of that, so they are computed once here and handed to each operator.
+    octree, the density-to-charge map ``W`` (:func:`quadrature_map`)
+    and the per-``alpha`` vertex interaction lists depend on none of
+    that, so they are computed once here and handed to each operator.
     Operators never change their treecode's charges: every matvec runs
-    a compiled plan, which takes the charges explicitly, so sharing the
-    octree is safe.
+    a compiled plan, which takes the densities explicitly, so sharing
+    the octree is safe.
     """
 
     def __init__(self, mesh: TriangleMesh, n_gauss: int = 6) -> None:
@@ -60,6 +80,14 @@ class OperatorGeometry:
         self._tree = None
         self._tree_leaf_size = None
         self._lists: dict[float, object] = {}
+
+    @cached_property
+    def source_map(self):
+        """The density-to-charge map ``W``, built at the first use and
+        shared by every operator on this geometry."""
+        return quadrature_map(
+            self.weights, self.gp_nodes, self.gp_shape, self.mesh.n_vertices
+        )
 
     def tree_for(self, leaf_size: int):
         """The shared octree (built with the quadrature weights as
@@ -155,6 +183,7 @@ class SingleLayerOperator:
             self.gp_nodes = mesh.triangles[self.element]  # (G, 3)
             self.gp_shape = np.tile(bary, (mesh.n_triangles, 1))  # (G, 3)
             shared_tree = None
+        self._geometry = geometry
         self.mesh = mesh
         self.n_gauss = n_gauss
 
@@ -185,19 +214,37 @@ class SingleLayerOperator:
         n = self.mesh.n_vertices
         return (n, n)
 
-    def charges_for(self, sigma: np.ndarray) -> np.ndarray:
-        """Gauss-point charges for a nodal density ``sigma``.
+    @property
+    def source_map(self):
+        """The density-to-charge map ``W`` the plan folds: the shared
+        geometry's, or this operator's own, built on each use (the plan
+        keeps its own Morton-sorted copy)."""
+        if self._geometry is not None:
+            return self._geometry.source_map
+        return quadrature_map(
+            self.weights, self.gp_nodes, self.gp_shape, self.mesh.n_vertices
+        )
 
-        ``sigma`` may be a ``(V, k)`` batch of stacked densities; the
-        result is then a ``(G, k)`` charge batch, column ``j`` exactly
-        the single-density charges for ``sigma[:, j]``.
-        """
+    def _density(self, sigma) -> np.ndarray:
+        """``sigma`` as a float array, checked to be ``(V,)`` or ``(V, k)``."""
         sigma = np.asarray(sigma, dtype=np.float64)
         V = self.mesh.n_vertices
         if sigma.ndim not in (1, 2) or sigma.shape[0] != V:
             raise ValueError(
                 f"sigma must have shape ({V},) or ({V}, k), got {sigma.shape}"
             )
+        return sigma
+
+    def charges_for(self, sigma: np.ndarray) -> np.ndarray:
+        """Gauss-point charges for a nodal density ``sigma`` — for the
+        direct reference (:meth:`exact_potential`) and residual checks;
+        :meth:`matvec` never forms them.
+
+        ``sigma`` may be a ``(V, k)`` batch of stacked densities; the
+        result is then a ``(G, k)`` charge batch, column ``j`` exactly
+        the single-density charges for ``sigma[:, j]``.
+        """
+        sigma = self._density(sigma)
         if sigma.ndim == 1:
             dens = np.einsum("gc,gc->g", self.gp_shape, sigma[self.gp_nodes])
             return self.weights * dens / _FOUR_PI
@@ -207,16 +254,17 @@ class SingleLayerOperator:
     def matvec(self, sigma: np.ndarray) -> np.ndarray:
         """Apply the operator: potential at the vertices for density sigma.
 
-        The first application compiles the frozen geometry into a plan
-        (or loads it from the plan store); every application is then
-        pure linear algebra over the plan's operators.
+        The first application compiles the frozen geometry, with the
+        density-to-charge map ``W`` folded in, into a plan (or loads it
+        from the plan store); every application is then pure linear
+        algebra over the plan's operators, applied to ``sigma`` itself.
 
         ``sigma`` may be a ``(V, k)`` batch of stacked densities; the
         result is then ``(V, k)``, all columns executed in one batched
         pass.
         """
         with span("bem.matvec", matvec=self.n_matvecs):
-            q = self.charges_for(sigma)
+            sigma = self._density(sigma)
             if self._plan is None:
                 self._plan = self.treecode.compile_plan(
                     targets=self.mesh.vertices,
@@ -224,8 +272,9 @@ class SingleLayerOperator:
                     memory_budget=self.plan_budget,
                     tol=self.tol,
                     cache_dir=self.plan_cache,
+                    source_map=self.source_map,
                 )
-            res = self._plan.execute(q)
+            res = self._plan.execute(sigma)
             self.stats.merge(res.stats)
         if is_enabled():
             REGISTRY.counter("bem_matvecs", "boundary-operator applications").inc()

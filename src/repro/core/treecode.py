@@ -422,6 +422,7 @@ class Treecode:
         n_units: int | None = None,
         tol: float | None = None,
         cache_dir=None,
+        source_map=None,
     ):
         """Freeze this treecode's geometry into a compiled plan for
         repeated matvecs.
@@ -458,6 +459,12 @@ class Treecode:
         written back.  ``None`` defers to the ``REPRO_PLAN_CACHE``
         environment variable (the CLI's ``--plan-cache``); ``""``
         force-disables caching.
+
+        ``source_map`` (sparse ``n_particles × m``, target-major plans
+        only) folds a fixed linear map from source vectors to charges
+        into the plan's P2M and near operators: ``plan.execute(x)``
+        then returns the potentials of the charges ``source_map @ x``
+        without forming them (the BEM operator's quadrature map).
         """
         from ..perf.plan import DEFAULT_MEMORY_BUDGET, compile_plan
         from .degree import VariableDegree
@@ -490,6 +497,7 @@ class Treecode:
             n_units=n_units,
             tol=tol,
             cache_dir=cache_dir,
+            source_map=source_map,
         )
 
     # convenience ------------------------------------------------------

@@ -242,10 +242,10 @@ def _solid_table(xyz: np.ndarray, p: int, regular: bool) -> np.ndarray:
         T[0] = np.sqrt(rho2)
     for n, (a, b, d) in enumerate(_recurrence_constants(p), start=1):
         row, prev, prev2 = n * (n + 1) // 2, n * (n - 1) // 2, (n - 1) * (n - 2) // 2
-        T[row : row + n] = (a * zeta) * T[prev : prev + n]
+        np.multiply(a * zeta, T[prev : prev + n], out=T[row : row + n])
         if n >= 2:
             T[row : row + n - 1] -= (b * rho2) * T[prev2 : prev2 + n - 1]
-        T[row + n] = (d * u) * T[prev + n - 1]
+        np.multiply(d * u, T[prev + n - 1], out=T[row + n])
     return T
 
 

@@ -102,7 +102,10 @@ def evaluate_plan_parallel(
     charge vectors (see :meth:`~repro.perf.plan.CompiledPlan.execute`);
     the potential is then ``(n, k)``, every kernel runs once over the
     whole batch, and ``k=1`` remains bitwise-identical to the plain
-    vector path.
+    vector path.  A plan compiled with a ``source_map`` takes its source
+    vectors (the BEM operator's densities) the same way: the map is
+    folded into the operators every unit reads, so units see nothing
+    else.
 
     ``backend="thread"`` (default) runs a fleet of daemon threads —
     NumPy kernels release the GIL, so threads overlap on multi-core

@@ -16,6 +16,10 @@ arrays and applied with one compiled sparse product:
 * near kernels are one CSR matrix over (targets × sources); gradient
   kernels are three more value arrays sharing its ``indices``/``indptr``.
 
+A plan with a source map ``M`` folds it into its charge-side rows as
+they are built (:func:`fold_map`: ``P2M · M``, ``K · M``), row by row,
+so a folded row range equals those rows of the whole fold bitwise.
+
 Near work units are contiguous row ranges of the near field, applied
 by :func:`csr_product` straight from CSR arrays: the plan's frozen
 ones, or those :func:`assemble_near` re-assembles from the unit's
@@ -40,6 +44,7 @@ __all__ = [
     "csr",
     "apply",
     "csr_product",
+    "fold_map",
     "op_nbytes",
     "real_layout",
     "complex_layout",
@@ -119,6 +124,109 @@ def csr_product(indptr, indices, data, n_cols: int, x: np.ndarray) -> np.ndarray
             m, n_cols, x.shape[1], indptr, indices, data, x.ravel(), y.ravel()
         )
     return y
+
+
+def fold_map(indptr, indices, values, M):
+    """Fold a sparse source map into sparse rows: ``A @ M``, row by row.
+
+    ``A`` is the CSR rows ``(indptr, indices)`` (``indptr`` may start
+    past 0, as a row range of a larger matrix does) with one or more
+    value arrays ``values`` over its entries, each ``(nnz,)`` or
+    ``(nnz, c)``; ``M`` is a CSR ``(sources × m)`` matrix without
+    duplicate entries.  Returns ``(indptr, indices, folded)``: the rows
+    of ``A @ M`` with columns ascending in each row, and ``folded`` the
+    value arrays ``(pairs,)`` / ``(pairs, c)`` over that one pattern —
+    every pair some entry reaches, exact zero sums included (but see
+    the single-vector path below).
+
+    Entry ``(r, j)`` sums ``w_ij · v`` over the entries ``(r, i, v)`` of
+    row ``r`` in their stored order, starting from zero — the order of
+    ``scipy``'s sparse product, so values are bitwise ``A.tocsr() @
+    M``'s — and depends on row ``r`` alone: folding a row range gives
+    those rows of the whole fold bitwise.
+
+    Each entry's map row is gathered, and one counting sort by column
+    (``csr_tocsc``) lines the entries reaching a column up row by row,
+    so each (row, column) pair is one run; the runs are numbered in row
+    order and one compiled product per value array scatters every
+    entry's ``w · v`` onto its pair, streaming the values in entry
+    order.  A single value vector takes scipy's own sparse product
+    (``csr_matmat``) instead, several times faster; it drops exact zero
+    sums, which contribute nothing to a product.
+    """
+    if len(values) == 1 and values[0].ndim == 1:
+        return _fold_vector(indptr, indices, values[0], M)
+    base = int(indptr[0])
+    nnz = int(indptr[-1]) - base
+    n_rows, m = indptr.size - 1, M.shape[1]
+    # per entry, its map row: Q = M[cols] (scipy's row gather, called
+    # directly — the fancy-index front end costs more than the gather)
+    srcs = indices[base : base + nnz]
+    c = M.indptr[srcs + 1] - M.indptr[srcs]
+    E = int(c.sum())
+    idt = index_dtype(E, m, nnz)
+    qptr = np.zeros(nnz + 1, dtype=idt)
+    np.cumsum(c, out=qptr[1:])
+    qj = np.empty(E, dtype=M.indices.dtype)
+    qw = np.empty(E, dtype=M.dtype)
+    _sparsetools.csr_row_index(
+        nnz, srcs.astype(M.indices.dtype, copy=False), M.indptr, M.indices, M.data, qj, qw
+    )
+    tptr = np.empty(m + 1, dtype=idt)
+    te = np.empty(E, dtype=idt)
+    tpos = np.empty(E, dtype=idt)
+    _sparsetools.csr_tocsc(
+        nnz, m, qptr, qj.astype(idt, copy=False), np.arange(E, dtype=idt),
+        tptr, te, tpos,
+    )
+    rows = np.repeat(np.arange(n_rows, dtype=idt), np.diff(indptr))
+    r = rows[te]
+    new = np.empty(E, dtype=bool)
+    new[:1] = True
+    np.not_equal(r[1:], r[:-1], out=new[1:])
+    new[tptr[:-1][tptr[1:] > tptr[:-1]]] = True
+    start = np.flatnonzero(new)  # pairs, column-major
+    prow = r[start]
+    order = np.argsort(prow, kind="stable")  # row-major, columns ascending
+    rank = np.empty(start.size, dtype=idt)
+    rank[order] = np.arange(start.size, dtype=idt)
+    slot = np.empty(E, dtype=idt)
+    slot[tpos] = np.repeat(rank, np.diff(np.append(start, E)))
+    fptr = np.zeros(n_rows + 1, dtype=idt)
+    np.cumsum(np.bincount(prow, minlength=n_rows), out=fptr[1:])
+    cols = (np.searchsorted(tptr, start, "right") - 1)[order].astype(idt)
+    folded = []
+    for v in values:
+        x = np.ascontiguousarray(v[base : base + nnz], dtype=np.float64)
+        y = np.zeros((start.size,) + x.shape[1:])
+        if x.ndim == 1:
+            _sparsetools.csc_matvec(start.size, nnz, qptr, slot, qw, x, y)
+        else:
+            _sparsetools.csc_matvecs(
+                start.size, nnz, x.shape[1], qptr, slot, qw, x.ravel(), y.ravel()
+            )
+        folded.append(y)
+    return fptr, cols, folded
+
+
+def _fold_vector(indptr, indices, v, M):
+    """:func:`fold_map` of one value vector by scipy's compiled sparse
+    product, columns sorted in each row."""
+    n_rows, m = indptr.size - 1, M.shape[1]
+    mx = _sparsetools.csr_matmat_maxnnz(n_rows, m, indptr, indices, M.indptr, M.indices)
+    idt = index_dtype(mx, m, indices.size)
+    fptr = np.empty(n_rows + 1, dtype=idt)
+    cols = np.empty(mx, dtype=idt)
+    vals = np.empty(mx, dtype=np.float64)
+    _sparsetools.csr_matmat(
+        n_rows, m, indptr.astype(idt, copy=False), indices.astype(idt, copy=False),
+        np.asarray(v, dtype=np.float64), M.indptr.astype(idt, copy=False),
+        M.indices.astype(idt, copy=False), M.data, fptr, cols, vals,
+    )
+    nnz = int(fptr[-1])
+    cols, vals = cols[:nnz].copy(), vals[:nnz].copy()
+    _sparsetools.csr_sort_indices(n_rows, fptr, cols, vals)
+    return fptr, cols, [vals]
 
 
 def real_layout(C: np.ndarray) -> np.ndarray:

@@ -43,6 +43,11 @@ once.
   quarantined — is re-assembled from its incidences by
   :func:`~repro.perf.operators.assemble_near`, the routine that builds
   the frozen CSR, so its values are bitwise the frozen ones.
+* **Source maps** — with ``source_map=M`` the plan takes vectors ``x``
+  whose charges are ``M x`` (the BEM operator's nodal densities): ``M``
+  is folded into the P2M groups and the near kernels as they are
+  built (:func:`~repro.perf.operators.fold_map`), and re-assembled near
+  units are folded the same way, so the charges are never formed.
 * **Bincount scatter** — per-target accumulation of far chunks uses
   :func:`~repro.perf.scatter.scatter_add` instead of ``np.add.at``.
 
@@ -71,6 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..core.bounds import theorem1_bound
 from ..core.degree import select_pair_degrees
@@ -101,6 +107,7 @@ from .operators import (
     bsr,
     csr,
     csr_product,
+    fold_map,
     index_dtype,
     op_nbytes,
     row_ranges,
@@ -122,6 +129,9 @@ _NEAR_ENTRY_BYTES = 8 + 4
 _FAR_CHUNK = 200_000
 #: Maximum near entries per near work unit.
 _NEAR_BUDGET = 4_000_000
+#: Particle incidences per P2M table folded at once in a mapped plan
+#: (the table, ``2·nc`` floats a row, stays in cache while it folds).
+_FOLD_ROWS = 1 << 13
 #: Near entries re-assembled per pass when a whole plan's spilled near
 #: units are evaluated together (bounds the transient CSR arrays).
 _NEAR_RUN = 1 << 18
@@ -134,7 +144,8 @@ class _P2MGroup:
     p: int
     nodes: np.ndarray  #: node ids, sorted (block-row order)
     #: BSR, ``(2·nc, 1)`` blocks ``[Re G; Im G]``: block row a node,
-    #: block column one of its particles (Morton-sorted space)
+    #: block column one of its particles (Morton-sorted space) — or,
+    #: in a plan with a source map, one source its particles map from
     op: object
 
 
@@ -162,8 +173,8 @@ def _row_blocks(T: np.ndarray, p: int, regular: bool, want_grad: bool):
     nc = ncoef(p)
     w = m_weights(p)
     data = np.empty((T.shape[1], 1, 2 * nc))
-    np.multiply(T[:nc].real.T, w, out=data[:, 0, :nc])
-    np.multiply(T[:nc].imag.T, -w, out=data[:, 0, nc:])
+    # one pass over the (nc, B, 2) float view: (re, im) -> [w·re | -w·im]
+    np.multiply(_pair_major(T[:nc]), np.stack([w, -w]), out=data.reshape(-1, 2, nc))
     if not want_grad:
         return data, None
     G = solid_gradient(T, p, regular).transpose(2, 0, 1)
@@ -173,37 +184,106 @@ def _row_blocks(T: np.ndarray, p: int, regular: bool, want_grad: bool):
     return data, gdata
 
 
-def _build_p2m_group(tree, p: int, un: np.ndarray) -> _P2MGroup:
-    """P2M transfer operator over the unique nodes ``un`` of one storage
-    degree, written straight into its BSR data."""
-    nc = ncoef(p)
+def _incidences(tree, un: np.ndarray):
+    """``(indices, cum)``: the Morton-sorted particles of the nodes
+    ``un``, node after node, and each node's pointer into them."""
     counts = (tree.end[un] - tree.start[un]).astype(np.int64)
     cum = np.zeros(un.size + 1, dtype=np.int64)
     np.cumsum(counts, out=cum[1:])
-    total = int(cum[-1])
-    idt = index_dtype(total, tree.n_particles)
+    idt = index_dtype(int(cum[-1]), tree.n_particles)
     indices = (
-        np.arange(total)
+        np.arange(cum[-1])
         - np.repeat(cum[:-1], counts)
         + np.repeat(tree.start[un], counts)
     ).astype(idt)
-    owner = np.repeat(np.arange(un.size), counts)
-    data = np.empty((total, 2 * nc, 1), dtype=np.float64)
-    row_budget = max(1, 4_000_000 // max(nc, 1))
+    return indices, cum.astype(idt)
+
+
+#: per (re, im) row of :func:`_pair_major`: ``[Re R; -Im R]``
+_CONJ = np.array([[1.0], [-1.0]])
+
+
+def _pair_major(T: np.ndarray) -> np.ndarray:
+    """A batch-last complex table ``(nc, B)`` as the ``(B, 2, nc)`` float
+    view whose ``[b, 0]`` / ``[b, 1]`` rows are entry ``b``'s real and
+    imaginary parts — read by one ufunc pass into the real layout."""
+    return T.view(np.float64).reshape(T.shape[0], -1, 2).transpose(1, 2, 0)
+
+
+def _build_p2m_group(tree, p: int, un: np.ndarray, smap=None) -> _P2MGroup:
+    """P2M transfer operator over the unique nodes ``un`` of one storage
+    degree, written straight into its BSR data — or, with a source map
+    ``smap`` (CSR, Morton-sorted particles × sources), that operator
+    times ``smap``: runs of nodes with about ``_FOLD_ROWS`` particle
+    incidences each write their per-particle table and fold it
+    (:func:`~repro.perf.operators.fold_map`), so the unfolded operator
+    never exists and each run's table stays in cache."""
+    nc = ncoef(p)
+    indices, cum = _incidences(tree, un)
+    owner = np.repeat(np.arange(un.size), np.diff(cum))
     centers = tree.center_exp[un]
-    for glo in range(0, total, row_budget):
-        ghi = min(glo + row_budget, total)
-        R = regular_solid(tree.points[indices[glo:ghi]] - centers[owner[glo:ghi]], p)
-        data[glo:ghi, :nc, 0] = R.real.T
-        np.negative(R.imag.T, out=data[glo:ghi, nc:, 0])
-    op = bsr(data, indices, cum.astype(idt), tree.n_particles)
-    return _P2MGroup(p=p, nodes=un, op=op)
+
+    def table(lo: int, hi: int, out: np.ndarray) -> None:
+        """Incidences ``[lo, hi)``' rows ``[Re G; Im G]`` into ``out``."""
+        R = regular_solid(tree.points[indices[lo:hi]] - centers[owner[lo:hi]], p)
+        np.multiply(_pair_major(R), _CONJ, out=out.reshape(-1, 2, nc))
+
+    if smap is None:
+        total = indices.size
+        data = np.empty((total, 2 * nc, 1), dtype=np.float64)
+        row_budget = max(1, 4_000_000 // max(nc, 1))
+        for glo in range(0, total, row_budget):
+            ghi = min(glo + row_budget, total)
+            table(glo, ghi, data[glo:ghi])
+        return _P2MGroup(p=p, nodes=un, op=bsr(data, indices, cum, tree.n_particles))
+    counts, cols, vals = [], [], []
+    for a, b in _runs(cum, _FOLD_ROWS):
+        lo, hi = int(cum[a]), int(cum[b])
+        X = np.empty((hi - lo, 2 * nc))
+        table(lo, hi, X)
+        ptr, c, (v,) = fold_map(cum[a : b + 1] - lo, indices[lo:hi], [X], smap)
+        counts.append(np.diff(ptr))
+        cols.append(c)
+        vals.append(v)
+    ptr = np.zeros(un.size + 1, dtype=cum.dtype)
+    np.cumsum(np.concatenate(counts), out=ptr[1:])
+    vals = np.concatenate(vals).reshape(-1, 2 * nc, 1)
+    return _P2MGroup(p=p, nodes=un, op=bsr(vals, np.concatenate(cols), ptr, smap.shape[1]))
 
 
-def _storage_degrees(sP: np.ndarray) -> np.ndarray:
-    """Distinct storage degrees of a pair batch — a single one in
-    fixed-degree plans, found there without ``np.unique``'s hashing."""
-    return sP[:1] if sP.min() == sP.max() else np.unique(sP)
+def _runs(ptr: np.ndarray, size: int, a: int = 0, end: int | None = None) -> list:
+    """Rows ``[a, end)`` (default all) of a CSR pointer as runs ``(a,
+    b)`` of about ``size`` entries each (a heavier row is a run of its
+    own)."""
+    runs, end = [], ptr.size - 1 if end is None else end
+    while a < end:
+        b = int(np.searchsorted(ptr, ptr[a] + size, "right")) - 1
+        runs.append((a, min(end, max(b, a + 1))))
+        a = runs[-1][1]
+    return runs
+
+
+def _sorted_map(source_map, tree):
+    """A source map as CSR with its particle rows in Morton order,
+    duplicates summed and columns sorted in each row."""
+    M = sp.csr_matrix(source_map, dtype=np.float64)
+    if M.shape[0] != tree.n_particles:
+        raise ValueError(
+            f"source_map must have {tree.n_particles} rows (one per particle), "
+            f"got shape {M.shape}"
+        )
+    M = M[tree.perm]
+    M.sum_duplicates()
+    idt = index_dtype(M.nnz, *M.shape)
+    M.indices = M.indices.astype(idt, copy=False)
+    M.indptr = M.indptr.astype(idt, copy=False)
+    return M
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Distinct degrees of a pair batch — a single one in fixed-degree
+    plans, found there without ``np.unique``'s hashing."""
+    return a[:1] if a.min() == a.max() else np.unique(a)
 
 
 class CompiledPlan:
@@ -220,6 +300,17 @@ class CompiledPlan:
     the far chunks, then contiguous row ranges of the near field (one
     per target leaf, split at ``_NEAR_BUDGET`` entries), whatever the
     memory budget.
+
+    With a ``source_map`` ``M`` (sparse, ``n_particles × m``, particles
+    in input order) the plan applies to source vectors ``x`` of length
+    ``m`` and returns the potentials of the charges ``M x`` without
+    forming them: ``M`` is folded into every charge-side operator as it
+    is built — each P2M group becomes ``P2M · M`` and the near kernels
+    ``K · M``, row by row (:func:`~repro.perf.operators.fold_map`) —
+    while far rows and the scatter, which read only coefficients, are
+    unchanged.  Spilled, shed and quarantined near units fold their
+    re-assembled rows the same way, so near values stay bitwise the
+    frozen ones at every budget.
 
     Attributes
     ----------
@@ -249,6 +340,7 @@ class CompiledPlan:
         accumulate_bounds: bool = False,
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
         tol: float | None = None,
+        source_map=None,
     ) -> None:
         if compute not in ("potential", "both"):
             raise ValueError(f"compute must be 'potential' or 'both', got {compute!r}")
@@ -264,6 +356,8 @@ class CompiledPlan:
         self.accumulate_bounds = bool(accumulate_bounds)
         self.memory_budget = int(memory_budget)
         self.tol = None if tol is None else float(tol)
+        #: the source map with rows in Morton order, or None
+        self._map = None if source_map is None else _sorted_map(source_map, tc.tree)
         #: degree cap of per-pair selection — the VariableDegree policy's
         #: cap when that policy drives the plan; other policies' p_max
         #: attributes cap *their own* schedules, not pair selection
@@ -361,7 +455,8 @@ class CompiledPlan:
             mem += p2m_mem
             order = np.argsort(pdeg, kind="stable")
             fn, ft, pdeg, cols = fn[order], ft[order], pdeg[order], cols[order]
-            uniq, starts = np.unique(pdeg, return_index=True)
+            starts = np.flatnonzero(np.append(True, pdeg[1:] != pdeg[:-1]))
+            uniq = pdeg[starts]
             bnds = list(starts) + [fn.size]
             for u, (lo, hi) in zip(uniq, zip(bnds[:-1], bnds[1:])):
                 p = int(u)
@@ -409,6 +504,7 @@ class CompiledPlan:
             own = (rows >= s[which]) & (rows < e[which])
             stats.n_pp_pairs -= int(np.count_nonzero(own))
         mem += self._compile_near(tree, rows, which, src, off, grad_wanted, budget_used)
+        mem += op_nbytes(self._map)
 
         self._static_stats = stats
         self.memory_bytes = int(mem)
@@ -435,19 +531,19 @@ class CompiledPlan:
         np.maximum.at(Psrc, fn, pdeg)
         srow = np.full(tree.n_nodes, -1, dtype=np.int64)
         groups, mem = {}, 0
-        for P in np.unique(Psrc[fn]):
+        for P in np.unique(Psrc[Psrc >= 0]):
             un = np.nonzero(Psrc == P)[0]
-            g = _build_p2m_group(tree, int(P), un)
+            g = _build_p2m_group(tree, int(P), un, self._map)
             self._p2m_groups.append(g)
             groups[int(P)] = g
             srow[un] = np.arange(un.size)
             mem += op_nbytes(g.op) + un.nbytes
         cols = np.empty(fn.size, dtype=np.int64)
         base = np.zeros(int(Psrc.max()) + 1, dtype=np.int64)
-        for p in np.unique(pdeg):
+        for p in _distinct(pdeg):
             m = np.nonzero(pdeg == p)[0]
             sP = Psrc[fn[m]]
-            Ps = tuple(int(P) for P in _storage_degrees(sP))
+            Ps = tuple(int(P) for P in _distinct(sP))
             off = 0
             for P in Ps:
                 base[P] = off
@@ -539,31 +635,78 @@ class CompiledPlan:
         nf = int(np.searchsorted(cost, self.memory_budget - budget_used, "right"))
         self._near_frozen = nf
         split = int(np.searchsorted(rows, units[nf - 1, 1])) if nf else 0
+        mapped = self._map is not None
         mem = 0
-        self._near_K = self._near_G = None
+        self._near_K = self._near_G = self._near_inc = None
         self._near_indptr = self._near_indices = self._near_xyz = None
-        if nf:
-            n = tree.n_particles
-            indptr, indices, data, gdata = assemble_near(
-                *self._near_coords(), rows[:split], lists[:split], src, off,
-                self.self_targets, self.tc.softening, grad,
-            )
-            self._near_indptr, self._near_indices = indptr, indices
-            self._near_K = csr(data, indices, indptr, n)
-            if gdata is not None:
-                self._near_G = tuple(csr(g, indices, indptr, n) for g in gdata)
-            mem += op_nbytes(self._near_K, *(self._near_G or ()))
-        self._near_inc = None
-        if nf < units.shape[0]:
+        if mapped or nf < units.shape[0]:
+            # a mapped plan keeps every row's incidences: its frozen
+            # rows are folded, so they cannot stand in for them
             idt = index_dtype(nt, off[-1] + 1, tree.n_particles)
-            inc = (rows[split:], lists[split:], src, off)
+            lo = 0 if mapped else split
+            inc = (rows[lo:], lists[lo:], src, off)
             self._near_inc = tuple(a.astype(idt) for a in inc)
             mem += sum(a.nbytes for a in self._near_inc)
+        if nf:
+            if mapped:
+                indptr, indices, data, gdata = self._fold_frozen(nf, grad)
+            else:
+                indptr, indices, data, gdata = assemble_near(
+                    *self._near_coords(), rows[:split], lists[:split], src, off,
+                    self.self_targets, self.tc.softening, grad,
+                )
+                self._near_indptr, self._near_indices = indptr, indices
+            self._near_K = csr(data, indices, indptr, self.n_sources)
+            self._near_G = gdata
+            mem += op_nbytes(self._near_K) + (0 if gdata is None else gdata.nbytes)
+        if nf < units.shape[0]:
             tgt_t, src_t = self._near_coords()
             mem += src_t.nbytes + (0 if tgt_t is src_t else tgt_t.nbytes)
         else:
             self._near_xyz = None
         return mem
+
+    def _fold_frozen(self, nf: int, grad: bool) -> tuple:
+        """Frozen near CSR arrays ``(indptr, indices, data, gdata)`` of a
+        mapped plan's leading ``nf`` units, over every target row: the
+        units re-assembled and folded run by run
+        (:meth:`_near_block`), so the unfolded kernels of the whole
+        frozen field never exist at once."""
+        counts = np.zeros(self.n_targets, dtype=np.int64)
+        parts = []
+        for j0, j1 in _runs(self._near_cum, _NEAR_RUN, 0, nf):
+            r0, r1 = int(self._near_units[j0, 0]), int(self._near_units[j1 - 1, 1])
+            ptr, indices, data, gdata = self._near_block(r0, r1, grad)
+            counts[r0:r1] = np.diff(ptr)
+            parts.append((indices, data, gdata))
+        indptr = np.zeros(self.n_targets + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        idt = index_dtype(int(indptr[-1]), self.n_sources)
+        indices = np.concatenate([p[0] for p in parts]).astype(idt, copy=False)
+        data = np.concatenate([p[1] for p in parts])
+        gdata = np.concatenate([p[2] for p in parts], axis=1) if grad else None
+        return indptr.astype(idt), indices, data, gdata
+
+    def _near_block(self, r0: int, r1: int, want_grad: bool, inc=None) -> tuple:
+        """Near CSR arrays ``(indptr, indices, data, gdata)`` of the rows
+        ``[r0, r1)`` re-assembled by
+        :func:`~repro.perf.operators.assemble_near` from the incidences
+        ``inc`` (default: the plan's kept incidences of those rows), and
+        folded with the source map when the plan has one."""
+        if inc is None:
+            rows, lists, src, off = self._near_inc
+            a, b = np.searchsorted(rows, np.array([r0, r1], dtype=rows.dtype))
+            inc = (rows[a:b], lists[a:b], src, off)
+        ptr, indices, data, gdata = assemble_near(
+            *self._near_coords(), *inc, self.self_targets, self.tc.softening,
+            want_grad, span=(r0, r1),
+        )
+        if self._map is not None:
+            vals = [data] if gdata is None else [data, *gdata]
+            ptr, indices, folded = fold_map(ptr, indices, vals, self._map)
+            data = folded[0]
+            gdata = None if gdata is None else np.stack(folded[1:])
+        return ptr, indices, data, gdata
 
     def _near_coords(self) -> tuple:
         """``(tgt_t, src_t)``: targets and sources as C-contiguous ``(3,
@@ -579,13 +722,26 @@ class CompiledPlan:
 
     def _predicted_work(self) -> dict:
         """Work the compiled plan predicts per execute, attached to its
-        ``plan.compile`` span."""
-        return {"near_entries": int(self._near_cum[-1])}
+        ``plan.compile`` span: near kernel entries, P2M operator entries
+        (folded ones, in a mapped plan) and far row entries."""
+        return {
+            "near_entries": int(self._near_cum[-1]),
+            "p2m_entries": int(sum(g.op.data.size for g in self._p2m_groups)),
+            "far_entries": int(
+                sum(2 * ncoef(ch.p) * ch.tids.size for ch in self._far_chunks)
+            ),
+        }
 
     # -- execution -----------------------------------------------------
     @property
     def n_targets(self) -> int:
         return int(self.tgt.shape[0])
+
+    @property
+    def n_sources(self) -> int:
+        """Length of the vectors :meth:`execute` takes: the source map's
+        columns, or the particles of a plan without one."""
+        return self.tc.tree.n_particles if self._map is None else self._map.shape[1]
 
     @property
     def _n_far_units(self) -> int:
@@ -613,17 +769,20 @@ class CompiledPlan:
         )
 
     def sort_charges(self, charges: np.ndarray) -> np.ndarray:
-        """Validate a charge array and return it in Morton order.
+        """Validate a charge array and return it in Morton order (a
+        mapped plan's source vectors as they are: the map's rows carry
+        the order).
 
         Accepts a single ``(n,)`` vector or an ``(n, k)`` batch of
-        stacked charge vectors (one matvec per column).  An ``(n, 1)``
-        batch is squeezed onto the single-vector path — every downstream
-        kernel then runs exactly the historical 1-D code, which is what
-        makes ``k=1`` batched execution bitwise-identical; entry points
-        restore the column axis on their outputs.
+        stacked charge vectors (one matvec per column), ``n`` being
+        :attr:`n_sources`.  An ``(n, 1)`` batch is squeezed onto the
+        single-vector path — every downstream kernel then runs exactly
+        the historical 1-D code, which is what makes ``k=1`` batched
+        execution bitwise-identical; entry points restore the column
+        axis on their outputs.
         """
         charges = np.asarray(charges, dtype=np.float64)
-        n = self.tc.tree.n_particles
+        n = self.n_sources
         if charges.ndim not in (1, 2) or charges.shape[0] != n:
             raise ValueError(
                 f"charges must have shape ({n},) or ({n}, k), got {charges.shape}"
@@ -633,7 +792,15 @@ class CompiledPlan:
                 raise ValueError("charge batch must have at least one column")
             if charges.shape[1] == 1:
                 charges = charges[:, 0]
-        return charges[self.tc.tree.perm]
+        return charges[self.tc.tree.perm] if self._map is None else charges
+
+    def _particle_charges(self, q_sorted: np.ndarray) -> np.ndarray:
+        """Morton-sorted particle charges of a :meth:`sort_charges`
+        output: ``M x`` for a mapped plan, the input itself otherwise."""
+        if self._map is None:
+            return q_sorted
+        M = self._map
+        return csr_product(M.indptr, M.indices, M.data, M.shape[1], q_sorted)
 
     def form_coefficients(self, q_sorted: np.ndarray) -> dict:
         """Charge-dependent stage 1: multipole coefficients (and, when
@@ -642,7 +809,8 @@ class CompiledPlan:
         operands ``{p: (X, A)}`` the far units read.
 
         Passes the ``treecode.coeffs`` fault-injection site and NaN/Inf
-        guard.
+        guard.  A mapped plan's absolute cluster charges sum ``|M x|``
+        over each node's particles.
         """
         stored: dict = {}
         with span("plan.p2m", groups=len(self._p2m_groups)):
@@ -655,8 +823,12 @@ class CompiledPlan:
                 )
                 A = None
                 if self.accumulate_bounds:
-                    absq = np.abs(q_sorted)[g.op.indices]
-                    A = np.add.reduceat(absq, g.op.indptr[:-1], axis=0)
+                    if self._map is None:
+                        idx, ptr = g.op.indices, g.op.indptr
+                    else:
+                        idx, ptr = _incidences(self.tc.tree, g.nodes)
+                    absq = np.abs(self._particle_charges(q_sorted))[idx]
+                    A = np.add.reduceat(absq, ptr[:-1], axis=0)
                 stored[g.p] = (C, A)
             ctx = {}
             for p, Ps in self._operands.items():
@@ -718,14 +890,11 @@ class CompiledPlan:
         then the others re-assembled in runs of about ``_NEAR_RUN``
         entries."""
         with span("plan.near_field", units=self._n_near_units):
-            cum, nf, m = self._near_cum, self._near_frozen, self._n_near_units
+            nf, m = self._near_frozen, self._n_near_units
             j = nf if self._near_K is not None else 0
             runs = [(0, j)] if j else []
-            while j < m:
-                end = nf if j < nf else m
-                j1 = int(np.searchsorted(cum, cum[j] + _NEAR_RUN, "right")) - 1
-                runs.append((j, min(end, max(j1, j + 1))))
-                j = runs[-1][1]
+            cum = self._near_cum
+            runs += _runs(cum, _NEAR_RUN, j, nf) + _runs(cum, _NEAR_RUN, max(j, nf), m)
             for j0, j1 in runs:
                 r0, r1 = int(self._near_units[j0, 0]), int(self._near_units[j1 - 1, 1])
                 vals, gvals = self._near_rows(q_sorted, j0, j1, grad is not None)
@@ -737,31 +906,23 @@ class CompiledPlan:
         """Near potential (and ``(rows, 3)`` gradient) of the rows of near
         units ``[j0, j1)``, all frozen or all spilled: one product over
         the frozen kernels while they are resident (and not ``exact``),
-        otherwise the units re-assembled by
-        :func:`~repro.perf.operators.assemble_near` from their
-        incidences — a frozen unit's incidences being its CSR rows, each
-        row its own source list.  Entries, and so results, are bitwise
-        the frozen ones."""
+        otherwise the units re-assembled from their incidences
+        (:meth:`_near_block`) — an unmapped plan's frozen unit's
+        incidences being its CSR rows, each row its own source list.
+        Entries, and so results, are bitwise the frozen ones."""
         r0, r1 = int(self._near_units[j0, 0]), int(self._near_units[j1 - 1, 1])
         frozen = j1 <= self._near_frozen
         if frozen and self._near_K is not None and not exact:
-            K = self._near_K
-            ptr, indices = K.indptr[r0 : r1 + 1], K.indices
-            data, gdata = K.data, [G.data for G in self._near_G or ()]
+            K, gdata = self._near_K, self._near_G
+            ptr, indices, data = K.indptr[r0 : r1 + 1], K.indices, K.data
         else:
-            if frozen:
+            inc = None
+            if frozen and self._map is None:
                 ptr = self._near_indptr
                 rows = r0 + np.flatnonzero(np.diff(ptr[r0 : r1 + 1]))
                 inc = (rows, rows, self._near_indices, ptr)
-            else:
-                rows, lists, src, off = self._near_inc
-                a, b = np.searchsorted(rows, np.array([r0, r1], dtype=rows.dtype))
-                inc = (rows[a:b], lists[a:b], src, off)
-            ptr, indices, data, gdata = assemble_near(
-                *self._near_coords(), *inc, self.self_targets, self.tc.softening,
-                want_grad, span=(r0, r1),
-            )
-        n = self.tc.tree.n_particles
+            ptr, indices, data, gdata = self._near_block(r0, r1, want_grad, inc)
+        n = self.n_sources
         vals = csr_product(ptr, indices, data, n, q_sorted)
         gvals = None
         if want_grad:
@@ -801,6 +962,7 @@ class CompiledPlan:
         ch = self._far_chunks[i]
         tids = ch.tids
         nodes = self._operand_nodes[ch.p][ch.cols]
+        q_sorted = self._particle_charges(q_sorted)
         vals = np.zeros((tids.size,) + q_sorted.shape[1:], dtype=np.float64)
         for node in np.unique(nodes):
             m = nodes == node
@@ -843,11 +1005,14 @@ class CompiledPlan:
         """Halve operator memory: far rows and near kernels to float32
         (results degrade to ~1e-6 relative; bounds/stats unchanged)."""
         freed = 0
-        near = [] if self._near_K is None else [self._near_K, *(self._near_G or ())]
+        near = [] if self._near_K is None else [self._near_K]
         for A in self._far_ops() + near:
             if A.data.dtype == np.float64:
                 freed += A.data.nbytes // 2
                 A.data = A.data.astype(np.float32)
+        if self._near_G is not None and self._near_G.dtype == np.float64:
+            freed += self._near_G.nbytes // 2
+            self._near_G = self._near_G.astype(np.float32)
         return freed
 
     def _shed_stage2(self) -> int:
@@ -867,7 +1032,11 @@ class CompiledPlan:
         near unit is then re-assembled on each application."""
         if self._near_K is None:
             return 0
-        freed = sum(A.data.nbytes for A in (self._near_K, *(self._near_G or ())))
+        freed = self._near_K.data.nbytes
+        if self._map is not None:  # folded sparsity is never re-used
+            freed += self._near_K.indices.nbytes + self._near_K.indptr.nbytes
+        if self._near_G is not None:
+            freed += self._near_G.nbytes
         self._near_K = self._near_G = None
         return freed
 
@@ -992,8 +1161,9 @@ class CompiledPlan:
 
     def describe(self) -> str:
         """One-line summary of the compiled structure."""
+        mapped = "" if self._map is None else f"map={self.n_sources}, "
         return (
-            f"CompiledPlan(targets={self.n_targets}, "
+            f"CompiledPlan(targets={self.n_targets}, {mapped}"
             f"far={self.n_far_precomputed}+{self.n_far_spilled} spilled, "
             f"near={self.n_near_precomputed}+{self.n_near_spilled} spilled, "
             f"{self.memory_bytes / 1e6:.1f} MB, "
@@ -1013,6 +1183,7 @@ def compile_plan(
     n_units: int | None = None,
     tol: float | None = None,
     cache_dir=None,
+    source_map=None,
 ) -> CompiledPlan:
     """Freeze a treecode into a compiled evaluation plan.
 
@@ -1029,6 +1200,11 @@ def compile_plan(
     buckets interactions by degree so every kernel stays a GEMM.
     ``tol=None`` reproduces today's fixed-policy plans exactly.
 
+    ``source_map`` (sparse ``n_particles × m``, target-major plans
+    only) folds a fixed linear map from source vectors to charges into
+    the plan: ``execute(x)`` then returns the potentials of the charges
+    ``source_map @ x`` (see :class:`CompiledPlan`).
+
     ``cache_dir`` (or the ``REPRO_PLAN_CACHE`` environment variable
     when it is ``None``; pass ``""`` to force-disable) enables the
     persistent plan store (:mod:`repro.perf.store`): if a plan with the
@@ -1042,6 +1218,8 @@ def compile_plan(
     """
     from .store import cached_plan, plan_digest, resolve_cache_dir
 
+    if source_map is not None and mode != "target":
+        raise ValueError("source_map is supported by mode='target' plans only")
     cache = resolve_cache_dir(cache_dir)
     if cache is not None:
         digest = plan_digest(
@@ -1054,6 +1232,7 @@ def compile_plan(
             mode,
             n_units,
             tol,
+            source_map,
         )
         return cached_plan(
             cache,
@@ -1070,6 +1249,7 @@ def compile_plan(
                 n_units=n_units,
                 tol=tol,
                 cache_dir="",
+                source_map=source_map,
             ),
         )
     if mode == "cluster":
@@ -1098,4 +1278,5 @@ def compile_plan(
         accumulate_bounds=accumulate_bounds,
         memory_budget=memory_budget,
         tol=tol,
+        source_map=source_map,
     )

@@ -95,7 +95,10 @@ ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 #: and the digest drops the row dtype.  9: cluster plans cut the octree
 #: at a level a cost model chooses (their nodes, radii and leaves are a
 #: cut view's), and the digest says whether the cut is chosen or pinned.
-STORE_FORMAT_VERSION = 9
+#: 10: target-major plans may fold a source map into their P2M and near
+#: operators (and keep it, Morton-sorted); gradient near kernels are one
+#: ``(3, nnz)`` array, not three CSR matrices; the digest covers the map.
+STORE_FORMAT_VERSION = 10
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64
@@ -452,6 +455,7 @@ def plan_digest(
     mode: str,
     n_units,
     tol,
+    source_map=None,
 ) -> str:
     """Cache key for one ``compile_plan`` invocation.
 
@@ -459,8 +463,10 @@ def plan_digest(
     Morton-sorted points *and charges* (degree policies and
     variable-order selection anchor on the charges held at compile
     time), the policy class and parameters, geometric knobs, the full
-    plan configuration, and the library version (via
-    :func:`content_digest`).
+    plan configuration, the source map a target-major plan folds (by
+    shape, stored entries and content, so mapped and unmapped plans over
+    the same tree and targets never share an entry), and the library
+    version (via :func:`content_digest`).
     """
     tree = tc.tree
     policy = tc.degree_policy
@@ -484,10 +490,15 @@ def plan_digest(
         "n_units": None if n_units is None else int(n_units),
         "tol": None if tol is None else float(tol),
         "self_targets": bool(self_targets),
+        "source_map": None,
     }
     arrays = [tree.points, tree.charges]
     if not self_targets:
         arrays.append(np.asarray(tgt, dtype=np.float64))
+    if source_map is not None:
+        M = sp.csr_matrix(source_map, dtype=np.float64)
+        meta["source_map"] = {"shape": list(M.shape), "nnz": int(M.nnz)}
+        arrays += [M.indptr, M.indices, M.data]
     return content_digest(meta, arrays)
 
 

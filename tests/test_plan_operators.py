@@ -216,15 +216,45 @@ def test_operators_are_scipy_sparse(cloud):
         nc2 = ch.op.blocksize[1]
         assert ch.op.blocksize == (1, nc2) and ch.gop.blocksize == (3, nc2)
     assert isinstance(target._near_K, sp.csr_matrix)
-    # gradient kernels share the potential kernel's sparsity arrays
-    for G in target._near_G:
-        assert np.shares_memory(G.indices, target._near_K.indices)
+    # gradient kernels are three value arrays over the potential
+    # kernel's sparsity arrays
+    assert target._near_G.shape == (3, target._near_K.nnz)
     cluster, _ = _plans(cloud, "cluster", None)
     for u in cluster._units:
         for gl in u.l2p:
             # one (1, 2·nc) block per target
             assert gl.op.blocksize[0] == 1
             assert gl.op.nnz == gl.tidx.size * gl.op.blocksize[1]
+
+
+@pytest.mark.parametrize("mode", ["target", "cluster"])
+def test_gradient_kernels_are_assembled_arrays(cloud, mode, monkeypatch):
+    """The frozen gradient kernels are the ``(3, nnz)`` array
+    ``assemble_near`` returned, not copies of its rows, and the
+    gradients they give are bitwise those of the re-assembled field."""
+    import repro.perf.plan as plan_mod
+
+    pts, q, _ = cloud
+    made = []
+
+    def capture(*args, **kw):
+        out = assemble_near(*args, **kw)
+        made.append(out[3])
+        return out
+
+    assemble_near = plan_mod.assemble_near
+    monkeypatch.setattr(plan_mod, "assemble_near", capture)
+    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
+    plan = tc.compile_plan(mode=mode, compute="both", cache_dir="")
+    assert plan.n_near_spilled == 0 and plan._near_G is not None
+    assert any(g is not None and np.shares_memory(plan._near_G, g) for g in made)
+    assert plan._near_G.flags.c_contiguous
+    _, g_frozen, _, _ = _near_parts(plan, q, True)
+    plan.shed_memory()
+    plan.shed_memory()
+    assert plan._near_G is None
+    _, g_rebuilt, _, _ = _near_parts(plan, q, True)
+    np.testing.assert_array_equal(g_rebuilt, g_frozen)
 
 
 def test_layout_helpers_roundtrip():

@@ -96,7 +96,7 @@ def test_warm_start_operators_wrap_the_mmap(built, tmp_path):
         save_plan(plan, path)
         loaded = load_plan(path)
         ops = [g.op for g in loaded._p2m_groups]
-        ops += [loaded._near_K, *loaded._near_G]
+        ops += [loaded._near_K]
         if mode == "target":
             ops += [A for ch in loaded._far_chunks for A in (ch.op, ch.gop)]
         else:
@@ -104,9 +104,10 @@ def test_warm_start_operators_wrap_the_mmap(built, tmp_path):
         for A in ops:
             for a in (A.data, A.indices, A.indptr):
                 assert _reaches_memmap(a), (mode, type(A).__name__)
-        # shared sparsity arrays are stored once and load as one buffer
-        for G in loaded._near_G:
-            assert np.shares_memory(G.indices, loaded._near_K.indices)
+        # the gradient kernels are one (3, nnz) array over the near
+        # CSR's sparsity, mapped like the rest
+        assert loaded._near_G.shape == (3, loaded._near_K.nnz)
+        assert _reaches_memmap(loaded._near_G)
         got, want = loaded.execute(q), plan.execute(q)
         assert np.array_equal(got.potential, want.potential)
         assert np.array_equal(got.gradient, want.gradient)
@@ -438,7 +439,7 @@ def test_format8_file_misses_as_version(built, tmp_path):
     bitwise a fresh compile at the same cut."""
     from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
 
-    assert STORE_FORMAT_VERSION == 9
+    assert STORE_FORMAT_VERSION >= 9
     pts, q, _ = built
     tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
     fresh_plan = tc.compile_plan(mode="cluster", cache_dir="")
@@ -468,3 +469,52 @@ def test_format8_file_misses_as_version(built, tmp_path):
     assert loaded.cut_level == fresh_plan.cut_level
     assert loaded.cut_costs == fresh_plan.cut_costs
     np.testing.assert_array_equal(loaded.execute(q).potential, fresh.potential)
+
+
+def test_format9_file_misses_as_version(built, tmp_path):
+    """Format 10 plans may fold a source map into their P2M and near
+    operators, keep gradient near kernels as one ``(3, nnz)`` array, and
+    digest the map: a format-9 file is a ``version`` miss, the recompile
+    is bitwise a fresh compile, and mapped and unmapped plans over the
+    same tree and targets never share an entry."""
+    import scipy.sparse as sp
+
+    from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
+
+    assert STORE_FORMAT_VERSION == 10
+    pts, q, tc = built
+    m = N // 2
+    M = sp.csr_matrix(
+        (np.ones(N), np.arange(N) % m, np.arange(N + 1)), shape=(N, m)
+    )
+    x = np.random.default_rng(5).standard_normal(m)
+    kw = dict(compute="both", source_map=M)
+    fresh = tc.compile_plan(cache_dir="", **kw).execute(x)
+    tc.compile_plan(cache_dir=str(tmp_path), **kw)
+    (path,) = tmp_path.glob("*.plan")
+    blob = bytearray(path.read_bytes())
+    off = len(_MAGIC)
+    blob[off : off + 4] = np.uint32(9).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(PlanStoreError) as exc:
+        load_plan(path)
+    assert exc.value.reason == "version"
+
+    REGISTRY.reset()
+    tracing.enable()
+    try:
+        plan = tc.compile_plan(cache_dir=str(tmp_path), **kw)
+        assert _miss_counts() == {"version": 1}
+        # the unmapped plan is a different entry, not the mapped one
+        tc.compile_plan(cache_dir=str(tmp_path), compute="both")
+        assert _miss_counts() == {"version": 1, "absent": 1}
+    finally:
+        tracing.set_enabled(False)
+        REGISTRY.reset()
+    assert len(list(tmp_path.glob("*.plan"))) == 2
+    got = plan.execute(x)
+    np.testing.assert_array_equal(got.potential, fresh.potential)
+    np.testing.assert_array_equal(got.gradient, fresh.gradient)
+    loaded = load_plan(path)
+    assert _reaches_memmap(loaded._map.data) and _reaches_memmap(loaded._near_G)
+    np.testing.assert_array_equal(loaded.execute(x).gradient, fresh.gradient)

@@ -551,9 +551,10 @@ class TestShedAndDirect:
             ops = [A for ch in plan._far_chunks for A in (ch.op, ch.gop)]
         else:
             ops = [A for u in plan._units for g in u.l2p for A in (g.op, g.gop)]
-        ops += [plan._near_K, *plan._near_G]
+        ops += [plan._near_K]
         stage1 = plan.execute(q)
         assert all(A.data.dtype == np.float32 for A in ops)
+        assert plan._near_G.dtype == np.float32
         assert plan.n_units == units
         np.testing.assert_allclose(
             stage1.potential, base.potential, rtol=0, atol=1e-4 * scale
