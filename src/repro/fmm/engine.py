@@ -21,7 +21,10 @@ operators, and every evaluation runs them:
   (:mod:`repro.multipole.lattice`); the offset's distance and octant
   scalings are folded into a per-group copy of that direction's
   operator;
-* the near field is one CSR over (particles × particles).
+* the near field is one CSR over (particles × particles), applied as
+  the compiled plans apply theirs
+  (:func:`~repro.perf.operators.near_product`: a leaf's rows against
+  one neighbour list are a dense block, one GEMV each when large).
 
 Cells are linearized in Morton order, so the children of cell ``c``
 are ``8c .. 8c+7``.
@@ -323,7 +326,11 @@ class UniformFMM:
           cells)`` groups;
         * ``near``: CSR of ``1/r`` over (particles × particles) from
           every occupied leaf to its non-empty neighbours, coincident
-          pairs zero.
+          pairs zero; ``near_blocks``: the row ranges of its dense blocks
+          (a leaf's particles against one neighbour list), cut at leaf
+          starts, which
+          :func:`~repro.perf.operators.near_product` applies as BLAS
+          products.
         """
         from ..perf.operators import assemble_near, bsr, csr, index_dtype, op_nbytes
         from ..perf.plan import _row_blocks
@@ -388,7 +395,7 @@ class UniformFMM:
             first = np.cumsum(c) - c
             rows = np.arange(c.sum()) + np.repeat(self.cell_start[tc] - first, c)
             pts_t = np.ascontiguousarray(self.points.T)
-            indptr, indices, data, _ = assemble_near(
+            indptr, indices, data, _, blocks = assemble_near(
                 pts_t,
                 pts_t,
                 rows,
@@ -398,9 +405,10 @@ class UniformFMM:
                 True,
                 0.0,
                 False,
+                cuts=ptr[:-1],
             )
             near = csr(data, indices, indptr, n)
-            mem += op_nbytes(near)
+            mem += op_nbytes(near) + blocks.nbytes
             plan = {
                 "p2m": p2m,
                 "l2p": l2p_op,
@@ -411,6 +419,7 @@ class UniformFMM:
                 "r2": r2,
                 "m2l": m2l,
                 "near": near,
+                "near_blocks": blocks,
             }
         self.plan_compile_time = sw.elapsed
         self.plan_memory_bytes = int(mem)
@@ -437,7 +446,7 @@ class UniformFMM:
         batch (see :meth:`set_charges`) the result is ``(n, k)``: column
         ``j`` is the potential due to ``charges[:, j]``, with every
         operator applied once over the batch."""
-        from ..perf.operators import apply, complex_layout, real_layout
+        from ..perf.operators import apply, complex_layout, near_product, real_layout
 
         plan = self._ensure_plan()
         L = self.L
@@ -492,8 +501,12 @@ class UniformFMM:
             with stopwatch("fmm.near") as sw:
                 X = real_layout(Llocal[L][occupied])
                 phi = apply(plan["l2p"], X.reshape((-1,) + X.shape[2:]))
-                phi += apply(plan["near"], self.charges)
-                st.n_pp_pairs += int(plan["near"].nnz)
+                K = plan["near"]
+                phi += near_product(
+                    K.indptr, K.indices, K.data, plan["near_blocks"], K.shape[1],
+                    self.charges,
+                )
+                st.n_pp_pairs += int(K.nnz)
             st.times["near"] = sw.elapsed
         if is_enabled():
             REGISTRY.counter("fmm_m2l_ops", "M2L translations applied").inc(

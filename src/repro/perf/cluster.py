@@ -103,6 +103,7 @@ from .operators import (
     apply,
     bsr,
     csr,
+    csr_product,
     index_dtype,
     op_nbytes,
 )
@@ -323,6 +324,9 @@ class _FarGroup:
     bgeom: np.ndarray | None  #: dual Theorem-1 factor at unit |q|
     levels: np.ndarray | None  #: source box level per pair
     cnt_t: np.ndarray | None  #: unit targets under the target box
+    #: per pair, its target's position in ``utgt`` — kept by groups with
+    #: runs past the frozen operator share, whose pairs it sums per target
+    tpos: np.ndarray | None = None
 
 
 @dataclass
@@ -367,7 +371,9 @@ class ClusterPlan(CompiledPlan):
     only index arrays, the lattice operators and the per-target L2P
     rows, all resident.  The near field is the target-major plan's:
     row-range units over incidences, the leading units within budget
-    frozen into one CSR and the rest re-assembled per application.
+    frozen into one CSR and the rest re-assembled per application; a
+    target leaf's rows see one source list, so a large leaf is one
+    dense block, applied as one BLAS product.
     :meth:`execute` matches the target-major plan (and so
     :meth:`Treecode.evaluate`) within the Theorem-1 truncation ledgers:
     the cluster path expands about box centres and adds the target-side
@@ -704,7 +710,8 @@ class ClusterPlan(CompiledPlan):
             new[1:] = tsort[1:] != tsort[:-1]
             utgt = tsort[new]
             oct8 = poct[gsel]
-            bucket = oct8.astype(np.int64) * utgt.size + np.cumsum(new) - 1
+            tpos = np.cumsum(new) - 1
+            bucket = oct8.astype(np.int64) * utgt.size + tpos
             by_bucket = np.argsort(oct8, kind="stable")
             # GEMM order: stable sort by operator keeps targets ascending
             # inside each run
@@ -742,6 +749,9 @@ class ClusterPlan(CompiledPlan):
                 levels=levels,
                 cnt_t=cnt_t,
             )
+            if self._m2l_rebuild[g.ops].any():
+                g.tpos = tpos[perm].astype(idt)
+                mem += g.tpos.nbytes
             unit.groups.append(g)
             mem += sum(a.nbytes for a in (g.cols, g.runs, g.ops, utgt))
             mem += op_nbytes(red)
@@ -803,12 +813,13 @@ class ClusterPlan(CompiledPlan):
         return mem
 
     def _predicted_work(self) -> dict:
-        """The cut and its work per execute: near entries, box pairs and
-        M2L GEMM flops, plus the cost model's seconds when it chose the
-        cut."""
+        """The cut and its work per execute: near entries (and those
+        inside dense blocks), box pairs and M2L GEMM flops, plus the cost
+        model's seconds when it chose the cut."""
         work = {
             "cut": self.cut_level,
             "near_entries": int(self._near_cum[-1]),
+            "near_block_entries": self.near_block_entries,
             "box_pairs": int(self.n_box_pairs),
             "m2l_flops": float(np.sum(_gemm_flops(self.pair_degrees))),
         }
@@ -882,24 +893,22 @@ class ClusterPlan(CompiledPlan):
         into the box locals ``L``.  Direction-major over the unit's
         groups, each direction is built once per far unit and execute at
         the highest degree its runs need; a run scales its rows and
-        products by its key's diagonals, and each pair's product is
-        unreflected, scaled by ``h_t⁻⁽ʲ⁺¹⁾`` and added to its target box.
+        products by its key's diagonals and unreflects each pair's
+        product.  A run's pairs are target-sorted at compile, so one
+        CSR product of ones sums them per target box in that fixed
+        order; each sum is scaled by ``h_t⁻⁽ʲ⁺¹⁾`` and added to its box.
         Only one direction operator and one run are held at a time."""
-        todo = []  # (direction, group, each pair's CSR row, run)
+        todo = []  # (direction, group, run)
         for g in u.groups:
             rb = np.flatnonzero(self._m2l_rebuild[g.ops])
-            if rb.size:
-                b = np.empty(g.cols.size, dtype=np.int64)
-                rows = np.arange(g.red.shape[0])
-                b[g.red.indices] = np.repeat(rows, np.diff(g.red.indptr))
-                todo += [(int(self._m2l_kdir[g.ops[r]]), g, b, r) for r in rb.tolist()]
+            todo += [(int(self._m2l_kdir[g.ops[r]]), g, r) for r in rb.tolist()]
         todo.sort(key=lambda t: t[0])
         level = self.tc.tree.level
         for d, runs in itertools.groupby(todo, key=lambda t: t[0]):
             runs = list(runs)
             P = max(t[1].p for t in runs)
             D = m2l_operators(unpack_keys(self._m2l_dirs[d : d + 1]), P)[0]
-            for _, g, b, r in runs:
+            for _, g, r in runs:
                 X = ctx[g.p][0]
                 nc2 = 2 * ncoef(g.p)
                 lo, hi, op = int(g.runs[r]), int(g.runs[r + 1]), int(g.ops[r])
@@ -907,13 +916,20 @@ class ClusterPlan(CompiledPlan):
                 left, right = key_diagonals(self._m2l_kappa[op], g.p)
                 Y = (X[cols] * left) @ D[:nc2, :nc2]
                 Y *= right
-                tb = g.utgt[b[lo:hi] % g.utgt.size]
                 S = octant_signs(g.p)[cols // (X.shape[0] // 8)]
+                t = g.tpos[lo:hi]
+                first = np.flatnonzero(np.append(True, t[1:] != t[:-1]))
+                tb = g.utgt[t[first]]
                 e = (level[tb] - self._lat_exp).astype(np.int32)
                 E = np.multiply.outer(e, interleaved_degrees(g.p) + 1)
                 if Y.ndim == 3:
                     S, E = S[:, None], E[:, None]
-                np.add.at(L[..., :nc2], tb, np.ldexp(Y * S, E))
+                Y *= S
+                n = hi - lo
+                Z = csr_product(
+                    np.append(first, n), np.arange(n), np.ones(n), n, Y.reshape(n, -1)
+                )
+                L[tb, ..., :nc2] += np.ldexp(Z.reshape((-1,) + Y.shape[1:]), E)
 
     def _far_unit_eval(self, ctx, u: _FarUnit, phi, grad, bound, stats):
         """Evaluate one far unit: lattice M2L into box locals, L2L
@@ -1068,6 +1084,8 @@ class ClusterPlan(CompiledPlan):
             f"m2l_keys={len(self._m2l_ops)} over {len(self._m2l_dirs)} dirs "
             f"({int(self._m2l_rebuild.sum())} rebuilt per execute), "
             f"near={self.n_near_precomputed}+{self.n_near_spilled} spilled, "
+            f"near_entries={int(self._near_cum[-1])}, "
+            f"near_block_entries={self.near_block_entries}, "
             f"{self.memory_bytes / 1e6:.1f} MB, "
             f"compile {self.compile_time * 1e3:.1f} ms)"
         )

@@ -13,19 +13,27 @@ arrays and applied with one compiled sparse product:
   block row a (pair or target) evaluation, block column a coefficient
   row — and gradient rows use ``(3, 2·nc)`` blocks over the same
   operand;
-* near kernels are one CSR matrix over (targets × sources); gradient
-  kernels are three more value arrays sharing its ``indices``/``indptr``.
+* near kernels are one CSR matrix over (targets × sources), with the
+  row ranges of its dense blocks beside it; gradient kernels are one
+  ``(3, nnz)`` value array sharing its ``indices``/``indptr``.
 
 A plan with a source map ``M`` folds it into its charge-side rows as
 they are built (:func:`fold_map`: ``P2M · M``, ``K · M``), row by row,
 so a folded row range equals those rows of the whole fold bitwise.
 
 Near work units are contiguous row ranges of the near field, applied
-by :func:`csr_product` straight from CSR arrays: the plan's frozen
+by :func:`near_product` straight from CSR arrays: the plan's frozen
 ones, or those :func:`assemble_near` re-assembles from the unit's
-incidences.  A matrix whose data has been cast to float32 (memory
-shedding) is applied to a float32 operand (:func:`apply`), never by
-upcasting its data per product.
+incidences.  Rows that share one source list are a dense block of
+those arrays (``rows × sources`` values, row after row), and a block
+is applied as one BLAS product — a GEMV for a vector, a GEMM reading
+the block once for an ``(n, k)`` batch — while the other rows run
+scipy's scalar CSR kernel.  :func:`assemble_near` finds the blocks as
+it assembles, cut at the work-unit starts it is given: a BLAS product
+rounds by its shape, so a unit must meet the same blocks whether it
+runs alone or beside others.  A matrix whose data has been cast to
+float32 (memory shedding) is applied to a float32 operand
+(:func:`apply`), never by upcasting its data per product.
 """
 
 from __future__ import annotations
@@ -44,12 +52,14 @@ __all__ = [
     "csr",
     "apply",
     "csr_product",
+    "near_product",
     "fold_map",
     "op_nbytes",
     "real_layout",
     "complex_layout",
     "near_values",
     "assemble_near",
+    "near_blocks",
     "row_ranges",
 ]
 
@@ -60,8 +70,9 @@ _NEAR_PASS = 1 << 14
 #: Consecutive rows that see the same source sequence are one dense
 #: block of the near CSR; a block of at least ``_BLOCK_ROWS`` rows and
 #: ``_BLOCK_MIN`` entries broadcasts its rows against its sources instead
-#: of gathering coordinates per entry (smaller blocks would pay more in
-#: per-block calls than they save).
+#: of gathering coordinates per entry, and is applied as one BLAS
+#: product (smaller blocks would pay more in per-block calls than they
+#: save).
 _BLOCK_ROWS = 4
 _BLOCK_MIN = 1 << 13
 
@@ -123,6 +134,35 @@ def csr_product(indptr, indices, data, n_cols: int, x: np.ndarray) -> np.ndarray
         _sparsetools.csr_matvecs(
             m, n_cols, x.shape[1], indptr, indices, data, x.ravel(), y.ravel()
         )
+    return y
+
+
+def near_product(indptr, indices, data, blocks, n_cols: int, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for near-field CSR arrays, as :func:`csr_product`
+    takes them, whose rows ``[b0, b1)`` of each ``blocks`` row (positions
+    in ``indptr``, ascending and disjoint) all see one source list: each
+    block is the dense ``(b1 - b0, sources)`` view of its values, applied
+    as one BLAS product to ``x`` at its sources — a GEMV, or for an
+    ``(n, k)`` ``x`` one GEMM over all ``k`` columns — and the rows
+    between blocks run :func:`csr_product`.  Views are taken of ``data``
+    as given (float32 after memory shedding), so a block costs no copy.
+    A block's result depends on its shape alone: the same block gives
+    the same values wherever its arrays start."""
+    x = np.ascontiguousarray(x, dtype=data.dtype)
+    if not len(blocks):  # mapped plans, small leaves: one CSR call, no copy
+        return csr_product(indptr, indices, data, n_cols, x)
+    m = indptr.size - 1
+    y = np.empty((m,) + x.shape[1:], dtype=data.dtype)
+    r = 0
+    for b0, b1 in blocks.tolist():
+        if b0 > r:
+            y[r:b0] = csr_product(indptr[r : b0 + 1], indices, data, n_cols, x)
+        lo, hi = int(indptr[b0]), int(indptr[b1])
+        w = (hi - lo) // (b1 - b0)
+        np.matmul(data[lo:hi].reshape(b1 - b0, w), x[indices[lo : lo + w]], out=y[b0:b1])
+        r = b1
+    if r < m:
+        y[r:] = csr_product(indptr[r:], indices, data, n_cols, x)
     return y
 
 
@@ -331,22 +371,28 @@ def _block_values(tgt_t, src_t, R, S, exclude_self, softening, out, gout):
 
 
 def assemble_near(
-    tgt_t, src_t, rows, lists, src, off, exclude_self, softening, grad, span=None
+    tgt_t, src_t, rows, lists, src, off, exclude_self, softening, grad,
+    span=None, cuts=None,
 ):
     """Near-field CSR over (targets × sources) from incidences: target
     ``rows[i]`` sees the sources of list ``lists[i]``, the non-empty
     slice ``src[off[k] : off[k + 1]]`` of the concatenated source lists.
     Coordinates come transposed, as :func:`near_values` reads them.
 
-    Returns ``(indptr, indices, data, gdata)`` over the target rows
-    ``span = (r0, r1)`` (default every target), which must hold every
-    incidence row; ``gdata`` is the ``(3, nnz)`` gradient values
+    Returns ``(indptr, indices, data, gdata, blocks)`` over the target
+    rows ``span = (r0, r1)`` (default every target), which must hold
+    every incidence row; ``gdata`` is the ``(3, nnz)`` gradient values
     sharing ``indices``/``indptr``, or ``None``.  A row lists its
     sources list by list, in order of each list's first source, and
     values are written straight into the final arrays.  Consecutive
-    rows with the same lists are one dense block of the CSR: a large
-    block is broadcast (:func:`_block_values`), the rest go through
-    :func:`near_values`, :data:`_NEAR_PASS` entries a pass.  Entries are
+    rows with the same lists are one dense block of the CSR, and no
+    block crosses a row of the ascending ``cuts`` (the starts of the
+    caller's work units): a large block is broadcast
+    (:func:`_block_values`), the rest go through :func:`near_values`,
+    :data:`_NEAR_PASS` entries a pass.  ``blocks`` is the ``(blocks,
+    2)`` row ranges ``[b0, b1)`` of the large blocks, counted from
+    ``r0`` — what :func:`near_product` applies as BLAS products.  A
+    unit's blocks depend on its own incidences alone.  Entries are
     functions of their (row, source) pair alone, and both kernels do
     the same arithmetic, so re-assembling all incidences of some rows
     reproduces those rows of the whole field bitwise.
@@ -386,7 +432,8 @@ def assemble_near(
             i = j
 
     i = 0
-    for b0, b1, nr in _blocks(rows, lists, off_e).tolist():
+    found = _blocks(rows, lists, off_e, cuts)
+    for b0, b1, nr in found.tolist():
         per_entry(i, b0)
         c = (b1 - b0) // nr
         lo, hi = int(off_e[b0]), int(off_e[b1])
@@ -400,14 +447,32 @@ def assemble_near(
         )
         i = b1
     per_entry(i, rows.size)
-    return indptr, indices, data, gdata
+    return indptr, indices, data, gdata, _block_rows(rows, found, r0)
 
 
-def _blocks(rows, lists, off_e) -> np.ndarray:
+def near_blocks(rows, lists, off, cuts) -> np.ndarray:
+    """The ``blocks`` :func:`assemble_near` returns for the same
+    incidences — already sorted as it sorts them, by row and then by
+    each list's first source — with rows counted from 0, found without
+    assembling them."""
+    off_e = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(off[lists + 1] - off[lists], out=off_e[1:])
+    return _block_rows(rows, _blocks(rows, lists, off_e, cuts), 0)
+
+
+def _block_rows(rows, found, r0: int) -> np.ndarray:
+    """Row ranges ``[b0, b1)``, counted from ``r0``, of the incidence
+    ranges ``found`` of :func:`_blocks`."""
+    b = np.stack([rows[found[:, 0]], rows[found[:, 1] - 1] + 1], axis=1)
+    return b.astype(np.int64) - r0
+
+
+def _blocks(rows, lists, off_e, cuts=None) -> np.ndarray:
     """Large dense blocks of row-sorted incidences, as ``(first, end,
-    rows)`` incidence ranges: maximal runs of consecutive rows whose
-    list sequences are equal, with at least ``_BLOCK_ROWS`` rows and
-    ``_BLOCK_MIN`` entries."""
+    rows)`` incidence ranges: maximal runs of consecutive target rows
+    whose list sequences are equal and of which only the first may be
+    one of the ascending ``cuts``, with at least ``_BLOCK_ROWS`` rows
+    and ``_BLOCK_MIN`` entries."""
     if rows.size == 0:
         return np.empty((0, 3), dtype=np.int64)
     f = np.flatnonzero(np.append(True, rows[1:] != rows[:-1]))
@@ -419,6 +484,12 @@ def _blocks(rows, lists, off_e) -> np.ndarray:
         prev = np.arange(f[1], rows.size) - np.repeat(c[:-1], c[1:])
         eq &= lists[f[1] :] == lists[np.where(eq, prev, 0)]
         same[1:] = np.logical_and.reduceat(eq, f[1:] - f[1])
+        # a block's rows are consecutive targets inside one unit
+        rf = rows[f]
+        same[1:] &= rf[1:] == rf[:-1] + 1
+        if cuts is not None and len(cuts):
+            j = np.minimum(np.searchsorted(cuts, rf[1:]), len(cuts) - 1)
+            same[1:] &= cuts[j] != rf[1:]
     first = np.flatnonzero(~same)
     nr = np.diff(np.append(first, f.size))
     b0 = f[first]

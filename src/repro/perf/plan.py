@@ -38,11 +38,18 @@ once.
   row-range work units, one per target leaf, whatever the budget.  The
   leading units that fit the budget are one frozen CSR matrix over
   (targets × sources), self-exclusion and softening baked in as zeros;
-  gradient kernels are three more value arrays on the same
+  gradient kernels are one ``(3, nnz)`` value array on the same
   ``indices``/``indptr``.  Every other unit — spilled, shed, or
   quarantined — is re-assembled from its incidences by
   :func:`~repro.perf.operators.assemble_near`, the routine that builds
-  the frozen CSR, so its values are bitwise the frozen ones.
+  the frozen CSR, so its values are bitwise the frozen ones.  Rows
+  that share a source list form dense blocks, cut at unit starts and
+  listed once at compile (:attr:`CompiledPlan.near_block_entries`
+  counts their entries); every path applies the same blocks, one BLAS
+  product each, and the remaining rows through scipy's CSR kernel
+  (:func:`~repro.perf.operators.near_product`), so a unit's results
+  are bitwise equal wherever it runs.  A plan with a source map keeps
+  the CSR kernel: its folded rows no longer share one list.
 * **Source maps** — with ``source_map=M`` the plan takes vectors ``x``
   whose charges are ``M x`` (the BEM operator's nodal densities): ``M``
   is folded into the P2M groups and the near kernels as they are
@@ -109,6 +116,8 @@ from .operators import (
     csr_product,
     fold_map,
     index_dtype,
+    near_blocks,
+    near_product,
     op_nbytes,
     row_ranges,
 )
@@ -324,6 +333,9 @@ class CompiledPlan:
         Near units with resident kernels (the frozen near CSR) vs.
         re-assembled from their incidences on every application
         (spilled under the budget, or shed).
+    near_block_entries:
+        Near entries inside dense blocks, applied as BLAS products
+        rather than by the CSR kernel (0 in a plan with a source map).
     compile_time:
         Wall seconds spent compiling.
     """
@@ -613,7 +625,10 @@ class CompiledPlan:
         incidences of the others are kept (the source lists once, as one
         concatenated array plus offsets), and
         :func:`~repro.perf.operators.assemble_near` re-assembles them on
-        every application.  Returns the materialized bytes.
+        every application.  The dense blocks of every unit, cut at unit
+        starts, are listed once (``_near_blocks``, target row ranges):
+        the frozen units' as their assembly finds them, the others' from
+        their incidences.  Returns the materialized bytes.
         """
         nt = self.n_targets
         keep = off[lists + 1] > off[lists]
@@ -622,12 +637,13 @@ class CompiledPlan:
         rows, lists = rows[order], lists[order]
         cum = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(off[lists + 1] - off[lists], out=cum[1:])
-        indptr = cum[np.searchsorted(rows, np.arange(nt + 1))]
+        indptr = row_ptr = cum[np.searchsorted(rows, np.arange(nt + 1))]
         if self.self_targets:
             starts = tree.start[tree.leaf_ids()]
         else:
             starts = np.arange(0, nt, tree.leaf_size)
         units = row_ranges(indptr, starts, _NEAR_BUDGET)
+        cuts = units[:, 0]
         self._near_units = units
         self._near_cum = np.append(indptr[units[:, 0]], indptr[-1])
         entry = _NEAR_ENTRY_BYTES + (3 * 8 if grad else 0)
@@ -637,6 +653,9 @@ class CompiledPlan:
         split = int(np.searchsorted(rows, units[nf - 1, 1])) if nf else 0
         mapped = self._map is not None
         mem = 0
+        blocks = [np.empty((0, 2), dtype=np.int64)]
+        if not mapped:
+            blocks.append(near_blocks(rows[split:], lists[split:], off, cuts))
         self._near_K = self._near_G = self._near_inc = None
         self._near_indptr = self._near_indices = self._near_xyz = None
         if mapped or nf < units.shape[0]:
@@ -651,14 +670,21 @@ class CompiledPlan:
             if mapped:
                 indptr, indices, data, gdata = self._fold_frozen(nf, grad)
             else:
-                indptr, indices, data, gdata = assemble_near(
+                frozen = assemble_near(
                     *self._near_coords(), rows[:split], lists[:split], src, off,
-                    self.self_targets, self.tc.softening, grad,
+                    self.self_targets, self.tc.softening, grad, cuts=cuts,
                 )
+                indptr, indices, data, gdata, blocks[0] = frozen
                 self._near_indptr, self._near_indices = indptr, indices
             self._near_K = csr(data, indices, indptr, self.n_sources)
             self._near_G = gdata
             mem += op_nbytes(self._near_K) + (0 if gdata is None else gdata.nbytes)
+        self._near_blocks = np.concatenate(blocks)
+        b0, b1 = self._near_blocks.T
+        self.near_block_entries = int(np.sum(row_ptr[b1] - row_ptr[b0]))
+        #: per unit, its first row of ``_near_blocks`` (and the end)
+        self._near_bptr = np.searchsorted(b0, np.append(cuts, nt))
+        mem += self._near_blocks.nbytes + self._near_bptr.nbytes
         if nf < units.shape[0]:
             tgt_t, src_t = self._near_coords()
             mem += src_t.nbytes + (0 if tgt_t is src_t else tgt_t.nbytes)
@@ -697,9 +723,9 @@ class CompiledPlan:
             rows, lists, src, off = self._near_inc
             a, b = np.searchsorted(rows, np.array([r0, r1], dtype=rows.dtype))
             inc = (rows[a:b], lists[a:b], src, off)
-        ptr, indices, data, gdata = assemble_near(
+        ptr, indices, data, gdata, _ = assemble_near(
             *self._near_coords(), *inc, self.self_targets, self.tc.softening,
-            want_grad, span=(r0, r1),
+            want_grad, span=(r0, r1), cuts=self._near_units[:, 0],
         )
         if self._map is not None:
             vals = [data] if gdata is None else [data, *gdata]
@@ -722,10 +748,12 @@ class CompiledPlan:
 
     def _predicted_work(self) -> dict:
         """Work the compiled plan predicts per execute, attached to its
-        ``plan.compile`` span: near kernel entries, P2M operator entries
-        (folded ones, in a mapped plan) and far row entries."""
+        ``plan.compile`` span: near kernel entries (and those inside
+        dense blocks), P2M operator entries (folded ones, in a mapped
+        plan) and far row entries."""
         return {
             "near_entries": int(self._near_cum[-1]),
+            "near_block_entries": self.near_block_entries,
             "p2m_entries": int(sum(g.op.data.size for g in self._p2m_groups)),
             "far_entries": int(
                 sum(2 * ncoef(ch.p) * ch.tids.size for ch in self._far_chunks)
@@ -904,12 +932,14 @@ class CompiledPlan:
 
     def _near_rows(self, q_sorted, j0: int, j1: int, want_grad=False, exact=False):
         """Near potential (and ``(rows, 3)`` gradient) of the rows of near
-        units ``[j0, j1)``, all frozen or all spilled: one product over
-        the frozen kernels while they are resident (and not ``exact``),
-        otherwise the units re-assembled from their incidences
-        (:meth:`_near_block`) — an unmapped plan's frozen unit's
-        incidences being its CSR rows, each row its own source list.
-        Entries, and so results, are bitwise the frozen ones."""
+        units ``[j0, j1)``, all frozen or all spilled: the frozen kernels
+        while they are resident (and not ``exact``), otherwise the units
+        re-assembled from their incidences (:meth:`_near_block`) — an
+        unmapped plan's frozen unit's incidences being its CSR rows, each
+        row its own source list.  Either way one
+        :func:`~repro.perf.operators.near_product` applies the units'
+        listed blocks to the arrays in hand, so entries, blocks and
+        results are bitwise the frozen ones."""
         r0, r1 = int(self._near_units[j0, 0]), int(self._near_units[j1 - 1, 1])
         frozen = j1 <= self._near_frozen
         if frozen and self._near_K is not None and not exact:
@@ -923,11 +953,14 @@ class CompiledPlan:
                 inc = (rows, rows, self._near_indices, ptr)
             ptr, indices, data, gdata = self._near_block(r0, r1, want_grad, inc)
         n = self.n_sources
-        vals = csr_product(ptr, indices, data, n, q_sorted)
+        b = self._near_bptr
+        blocks = self._near_blocks[b[j0] : b[j1]] - r0
+        vals = near_product(ptr, indices, data, blocks, n, q_sorted)
         gvals = None
         if want_grad:
             gvals = -np.stack(
-                [csr_product(ptr, indices, g, n, q_sorted) for g in gdata], axis=1
+                [near_product(ptr, indices, g, blocks, n, q_sorted) for g in gdata],
+                axis=1,
             )
         return vals, gvals
 
@@ -1166,6 +1199,8 @@ class CompiledPlan:
             f"CompiledPlan(targets={self.n_targets}, {mapped}"
             f"far={self.n_far_precomputed}+{self.n_far_spilled} spilled, "
             f"near={self.n_near_precomputed}+{self.n_near_spilled} spilled, "
+            f"near_entries={int(self._near_cum[-1])}, "
+            f"near_block_entries={self.near_block_entries}, "
             f"{self.memory_bytes / 1e6:.1f} MB, "
             f"compile {self.compile_time * 1e3:.1f} ms)"
         )

@@ -98,7 +98,10 @@ ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 #: 10: target-major plans may fold a source map into their P2M and near
 #: operators (and keep it, Morton-sorted); gradient near kernels are one
 #: ``(3, nnz)`` array, not three CSR matrices; the digest covers the map.
-STORE_FORMAT_VERSION = 10
+#: 11: near fields list the row ranges of their dense blocks, cut at
+#: unit starts (plans' ``_near_blocks``, FMM plans' ``near_blocks``),
+#: which every path applies as BLAS products.
+STORE_FORMAT_VERSION = 11
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64

@@ -177,6 +177,9 @@ def test_plan_depth_event_once_per_compile(bench_cloud, tmp_path):
     args = spans[0]["args"]
     assert args["cut"] == plan.cut_level and args["predicted_s"] > 0
     assert args["near_entries"] == plan._near_cum[-1]
+    # a fallback to the CSR kernel shows: blocks are counted beside it
+    assert args["near_block_entries"] == plan.near_block_entries > 0
+    assert f"near_block_entries={plan.near_block_entries}," in plan.describe()
 
 
 @pytest.mark.parametrize("softening", [0.0, 0.05])
@@ -199,9 +202,12 @@ def test_assemble_near_blocks_bitwise_per_entry(monkeypatch, softening, grad):
     off_e = np.append(0, np.cumsum(np.full(keep.sum(), 150)))
     assert len(operators._blocks(rows[keep], lists[keep], off_e)) == 20
     got = operators.assemble_near(*args)
+    # the blocks it returns are those rows, 30 at a time
+    assert np.array_equal(got[4], np.stack([np.arange(0, 600, 30)] * 2, 1) + [0, 30])
     monkeypatch.setattr(operators, "_BLOCK_MIN", 1 << 40)
     want = operators.assemble_near(*args)
-    for a, b in zip(got, want):
+    assert want[4].shape == (0, 2)
+    for a, b in zip(got[:4], want[:4]):
         if b is not None:
             assert np.array_equal(a, b)
     assert np.array_equal(got[1][:1], want[1][:1])

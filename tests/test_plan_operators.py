@@ -10,18 +10,30 @@ schedule, and the exact last-resort evaluation of near row ranges.
 
 The near field has one path at every memory budget: frozen units are
 the leading row ranges of one CSR, every other unit is re-assembled
-from its incidences by ``assemble_near`` — so near values are bitwise
-those of the default-budget plan at any budget, after memory shedding,
-and under quarantine.
+from its incidences by ``assemble_near``, and every unit runs the dense
+blocks listed at compile as BLAS products (``near_product``) — so near
+values are bitwise those of the default-budget plan at any budget,
+after memory shedding, and under quarantine, and a unit alone is
+bitwise its rows of the whole field.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.perf.plan as plan_mod
 from repro.core.degree import FixedDegree
 from repro.core.treecode import Treecode
-from repro.perf.operators import complex_layout, csr_product, real_layout, row_ranges
+from repro.data.distributions import make_distribution
+from repro.perf.operators import (
+    _BLOCK_MIN,
+    _BLOCK_ROWS,
+    complex_layout,
+    csr_product,
+    near_product,
+    real_layout,
+    row_ranges,
+)
 from repro.perf.cluster import ClusterPlan
 from repro.perf.plan import DEFAULT_MEMORY_BUDGET
 from repro.perf.scatter import scatter_add
@@ -151,12 +163,23 @@ def _near_parts(plan, q, grad):
     return phi, g, units, direct
 
 
+def _assert_units_are_rows(plan, x, grad):
+    """Each near unit alone — potential (of a vector or a batch) and
+    gradient — is bitwise its rows of the whole near field."""
+    phi, g, units, _ = _near_parts(plan, x, grad)
+    qs = plan.sort_charges(x)
+    for j, (t, v) in enumerate(units):
+        np.testing.assert_array_equal(v, phi[t])
+        if grad:
+            np.testing.assert_array_equal(plan._near_rows(qs, j, j + 1, True)[1], g[t])
+
+
 #: a budget that freezes some near units of every (mode, compute) plan
 #: over ``cloud`` and spills the rest
 PARTIAL = 200_000
 
 
-@pytest.mark.parametrize("budget", ["zero", "partial", "default", "shed"])
+@pytest.mark.parametrize("budget", ["zero", "partial", "default", "shed", "shed1"])
 @pytest.mark.parametrize("compute", ["potential", "both"])
 @pytest.mark.parametrize("mode", ["target", "cluster", "cluster-cut"])
 def test_near_field_is_bitwise_at_every_budget(cloud, mode, compute, budget):
@@ -177,6 +200,10 @@ def test_near_field_is_bitwise_at_every_budget(cloud, mode, compute, budget):
         plan = compile_()
         assert plan.shed_memory() > 0 and plan.shed_memory() > 0
         assert plan._near_K is None
+    elif budget == "shed1":  # float32 kernels, blocks viewed from them
+        plan = compile_()
+        assert plan.shed_memory() > 0
+        assert plan._near_K.data.dtype == np.float32
     else:
         partial = PARTIAL
         if mode == "cluster-cut":  # the entries of the first half of the units
@@ -185,17 +212,28 @@ def test_near_field_is_bitwise_at_every_budget(cloud, mode, compute, budget):
         plan = compile_(memory_budget=mb[budget])
     pre = plan.n_near_precomputed
     assert {"zero": pre == 0, "partial": 0 < pre < m, "default": pre == m,
-            "shed": pre == 0}[budget]
+            "shed": pre == 0, "shed1": pre == m}[budget]
     assert pre + plan.n_near_spilled == m
-    # the unit layout does not depend on the budget
+    # the unit layout and its blocks do not depend on the budget
     assert plan.n_units == ref.n_units
     assert np.array_equal(plan._near_units, ref._near_units)
+    assert np.array_equal(plan._near_blocks, ref._near_blocks)
+    assert mode != "cluster-cut" or plan.near_block_entries > 0
     if budget == "zero":  # incidences, not entries: no per-entry arrays
         assert plan._near_indices is None
         assert sum(a.size for a in plan._near_inc) < ref._near_indices.size // 2
     grad = compute == "both"
+    _assert_units_are_rows(plan, q, grad)
+    if not grad:
+        _assert_units_are_rows(plan, Q, False)
     phi, g, units, direct = _near_parts(plan, q, grad)
     rphi, rg, runits, _ = _near_parts(ref, q, grad)
+    if budget == "shed1":  # float32 products; quarantine stays float64
+        assert units[0][1].dtype == np.float32
+        for (td, vd), (rt, rv) in zip(direct, runits):
+            np.testing.assert_array_equal(td, rt)
+            np.testing.assert_array_equal(vd, rv)
+        return
     np.testing.assert_array_equal(phi, rphi)
     if grad:
         np.testing.assert_array_equal(g, rg)
@@ -289,3 +327,85 @@ def test_csr_rows_and_ranges():
     # float32 data runs in float32
     A32 = sp.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
     assert csr_product(A32.indptr, A32.indices, A32.data, 30, x).dtype == np.float32
+
+
+def test_chosen_cut_near_field_is_blocks():
+    """On the benchmark's 3000-point uniform cloud (±1 charges, half of
+    each sign) the chosen cut is 2 and every near entry lies in a dense
+    block, one per unit, so no row runs the CSR kernel; an ``(n, 1)``
+    batch is bitwise the vector and each ``(n, k)`` column, one GEMM
+    over the batch, is within 1e-12 of its single run."""
+    n = 3000
+    pts = make_distribution("uniform", n)
+    rng = np.random.default_rng(1)
+    q = np.where(rng.permutation(n) < n // 2, -1.0, 1.0)
+    Q = rng.uniform(-1.0, 1.0, (n, 4))
+    plan = Treecode(pts, q).compile_plan(mode="cluster", cache_dir="")
+    assert plan.cut_level == 2
+    assert plan.near_block_entries == plan._near_cum[-1] == plan._near_K.nnz
+    assert np.array_equal(plan._near_blocks, plan._near_units)
+    one = plan.execute(q).potential
+    assert np.array_equal(plan.execute(q[:, None]).potential[:, 0], one)
+    batch = plan.execute(Q).potential
+    for j in range(Q.shape[1]):
+        single = plan.execute(np.ascontiguousarray(Q[:, j])).potential
+        assert _rel(batch[:, j], single) <= 1e-12
+
+
+def test_blocks_never_span_units(cloud, monkeypatch):
+    """A ``cut=1`` plan's octants each see one list of every particle.
+    Split into several units per octant, every unit large enough is one
+    block of its own rows, none spans two units, and a spilled unit's
+    re-assembly finds exactly its listed blocks."""
+    pts, q, Q = cloud
+    monkeypatch.setattr(plan_mod, "_NEAR_BUDGET", 1 << 14)
+    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
+    plan = ClusterPlan(tc, tc.tree.points, cut=1)
+    units, blocks = plan._near_units, plan._near_blocks
+    big = (np.diff(plan._near_cum) >= _BLOCK_MIN) & (units[:, 1] - units[:, 0] >= _BLOCK_ROWS)
+    assert units.shape[0] > 8 and big.sum() > 8
+    assert np.array_equal(blocks, units[big])
+    spilled = ClusterPlan(tc, tc.tree.points, cut=1, memory_budget=0)
+    assert np.array_equal(spilled._near_blocks, blocks)
+    rows, lists, src, off = spilled._near_inc
+    for r0, r1 in units[:3]:
+        a, b = np.searchsorted(rows, [r0, r1])
+        found = plan_mod.assemble_near(
+            *spilled._near_coords(), rows[a:b], lists[a:b], src, off, True, 0.0,
+            False, span=(r0, r1), cuts=units[:, 0],
+        )[4]
+        np.testing.assert_array_equal(found + r0, blocks[(blocks[:, 0] >= r0) & (blocks[:, 0] < r1)])
+    for x in (q, Q):
+        np.testing.assert_array_equal(
+            spilled.execute(x).potential, plan.execute(x).potential
+        )
+
+
+def test_near_product_blocks_match_csr_kernel():
+    """``near_product`` runs blocks as BLAS products and the rows between
+    them through the CSR kernel: within rounding of scipy's product,
+    bitwise wherever the block's arrays start, float32 data in float32."""
+    rng = np.random.default_rng(3)
+    S = np.sort(rng.choice(60, 25, replace=False))
+    rows = []
+    for r in range(30):
+        cols = S if 4 <= r < 12 or 20 <= r < 26 else np.sort(rng.choice(60, 7, replace=False))
+        rows.append(cols)
+    indptr = np.append(0, np.cumsum([c.size for c in rows]))
+    indices = np.concatenate(rows)
+    data = rng.normal(size=indices.size)
+    A = sp.csr_matrix((data, indices, indptr), shape=(30, 60))
+    blocks = np.array([[4, 12], [20, 26]])
+    x, X = rng.normal(size=60), rng.normal(size=(60, 3))
+    for v in (x, X):
+        got = near_product(indptr, indices, data, blocks, 60, v)
+        assert _rel(got, A @ v) <= 1e-14
+    # rows [4, 12) alone, from arrays starting elsewhere
+    lo = indptr[4]
+    alone = near_product(indptr[4:13] - lo, indices[lo:], data[lo:].copy(),
+                         blocks[:1] - 4, 60, x)
+    assert np.array_equal(alone, near_product(indptr, indices, data, blocks, 60, x)[4:12])
+    no_blocks = near_product(indptr, indices, data, blocks[:0], 60, x)
+    assert np.array_equal(no_blocks, csr_product(indptr, indices, data, 60, x))
+    y32 = near_product(indptr, indices, data.astype(np.float32), blocks, 60, x)
+    assert y32.dtype == np.float32

@@ -481,7 +481,7 @@ def test_format9_file_misses_as_version(built, tmp_path):
 
     from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
 
-    assert STORE_FORMAT_VERSION == 10
+    assert STORE_FORMAT_VERSION >= 10
     pts, q, tc = built
     m = N // 2
     M = sp.csr_matrix(
@@ -518,3 +518,45 @@ def test_format9_file_misses_as_version(built, tmp_path):
     loaded = load_plan(path)
     assert _reaches_memmap(loaded._map.data) and _reaches_memmap(loaded._near_G)
     np.testing.assert_array_equal(loaded.execute(x).gradient, fresh.gradient)
+
+
+def test_format10_file_misses_as_version(built, tmp_path):
+    """Format 11 plans list the dense blocks of their near field: a
+    format-10 file is a ``version`` miss, and a stored-then-loaded
+    cluster plan runs the same blocks, read from the mapping, with
+    potentials and batches bitwise a fresh compile's."""
+    from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
+
+    assert STORE_FORMAT_VERSION == 11
+    pts, q, _ = built
+    Q = np.random.default_rng(6).uniform(-1, 1, (N, 4))
+    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
+    fresh = tc.compile_plan(mode="cluster", cache_dir="")
+    assert fresh.near_block_entries > 0
+    tc.compile_plan(mode="cluster", cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("*.plan")
+    blob = bytearray(path.read_bytes())
+    off = len(_MAGIC)
+    blob[off : off + 4] = np.uint32(10).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(PlanStoreError) as exc:
+        load_plan(path)
+    assert exc.value.reason == "version"
+
+    REGISTRY.reset()
+    tracing.enable()
+    try:
+        plan = tc.compile_plan(mode="cluster", cache_dir=str(tmp_path))
+        assert _miss_counts() == {"version": 1}
+    finally:
+        tracing.set_enabled(False)
+        REGISTRY.reset()
+    np.testing.assert_array_equal(plan.execute(q).potential, fresh.execute(q).potential)
+    loaded = load_plan(path)
+    assert _reaches_memmap(loaded._near_blocks)
+    np.testing.assert_array_equal(loaded._near_blocks, fresh._near_blocks)
+    assert loaded.near_block_entries == fresh.near_block_entries
+    for x in (q, Q):
+        np.testing.assert_array_equal(
+            loaded.execute(x).potential, fresh.execute(x).potential
+        )

@@ -293,8 +293,11 @@ def test_compile_span_reports_operator_entries(sphere):
         tracing.set_enabled(False)
         tracing.get_tracer().clear()
     (mapped_args, plain_args) = [s["args"] for s in spans]
+    # folded rows share no list: a mapped plan runs the CSR kernel alone
+    assert mapped_args["near_block_entries"] == 0 == len(op._plan._near_blocks)
     for plan, args in ((op._plan, mapped_args), (plain, plain_args)):
         assert args["near_entries"] == plan._near_cum[-1]
+        assert args["near_block_entries"] == plan.near_block_entries
         assert args["p2m_entries"] == sum(g.op.data.size for g in plan._p2m_groups)
         far = sum(2 * ncoef(ch.p) * ch.tids.size for ch in plan._far_chunks)
         assert args["far_entries"] == far > 0
