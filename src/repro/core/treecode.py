@@ -10,11 +10,11 @@ method of Theorem 3.
 
 Evaluation is organized in two phases:
 
-1. **Traversal** — a preorder walk producing explicit interaction
-   lists: far (cluster, target) pairs accepted by the MAC and near
-   (leaf, target-block) pairs.  The walk is vectorized over the target
-   frontier of each node, so its cost is a few NumPy calls per tree
-   node.
+1. **Traversal** — a walk producing explicit interaction lists in
+   depth-first preorder: far (cluster, target) pairs accepted by the
+   MAC and near (leaf, target-block) pairs.  The walk moves a frontier
+   of (node, target) pairs one tree level per step, so its cost is a
+   few NumPy calls per tree level and block of targets.
 2. **Evaluation** — the lists are compiled into a target-major
    :class:`~repro.perf.plan.CompiledPlan` and executed: P2M products
    form the expansions, far pairs are grouped by degree and evaluated
@@ -165,6 +165,65 @@ class InteractionLists:
     near: list
 
 
+#: Targets walked down the tree together by :meth:`Treecode.traverse`;
+#: bounds its per-level frontier of ``(node, target)`` pairs.
+_TARGET_BLOCK = 2048
+
+
+def _heads(node: np.ndarray) -> np.ndarray:
+    """Start of every run of equal entries of a sorted node array."""
+    return np.flatnonzero(np.append(True, node[1:] != node[:-1]))
+
+
+def _descend(tree: Octree, node: np.ndarray, tid: np.ndarray):
+    """The frontier one level down: every ``(node, target)`` pair,
+    sorted by node then target, becomes one pair per child of the node,
+    again sorted by (child, target)."""
+    if node.size == 0:
+        return node, tid
+    head = _heads(node)
+    r = np.diff(np.append(head, node.size))  # targets per parent
+    # one segment per (parent, child): the parent's targets, in order
+    child, seg = tree.children_of(node[head])
+    rs = r[seg]
+    shift = head[seg] - (np.cumsum(rs) - rs)
+    return np.repeat(child, rs), tid[np.arange(int(rs.sum())) + np.repeat(shift, rs)]
+
+
+class _Runs:
+    """Targets emitted per node by :meth:`Treecode.traverse`, in chunks
+    of node runs (nodes ascending, targets ascending within a node),
+    placed at the nodes' preorder offsets once every chunk is in."""
+
+    def __init__(self, n_nodes: int, dtype) -> None:
+        self.count = np.zeros(n_nodes, dtype=np.int64)
+        self.dtype = dtype
+        self.chunks: list = []
+
+    def add(self, node: np.ndarray, tid: np.ndarray) -> None:
+        if node.size == 0:
+            return
+        head = _heads(node)
+        nodes = node[head]
+        self.count[nodes] += np.diff(np.append(head, node.size))
+        self.chunks.append((nodes, head, tid.astype(self.dtype)))
+
+    def place(self, order: np.ndarray):
+        """``(targets, counts)``: every node's targets concatenated in
+        the node ``order``, chunks in emission order within a node, and
+        the per-node target counts (node-indexed)."""
+        cnt = self.count
+        fill = np.empty_like(cnt)
+        fill[order] = np.cumsum(cnt[order]) - cnt[order]
+        out = np.empty(int(cnt.sum()), dtype=np.int64)
+        while self.chunks:
+            nodes, head, tid = self.chunks.pop(0)
+            lens = np.diff(np.append(head, tid.size))
+            out[np.repeat(fill[nodes] - head, lens) + np.arange(tid.size)] = tid
+            fill[nodes] += lens
+        return out, cnt
+
+
 class Treecode:
     """Barnes-Hut treecode for the 3-D Laplace kernel.
 
@@ -285,40 +344,52 @@ class Treecode:
 
         ``self_targets=True`` means the targets *are* the (Morton-sorted)
         source particles, enabling exact self-exclusion in the near field.
+
+        The walk is level-synchronous: a frontier of ``(node, target)``
+        pairs, sorted by node then target, descends one tree level per
+        step with one vectorised MAC test for the whole level.  Accepted
+        pairs and near blocks are then placed at their nodes' preorder
+        offsets, so the lists come out in the preorder of a depth-first
+        walk, targets ascending within a node.  Targets are walked in
+        blocks of ``_TARGET_BLOCK`` so the frontier stays bounded.
         """
         tree = self.tree
+        targets = np.asarray(targets, dtype=np.float64)
         alpha2 = self.alpha * self.alpha
-        far_nodes: list[np.ndarray] = []
-        far_tids: list[np.ndarray] = []
-        near: list[tuple[int, np.ndarray]] = []
+        r2 = tree.radius * tree.radius
+        # a zero-radius cluster is accepted by every target not on it
+        point = tree.radius == 0.0
+        has_point = bool(point.any())
+        nt = targets.shape[0]
+        tdt = np.int32 if nt < 2**31 else np.int64
+        far, near = _Runs(tree.n_nodes, tdt), _Runs(tree.n_nodes, tdt)
+        for b0 in range(0, nt, _TARGET_BLOCK):
+            tid = np.arange(b0, min(b0 + _TARGET_BLOCK, nt))
+            node = np.zeros(tid.size, dtype=np.int64)
+            while node.size:
+                delta = np.take(targets, tid, axis=0)
+                delta -= np.take(tree.center_exp, node, axis=0)
+                d2 = np.einsum("ij,ij->i", delta, delta)
+                acc = np.take(r2, node) <= alpha2 * d2
+                if has_point:
+                    acc &= (d2 > 0.0) | ~np.take(point, node)
+                far.add(node[acc], tid[acc])
+                node, tid = node[~acc], tid[~acc]
+                leaf = tree.n_children[node] == 0
+                near.add(node[leaf], tid[leaf])
+                node, tid = _descend(tree, node[~leaf], tid[~leaf])
 
-        stack: list[tuple[int, np.ndarray]] = [(0, np.arange(targets.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            delta = targets[idx] - tree.center_exp[node]
-            d2 = np.einsum("ij,ij->i", delta, delta)
-            rad = tree.radius[node]
-            if rad == 0.0:
-                acc = d2 > 0.0
-            else:
-                acc = (rad * rad) <= alpha2 * d2
-            acc_idx = idx[acc]
-            if acc_idx.size:
-                far_nodes.append(np.full(acc_idx.size, node, dtype=np.int64))
-                far_tids.append(acc_idx)
-            rest = idx[~acc]
-            if rest.size == 0:
-                continue
-            if tree.n_children[node] == 0:
-                near.append((node, rest))
-            else:
-                # reversed push -> preorder pop, deterministic per target
-                for c in tree.children(node)[::-1]:
-                    stack.append((int(c), rest))
-
-        fn = np.concatenate(far_nodes) if far_nodes else np.empty(0, dtype=np.int64)
-        ft = np.concatenate(far_tids) if far_tids else np.empty(0, dtype=np.int64)
-        return InteractionLists(far_nodes=fn, far_targets=ft, near=near)
+        # nodes in depth-first preorder: by first particle, ancestors first
+        order = np.lexsort((tree.level, tree.start))
+        ft, fcnt = far.place(order)
+        fn = np.repeat(order, fcnt[order])
+        near_t, ncnt = near.place(order)
+        leaves = order[ncnt[order] > 0]
+        cut = np.cumsum(ncnt[leaves]).tolist()
+        near_blocks = [
+            (leaf, near_t[a:b]) for leaf, a, b in zip(leaves.tolist(), [0] + cut, cut)
+        ]
+        return InteractionLists(far_nodes=fn, far_targets=ft, near=near_blocks)
 
     # ------------------------------------------------------------------
     # evaluation

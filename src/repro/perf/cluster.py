@@ -98,7 +98,7 @@ from ..obs.metrics import REGISTRY
 from ..obs.tracing import is_enabled, span
 from ..parallel.partition import translation_cost
 from ..tree.dualtree import dual_traverse
-from ..tree.octree import Octree
+from ..tree.octree import Octree, enclosing_radius
 from .operators import (
     apply,
     bsr,
@@ -144,19 +144,12 @@ def _box_view(tree: Octree) -> tuple[Octree, np.ndarray, float]:
     displacement is ``unit`` times an exact integer vector.
     """
     if tree.expansion_center != "box":
-        r2 = np.empty(tree.n_nodes)
-        for lo, hi in tree.level_ranges:
-            cnt = tree.end[lo:hi] - tree.start[lo:hi]
-            first = np.cumsum(cnt) - cnt
-            pidx = np.arange(int(cnt.sum())) + np.repeat(
-                tree.start[lo:hi] - first, cnt
-            )
-            d = tree.points[pidx] - np.repeat(tree.center_geom[lo:hi], cnt, axis=0)
-            r2[lo:hi] = np.maximum.reduceat(np.einsum("ij,ij->i", d, d), first)
         tree = dataclasses.replace(
             tree,
             center_exp=tree.center_geom,
-            radius=np.sqrt(r2),
+            radius=enclosing_radius(
+                tree.points, tree.start, tree.end, tree.level_ranges, tree.center_geom
+            ),
             expansion_center="box",
         )
     return _cut_view(tree, tree.height - 1)
@@ -245,7 +238,8 @@ def _cut_terms(view: Octree, pairs, degrees: np.ndarray, grad: bool) -> dict:
     row = cnt * (degrees + 1) * (degrees + 2)
     p2m = np.cumsum(np.bincount(first[has], weights=row[has], minlength=H))[1:H]
     pmax = np.full(H, -1.0)
-    np.maximum.at(pmax, fl, p)
+    # float operand: an int one takes ufunc.at's casting slow path
+    np.maximum.at(pmax, fl, p.astype(np.float64))
     pmax = np.maximum.accumulate(pmax)[1:H]
     l2p = np.where(pmax >= 0, view.n_particles * (pmax + 1) * (pmax + 2), 0.0)
     n_pairs = upto()
@@ -844,12 +838,12 @@ class ClusterPlan(CompiledPlan):
         return np.take(C.transpose(0, 2, 1), idx, axis=2)
 
     def form_coefficients(self, q_sorted: np.ndarray) -> dict:
-        """The base class's per-degree operands ``{p: (X, A)}``, with each
+        """The per-degree P2M operands ``{p: (X, A)}``, with each
         ``X`` folded for M2L once per execute, for every far unit and
         executor: rows times ``h_s⁻ⁿ`` (exact powers of two), stacked in
         the eight octant reflections ``X ⊙ S_o`` — ``(8·rows, [k,]
         2·nc)``, a pair reading row ``o·rows + row``."""
-        ctx = super().form_coefficients(q_sorted)
+        ctx = self._p2m_operands(q_sorted)
         level = self.tc.tree.level
         with span("plan.reflect", degrees=len(ctx)):
             for p, (X, A) in ctx.items():

@@ -23,16 +23,19 @@ once.
   group, for a single charge vector or an ``(n, k)`` batch, in the real
   layout ``[Re C | Im C]``.
 * **Far-field row operators** — each chunk of (cluster, target) pairs
-  of one degree is a BSR matrix with ``(1, 2·nc)`` blocks: block row a
-  pair (its value is scattered onto the pair's target), block column
-  the source node's row in the degree's coefficient operand, data
-  ``[w·Re T, -w·Im T]`` for the evaluation rows ``T = Y_n^m(x) /
-  r^{n+1}``.  Gradient rows are ``(3, 2·nc)``
-  blocks over the same operand.  Rows are materialized under a
-  configurable **memory budget**; chunks over budget *spill*: their
-  potential rows are rebuilt transiently on every application, and
-  their gradients contract the operand rows against the irregular
-  table without materializing gradient rows.
+  of one degree is a BSR matrix with ``(1, (p+1)²)`` blocks: block row
+  a pair (its value is scattered onto the pair's target), block column
+  the source node's row in the degree's *row operand*, data ``[w·Re T,
+  -w·Im T]`` for the evaluation rows ``T = Y_n^m(x) / r^{n+1}``.  The
+  row operand is the coefficient operand without the imaginary parts of
+  its ``m = 0`` coefficients, which are exactly zero in every operand
+  and row, built once per execute; the dropped terms are ``±0``
+  products, so the sums are bitwise those of the full ``2·nc`` rows.
+  Gradient rows are ``(3, (p+1)²)`` blocks over the same operand.
+  Rows are materialized under a configurable **memory budget**; chunks
+  over budget *spill*: their potential rows are rebuilt transiently on
+  every application, and their gradients contract the full operand rows
+  against the irregular table without materializing gradient rows.
 * **Near field** — incidences (target rows × shared source lists, the
   lists stored once as one concatenated array plus offsets) cut into
   row-range work units, one per target leaf, whatever the budget.  The
@@ -81,6 +84,7 @@ injected fault fails loudly instead of poisoning potentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -167,30 +171,53 @@ class _FarChunk:
     tids: np.ndarray  #: target per pair (block row)
     indptr: np.ndarray  #: block-row pointers, ``arange(pairs + 1)``
     cols: np.ndarray  #: per pair, the source's row in the degree-p operand
-    op: object = None  #: BSR ``(1, 2·nc)`` rows ``[w·Re T, -w·Im T]`` (None = spilled)
-    gop: object = None  #: BSR ``(3, 2·nc)`` gradient rows
+    #: BSR ``(1, (p+1)²)`` rows ``[w·Re T, -w·Im T]`` over the row
+    #: operand (:func:`_row_columns`); None = spilled
+    op: object = None
+    gop: object = None  #: BSR ``(3, (p+1)²)`` gradient rows
     bgeom: np.ndarray | None = None  #: per pair Theorem-1 factor at unit charge
 
 
-def _row_blocks(T: np.ndarray, p: int, regular: bool, want_grad: bool):
+def _row_blocks(
+    T: np.ndarray, p: int, regular: bool, want_grad: bool, compact: bool = False
+):
     """BSR block data of evaluation rows over the batch-last solid table
     ``T`` (regular at degree ``p``, or irregular at ``p`` — ``p+1`` when
     ``want_grad``): potential blocks ``(B, 1, 2·nc)`` ``[w·Re T, -w·Im
     T]`` and, when ``want_grad``, gradient blocks ``(B, 3, 2·nc)`` with
     ``∂_a Φ = [Re G_a, -Im G_a] · [Re C, Im C]`` (see
-    :func:`~repro.multipole.harmonics.solid_gradient`)."""
+    :func:`~repro.multipole.harmonics.solid_gradient`).  ``compact``
+    keeps only the :func:`_row_columns` (``(p+1)²`` per block): the
+    imaginary parts of ``m = 0`` meet exactly zero operand entries."""
     nc = ncoef(p)
     w = m_weights(p)
-    data = np.empty((T.shape[1], 1, 2 * nc))
-    # one pass over the (nc, B, 2) float view: (re, im) -> [w·re | -w·im]
-    np.multiply(_pair_major(T[:nc]), np.stack([w, -w]), out=data.reshape(-1, 2, nc))
+    im = _row_columns(p)[nc:] - nc if compact else slice(None)
+    pm = _pair_major(T[:nc])  # (B, 2, nc) float view: real, imaginary rows
+    imag = pm[:, 1, im]
+    data = np.empty((T.shape[1], 1, nc + imag.shape[1]))
+    np.multiply(pm[:, 0], w, out=data[:, 0, :nc])
+    np.multiply(imag, -w[im], out=data[:, 0, nc:])
     if not want_grad:
         return data, None
     G = solid_gradient(T, p, regular).transpose(2, 0, 1)
-    gdata = np.empty((T.shape[1], 3, 2 * nc))
+    gdata = np.empty((T.shape[1], 3, data.shape[2]))
     gdata[:, :, :nc] = G.real
-    np.negative(G.imag, out=gdata[:, :, nc:])
+    np.negative(G.imag[:, :, im], out=gdata[:, :, nc:])
     return data, gdata
+
+
+@lru_cache(maxsize=64)
+def _row_columns(p: int) -> np.ndarray:
+    """Columns of a degree-``p`` ``[Re C | Im C]`` operand that far rows
+    read: every real part and the imaginary parts of ``m > 0`` — ``(p+1)²``
+    of the ``2·nc``; the ``m = 0`` imaginary parts are exactly zero."""
+    nc = ncoef(p)
+    n = np.arange(p + 1)
+    keep = np.ones(2 * nc, dtype=bool)
+    keep[nc + n * (n + 1) // 2] = False
+    cols = np.flatnonzero(keep)
+    cols.flags.writeable = False
+    return cols
 
 
 def _incidences(tree, un: np.ndarray):
@@ -478,15 +505,15 @@ class CompiledPlan:
                 stats.interactions_by_degree[p] = (
                     stats.interactions_by_degree.get(p, 0) + npairs
                 )
-                nc = ncoef(p)
+                nrow = term_count(p)  # values per far row
                 for clo in range(lo, hi, _FAR_CHUNK):
                     chi = min(clo + _FAR_CHUNK, hi)
                     k = chi - clo
                     ch = self._far_chunk(p, ft[clo:chi], cols[clo:chi])
                     mem += ch.tids.nbytes + ch.indptr.nbytes + ch.cols.nbytes
-                    cost = 2 * k * nc * 8
+                    cost = k * nrow * 8
                     if grad_wanted:
-                        cost += 3 * k * 2 * nc * 8
+                        cost += 3 * k * nrow * 8
                     if self.accumulate_bounds:
                         cost += k * 8
                     if budget_used + cost <= self.memory_budget:
@@ -602,7 +629,7 @@ class CompiledPlan:
         the same, so spilled potentials are bitwise the resident
         ones)."""
         T, nodes, rel = table or self._far_table(ch, want_grad)
-        data, gdata = _row_blocks(T, ch.p, False, want_grad)
+        data, gdata = _row_blocks(T, ch.p, False, want_grad, compact=True)
         n_rows = self._operand_nodes[ch.p].size
         op = bsr(data, ch.cols, ch.indptr, n_rows)
         gop = None if gdata is None else bsr(gdata, ch.cols, ch.indptr, n_rows)
@@ -756,7 +783,7 @@ class CompiledPlan:
             "near_block_entries": self.near_block_entries,
             "p2m_entries": int(sum(g.op.data.size for g in self._p2m_groups)),
             "far_entries": int(
-                sum(2 * ncoef(ch.p) * ch.tids.size for ch in self._far_chunks)
+                sum(term_count(ch.p) * ch.tids.size for ch in self._far_chunks)
             ),
         }
 
@@ -831,10 +858,20 @@ class CompiledPlan:
         return csr_product(M.indptr, M.indices, M.data, M.shape[1], q_sorted)
 
     def form_coefficients(self, q_sorted: np.ndarray) -> dict:
-        """Charge-dependent stage 1: multipole coefficients (and, when
-        bounds are compiled, absolute cluster charges) of every storage
-        group, one P2M product each, assembled into the per-degree
-        operands ``{p: (X, A)}`` the far units read.
+        """Charge-dependent stage 1: the :meth:`_p2m_operands` ``{p: (X,
+        A)}`` with each degree's row operand ``X[:, _row_columns(p)]``,
+        as ``{p: (X, A, Xr)}``: far rows read ``Xr``, the spilled
+        gradient path ``X``."""
+        return {
+            p: (X, A, np.take(X, _row_columns(p), axis=1))
+            for p, (X, A) in self._p2m_operands(q_sorted).items()
+        }
+
+    def _p2m_operands(self, q_sorted: np.ndarray) -> dict:
+        """Multipole coefficients (and, when bounds are compiled,
+        absolute cluster charges) of every storage group, one P2M
+        product each, assembled into the per-degree operands ``{p: (X,
+        A)}`` — the stage both plan modes share.
 
         Passes the ``treecode.coeffs`` fault-injection site and NaN/Inf
         guard.  A mapped plan's absolute cluster charges sum ``|M x|``
@@ -884,8 +921,8 @@ class CompiledPlan:
                 self._far_unit(ctx, ch, phi, grad, bound, stats)
 
     def _far_unit(self, ctx, ch: _FarChunk, phi, grad, bound, stats):
-        X, A = ctx[ch.p]
-        Xf = X.reshape((-1,) + X.shape[2:])
+        X, A, Xr = ctx[ch.p]
+        Xf = Xr.reshape((-1,) + Xr.shape[2:])
         op, gop, bgeom = ch.op, ch.gop, ch.bgeom
         if op is None:  # spilled or shed: rebuild the potential rows
             want_bound = bound is not None and bgeom is None
@@ -971,11 +1008,11 @@ class CompiledPlan:
 
     def _far_unit_output(self, ctx, q_sorted, i):
         ch = self._far_chunks[i]
-        X, _ = ctx[ch.p]
+        Xr = ctx[ch.p][2]
         op = ch.op
         if op is None:
             op = self._far_operators(ch, False, False)[0]
-        return ch.tids, apply(op, X.reshape((-1,) + X.shape[2:]))
+        return ch.tids, apply(op, Xr.reshape((-1,) + Xr.shape[2:]))
 
     def execute_unit(self, ctx, q_sorted, i):
         """Evaluate one work unit in isolation; returns the potential

@@ -100,8 +100,10 @@ ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 #: ``(3, nnz)`` array, not three CSR matrices; the digest covers the map.
 #: 11: near fields list the row ranges of their dense blocks, cut at
 #: unit starts (plans' ``_near_blocks``, FMM plans' ``near_blocks``),
-#: which every path applies as BLAS products.
-STORE_FORMAT_VERSION = 11
+#: which every path applies as BLAS products.  12: target-major far rows
+#: hold ``(p+1)²`` values (no ``m = 0`` imaginary columns) over a row
+#: operand built per execute.
+STORE_FORMAT_VERSION = 12
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64

@@ -664,8 +664,8 @@ def run_fleet(
         # the plan's frozen geometry travels by copy-on-write
         state = (
             plan,
-            {p: (share(C), share(A) if A is not None else None)
-             for p, (C, A) in ctx.items()},
+            {p: tuple(None if a is None else share(a) for a in arrays)
+             for p, arrays in ctx.items()},
             share(q_sorted),
             policy,
             hb,

@@ -95,18 +95,6 @@ def box_mac(
     return _box_mac_r(tree, src, tgt, alpha)[0]
 
 
-def _expand(tree: Octree, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Children of each node, flattened, with a repeat map back to the
-    originating pair row."""
-    counts = tree.n_children[nodes]
-    owner = np.repeat(np.arange(nodes.size), counts)
-    offsets = np.arange(int(counts.sum())) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    children = tree.first_child[nodes][owner] + offsets
-    return children.astype(np.int64), owner
-
-
 def dual_traverse(tree: Octree, alpha: float) -> BoxPairs:
     """Decompose all pairwise interactions into box MAC far pairs plus
     near leaf pairs.
@@ -150,12 +138,12 @@ def dual_traverse(tree: Octree, alpha: float) -> BoxPairs:
         ns_list = []
         nt_list = []
         if split_src.any():
-            children, owner = _expand(tree, src[split_src])
+            children, owner = tree.children_of(src[split_src])
             ns_list.append(children)
             nt_list.append(tgt[split_src][owner])
         split_tgt = ~split_src
         if split_tgt.any():
-            children, owner = _expand(tree, tgt[split_tgt])
+            children, owner = tree.children_of(tgt[split_tgt])
             ns_list.append(src[split_tgt][owner])
             nt_list.append(children)
         src = np.concatenate(ns_list)

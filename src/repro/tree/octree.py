@@ -5,11 +5,13 @@ Morton key once; every node then owns a *contiguous slice*
 ``[start, end)`` of the sorted particle arrays, so per-node reductions
 and near-field interactions are plain vectorized slices.
 
-Construction is breadth-first: a node's children are found by
-``searchsorted`` on the key array (each child of a depth-``d`` node is
-the sub-slice whose keys share a ``3(d+1)``-bit prefix), which makes
-children of a node — and all nodes of a level — contiguous in the node
-arrays.
+Construction is level-synchronous: a whole level is split at once by
+one ``searchsorted`` of every child's key-range start over the sorted
+key array (each child of a depth-``d`` node is the sub-slice whose keys
+share a ``3(d+1)``-bit prefix), and the level's children, parents and
+centres are built as arrays.  Node ids are breadth-first with octants
+ascending, so children of a node — and all nodes of a level — are
+contiguous in the node arrays.
 
 Per-node aggregates maintained for the treecode:
 
@@ -36,9 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .morton import MAX_DEPTH, key_range_of_node, morton_key
+from .morton import MAX_DEPTH, morton_key
 
-__all__ = ["Octree", "build_octree"]
+__all__ = ["Octree", "build_octree", "enclosing_radius"]
 
 
 @dataclass
@@ -104,6 +106,14 @@ class Octree:
         fc = self.first_child[i]
         return np.arange(fc, fc + self.n_children[i])
 
+    def children_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Children of each of ``nodes``, flattened in order, and for each
+        child the position of its parent in ``nodes``."""
+        counts = self.n_children[nodes]
+        owner = np.repeat(np.arange(nodes.size), counts)
+        offsets = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        return (self.first_child[nodes][owner] + offsets).astype(np.int64), owner
+
     def particles_of(self, i: int) -> slice:
         """Slice of the Morton-sorted particle arrays owned by node ``i``."""
         return slice(int(self.start[i]), int(self.end[i]))
@@ -119,18 +129,37 @@ class Octree:
         """Check structural invariants (used by the test-suite and for
         debugging user-supplied inputs); raises AssertionError."""
         assert self.start[0] == 0 and self.end[0] == self.n_particles
-        for i in range(self.n_nodes):
-            if self.n_children[i] > 0:
-                ch = self.children(i)
-                assert np.all(self.parent[ch] == i)
-                assert self.start[ch[0]] == self.start[i]
-                assert self.end[ch[-1]] == self.end[i]
-                assert np.all(self.end[ch[:-1]] == self.start[ch[1:]])
-                assert np.all(self.level[ch] == self.level[i] + 1)
+        inner = np.flatnonzero(self.n_children > 0)
+        ch, at = self.children_of(inner)
+        owner = inner[at]
+        # every node but the root is the child of exactly one node
+        assert np.array_equal(np.sort(ch), np.arange(1, self.n_nodes))
+        assert np.all(self.parent[ch] == owner)
+        assert np.all(self.level[ch] == self.level[owner] + 1)
+        last = self.first_child[inner] + self.n_children[inner] - 1
+        assert np.all(self.start[self.first_child[inner]] == self.start[inner])
+        assert np.all(self.end[last] == self.end[inner])
+        sib = owner[1:] == owner[:-1]
+        assert np.all(self.end[ch[:-1]][sib] == self.start[ch[1:]][sib])
         # every particle in exactly one leaf
         leaves = self.leaf_ids()
         counts = (self.end[leaves] - self.start[leaves]).sum()
         assert counts == self.n_particles
+
+
+def enclosing_radius(points, start, end, level_ranges, centers) -> np.ndarray:
+    """Exact radius of each node's particles ``points[start:end]`` about
+    its centre: one segmented max per level of ``level_ranges`` (every
+    particle appears in one slice per level)."""
+    radius = np.empty(start.size, dtype=np.float64)
+    for lo, hi in level_ranges:
+        cnt = end[lo:hi] - start[lo:hi]
+        seg = np.cumsum(cnt) - cnt
+        idx = np.arange(int(cnt.sum())) + np.repeat(start[lo:hi] - seg, cnt)
+        d = np.take(points, idx, axis=0)
+        d -= np.repeat(centers[lo:hi], cnt, axis=0)
+        radius[lo:hi] = np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->i", d, d), seg))
+    return radius
 
 
 def build_octree(
@@ -200,75 +229,73 @@ def build_octree(
     keys = morton_key(points, domain_lo, domain_hi)
     perm = np.argsort(keys, kind="stable")
     keys = keys[perm]
+    # Child boundaries are searched in float64, as numpy compares a
+    # uint64 array with a Python-int key: it keeps the octree the one
+    # this module has always built (keys within float64 rounding of a
+    # boundary land in the next octant; their radii stay exact).
+    keys_f = keys.astype(np.float64)
     pts = points[perm]
     q = charges[perm]
 
-    # --- BFS construction -------------------------------------------------
-    level_l: list[int] = [0]
-    parent_l: list[int] = [-1]
-    first_child_l: list[int] = [-1]
-    n_children_l: list[int] = [0]
-    start_l: list[int] = [0]
-    end_l: list[int] = [len(q)]
-    center_l: list[np.ndarray] = [center0]
-    half_l: list[float] = [edge / 2.0]
-    prefix_l: list[int] = [0]
-
+    # --- level-synchronous construction ---------------------------------
+    # per level: start, end, parent, centre, half size and key prefix of
+    # its nodes; a split node's non-empty octants become the next level
+    starts = [np.zeros(1, dtype=np.int64)]
+    ends = [np.full(1, len(q), dtype=np.int64)]
+    parents = [np.full(1, -1, dtype=np.int64)]
+    centers, halves = [center0[None, :]], [np.array([edge / 2.0])]
+    prefix = np.zeros(1, dtype=np.uint64)
+    first_child, n_children = [], []
     level_ranges: list[tuple[int, int]] = [(0, 1)]
-    frontier = [0]
+    octs = np.arange(8, dtype=np.uint64)
     depth = 0
-    while frontier:
-        next_frontier: list[int] = []
-        next_lo = len(level_l)
-        for node in frontier:
-            s, e = start_l[node], end_l[node]
-            if e - s <= leaf_size or depth >= max_depth:
-                continue  # leaf
-            prefix = prefix_l[node]
-            # Octant boundaries inside [s, e) via one searchsorted call.
-            bounds = [s]
-            for oct_ in range(1, 8):
-                k_lo, _ = key_range_of_node(prefix * 8 + oct_, depth + 1)
-                bounds.append(int(np.searchsorted(keys[s:e], k_lo)) + s)
-            bounds.append(e)
-            fc = -1
-            nch = 0
-            c = np.asarray(center_l[node])
-            h = half_l[node] / 2.0
-            for oct_ in range(8):
-                cs, ce = bounds[oct_], bounds[oct_ + 1]
-                if ce <= cs:
-                    continue
-                child = len(level_l)
-                if fc < 0:
-                    fc = child
-                nch += 1
-                dx = h if (oct_ & 4) else -h
-                dy = h if (oct_ & 2) else -h
-                dz = h if (oct_ & 1) else -h
-                level_l.append(depth + 1)
-                parent_l.append(node)
-                first_child_l.append(-1)
-                n_children_l.append(0)
-                start_l.append(cs)
-                end_l.append(ce)
-                center_l.append(c + np.array([dx, dy, dz]))
-                half_l.append(h)
-                prefix_l.append(prefix * 8 + oct_)
-                next_frontier.append(child)
-            first_child_l[node] = fc
-            n_children_l[node] = nch
-        if next_frontier:
-            level_ranges.append((next_lo, len(level_l)))
-        frontier = next_frontier
+    while True:
+        lo_id, s, e = level_ranges[-1][0], starts[-1], ends[-1]
+        fc = np.full(s.size, -1, dtype=np.int64)
+        nch = np.zeros(s.size, dtype=np.int32)
+        first_child.append(fc)
+        n_children.append(nch)
+        split = np.flatnonzero(e - s > leaf_size) if depth < max_depth else []
+        if len(split) == 0:
+            break
+        # octant boundaries of every split node: one search over all keys,
+        # clamped at the node's start (in float64 a key just below the
+        # node can tie with a child's start; a search of the node's own
+        # slice never goes below it)
+        width = np.uint64(3 * (MAX_DEPTH - depth - 1))
+        kids = (prefix[split, None] << np.uint64(3)) | octs
+        bounds = np.empty((split.size, 9), dtype=np.int64)
+        bounds[:, 0], bounds[:, 8] = s[split], e[split]
+        bounds[:, 1:8] = np.maximum(
+            np.searchsorted(keys_f, (kids[:, 1:] << width).astype(np.float64)),
+            bounds[:, :1],
+        )
+        full = bounds[:, 1:] > bounds[:, :-1]
+        row, oct_ = np.nonzero(full)  # parent order, octants ascending
+        nch[split] = full.sum(axis=1)
+        hi_id = level_ranges[-1][1]
+        fc[split] = hi_id + np.cumsum(nch[split]) - nch[split]
+        h = halves[-1][split][row] / 2.0
+        # octant bits 4, 2, 1 are the x, y, z halves: c ± h per axis
+        sign = np.where((oct_[:, None] >> np.array([2, 1, 0])) & 1, 1.0, -1.0)
+        starts.append(bounds[row, oct_])
+        ends.append(bounds[row, oct_ + 1])
+        parents.append(lo_id + split[row])
+        centers.append(centers[-1][split][row] + sign * h[:, None])
+        halves.append(h)
+        prefix = kids[row, oct_]
+        level_ranges.append((hi_id, hi_id + row.size))
         depth += 1
 
-    n_nodes = len(level_l)
-    level = np.asarray(level_l, dtype=np.int32)
-    start = np.asarray(start_l, dtype=np.int64)
-    end = np.asarray(end_l, dtype=np.int64)
-    center_geom = np.asarray(center_l, dtype=np.float64)
-    half_size = np.asarray(half_l, dtype=np.float64)
+    start = np.concatenate(starts)
+    end = np.concatenate(ends)
+    center_geom = np.concatenate(centers)
+    half_size = np.concatenate(halves)
+    n_nodes = start.size
+    level = np.repeat(
+        np.arange(len(level_ranges), dtype=np.int32),
+        [hi - lo for lo, hi in level_ranges],
+    )
 
     # --- aggregates --------------------------------------------------------
     absq = np.abs(q)
@@ -286,13 +313,7 @@ def build_octree(
     else:
         center_exp = center_geom.copy()
 
-    # Exact enclosing radius about the expansion center.  Total work is
-    # O(n * height): every particle appears in one slice per level.
-    radius = np.empty(n_nodes, dtype=np.float64)
-    for i in range(n_nodes):
-        s, e = start[i], end[i]
-        d = pts[s:e] - center_exp[i]
-        radius[i] = np.sqrt(np.einsum("ij,ij->i", d, d).max())
+    radius = enclosing_radius(pts, start, end, level_ranges, center_exp)
 
     return Octree(
         points=pts,
@@ -301,9 +322,9 @@ def build_octree(
         domain_lo=domain_lo,
         domain_hi=domain_hi,
         level=level,
-        parent=np.asarray(parent_l, dtype=np.int64),
-        first_child=np.asarray(first_child_l, dtype=np.int64),
-        n_children=np.asarray(n_children_l, dtype=np.int32),
+        parent=np.concatenate(parents),
+        first_child=np.concatenate(first_child),
+        n_children=np.concatenate(n_children),
         start=start,
         end=end,
         center_geom=center_geom,

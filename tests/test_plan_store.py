@@ -527,7 +527,7 @@ def test_format10_file_misses_as_version(built, tmp_path):
     potentials and batches bitwise a fresh compile's."""
     from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
 
-    assert STORE_FORMAT_VERSION == 11
+    assert STORE_FORMAT_VERSION >= 11
     pts, q, _ = built
     Q = np.random.default_rng(6).uniform(-1, 1, (N, 4))
     tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
@@ -560,3 +560,35 @@ def test_format10_file_misses_as_version(built, tmp_path):
         np.testing.assert_array_equal(
             loaded.execute(x).potential, fresh.execute(x).potential
         )
+
+
+def test_format11_file_misses_as_version(built, tmp_path):
+    """Format 12 target-major far rows hold ``(p+1)²`` values, without
+    the ``m = 0`` imaginary columns: a format-11 file is a ``version``
+    miss, and a stored-then-loaded plan's potentials and gradients are
+    bitwise a fresh compile's."""
+    from repro.multipole.harmonics import term_count
+    from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
+
+    assert STORE_FORMAT_VERSION == 12
+    pts, q, tc = built
+    fresh = tc.compile_plan(compute="both", cache_dir="")
+    assert fresh._far_chunks
+    for ch in fresh._far_chunks:
+        assert ch.op.blocksize == (1, term_count(ch.p))
+        assert ch.gop.blocksize == (3, term_count(ch.p))
+    want = fresh.execute(q)
+    tc.compile_plan(compute="both", cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("*.plan")
+    blob = bytearray(path.read_bytes())
+    off = len(_MAGIC)
+    blob[off : off + 4] = np.uint32(11).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(PlanStoreError) as exc:
+        load_plan(path)
+    assert exc.value.reason == "version"
+    plan = tc.compile_plan(compute="both", cache_dir=str(tmp_path))
+    loaded = load_plan(path)
+    for got in (plan.execute(q), loaded.execute(q)):
+        np.testing.assert_array_equal(got.potential, want.potential)
+        np.testing.assert_array_equal(got.gradient, want.gradient)

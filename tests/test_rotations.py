@@ -339,7 +339,7 @@ def _dense_reference(plan):
     The plan then reads the un-folded operand rows, onto which each
     pair's folded row wraps."""
     centers = plan.tc.tree.center_geom
-    plan.form_coefficients = lambda qs: CompiledPlan.form_coefficients(plan, qs)
+    plan.form_coefficients = lambda qs: CompiledPlan._p2m_operands(plan, qs)
 
     def group(X, g):
         nc = ncoef(g.p)

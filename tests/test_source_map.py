@@ -279,7 +279,7 @@ def test_compile_span_reports_operator_entries(sphere):
     """A target-major plan's ``plan.compile`` span carries its P2M and
     far-row entries beside its near entries; the map shrinks the P2M
     entries and leaves the far rows alone."""
-    from repro.multipole.harmonics import ncoef
+    from repro.multipole.harmonics import term_count
     from repro.obs import tracing
 
     op = _op(sphere)
@@ -299,7 +299,8 @@ def test_compile_span_reports_operator_entries(sphere):
         assert args["near_entries"] == plan._near_cum[-1]
         assert args["near_block_entries"] == plan.near_block_entries
         assert args["p2m_entries"] == sum(g.op.data.size for g in plan._p2m_groups)
-        far = sum(2 * ncoef(ch.p) * ch.tids.size for ch in plan._far_chunks)
+        # far rows hold (p+1)² values: no m = 0 imaginary columns
+        far = sum(term_count(ch.p) * ch.tids.size for ch in plan._far_chunks)
         assert args["far_entries"] == far > 0
     assert mapped_args["p2m_entries"] < plain_args["p2m_entries"]
     assert mapped_args["far_entries"] == plain_args["far_entries"]
