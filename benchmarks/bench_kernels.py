@@ -1,7 +1,7 @@
 """Micro-benchmarks of the computational kernels.
 
 Times the building blocks whose costs the paper's complexity analysis
-reasons about: key generation, tree construction, P2M/M2P, the
+reasons about: key generation, tree construction, P2M, the
 translation operators, and the direct kernel.
 
 Besides the pytest-benchmark suite, this module doubles as the BENCH_6
@@ -31,7 +31,7 @@ if __package__ in (None, ""):
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.direct import direct_potential
-from repro.multipole.expansion import m2p_rows, p2m
+from repro.multipole.expansion import p2m
 from repro.multipole.harmonics import ncoef
 from repro.multipole.rotations import RotationCache
 from repro.multipole.translations import l2l, m2l, m2l_rotated, m2m
@@ -66,17 +66,6 @@ def test_bench_p2m(benchmark, p):
     q = RNG.uniform(-1, 1, 5000)
     coeffs = benchmark(lambda: p2m(rel, q, p))
     assert coeffs.shape == (ncoef(p),)
-
-
-@pytest.mark.parametrize("p", [4, 8])
-def test_bench_m2p_rows(benchmark, p):
-    npairs = 20000
-    rows = (RNG.random((npairs, ncoef(p))) + 1j * RNG.random((npairs, ncoef(p)))).astype(
-        np.complex128
-    )
-    rel = RNG.random((npairs, 3)) + 2.0
-    out = benchmark(lambda: m2p_rows(rows, rel, p))
-    assert out.shape == (npairs,)
 
 
 @pytest.mark.parametrize("op_name", ["m2m", "m2l", "l2l"])

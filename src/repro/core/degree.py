@@ -31,6 +31,7 @@ __all__ = [
     "FixedDegree",
     "AdaptiveChargeDegree",
     "LevelDegree",
+    "PerLevelDegree",
     "ToleranceDegree",
     "VariableDegree",
     "DegreeSelectionError",
@@ -260,6 +261,25 @@ class LevelDegree(DegreePolicy):
         depth_above_leaf = (tree.height - 1) - tree.level
         p = self.p0 + np.ceil(c * np.maximum(depth_above_leaf, 0)).astype(np.int64)
         return np.clip(p, self.p0, self.p_max)
+
+
+@dataclass(frozen=True)
+class PerLevelDegree(DegreePolicy):
+    """An explicit schedule: degree ``levels[l]`` at every node of tree
+    level ``l`` (the root is level 0) — the FMM's per-level degrees."""
+
+    levels: tuple = (4,)
+
+    def __post_init__(self) -> None:
+        if min(self.levels, default=-1) < 0:
+            raise ValueError(f"need one degree >= 0 per level, got {self.levels}")
+
+    def degrees(self, tree: Octree) -> np.ndarray:
+        if tree.height > len(self.levels):
+            raise ValueError(
+                f"tree has {tree.height} levels, schedule {len(self.levels)}"
+            )
+        return np.asarray(self.levels, dtype=np.int64)[tree.level]
 
 
 @dataclass(frozen=True)

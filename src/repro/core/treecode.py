@@ -75,6 +75,9 @@ class TreecodeStats:
     #: accumulated Theorem-1 bound keyed by tree level (populated only
     #: when the evaluation accumulates bounds)
     bound_by_level: dict = field(default_factory=dict)
+    #: seconds per layer of one serial plan execute: ``coefficients``
+    #: (P2M), ``m2l``/``l2l``/``l2p`` (cluster far field), ``near``
+    times: dict = field(default_factory=dict)
     build_time: float = 0.0
     upward_time: float = 0.0
     traverse_time: float = 0.0
@@ -96,6 +99,8 @@ class TreecodeStats:
             self.interactions_by_level[k] = self.interactions_by_level.get(k, 0) + v
         for k, v in other.bound_by_level.items():
             self.bound_by_level[k] = self.bound_by_level.get(k, 0.0) + v
+        for k, v in other.times.items():
+            self.times[k] = self.times.get(k, 0.0) + v
         self.build_time += other.build_time
         self.upward_time += other.upward_time
         self.traverse_time += other.traverse_time
@@ -494,6 +499,7 @@ class Treecode:
         tol: float | None = None,
         cache_dir=None,
         source_map=None,
+        criterion=None,
     ):
         """Freeze this treecode's geometry into a compiled plan for
         repeated matvecs.
@@ -511,7 +517,10 @@ class Treecode:
         :class:`~repro.perf.cluster.ClusterPlan` (box-box M2L into
         per-leaf local expansions; requires ``targets=None``; ``lists``
         is not used).  ``n_units`` controls the number of far work
-        units a cluster plan is split into (parallelism granularity).
+        units a cluster plan is split into (parallelism granularity), and
+        ``criterion`` its dual traversal's separation criterion: the
+        α-MAC :class:`~repro.tree.dualtree.BoxMAC` by default, or the
+        FMM's :class:`~repro.tree.dualtree.VList`.
 
         ``tol`` switches the compiler to **variable-order** mode: each
         far interaction gets the minimal degree whose Theorem-1 (or
@@ -569,6 +578,7 @@ class Treecode:
             tol=tol,
             cache_dir=cache_dir,
             source_map=source_map,
+            criterion=criterion,
         )
 
     # convenience ------------------------------------------------------

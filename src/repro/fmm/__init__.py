@@ -1,4 +1,5 @@
-"""Fast Multipole Method extension (uniform octree, per-level degrees)."""
+"""Fast Multipole Method extension: the cluster plan under the V-list
+criterion over a uniform-depth octree, with per-level degrees."""
 
 from .engine import FMMStats, UniformFMM, level_degrees
 

@@ -1,6 +1,6 @@
 """Solid-harmonic multipole machinery for the Laplace kernel."""
 
-from .expansion import l2p, m2p, m2p_rows, p2l, p2m
+from .expansion import l2p, m2p, p2l, p2m
 from .gradient import l2p_grad, m2p_grad, m2p_grad_rows
 from .harmonics import coef_index, irregular_solid, ncoef, regular_solid, term_count
 from .translations import l2l, m2l, m2m
@@ -8,7 +8,6 @@ from .translations import l2l, m2l, m2m
 __all__ = [
     "p2m",
     "m2p",
-    "m2p_rows",
     "p2l",
     "l2p",
     "m2m",

@@ -30,10 +30,7 @@ from .harmonics import degree_of_index, irregular_solid, ncoef, regular_solid
 
 __all__ = [
     "p2m",
-    "p2m_terms",
     "m2p",
-    "m2p_rows",
-    "contract_rows",
     "p2l",
     "l2p",
     "m_weights",
@@ -140,17 +137,6 @@ def p2m(rel_pos: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
     return np.conj(regular_solid(rel_pos, p) @ q)
 
 
-def p2m_terms(rel_pos: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
-    """Per-particle multipole contributions (before summing).
-
-    Row ``i`` is ``q_i rho_i^n conj(Y_n^m)`` — summing rows of a cluster
-    gives its :func:`p2m` coefficients.  Used to form expansions for
-    many clusters at once with segmented reductions.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    return q[:, None] * np.conj(regular_solid(rel_pos, p).T)
-
-
 def m2p(coeffs: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
     """Evaluate a multipole expansion at targets (relative to its center).
 
@@ -161,45 +147,6 @@ def m2p(coeffs: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
     """
     c = m_weights(p) * np.asarray(coeffs)[: ncoef(p)]
     return np.real(c @ irregular_solid(rel_targets, p))
-
-
-def contract_rows(coeff_rows: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
-    """``Re sum_c w_c C[t, c] T[c, t]``: per-row expansions ``(t, >=
-    ncoef(p))`` against the first ``ncoef(p)`` rows of a batch-last
-    solid table — the shared potential step of :func:`m2p_rows` and
-    :func:`repro.multipole.gradient.m2p_rows_grad`."""
-    nc = ncoef(p)
-    C = np.asarray(coeff_rows)[:, :nc] * m_weights(p)
-    return np.einsum("tc,ct->t", C.real, T[:nc].real) - np.einsum(
-        "tc,ct->t", C.imag, T[:nc].imag
-    )
-
-
-def m2p_rows(coeff_rows: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate a *different* multipole expansion per target.
-
-    The per-pair form of the treecode's far field: the traversal produces
-    a flat list of (cluster, target) interaction pairs, and after
-    grouping by degree each pair carries its own coefficient row.  The
-    compiled plans (:mod:`repro.perf.plan`) apply the same contraction
-    as frozen sparse rows.
-
-    Parameters
-    ----------
-    coeff_rows:
-        ``(t, >= ncoef(p))`` packed coefficients, row ``i`` belonging to
-        target ``i`` (typically a gather ``coeff_matrix[node_ids]``).
-    rel_targets:
-        ``(t, 3)`` target positions relative to each pair's expansion
-        center.
-    p:
-        Evaluation degree (rows are truncated to ``ncoef(p)``).
-
-    Returns
-    -------
-    ``(t,)`` real potentials.
-    """
-    return contract_rows(coeff_rows, irregular_solid(rel_targets, p), p)
 
 
 def p2l(rel_pos: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:

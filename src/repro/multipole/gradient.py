@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expansion import contract_rows
 from .harmonics import irregular_solid, ladder_terms, ncoef, regular_solid
 
-__all__ = ["grad_contract_rows", "m2p_grad", "m2p_grad_rows", "m2p_rows_grad", "l2p_grad"]
+__all__ = ["grad_contract_rows", "m2p_grad", "m2p_grad_rows", "l2p_grad"]
 
 
 def grad_contract_rows(coeff_rows: np.ndarray, T: np.ndarray, p: int, regular: bool):
@@ -34,18 +33,9 @@ def grad_contract_rows(coeff_rows: np.ndarray, T: np.ndarray, p: int, regular: b
 
 
 def m2p_grad_rows(coeff_rows: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:
-    """Per-pair gradient evaluation (row ``i`` of ``coeff_rows`` belongs
-    to target ``i``); the gradient analogue of
-    :func:`repro.multipole.expansion.m2p_rows`."""
+    """Per-pair gradient evaluation: row ``i`` of ``coeff_rows`` is the
+    expansion seen by target ``i``."""
     return grad_contract_rows(coeff_rows, irregular_solid(rel_targets, p + 1), p, False)
-
-
-def m2p_rows_grad(coeff_rows: np.ndarray, rel_targets: np.ndarray, p: int):
-    """``(potential, gradient)`` of per-pair expansions from one shared
-    irregular table — :func:`~repro.multipole.expansion.m2p_rows` and
-    :func:`m2p_grad_rows` in a single geometry pass."""
-    T = irregular_solid(rel_targets, p + 1)
-    return contract_rows(coeff_rows, T, p), grad_contract_rows(coeff_rows, T, p, False)
 
 
 def m2p_grad(coeffs: np.ndarray, rel_targets: np.ndarray, p: int) -> np.ndarray:

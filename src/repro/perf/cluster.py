@@ -7,10 +7,11 @@ spill back to on-the-fly evaluation.  A :class:`ClusterPlan` changes the
 *algorithm*, not just the storage: a dual-tree traversal
 (:func:`~repro.tree.dualtree.dual_traverse`) decomposes the interaction
 into **box-box** pairs under the two-sided MAC
-``(a_src + a_tgt)/r <= alpha``, each applied as a single M2L translation
-into the target box's *local expansion*; locals are pushed to the
-leaves with L2L and evaluated with one frozen L2P BSR product per
-(unit, degree) group (:mod:`repro.perf.operators`).  Plan
+``(a_src + a_tgt)/r <= alpha`` (or, for the FMM, the V-list criterion:
+the plan takes the traversal's criterion object), each applied as a
+single M2L translation into the target box's *local expansion*; locals
+are pushed to the leaves with L2L and evaluated with one frozen L2P BSR
+product per (unit, degree) group (:mod:`repro.perf.operators`).  Plan
 memory is O(box pairs + keys · p⁴ + n · p²) — index arrays, one dense
 operator per lattice key and per-target L2P rows; there are **no**
 per-pair row matrices and therefore no far spills, ever.
@@ -95,9 +96,9 @@ from ..multipole.lattice import (
 )
 from ..obs import emit
 from ..obs.metrics import REGISTRY
-from ..obs.tracing import is_enabled, span
+from ..obs.tracing import is_enabled, span, stopwatch
 from ..parallel.partition import translation_cost
-from ..tree.dualtree import dual_traverse
+from ..tree.dualtree import BoxMAC, dual_traverse
 from ..tree.octree import Octree, enclosing_radius
 from .operators import (
     apply,
@@ -376,6 +377,9 @@ class ClusterPlan(CompiledPlan):
     ``cut_level`` is the octree level the plan cut at and ``cut_costs``
     the cost model's candidates (empty when the cut was pinned).  ``cut``
     compiles a given level instead, for benchmarks and tests.
+    ``criterion`` is the dual traversal's separation criterion:
+    :class:`~repro.tree.dualtree.BoxMAC` of the treecode's α by default,
+    or :class:`~repro.tree.dualtree.VList` (the FMM's).
     """
 
     _mode = "cluster"
@@ -391,6 +395,7 @@ class ClusterPlan(CompiledPlan):
         n_units: int | None = None,
         tol: float | None = None,
         cut: int | None = None,
+        criterion=None,
     ) -> None:
         if not self_targets:
             raise ValueError(
@@ -401,6 +406,8 @@ class ClusterPlan(CompiledPlan):
             raise ValueError(f"n_units must be >= 1, got {n_units}")
         self._n_units_req = n_units
         self._cut_req = cut
+        #: the dual traversal's separation criterion
+        self.criterion = BoxMAC(tc.alpha) if criterion is None else criterion
         super().__init__(
             tc,
             None,
@@ -436,7 +443,7 @@ class ClusterPlan(CompiledPlan):
         elif tc.leaf_size is not None or self.tol is not None or top <= 1:
             cut = top
         else:
-            pairs = dual_traverse(full, tc.alpha)
+            pairs = dual_traverse(full, self.criterion)
             self.cut_costs = _price_cuts(
                 _cut_terms(full, pairs, tc.p_eval, grad_wanted),
                 self.memory_budget,
@@ -447,7 +454,7 @@ class ClusterPlan(CompiledPlan):
             emit("plan_depth", chosen=cut, height=top, candidates=self.cut_costs)
         tree, ic, _ = _cut_view(full, cut)
         if pairs is None or cut != top:
-            pairs = dual_traverse(tree, tc.alpha)
+            pairs = dual_traverse(tree, self.criterion)
         #: octree level the plan cuts at: its nodes there are the leaves
         self.cut_level = cut
         self._n_nodes = tree.n_nodes
@@ -812,7 +819,7 @@ class ClusterPlan(CompiledPlan):
         model's seconds when it chose the cut."""
         work = {
             "cut": self.cut_level,
-            "near_entries": int(self._near_cum[-1]),
+            "near_entries": self.near_entries,
             "near_block_entries": self.near_block_entries,
             "box_pairs": int(self.n_box_pairs),
             "m2l_flops": float(np.sum(_gemm_flops(self.pair_degrees))),
@@ -950,7 +957,7 @@ class ClusterPlan(CompiledPlan):
             if is_enabled()
             else None
         )
-        with span("plan.m2l", pairs=u.n_pairs, groups=len(u.groups)):
+        with stopwatch("plan.m2l", pairs=u.n_pairs, groups=len(u.groups)) as sw_m2l:
             for g in u.groups:
                 X, A = ctx[g.p]
                 L[g.utgt, ..., : 2 * ncoef(g.p)] += self._m2l_group(X, g)
@@ -972,7 +979,7 @@ class ClusterPlan(CompiledPlan):
                                     + float(s_)
                                 )
             self._m2l_rebuilt(ctx, u, L)
-        with span("plan.l2l", levels=len(u.push_chi)):
+        with stopwatch("plan.l2l", levels=len(u.push_chi)) as sw_l2l:
             for par, chi, octs, s in zip(
                 u.push_par, u.push_chi, u.push_oct, u.push_s
             ):
@@ -983,7 +990,7 @@ class ClusterPlan(CompiledPlan):
                 L[chi] += Y
                 if bsc is not None:
                     bsc[chi] += bsc[par]
-        with span("plan.l2p", groups=len(u.l2p)):
+        with stopwatch("plan.l2p", groups=len(u.l2p)) as sw_l2p:
             for gl in u.l2p:
                 X = L[gl.leaves, ..., : 2 * ncoef(gl.p)]
                 if kb is not None:  # (leaves, 2·nc, k) block rows
@@ -994,6 +1001,9 @@ class ClusterPlan(CompiledPlan):
                     grad[gl.tidx] += apply(gl.gop, X).reshape(-1, 3)
                 if bound is not None:
                     bound[gl.tidx] += bsc[gl.leaves[gl.op.indices]]
+        if stats is not None:
+            for k, sw in (("m2l", sw_m2l), ("l2l", sw_l2l), ("l2p", sw_l2p)):
+                stats.times[k] = stats.times.get(k, 0.0) + sw.elapsed
 
     def _far_field(self, ctx, phi, grad, bound, stats) -> None:
         with span("plan.far_field", units=len(self._units)):
@@ -1078,7 +1088,7 @@ class ClusterPlan(CompiledPlan):
             f"m2l_keys={len(self._m2l_ops)} over {len(self._m2l_dirs)} dirs "
             f"({int(self._m2l_rebuild.sum())} rebuilt per execute), "
             f"near={self.n_near_precomputed}+{self.n_near_spilled} spilled, "
-            f"near_entries={int(self._near_cum[-1])}, "
+            f"near_entries={self.near_entries}, "
             f"near_block_entries={self.near_block_entries}, "
             f"{self.memory_bytes / 1e6:.1f} MB, "
             f"compile {self.compile_time * 1e3:.1f} ms)"

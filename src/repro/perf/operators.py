@@ -6,9 +6,8 @@ kernels — is stored as one block-sparse matrix over the plan's own
 arrays and applied with one compiled sparse product:
 
 * complex coefficients travel in the real column layout ``[Re C | Im
-  C]`` (:func:`real_layout`), so a complex contraction ``Re sum_c R_c
-  C_c`` is the real dot product of ``[Re R, -Im R]`` with ``[Re C, Im
-  C]``;
+  C]``, so a complex contraction ``Re sum_c R_c C_c`` is the real dot
+  product of ``[Re R, -Im R]`` with ``[Re C, Im C]``;
 * row operators (far, L2P) are BSR matrices with ``(1, 2·nc)`` blocks —
   block row a (pair or target) evaluation, block column a coefficient
   row — and gradient rows use ``(3, 2·nc)`` blocks over the same
@@ -55,8 +54,6 @@ __all__ = [
     "near_product",
     "fold_map",
     "op_nbytes",
-    "real_layout",
-    "complex_layout",
     "near_values",
     "assemble_near",
     "near_blocks",
@@ -267,31 +264,6 @@ def _fold_vector(indptr, indices, v, M):
     cols, vals = cols[:nnz].copy(), vals[:nnz].copy()
     _sparsetools.csr_sort_indices(n_rows, fptr, cols, vals)
     return fptr, cols, [vals]
-
-
-def real_layout(C: np.ndarray) -> np.ndarray:
-    """Complex coefficients ``(rows, nc)`` / ``(rows, k, nc)`` as the real
-    operand ``(rows, 2·nc)`` / ``(rows, 2·nc, k)`` ``[Re C | Im C]``."""
-    if C.ndim == 2:
-        return np.concatenate([C.real, C.imag], axis=1)
-    nc = C.shape[2]
-    X = np.empty((C.shape[0], 2 * nc, C.shape[1]), dtype=np.float64)
-    X[:, :nc] = C.real.transpose(0, 2, 1)
-    X[:, nc:] = C.imag.transpose(0, 2, 1)
-    return X
-
-
-def complex_layout(X: np.ndarray, nc: int) -> np.ndarray:
-    """Inverse of :func:`real_layout` for the leading ``nc`` coefficients
-    of a ``(rows, 2·ncP[, k])`` operand whose storage degree has
-    ``ncP = X.shape[1] // 2`` coefficients."""
-    ncP = X.shape[1] // 2
-    re, im = X[:, :nc], X[:, ncP : ncP + nc]
-    if X.ndim == 3:
-        re, im = re.transpose(0, 2, 1), im.transpose(0, 2, 1)
-    C = np.empty(re.shape, dtype=np.complex128)
-    C.real, C.imag = re, im
-    return C
 
 
 def near_values(tgt_t, src_t, rows, cols, exclude_self, softening, out, gout=None):

@@ -779,7 +779,7 @@ class CompiledPlan:
         dense blocks), P2M operator entries (folded ones, in a mapped
         plan) and far row entries."""
         return {
-            "near_entries": int(self._near_cum[-1]),
+            "near_entries": self.near_entries,
             "near_block_entries": self.near_block_entries,
             "p2m_entries": int(sum(g.op.data.size for g in self._p2m_groups)),
             "far_entries": int(
@@ -797,6 +797,12 @@ class CompiledPlan:
         """Length of the vectors :meth:`execute` takes: the source map's
         columns, or the particles of a plan without one."""
         return self.tc.tree.n_particles if self._map is None else self._map.shape[1]
+
+    @property
+    def near_entries(self) -> int:
+        """Stored near-field entries, the kernel values every execute
+        applies (coincident pairs included, as zeros)."""
+        return int(self._near_cum[-1])
 
     @property
     def _n_far_units(self) -> int:
@@ -950,11 +956,11 @@ class CompiledPlan:
                         s_
                     )
 
-    def _near_field(self, q_sorted, phi, grad) -> None:
+    def _near_field(self, q_sorted, phi, grad) -> float:
         """Whole near field: the resident frozen units in one product,
         then the others re-assembled in runs of about ``_NEAR_RUN``
-        entries."""
-        with span("plan.near_field", units=self._n_near_units):
+        entries.  Returns its seconds."""
+        with stopwatch("plan.near_field", units=self._n_near_units) as sw:
             nf, m = self._near_frozen, self._n_near_units
             j = nf if self._near_K is not None else 0
             runs = [(0, j)] if j else []
@@ -966,6 +972,7 @@ class CompiledPlan:
                 phi[r0:r1] += vals
                 if grad is not None:
                     grad[r0:r1] += gvals
+        return sw.elapsed
 
     def _near_rows(self, q_sorted, j0: int, j1: int, want_grad=False, exact=False):
         """Near potential (and ``(rows, 3)`` gradient) of the rows of near
@@ -1216,9 +1223,11 @@ class CompiledPlan:
                 np.zeros(shape, dtype=np.float64) if self.accumulate_bounds else None
             )
             stats = self._clone_stats()
-            ctx = self.form_coefficients(q_sorted)
+            with stopwatch("plan.coefficients") as sw_c:
+                ctx = self.form_coefficients(q_sorted)
+            stats.times["coefficients"] = sw_c.elapsed
             self._far_field(ctx, phi, grad, bound, stats)
-            self._near_field(q_sorted, phi, grad)
+            stats.times["near"] = self._near_field(q_sorted, phi, grad)
             sw.__exit__(None, None, None)
             stats.eval_time = sw.elapsed
             if obs_on:
@@ -1236,7 +1245,7 @@ class CompiledPlan:
             f"CompiledPlan(targets={self.n_targets}, {mapped}"
             f"far={self.n_far_precomputed}+{self.n_far_spilled} spilled, "
             f"near={self.n_near_precomputed}+{self.n_near_spilled} spilled, "
-            f"near_entries={int(self._near_cum[-1])}, "
+            f"near_entries={self.near_entries}, "
             f"near_block_entries={self.near_block_entries}, "
             f"{self.memory_bytes / 1e6:.1f} MB, "
             f"compile {self.compile_time * 1e3:.1f} ms)"
@@ -1256,6 +1265,7 @@ def compile_plan(
     tol: float | None = None,
     cache_dir=None,
     source_map=None,
+    criterion=None,
 ) -> CompiledPlan:
     """Freeze a treecode into a compiled evaluation plan.
 
@@ -1264,7 +1274,10 @@ def compile_plan(
     ``mode="cluster"`` builds a
     :class:`~repro.perf.cluster.ClusterPlan` from a dual-tree traversal
     (box-box M2L into per-leaf local expansions) — ``lists`` is ignored
-    and the targets must be the treecode's own points.
+    and the targets must be the treecode's own points.  ``criterion``
+    is the dual traversal's separation criterion
+    (:class:`~repro.tree.dualtree.BoxMAC` of the treecode's α by default,
+    or :class:`~repro.tree.dualtree.VList`, the FMM's).
 
     With ``tol`` set, the compiler selects a per-interaction expansion
     degree — the minimal one whose Theorem-1 (or dual-MAC) bound keeps
@@ -1292,6 +1305,8 @@ def compile_plan(
 
     if source_map is not None and mode != "target":
         raise ValueError("source_map is supported by mode='target' plans only")
+    if criterion is not None and mode != "cluster":
+        raise ValueError("criterion is supported by mode='cluster' plans only")
     cache = resolve_cache_dir(cache_dir)
     if cache is not None:
         digest = plan_digest(
@@ -1305,6 +1320,7 @@ def compile_plan(
             n_units,
             tol,
             source_map,
+            criterion,
         )
         return cached_plan(
             cache,
@@ -1322,6 +1338,7 @@ def compile_plan(
                 tol=tol,
                 cache_dir="",
                 source_map=source_map,
+                criterion=criterion,
             ),
         )
     if mode == "cluster":
@@ -1336,6 +1353,7 @@ def compile_plan(
             memory_budget=memory_budget,
             n_units=n_units,
             tol=tol,
+            criterion=criterion,
         )
     if mode != "target":
         raise ValueError(f"mode must be 'target' or 'cluster', got {mode!r}")

@@ -58,6 +58,7 @@ import scipy.sparse as sp
 
 from ..obs import emit
 from ..obs.tracing import stopwatch
+from ..tree.dualtree import BoxMAC, VList
 
 __all__ = [
     "ENV_PLAN_CACHE",
@@ -102,8 +103,10 @@ ENV_PLAN_CACHE = "REPRO_PLAN_CACHE"
 #: unit starts (plans' ``_near_blocks``, FMM plans' ``near_blocks``),
 #: which every path applies as BLAS products.  12: target-major far rows
 #: hold ``(p+1)²`` values (no ``m = 0`` imaginary columns) over a row
-#: operand built per execute.
-STORE_FORMAT_VERSION = 12
+#: operand built per execute.  13: cluster plans carry their dual
+#: traversal's separation criterion, which the digest covers; the FMM's
+#: plans are cluster plans.
+STORE_FORMAT_VERSION = 13
 
 _MAGIC = b"REPROPLN"
 _ALIGN = 64
@@ -136,6 +139,7 @@ def _registry() -> dict:
         AdaptiveChargeDegree,
         FixedDegree,
         LevelDegree,
+        PerLevelDegree,
         ToleranceDegree,
         VariableDegree,
     )
@@ -152,8 +156,11 @@ def _registry() -> dict:
         FixedDegree,
         AdaptiveChargeDegree,
         LevelDegree,
+        PerLevelDegree,
         ToleranceDegree,
         VariableDegree,
+        BoxMAC,
+        VList,
         CompiledPlan,
         ClusterPlan,
         _P2MGroup,
@@ -461,6 +468,7 @@ def plan_digest(
     n_units,
     tol,
     source_map=None,
+    criterion=None,
 ) -> str:
     """Cache key for one ``compile_plan`` invocation.
 
@@ -470,8 +478,10 @@ def plan_digest(
     time), the policy class and parameters, geometric knobs, the full
     plan configuration, the source map a target-major plan folds (by
     shape, stored entries and content, so mapped and unmapped plans over
-    the same tree and targets never share an entry), and the library
-    version (via :func:`content_digest`).
+    the same tree and targets never share an entry), a cluster plan's
+    separation criterion (so an α-MAC plan and a V-list plan over the
+    same points never share one either), and the library version (via
+    :func:`content_digest`).
     """
     tree = tc.tree
     policy = tc.degree_policy
@@ -496,7 +506,11 @@ def plan_digest(
         "tol": None if tol is None else float(tol),
         "self_targets": bool(self_targets),
         "source_map": None,
+        "criterion": None,
     }
+    if mode == "cluster":
+        c = BoxMAC(tc.alpha) if criterion is None else criterion
+        meta["criterion"] = {"name": type(c).__name__, "fields": vars(c)}
     arrays = [tree.points, tree.charges]
     if not self_targets:
         arrays.append(np.asarray(tgt, dtype=np.float64))

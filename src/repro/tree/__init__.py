@@ -1,6 +1,6 @@
 """Spatial data structures: Morton/Hilbert keys and the adaptive octree."""
 
-from .dualtree import BoxPairs, box_mac, dual_traverse
+from .dualtree import BoxMAC, BoxPairs, VList, dual_traverse
 from .hilbert import hilbert_key, hilbert_order
 from .morton import morton_key
 from .octree import Octree, build_octree
@@ -12,6 +12,7 @@ __all__ = [
     "Octree",
     "build_octree",
     "BoxPairs",
-    "box_mac",
+    "BoxMAC",
+    "VList",
     "dual_traverse",
 ]

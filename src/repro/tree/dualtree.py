@@ -28,14 +28,25 @@ style bound
 per accepted pair (``A`` the absolute source charge), which reduces to
 the paper's Theorem-2 form ``A alpha^{p+1} / (r (1 - alpha))``.
 
-The walk starts from the (root, root) pair and recursively splits the
-larger-radius side of every pair that fails the MAC; a failing pair of
-two leaves becomes a near (direct) leaf pair.  The refinement loop is
-vectorized: each round tests every frontier pair at once and expands
-the failing ones with one ``repeat``/``arange`` pass, so the traversal
-costs a few milliseconds per ten thousand boxes.  Emission order is
-deterministic (frontier order), which the compiled cluster plan relies
-on for reproducible accumulation.
+The walk starts from the (root, root) pair and splits one side of every
+pair the separation criterion rejects; a rejected pair of two leaves
+becomes a near (direct) leaf pair.  The criterion is a small object
+(in the manner of a Barnes-Hut "splitter") that tests a whole frontier
+at once and says which side of each rejected pair to split:
+
+* :class:`BoxMAC` — the two-sided α-MAC above, splitting the
+  larger-radius side;
+* :class:`VList` — the FMM's rule (Engblom's other separation
+  criterion): a pair is accepted only when both boxes are at the same
+  level and not adjacent, and the coarser side is split.  On an octree
+  of uniform depth it emits exactly the FMM's interaction lists: the
+  V-list pairs of every level and the 27-neighbour leaf pairs.
+
+The refinement loop is vectorized: each round tests every frontier pair
+at once and expands the split ones with one ``repeat``/``arange`` pass,
+so the traversal costs a few milliseconds per ten thousand boxes.
+Emission order is deterministic (frontier order), which the compiled
+cluster plan relies on for reproducible accumulation.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ import numpy as np
 
 from .octree import Octree
 
-__all__ = ["BoxPairs", "dual_traverse", "box_mac"]
+__all__ = ["BoxPairs", "BoxMAC", "VList", "dual_traverse"]
 
 
 @dataclass
@@ -77,35 +88,70 @@ class BoxPairs:
         return int(self.near_src.size)
 
 
-def _box_mac_r(
-    tree: Octree, src: np.ndarray, tgt: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Box MAC acceptance mask plus the center distances it tested."""
+def _center_distance(tree: Octree, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     d = tree.center_exp[src] - tree.center_exp[tgt]
-    r = np.sqrt(np.einsum("ij,ij->i", d, d))
-    acc = (r > 0.0) & (tree.radius[src] + tree.radius[tgt] <= alpha * r)
-    return acc, r
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
-def box_mac(
-    tree: Octree, src: np.ndarray, tgt: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Vectorized box MAC: accept pair ``(src, tgt)`` iff
-    ``a_src + a_tgt <= alpha * |c_src - c_tgt|`` (strictly separated)."""
-    return _box_mac_r(tree, src, tgt, alpha)[0]
+@dataclass(frozen=True)
+class BoxMAC:
+    """The two-sided α-MAC: accept ``(src, tgt)`` iff
+    ``a_src + a_tgt <= alpha * |c_src - c_tgt|`` (strictly separated);
+    split the larger-radius side of a rejected pair."""
+
+    alpha: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(
+                f"alpha must be in (0, 1) for the box MAC, got {self.alpha}"
+            )
+
+    def accept(self, tree: Octree, src: np.ndarray, tgt: np.ndarray):
+        """Acceptance mask of the frontier, plus the centre distances."""
+        r = _center_distance(tree, src, tgt)
+        return (r > 0.0) & (tree.radius[src] + tree.radius[tgt] <= self.alpha * r), r
+
+    def split_source(self, tree: Octree, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+        """Whether to split the source side of each rejected pair."""
+        return tree.radius[src] >= tree.radius[tgt]
 
 
-def dual_traverse(tree: Octree, alpha: float) -> BoxPairs:
-    """Decompose all pairwise interactions into box MAC far pairs plus
-    near leaf pairs.
+@dataclass(frozen=True)
+class VList:
+    """The FMM's criterion: accept ``(src, tgt)`` iff both boxes are at
+    the same level and not adjacent; split the coarser side of a
+    rejected pair (the source on a tie).
+
+    Adjacency reads the geometric boxes: same-level box centres are
+    ``2h`` apart per axis when adjacent and at least ``4h`` otherwise,
+    so the test compares against ``3h``.  Accepted pairs satisfy
+    ``a_src + a_tgt <= 2√3 h < 4h <= r``, so the dual Theorem-1 bound
+    holds for every one."""
+
+    def accept(self, tree: Octree, src: np.ndarray, tgt: np.ndarray):
+        """Acceptance mask of the frontier, plus the centre distances."""
+        gap = np.abs(tree.center_geom[src] - tree.center_geom[tgt]).max(axis=1)
+        acc = (tree.level[src] == tree.level[tgt]) & (gap > 3.0 * tree.half_size[src])
+        return acc, _center_distance(tree, src, tgt)
+
+    def split_source(self, tree: Octree, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+        """Whether to split the source side of each rejected pair."""
+        return tree.level[src] <= tree.level[tgt]
+
+
+def dual_traverse(tree: Octree, criterion) -> BoxPairs:
+    """Decompose all pairwise interactions into far pairs the
+    ``criterion`` accepts (a :class:`BoxMAC` or :class:`VList`; a bare
+    number is read as ``BoxMAC(alpha)``) plus near leaf pairs.
 
     Every (source particle, target particle) pair is covered by exactly
     one emitted pair — the partition property that makes the
     cluster-cluster plan equal the direct sum up to the truncation
     error of the accepted pairs.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1) for the box MAC, got {alpha}")
+    if not hasattr(criterion, "accept"):
+        criterion = BoxMAC(float(criterion))
     far_s: list[np.ndarray] = []
     far_t: list[np.ndarray] = []
     far_r: list[np.ndarray] = []
@@ -114,7 +160,7 @@ def dual_traverse(tree: Octree, alpha: float) -> BoxPairs:
     src = np.zeros(1, dtype=np.int64)
     tgt = np.zeros(1, dtype=np.int64)
     while src.size:
-        acc, r = _box_mac_r(tree, src, tgt, alpha)
+        acc, r = criterion.accept(tree, src, tgt)
         if acc.any():
             far_s.append(src[acc])
             far_t.append(tgt[acc])
@@ -132,9 +178,8 @@ def dual_traverse(tree: Octree, alpha: float) -> BoxPairs:
             s_leaf, t_leaf = s_leaf[~both], t_leaf[~both]
         if not src.size:
             break
-        # split the larger-radius side (the only splittable one if the
-        # other is a leaf)
-        split_src = ~s_leaf & (t_leaf | (tree.radius[src] >= tree.radius[tgt]))
+        # the criterion's side, unless that side is a leaf
+        split_src = ~s_leaf & (t_leaf | criterion.split_source(tree, src, tgt))
         ns_list = []
         nt_list = []
         if split_src.any():

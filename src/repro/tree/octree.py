@@ -229,11 +229,6 @@ def build_octree(
     keys = morton_key(points, domain_lo, domain_hi)
     perm = np.argsort(keys, kind="stable")
     keys = keys[perm]
-    # Child boundaries are searched in float64, as numpy compares a
-    # uint64 array with a Python-int key: it keeps the octree the one
-    # this module has always built (keys within float64 rounding of a
-    # boundary land in the next octant; their radii stay exact).
-    keys_f = keys.astype(np.float64)
     pts = points[perm]
     q = charges[perm]
 
@@ -258,18 +253,14 @@ def build_octree(
         split = np.flatnonzero(e - s > leaf_size) if depth < max_depth else []
         if len(split) == 0:
             break
-        # octant boundaries of every split node: one search over all keys,
-        # clamped at the node's start (in float64 a key just below the
-        # node can tie with a child's start; a search of the node's own
-        # slice never goes below it)
+        # octant boundaries of every split node: one exact uint64 search
+        # over all keys (a child's first key shares the node's prefix, so
+        # the search never leaves the node's slice)
         width = np.uint64(3 * (MAX_DEPTH - depth - 1))
         kids = (prefix[split, None] << np.uint64(3)) | octs
         bounds = np.empty((split.size, 9), dtype=np.int64)
         bounds[:, 0], bounds[:, 8] = s[split], e[split]
-        bounds[:, 1:8] = np.maximum(
-            np.searchsorted(keys_f, (kids[:, 1:] << width).astype(np.float64)),
-            bounds[:, :1],
-        )
+        bounds[:, 1:8] = np.searchsorted(keys, kids[:, 1:] << width)
         full = bounds[:, 1:] > bounds[:, :-1]
         row, oct_ = np.nonzero(full)  # parent order, octants ascending
         nch[split] = full.sum(axis=1)

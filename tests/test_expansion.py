@@ -8,10 +8,8 @@ from repro.multipole.expansion import (
     extend,
     l2p,
     m2p,
-    m2p_rows,
     p2l,
     p2m,
-    p2m_terms,
     truncate,
 )
 from repro.multipole.harmonics import ncoef
@@ -64,37 +62,6 @@ def test_theorem1_bound_holds(rng):
             err = np.abs(m2p(M, tgt, p) - ref)
             bound = theorem1_bound(A, a, r, p)
             assert np.all(err <= bound * (1 + 1e-9))
-
-
-def test_p2m_terms_sums_to_p2m(rng):
-    src = rng.normal(size=(25, 3)) * 0.2
-    q = rng.uniform(-1, 1, 25)
-    terms = p2m_terms(src, q, 6)
-    assert terms.shape == (25, ncoef(6))
-    assert np.allclose(terms.sum(axis=0), p2m(src, q, 6))
-
-
-def test_m2p_rows_matches_m2p(rng):
-    src = rng.normal(size=(30, 3)) * 0.2
-    q = rng.uniform(-1, 1, 30)
-    p = 7
-    M = p2m(src, q, p)
-    tgt = rng.normal(size=(12, 3)) + 3.0
-    rows = np.tile(M, (12, 1))
-    assert np.allclose(m2p_rows(rows, tgt, p), m2p(M, tgt, p), rtol=1e-12)
-
-
-def test_m2p_rows_distinct_expansions(rng):
-    p = 5
-    src1 = rng.normal(size=(10, 3)) * 0.2
-    src2 = rng.normal(size=(10, 3)) * 0.2
-    q = rng.uniform(0.1, 1, 10)
-    M1, M2 = p2m(src1, q, p), p2m(src2, q, p)
-    tgt = rng.normal(size=(2, 3)) + 4.0
-    rows = np.stack([M1, M2])
-    out = m2p_rows(rows, tgt, p)
-    assert out[0] == pytest.approx(m2p(M1, tgt[:1], p)[0], rel=1e-12)
-    assert out[1] == pytest.approx(m2p(M2, tgt[1:], p)[0], rel=1e-12)
 
 
 def test_local_expansion_roundtrip(rng):

@@ -1,42 +1,25 @@
-"""Conformance of the compiled FMM: the lattice M2L against per-pair
-``translations.m2l``, every geometry and charge shape against direct
-summation, and the operation counts of a fixed cloud."""
+"""Conformance of the FMM, which is the cluster plan under the V-list
+criterion: its folded lattice M2L against per-pair ``translations.m2l``,
+every geometry and charge shape against direct summation and within the
+plan's Theorem-1 ledger, and the operation counts of a fixed cloud."""
 
 import numpy as np
 import pytest
+from test_lattice_m2l import _folded_vs_per_pair
 
 from repro.data.distributions import gaussian_blob
 from repro.direct import direct_potential
 from repro.fmm import UniformFMM, level_degrees
-from repro.multipole.harmonics import ncoef
-from repro.multipole.translations import m2l
-
-
-def _reference_m2l(self, plan, l, M, Lloc):
-    """V-list M2L of level ``l`` pair by pair with ``translations.m2l``:
-    target and source cells are well separated (more than one cell
-    apart on some axis) and their parents are neighbours."""
-    p = self.degrees[l]
-    nc = ncoef(p)
-    pos = self._coords(l)
-    apart = np.abs(pos[None, :, :] - pos[:, None, :]).max(axis=2) > 1
-    parents = np.abs((pos[None, :, :] >> 1) - (pos[:, None, :] >> 1)).max(axis=2)
-    tgt, src = np.nonzero(apart & (parents <= 1))
-    centers = self._cell_centers(l)
-    d = centers[src] - centers[tgt]
-    X = M[src][..., :nc]
-    if X.ndim == 3:  # (pairs, k, nc): one displacement row per column
-        k = X.shape[1]
-        out = m2l(X.reshape(-1, nc), np.repeat(d, k, axis=0), p, p)
-        out = out.reshape(X.shape)
-    else:
-        out = m2l(X, d, p, p)
-    np.add.at(Lloc, tgt, out)
+from repro.perf.cluster import _box_view
+from repro.tree.dualtree import BoxMAC, VList, dual_traverse
+from repro.tree.octree import build_octree
 
 
 @pytest.mark.parametrize("level", [2, 3])
 @pytest.mark.parametrize("schedule", ["p4", "p8", "c1.5", "batch"])
-def test_lattice_m2l_matches_per_pair_reference(level, schedule, monkeypatch):
+def test_lattice_m2l_matches_per_pair_reference(level, schedule):
+    """Every V-list pair is same-level, and each level's M2L runs at that
+    level's degree."""
     rng = np.random.default_rng(11)
     pts = rng.random((800, 3))
     q = rng.uniform(-1, 1, 800)
@@ -48,11 +31,64 @@ def test_lattice_m2l_matches_per_pair_reference(level, schedule, monkeypatch):
     }[schedule]
     if schedule == "batch":
         q = np.stack([q, rng.uniform(-1, 1, 800), -q], axis=1)
-    got = UniformFMM(pts, q, level=level, degrees=degrees).evaluate()
-    monkeypatch.setattr(UniformFMM, "_m2l_level", _reference_m2l)
-    ref = UniformFMM(pts, q, level=level, degrees=degrees).evaluate()
-    assert got.shape == ref.shape == q.shape
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    fmm = UniformFMM(pts, q, level=level, degrees=degrees)
+    assert fmm.evaluate().shape == q.shape
+    worst, octs, steps, degs, _ = _folded_vs_per_pair(fmm.plan, q)
+    assert octs == set(range(8)) and steps == {0}
+    assert degs == set(fmm.degrees[2:])
+    assert worst <= 1e-12
+
+
+def _cells(view, nodes):
+    """Integer grid coordinates of ``nodes`` at their own level."""
+    h = view.half_size[nodes, None]
+    return np.floor((view.center_geom[nodes] - view.domain_lo) / (2 * h)).astype(int)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_vlist_traversal_emits_the_fmm_lists(level):
+    """On a uniform-depth octree the V-list criterion's far pairs are
+    exactly every level's V-list (same level, not adjacent, parents
+    adjacent) and its near pairs the 27-neighbour leaf pairs; together
+    they cover every particle pair once."""
+    rng = np.random.default_rng(2)
+    pts = rng.random((1500, 3))
+    tree = build_octree(pts, np.ones(1500), leaf_size=1, max_depth=level)
+    view, _, _ = _box_view(tree)
+    assert view.height == level + 1
+    assert np.all(view.level[view.leaf_ids()] == level)
+    pairs = dual_traverse(view, VList())
+    got = set(zip(pairs.far_src.tolist(), pairs.far_tgt.tolist()))
+    assert len(got) == pairs.n_far
+    want = set()
+    for l in range(2, level + 1):
+        nodes = view.nodes_at_level(l)
+        c = _cells(view, nodes)
+        apart = np.abs(c[:, None] - c[None]).max(axis=2) > 1
+        par = np.abs(c[:, None] // 2 - c[None] // 2).max(axis=2) <= 1
+        s, t = np.nonzero(apart & par)
+        want |= set(zip(nodes[s].tolist(), nodes[t].tolist()))
+    assert got == want
+    leaves = view.nodes_at_level(level)
+    c = _cells(view, leaves)
+    s, t = np.nonzero(np.abs(c[:, None] - c[None]).max(axis=2) <= 1)
+    near = set(zip(pairs.near_src.tolist(), pairs.near_tgt.tolist()))
+    assert near == set(zip(leaves[s].tolist(), leaves[t].tolist()))
+    cnt = view.end - view.start
+    covered = np.sum(cnt[pairs.far_src] * cnt[pairs.far_tgt])
+    covered += np.sum(cnt[pairs.near_src] * cnt[pairs.near_tgt])
+    assert covered == 1500**2
+
+
+def test_boxmac_is_the_alpha_traversal():
+    """A bare α is read as ``BoxMAC(α)``: the same pairs, in the same
+    order, bitwise."""
+    view, _, _ = _box_view(build_octree(gaussian_blob(3000, seed=4), np.ones(3000)))
+    a, b = dual_traverse(view, 0.5), dual_traverse(view, BoxMAC(0.5))
+    for f in ("far_src", "far_tgt", "far_r", "near_src", "near_tgt"):
+        assert np.array_equal(getattr(a, f), getattr(b, f)), f
+    with pytest.raises(ValueError):
+        BoxMAC(1.0)
 
 
 GEOMETRIES = {
@@ -82,6 +118,27 @@ def test_geometries_against_direct(geometry, level, shape):
     assert np.all(err <= 5e-5), err
 
 
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("shape", ["(n,)", "(n, k)"])
+def test_measured_error_within_ledger(geometry, level, shape):
+    """The V-list plan compiled with ``accumulate_bounds``: every
+    target's error against direct summation is at most its Theorem-1
+    ledger."""
+    rng = np.random.default_rng(5)
+    n = 600
+    pts = GEOMETRIES[geometry](n, rng)
+    q = rng.uniform(-1, 1, {"(n,)": (n,), "(n, k)": (n, 3)}[shape])
+    fmm = UniformFMM(pts, q, level=level, degrees=6)
+    plan = fmm.tc.compile_plan(
+        mode="cluster", criterion=VList(), accumulate_bounds=True, cache_dir=""
+    )
+    res = plan.execute(q)
+    err = np.abs(res.potential - direct_potential(pts, q))
+    assert res.error_bound.shape == err.shape
+    assert np.all(err <= res.error_bound)
+
+
 def test_rising_degrees_reach_the_leaves():
     """A degree list that rises toward the leaves: L2L hands each child
     the leading coefficients both degrees hold."""
@@ -97,12 +154,15 @@ def test_rising_degrees_reach_the_leaves():
 
 
 def test_operation_counts_pinned():
-    """Counts of a fixed cloud: the V-list and neighbour pair sets."""
+    """Counts of a fixed cloud: the V-list pairs of levels 2 and 3 (3,096
+    + 52,722; 2 of the 512 leaf cells are empty and take no pair), and
+    the near field's entries over 27-neighbour leaf pairs, coincident
+    self pairs included."""
     rng = np.random.default_rng(7)
     pts = rng.random((3000, 3))
     q = rng.uniform(-1, 1, 3000)
     fmm = UniformFMM(pts, q, level=3, degrees=6)
     fmm.evaluate()
-    assert fmm.stats.n_m2l == 56448
-    assert fmm.stats.n_terms_m2l == 2765952
+    assert fmm.stats.n_m2l == 55818
+    assert fmm.stats.n_terms_m2l == 55818 * 49
     assert fmm.stats.n_pp_pairs == 365718

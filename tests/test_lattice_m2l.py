@@ -27,7 +27,6 @@ from repro.multipole.translations import l2l, m2l
 from repro.obs import REGISTRY, tracing
 from repro.perf import cluster
 from repro.perf.cluster import _box_view, _FarUnit, _key_ids
-from repro.perf.plan import CompiledPlan
 from repro.tree.dualtree import dual_traverse
 from repro.tree.morton import MAX_DEPTH
 
@@ -272,10 +271,11 @@ def _folded_vs_per_pair(plan, q):
     octants, level steps and degrees the groups covered; and whether any
     run was past the frozen operator share.  Offsets are the exact
     lattice ones: box centres accumulate one rounding per level, which
-    deep in the tree is large against the box size."""
+    deep in the tree is large against the box size.  ``q`` may be an
+    ``(n, k)`` batch: each column is compared on its own."""
     qs = plan.sort_charges(q)
     folded = plan.form_coefficients(qs)
-    raw = CompiledPlan.form_coefficients(plan, qs)  # interleaved, unscaled
+    raw = plan._p2m_operands(qs)  # interleaved, unscaled
     tree = plan.tc.tree
     _, ic, unit = _box_view(tree)
     worst, octs, steps, degs = 0.0, set(), set(), set()
@@ -284,7 +284,7 @@ def _folded_vs_per_pair(plan, q):
         for g in u.groups:
             got = plan._m2l_group(folded[g.p][0], g)
             # runs past the frozen operator share, applied per pair
-            Lr = np.zeros((tree.n_nodes, got.shape[-1]))
+            Lr = np.zeros((tree.n_nodes,) + got.shape[1:])
             plan._m2l_rebuilt(folded, _FarUnit(0, 0, 0, groups=[g]), Lr)
             got = _complex(got + Lr[g.utgt])
             rebuilt |= bool(plan._m2l_rebuild[g.ops].any())
@@ -295,10 +295,13 @@ def _folded_vs_per_pair(plan, q):
             srcs = plan._operand_nodes[g.p][rows]
             tgts = g.utgt[t]
             C = _complex(X[rows])
-            L = m2l(C, unit * (ic[srcs] - ic[tgts]), g.p)
+            d = unit * (ic[srcs] - ic[tgts])
+            if C.ndim == 3:  # (pairs, k, nc): one displacement row per column
+                d = np.repeat(d, C.shape[1], axis=0)
+            L = m2l(C.reshape(-1, C.shape[-1]), d, g.p).reshape(C.shape[:-1] + (-1,))
             want = np.zeros_like(got)
-            np.add.at(want, t, L[:, : ncoef(g.p)])
-            scale = np.abs(want).max(axis=1, keepdims=True)
+            np.add.at(want, t, L[..., : ncoef(g.p)])
+            scale = np.abs(want).max(axis=-1, keepdims=True)
             worst = max(worst, float((np.abs(got - want) / scale).max()))
             octs |= set((bucket // g.utgt.size).tolist())
             steps |= set((tree.level[srcs] - tree.level[tgts]).tolist())

@@ -11,11 +11,13 @@ from repro.bem.geometries import icosphere
 from repro.fmm import UniformFMM
 from repro.parallel import evaluate_plan_parallel
 from repro.perf import scatter_add
+from repro.perf.cluster import ClusterPlan
 from repro.perf.plan import CompiledPlan
 from repro.robust import faults as faults_mod
 from repro.robust.faults import FaultInjector, parse_fault_spec, set_injector
 from repro.robust.guards import NumericalCorruptionError
 from repro.robust.retry import RetryPolicy
+from repro.tree.dualtree import VList
 from repro.tree.octree import build_octree
 from treecode_reference import assert_matches_reference, reference_evaluate
 
@@ -244,14 +246,15 @@ class TestFmmPlan:
         pts = rng.random((700, 3))
         q = rng.uniform(-1.0, 1.0, 700)
         fmm = UniformFMM(pts, q, level=2, degrees=5)
-        assert fmm._plan is None
+        assert fmm.plan is None
         first = fmm.evaluate()  # compiles and runs the plan
-        assert fmm._plan is not None
+        plan = fmm.plan
+        assert isinstance(plan, ClusterPlan) and plan.criterion == VList()
+        assert plan.cut_level == fmm.tc.tree.height - 1
         assert fmm.plan_compile_time > 0.0
         assert set(fmm.stats.times) == {"upward", "m2l", "l2l", "near"}
-        plan = fmm._plan
         second = fmm.evaluate()  # reuses it
-        assert fmm._plan is plan
+        assert fmm.plan is plan
         np.testing.assert_array_equal(second, first)
 
     def test_set_charges_matches_fresh(self, rng):

@@ -28,10 +28,8 @@ from repro.data.distributions import make_distribution
 from repro.perf.operators import (
     _BLOCK_MIN,
     _BLOCK_ROWS,
-    complex_layout,
     csr_product,
     near_product,
-    real_layout,
     row_ranges,
 )
 from repro.perf.cluster import ClusterPlan
@@ -293,17 +291,6 @@ def test_gradient_kernels_are_assembled_arrays(cloud, mode, monkeypatch):
     assert plan._near_G is None
     _, g_rebuilt, _, _ = _near_parts(plan, q, True)
     np.testing.assert_array_equal(g_rebuilt, g_frozen)
-
-
-def test_layout_helpers_roundtrip():
-    rng = np.random.default_rng(0)
-    C = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
-    assert np.array_equal(complex_layout(real_layout(C), 6), C)
-    assert np.array_equal(complex_layout(real_layout(C), 3), C[:, :3])
-    Cb = rng.normal(size=(5, 4, 6)) + 1j * rng.normal(size=(5, 4, 6))
-    X = real_layout(Cb)
-    assert X.shape == (5, 12, 4)
-    assert np.array_equal(complex_layout(X, 6), Cb)
 
 
 def test_csr_rows_and_ranges():

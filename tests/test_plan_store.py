@@ -16,6 +16,7 @@ import repro
 from repro.core.degree import AdaptiveChargeDegree, FixedDegree
 from repro.core.treecode import Treecode
 from repro.obs import REGISTRY, tracing
+from repro.tree.dualtree import BoxMAC, VList
 from repro.perf.store import (
     ENV_PLAN_CACHE,
     PlanStoreError,
@@ -333,6 +334,11 @@ def test_fmm_plan_cache_roundtrip(rng, tmp_path):
     b = f2.evaluate()  # warm load
     assert len(list(tmp_path.glob("*.plan"))) == 1
     assert np.array_equal(a, b)
+    # the plan depends on positions and degrees only: other charges hit
+    q2 = rng.uniform(-1, 1, 800)
+    f3 = UniformFMM(pts, q2, level=2, degrees=4, plan_cache=str(tmp_path))
+    assert np.array_equal(f3.evaluate(), UniformFMM(pts, q2, level=2, degrees=4).evaluate())
+    assert len(list(tmp_path.glob("*.plan"))) == 1
 
 
 def test_bem_plan_cache_roundtrip(rng, tmp_path):
@@ -570,7 +576,7 @@ def test_format11_file_misses_as_version(built, tmp_path):
     from repro.multipole.harmonics import term_count
     from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
 
-    assert STORE_FORMAT_VERSION == 12
+    assert STORE_FORMAT_VERSION >= 12
     pts, q, tc = built
     fresh = tc.compile_plan(compute="both", cache_dir="")
     assert fresh._far_chunks
@@ -592,3 +598,38 @@ def test_format11_file_misses_as_version(built, tmp_path):
     for got in (plan.execute(q), loaded.execute(q)):
         np.testing.assert_array_equal(got.potential, want.potential)
         np.testing.assert_array_equal(got.gradient, want.gradient)
+
+
+def test_format12_file_misses_and_criteria_digest_apart(built, tmp_path):
+    """Format 13 cluster plans carry their separation criterion and the
+    digest covers it: the default is the treecode's α-MAC, an α-MAC plan
+    and a V-list plan over the same points are two cache entries, each
+    restored with its own criterion, and a format-12 file is a
+    ``version`` miss."""
+    from repro.perf.store import STORE_FORMAT_VERSION, _MAGIC
+
+    assert STORE_FORMAT_VERSION == 13
+    pts, q, tc = built
+    plan = tc.compile_plan(mode="cluster", cache_dir="")
+    assert plan.criterion == BoxMAC(tc.alpha)
+    base = _digest(tc, plan, mode="cluster")
+    assert base == _digest(tc, plan, mode="cluster", criterion=BoxMAC(tc.alpha))
+    assert base != _digest(tc, plan, mode="cluster", criterion=BoxMAC(0.4))
+    assert base != _digest(tc, plan, mode="cluster", criterion=VList())
+    mac = tc.compile_plan(mode="cluster", cache_dir=str(tmp_path))
+    vl = tc.compile_plan(mode="cluster", criterion=VList(), cache_dir=str(tmp_path))
+    assert len(list(tmp_path.glob("*.plan"))) == 2
+    assert vl.n_box_pairs != mac.n_box_pairs
+    for want in (mac, vl):
+        got = tc.compile_plan(
+            mode="cluster", criterion=want.criterion, cache_dir=str(tmp_path)
+        )
+        assert got.criterion == want.criterion
+        assert np.array_equal(got.execute(q).potential, want.execute(q).potential)
+    path = next(tmp_path.glob("*.plan"))
+    blob = bytearray(path.read_bytes())
+    blob[len(_MAGIC) : len(_MAGIC) + 4] = np.uint32(12).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(PlanStoreError) as exc:
+        load_plan(path)
+    assert exc.value.reason == "version"

@@ -75,6 +75,21 @@ def test_cloud_matches_oracles(kind, leaf_size, rng):
     assert_lists_match(tc, np.concatenate([outside, pts[:50]]), False)
 
 
+def test_corner_cloud_boxes_contain_their_particles(rng):
+    """100 points coincident at (1, 1, 1): their keys sit where float64
+    cannot tell a key from the next child's first key, and a float64
+    search put them 9 half sizes outside their level-18..20 boxes.  The
+    exact search keeps every particle inside its node's box (up to the
+    rounding of the box centres)."""
+    pts, q = np.ones((100, 3)), rng.uniform(-1.0, 1.0, 100)
+    tree = assert_tree_matches(pts, q)
+    cnt = tree.end - tree.start
+    node = np.repeat(np.arange(tree.n_nodes), cnt)
+    part = np.arange(cnt.sum()) + np.repeat(tree.start - (np.cumsum(cnt) - cnt), cnt)
+    off = np.abs(tree.points[part] - tree.center_geom[node]).max(axis=1)
+    assert np.all(off <= tree.half_size[node] * (1 + 1e-9))
+
+
 def test_single_particle():
     pts, q = np.array([[0.1, 0.2, 0.3]]), np.array([2.0])
     tree = assert_tree_matches(pts, q)

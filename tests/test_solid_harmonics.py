@@ -9,8 +9,7 @@ import pytest
 from repro.core.degree import FixedDegree
 from repro.core.treecode import Treecode
 from repro.direct import direct_gradient
-from repro.multipole.expansion import l2p, m2p, m2p_rows, p2l, p2m, p2m_terms
-from repro.multipole.gradient import m2p_grad_rows, m2p_rows_grad
+from repro.multipole.expansion import l2p, m2p, p2l, p2m
 from repro.multipole.harmonics import (
     cart_to_sph,
     coef_index,
@@ -259,17 +258,11 @@ def test_converted_kernels_match_angular_formulation(rng):
     r, Y = ang(src)
     Rs = Y * power_table(r, p)[:, ns]
     assert close(p2m(src, q, p), q @ np.conj(Rs))
-    assert close(p2m_terms(src, q, p), q[:, None] * np.conj(Rs))
     M = p2m(src, q, p)
     r, Y = ang(far)
     If = Y * power_table(1.0 / r, p + 1)[:, ns + 1]
     ref = np.real(If @ (w * M))
     assert close(m2p(M, far, p), ref)
-    rows = np.tile(M, (far.shape[0], 1))
-    assert close(m2p_rows(rows, far, p), ref)
-    phi, grad = m2p_rows_grad(rows, far, p)
-    assert np.array_equal(phi, m2p_rows(rows, far, p))
-    assert np.array_equal(grad, m2p_grad_rows(rows, far, p))
     L = p2l(far, q[:25], p)
     assert close(L, q[:25] @ np.conj(If))
     r, Y = ang(near)

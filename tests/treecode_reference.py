@@ -141,8 +141,8 @@ def reference_octree(
     points, charges, leaf_size=16, expansion_center="abs_com", max_depth=MAX_DEPTH
 ):
     """:func:`~repro.tree.octree.build_octree` one node at a time: seven
-    ``searchsorted`` calls per split node and one radius reduction per
-    node (inputs assumed valid)."""
+    exact ``uint64`` ``searchsorted`` calls per split node and one radius
+    reduction per node (inputs assumed valid)."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     charges = np.ascontiguousarray(charges, dtype=np.float64)
     lo = points.min(axis=0)
@@ -179,7 +179,7 @@ def reference_octree(
             bounds = [s]
             for oct_ in range(1, 8):
                 k_lo, _ = key_range_of_node(prefix * 8 + oct_, depth + 1)
-                bounds.append(int(np.searchsorted(keys[s:e], k_lo)) + s)
+                bounds.append(int(np.searchsorted(keys[s:e], np.uint64(k_lo))) + s)
             bounds.append(e)
             fc = -1
             nch = 0
