@@ -207,14 +207,6 @@ def _table3(args) -> str:
     return "\n".join(out)
 
 
-def _simple(runner, title):
-    def run(args) -> str:
-        headers, rows = runner()
-        return format_table(headers, rows, title=title)
-
-    return run
-
-
 def _cost_ratio(args) -> str:
     from .experiments import run_cost_ratio
 

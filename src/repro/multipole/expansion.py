@@ -34,7 +34,6 @@ __all__ = [
     "p2l",
     "l2p",
     "m_weights",
-    "m_weights_cache_stats",
     "truncate",
     "extend",
 ]
@@ -105,16 +104,6 @@ def _record_m_weights_metrics() -> None:
     )
     if _m_weights_misses > m.value:
         m.inc(_m_weights_misses - m.value)
-
-
-def m_weights_cache_stats() -> dict:
-    """Current :func:`m_weights` cache totals (for tests and profiles)."""
-    return {
-        "hits": _m_weights_hits,
-        "misses": _m_weights_misses,
-        "size": len(_m_weights_cache),
-        "max_size": _M_WEIGHTS_CACHE_MAX,
-    }
 
 
 def p2m(rel_pos: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:

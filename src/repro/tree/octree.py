@@ -98,9 +98,6 @@ class Octree:
         """Number of levels (root level counts as 1)."""
         return len(self.level_ranges)
 
-    def is_leaf(self, i) -> np.ndarray:
-        return self.n_children[i] == 0
-
     def children(self, i: int) -> np.ndarray:
         """Node ids of the children of node ``i``."""
         fc = self.first_child[i]

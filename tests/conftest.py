@@ -45,6 +45,17 @@ def join_abandoned_threads():
 
 
 @pytest.fixture
+def injector_guard():
+    """Restore the fault injector afterwards; restoring, not clearing, keeps
+    env-driven injection (the CI fault-injection job) for later tests."""
+    from repro.robust.faults import active_injector, set_injector
+
+    prev = active_injector()
+    yield
+    set_injector(prev)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 

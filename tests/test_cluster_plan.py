@@ -6,26 +6,14 @@ import numpy as np
 import pytest
 
 from repro import AdaptiveChargeDegree, FixedDegree, Treecode
-from repro.direct import pairwise_potential
+from repro.direct import direct_potential
 from repro.parallel import evaluate_plan_parallel, resolve_workers
 from repro.perf import ClusterPlan
-from repro.robust import faults as faults_mod
 from repro.robust.faults import FaultInjector, parse_fault_spec, set_injector
 from repro.robust.retry import RetryPolicy
 from treecode_reference import assert_matches_reference, reference_evaluate
 
 FAST = RetryPolicy(max_retries=3, base_delay=0.0, max_delay=0.0)
-
-
-@pytest.fixture
-def injector_guard():
-    prev = faults_mod.active_injector()
-    yield
-    set_injector(prev)
-
-
-def _direct_potential(pts, q):
-    return pairwise_potential(pts, pts, q, exclude=np.arange(pts.shape[0]))
 
 
 # ----------------------------------------------------------------------
@@ -47,7 +35,7 @@ class TestClusterPlan:
         plan = tc.compile_plan(mode="cluster", accumulate_bounds=True)
         assert isinstance(plan, ClusterPlan) and plan.n_box_pairs > 0
         res = plan.execute(q)
-        exact = _direct_potential(pts, q)
+        exact = direct_potential(pts, q)
         err = np.abs(res.potential - exact)
         assert np.all(err <= res.error_bound + 1e-12)
 

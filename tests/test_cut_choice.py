@@ -4,13 +4,13 @@
 each cluster plan price every cut level from one full-depth dual
 traversal, then compile the cheapest; an explicit leaf size pins the
 full tree.  The Theorem-1 dual bound holds for any accepted box pair at
-any cut, so the containment chain is checked at every candidate.
+any cut: ``tests/test_conformance.py`` checks the chain at every cut.
 """
 
 import numpy as np
 import pytest
 
-from repro import FixedDegree, Treecode
+from repro import Treecode
 from repro.data.distributions import make_distribution
 from repro.direct import pairwise_potential
 from repro.obs import REGISTRY, journal, tracing
@@ -107,45 +107,6 @@ def test_priced_terms_match_every_cut_traversal(bench_cloud):
         assert terms["near"][i] == near
         plan = ClusterPlan(tc, tc.tree.points, cut=int(cut))
         assert plan._near_cum[-1] == near and plan.n_box_pairs == got.n_far
-
-
-GEOMETRIES = {
-    "uniform": lambda n, r: r.random((n, 3)),
-    "gaussian": lambda n, r: make_distribution("gaussian", n, seed=3),
-    "collinear": lambda n, r: np.stack([np.zeros(n), np.zeros(n), r.random(n)], 1),
-    "coincident": lambda n, r: np.tile(r.random(3), (n, 1)),
-    "duplicate": lambda n, r: np.concatenate([r.random((n // 2, 3))] * 2),
-}
-
-
-@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-def test_theorem1_chain_at_every_cut(geometry):
-    """measured error <= a-posteriori ledger <= compile-time prediction
-    <= tol, at every candidate cut."""
-    rng = np.random.default_rng(9)
-    n = 400
-    pts = GEOMETRIES[geometry](n, rng)
-    q = rng.uniform(-1.0, 1.0, n)
-    exact = pairwise_potential(pts, pts, q, exclude=np.arange(n))
-    tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
-    tol = 1e-6
-    slack = 1e-12 * np.abs(exact).max()  # summation-order rounding
-    for cut in range(1, max(2, tc.tree.height)):
-        plan = ClusterPlan(
-            tc, tc.tree.points, tol=tol, accumulate_bounds=True,
-            cut=min(cut, tc.tree.height - 1),
-        )
-        res = plan.execute(q)
-        err = np.abs(res.potential - exact)
-        assert np.all(err <= res.error_bound + slack), (geometry, cut)
-        ledger = float(res.error_bound.max())
-        assert ledger <= plan.predicted_ledger_max * (1 + 1e-9) + 1e-300
-        assert plan.predicted_ledger_max <= tol * (1 + 1e-12)
-        fixed = ClusterPlan(
-            tc, tc.tree.points, accumulate_bounds=True, cut=plan.cut_level
-        )
-        fres = fixed.execute(q)
-        assert np.all(np.abs(fres.potential - exact) <= fres.error_bound + slack)
 
 
 def test_plan_depth_event_once_per_compile(bench_cloud, tmp_path):

@@ -1,7 +1,7 @@
 """Conformance of the FMM, which is the cluster plan under the V-list
 criterion: its folded lattice M2L against per-pair ``translations.m2l``,
-every geometry and charge shape against direct summation and within the
-plan's Theorem-1 ledger, and the operation counts of a fixed cloud."""
+its traversal against the FMM's lists, rising degrees and the operation
+counts of a fixed cloud (direct summation: ``tests/test_conformance.py``)."""
 
 import numpy as np
 import pytest
@@ -89,54 +89,6 @@ def test_boxmac_is_the_alpha_traversal():
         assert np.array_equal(getattr(a, f), getattr(b, f)), f
     with pytest.raises(ValueError):
         BoxMAC(1.0)
-
-
-GEOMETRIES = {
-    "collinear": lambda n, r: np.stack([np.zeros(n), np.zeros(n), r.random(n)], 1),
-    "coincident": lambda n, r: np.tile(r.random(3), (n, 1)),
-    "duplicate": lambda n, r: np.concatenate([r.random((n // 2, 3))] * 2),
-    "planar": lambda n, r: np.stack([r.random(n), r.random(n), np.zeros(n)], 1),
-    "gaussian": lambda n, r: gaussian_blob(n, seed=int(r.integers(1 << 30))),
-}
-
-
-@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-@pytest.mark.parametrize("level", [2, 3])
-@pytest.mark.parametrize("shape", ["(n,)", "(n, 1)", "(n, k)"])
-def test_geometries_against_direct(geometry, level, shape):
-    rng = np.random.default_rng(5)
-    n = 600
-    pts = GEOMETRIES[geometry](n, rng)
-    q = rng.uniform(-1, 1, {"(n,)": (n,), "(n, 1)": (n, 1), "(n, k)": (n, 3)}[shape])
-    phi = UniformFMM(pts, q, level=level, degrees=8).evaluate()
-    ref = direct_potential(pts, q)
-    assert phi.shape == ref.shape == q.shape
-    if geometry == "coincident":  # every pair coincides: exactly zero
-        assert np.array_equal(phi, ref)
-        return
-    err = np.linalg.norm(phi - ref, axis=0) / np.linalg.norm(ref, axis=0)
-    assert np.all(err <= 5e-5), err
-
-
-@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-@pytest.mark.parametrize("level", [2, 3])
-@pytest.mark.parametrize("shape", ["(n,)", "(n, k)"])
-def test_measured_error_within_ledger(geometry, level, shape):
-    """The V-list plan compiled with ``accumulate_bounds``: every
-    target's error against direct summation is at most its Theorem-1
-    ledger."""
-    rng = np.random.default_rng(5)
-    n = 600
-    pts = GEOMETRIES[geometry](n, rng)
-    q = rng.uniform(-1, 1, {"(n,)": (n,), "(n, k)": (n, 3)}[shape])
-    fmm = UniformFMM(pts, q, level=level, degrees=6)
-    plan = fmm.tc.compile_plan(
-        mode="cluster", criterion=VList(), accumulate_bounds=True, cache_dir=""
-    )
-    res = plan.execute(q)
-    err = np.abs(res.potential - direct_potential(pts, q))
-    assert res.error_bound.shape == err.shape
-    assert np.all(err <= res.error_bound)
 
 
 def test_rising_degrees_reach_the_leaves():

@@ -1,18 +1,20 @@
 """Lattice M2L/L2L of box-centred cluster plans: the dense per-direction
-operators against the reference translations, the plans' folded
-per-key M2L against per-pair translations, exact keys at the deepest
-tree, the direction-operator memo, operators rebuilt per execute, the
-box-centred view of the octree, batch shapes and the Theorem-1
-containment chain of tolerance-compiled plans on degenerate geometry."""
+operators against the reference translations, the plans' folded per-key
+M2L and whole plans against per-pair translations, operators shared by
+direction and exact keys at the deepest tree, the direction-operator
+memo, operators rebuilt per execute, the box-centred view of the octree
+and batch shapes.  ``tests/test_conformance.py`` checks their chain."""
 
 import itertools
 
 import numpy as np
 import pytest
+from test_rotations import _conj_symmetric_rows
 
 from repro import FixedDegree, Treecode
 from repro.core.degree import DegreePolicy
 from repro.data.distributions import gaussian_blob, uniform_cube
+from repro.direct import pairwise_potential
 from repro.multipole import lattice
 from repro.multipole.harmonics import ncoef
 from repro.multipole.lattice import (
@@ -25,10 +27,16 @@ from repro.multipole.lattice import (
 )
 from repro.multipole.translations import l2l, m2l
 from repro.obs import REGISTRY, tracing
+from repro.parallel import evaluate_plan_parallel
 from repro.perf import cluster
 from repro.perf.cluster import _box_view, _FarUnit, _key_ids
+from repro.perf.plan import CompiledPlan
+from repro.robust.faults import FaultInjector, parse_fault_spec, set_injector
+from repro.robust.retry import RetryPolicy
 from repro.tree.dualtree import dual_traverse
 from repro.tree.morton import MAX_DEPTH
+
+FAST = RetryPolicy(max_retries=3, base_delay=0.0, max_delay=0.0)
 
 
 def _complex(X):
@@ -182,54 +190,6 @@ def test_plan_m2l_dirs_gauge(rng):
         tracing.disable()
         tracing.get_tracer().clear()
         REGISTRY.reset()
-
-
-def _collinear(n, rng):
-    return np.stack([np.zeros(n), np.zeros(n), rng.random(n)], axis=1)
-
-
-def _coincident(n, rng):
-    pts = rng.random((n, 3))
-    pts[: n // 4] = pts[0]
-    return pts
-
-
-def _duplicate(n, rng):
-    pts = rng.random((n // 2, 3))
-    return np.concatenate([pts, pts])
-
-
-GEOMETRIES = {
-    "uniform": lambda n, rng: rng.random((n, 3)),
-    "gaussian": lambda n, rng: gaussian_blob(n, seed=int(rng.integers(1 << 30))),
-    "collinear": _collinear,
-    "coincident": _coincident,
-    "duplicate": _duplicate,
-}
-
-
-@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-@pytest.mark.parametrize("tol", [1e-3, 1e-5])
-def test_tol_plan_containment(geometry, tol, rng):
-    """Theorem-1 chain of a box-centred tol plan: measured error <=
-    a-posteriori ledger <= compile-time prediction <= tol."""
-    n = 400
-    pts = GEOMETRIES[geometry](n, rng)
-    q = rng.uniform(-1, 1, n)
-    tc = Treecode(pts, q, degree_policy=FixedDegree(4), leaf_size=8)
-    plan = tc.compile_plan(mode="cluster", tol=tol, accumulate_bounds=True)
-    assert plan.n_box_pairs > 0
-    res = plan.execute(q)
-    coincide = np.all(pts[:, None, :] == pts[None, :, :], axis=2)
-    np.fill_diagonal(coincide, False)
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    with np.errstate(divide="ignore"):
-        K = np.where(d > 0, 1.0 / d, 0.0)
-    exact = K @ q
-    assert not np.any(coincide & (K != 0))
-    err = np.abs(res.potential - exact).max()
-    ledger = res.error_bound.max()
-    assert err <= ledger <= plan.predicted_ledger_max * (1 + 1e-12) <= tol * (1 + 1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -482,3 +442,193 @@ def test_rebuilt_operators_once_per_unit_direction(monkeypatch):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.abs(ref).max()
     many, ref_many = tight.execute(Q).potential, frozen.execute(Q).potential
     assert np.max(np.abs(many - ref_many)) <= 1e-13 * np.abs(ref_many).max()
+
+
+# ----------------------------------------------------------------------
+# Whole lattice plans against a per-pair dense plan
+# ----------------------------------------------------------------------
+
+
+def _dense_reference(plan):
+    """Swap a cluster plan's lattice GEMMs for per-pair
+    ``translations.m2l`` in complex128 over the same box pairs, box
+    centres and (octant, target) buckets (single charge vectors only).
+    The plan then reads the un-folded operand rows, onto which each
+    pair's folded row wraps."""
+    centers = plan.tc.tree.center_geom
+    plan.form_coefficients = lambda qs: CompiledPlan._p2m_operands(plan, qs)
+
+    def group(X, g):
+        nc = ncoef(g.p)
+        rows = g.cols % X.shape[0]
+        tgts = np.empty(g.cols.size, dtype=np.int64)
+        tgts[g.red.indices] = np.repeat(np.tile(g.utgt, 8), np.diff(g.red.indptr))
+        srcs = plan._operand_nodes[g.p][rows]
+        C = X[rows, 0::2] + 1j * X[rows, 1::2]
+        L = m2l(C, centers[srcs] - centers[tgts], g.p)
+        Z = g.red @ _interleaved(L[:, :nc])
+        return Z.reshape(8, -1, Z.shape[-1]).sum(axis=0)
+
+    plan._m2l_group = group
+    plan._m2l_rebuilt = lambda ctx, u, L: None  # ``group`` covers every run
+    return plan
+
+
+class TestClusterLatticeM2L:
+    """The cluster plan's translation kernel (one lattice operator per
+    canonical direction) against the per-pair dense reference."""
+
+    def test_c128_agrees_with_dense_and_ledger_unchanged(self, small_cloud):
+        """tol-mode lattice plans must agree with the complex128 dense
+        reference to 1e-12 and leave the a-posteriori ledger bitwise
+        identical."""
+        pts, q = small_cloud
+        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
+        tol = 2e-4
+        kw = dict(mode="cluster", tol=tol, accumulate_bounds=True, cache_dir="")
+        dense = _dense_reference(tc.compile_plan(**kw)).execute(q)
+        lat_plan = tc.compile_plan(**kw)
+        assert lat_plan.n_box_pairs > 0
+        lat = lat_plan.execute(q)
+        scale = np.abs(dense.potential).max()
+        assert np.abs(dense.potential - lat.potential).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(dense.error_bound, lat.error_bound)
+        # containment chain holds under the lattice kernel
+        exact = pairwise_potential(pts, pts, q, exclude=np.arange(len(q)))
+        err = np.abs(lat.potential - exact).max()
+        assert err <= lat.error_bound.max() <= tol
+
+    def test_fixed_degree_parity_within_rounding(self, small_cloud):
+        pts, q = small_cloud
+        tc = Treecode(pts, q, degree_policy=FixedDegree(6), alpha=0.5, leaf_size=16)
+        plan = tc.compile_plan(mode="cluster", cache_dir="")
+        dense = _dense_reference(tc.compile_plan(mode="cluster", cache_dir=""))
+        lat, ref = plan.execute(q), dense.execute(q)
+        scale = np.abs(ref.potential).max()
+        assert np.abs(ref.potential - lat.potential).max() <= 1e-12 * scale
+
+    def test_gradient_parity(self, small_cloud):
+        pts, q = small_cloud
+        tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16)
+        kw = dict(mode="cluster", compute="both", cache_dir="")
+        dense = _dense_reference(tc.compile_plan(**kw)).execute(q)
+        lat = tc.compile_plan(**kw).execute(q)
+        gs = np.abs(dense.gradient).max()
+        assert np.abs(dense.gradient - lat.gradient).max() <= 1e-12 * gs
+
+    def test_operators_shared_by_direction(self, small_cloud):
+        """One operator per canonical lattice direction, shared by every
+        unit, level and octant, and counted in the plan's memory."""
+        pts, q = small_cloud
+        tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16)
+        plan = tc.compile_plan(mode="cluster", cache_dir="")
+        assert plan.n_box_pairs > 0
+        ops = {op for u in plan._units for g in u.groups for op in g.ops.tolist()}
+        assert ops == set(range(len(plan._m2l_ops)))
+        assert len(plan._m2l_ops) < plan.n_box_pairs // 10
+        assert plan.memory_bytes >= sum(T.nbytes for T in plan._m2l_ops)
+
+    def test_backend_validation(self, small_cloud):
+        """Cluster plans have no translation-backend knob."""
+        pts, q = small_cloud
+        tc = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.5, leaf_size=16)
+        with pytest.raises(TypeError, match="translation_backend"):
+            tc.compile_plan(mode="cluster", translation_backend="dense")
+
+    def test_serial_thread_process_identical(self, small_cloud):
+        plan = Treecode(
+            *small_cloud, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16
+        ).compile_plan(mode="cluster")
+        q = small_cloud[1]
+        serial = plan.execute(q)
+        thr = evaluate_plan_parallel(plan, q, n_threads=3, retry=FAST)
+        prc = evaluate_plan_parallel(
+            plan, q, n_threads=2, retry=FAST, backend="process"
+        )
+        np.testing.assert_array_equal(serial.potential, thr.potential)
+        np.testing.assert_array_equal(thr.potential, prc.potential)
+
+    def test_block_errors_recovered_exactly(self, small_cloud, injector_guard):
+        pts, q = small_cloud
+        plan = Treecode(
+            pts, q, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16
+        ).compile_plan(mode="cluster")
+        set_injector(None)
+        clean = evaluate_plan_parallel(plan, q, n_threads=2, backend="process")
+        set_injector(FaultInjector(parse_fault_spec("block_error:0.2"), seed=3))
+        faulty = evaluate_plan_parallel(
+            plan, q, n_threads=2, retry=FAST, backend="process"
+        )
+        np.testing.assert_array_equal(faulty.potential, clean.potential)
+        assert faulty.n_retries + faulty.n_fallbacks > 0
+
+
+class TestBatchedM2LDedup:
+    """Pairs sharing a lattice direction share one operator, keyed at
+    compile by exact integer offsets."""
+
+    def test_duplicated_rows_bitwise_equal_unique_build(self, rng):
+        """Operators built once per unique direction and gathered are
+        bitwise those built row by row: each is an elementwise function
+        of its direction."""
+        p = 5
+        base = rng.integers(-4, 5, size=(4, 3))
+        base[np.all(base == 0, axis=1)] = [1, 2, 3]
+        d = base[rng.integers(0, 4, size=48)] * rng.integers(1, 4, size=(48, 1))
+        key = lattice_keys(d)[0]
+        uk, inv = np.unique(key, return_inverse=True)
+        assert uk.size <= 4
+        got = m2l_operators(unpack_keys(uk), p)[inv]
+        want = np.concatenate(
+            [m2l_operators(unpack_keys(key[i : i + 1]), p) for i in range(48)]
+        )
+        np.testing.assert_array_equal(got, want)
+
+    def test_small_batches_skip_dedup(self, rng):
+        """A one-pair direction is an operator like any other: the
+        kernel matches ``translations.m2l`` for a single offset."""
+        p = 3
+        d = np.array([[2, -1, 5]])
+        C = _conj_symmetric_rows(rng, 1, p)
+        key, octs, r2 = lattice_keys(d)
+        T = m2l_operators(unpack_keys(key), p)[0]
+        rho = 0.5 * np.sqrt(r2)
+        _, inv = scales(p, rho, octs)
+        Y = ((_interleaved(C) * inv) @ T) * (inv / rho[:, None])
+        want = m2l(C, 0.5 * d, p)
+        got = Y[:, 0::2] + 1j * Y[:, 1::2]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_distinct_rows_skip_dedup(self, rng):
+        """Distinct directions never share a key; gcd multiples and
+        octant mirrors always do."""
+        d = rng.integers(-9, 10, size=(64, 3))
+        d[np.all(d == 0, axis=1)] = [1, 0, 0]
+        key = lattice_keys(d)[0]
+        a = np.abs(d)
+        canon = a // np.gcd.reduce(a, axis=1)[:, None]
+        assert np.unique(key).size == np.unique(canon, axis=0).shape[0]
+        np.testing.assert_array_equal(lattice_keys(-3 * d)[0], key)
+
+    def test_execute_never_dedups(self, rng, monkeypatch):
+        """Cluster execute reuses the compile-time decisions: a
+        fixed-degree plan calls no ``np.unique`` per matvec, and results
+        are unchanged."""
+        from repro.perf import cluster as cl
+
+        pts = rng.random((400, 3))
+        q = rng.uniform(-1, 1, 400)
+        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
+        plan = tc.compile_plan(mode="cluster", cache_dir="")
+        ref = plan.execute(q).potential
+        calls = []
+        real_unique = np.unique
+
+        def spy(*a, **k):
+            calls.append(k.get("axis"))
+            return real_unique(*a, **k)
+
+        monkeypatch.setattr(cl.np, "unique", spy)
+        got = plan.execute(q).potential
+        assert calls == []
+        np.testing.assert_array_equal(got, ref)

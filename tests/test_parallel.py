@@ -13,6 +13,7 @@ from repro.parallel import (
     schedule_blocks,
     simulate,
 )
+from repro.parallel.partition import translation_cost
 from treecode_reference import reference_evaluate
 
 
@@ -142,3 +143,9 @@ def test_machine_model_validation():
         MachineModel(n_procs=0)
     with pytest.raises(ValueError):
         MachineModel(cache_reuse=1.5)
+
+
+class TestBackendSelection:
+    def test_translation_cost_models(self):
+        p = np.array([2, 7, 20])
+        np.testing.assert_array_equal(translation_cost(p), (p + 1.0) ** 4)

@@ -13,7 +13,6 @@ from repro.parallel import evaluate_plan_parallel
 from repro.perf import scatter_add
 from repro.perf.cluster import ClusterPlan
 from repro.perf.plan import CompiledPlan
-from repro.robust import faults as faults_mod
 from repro.robust.faults import FaultInjector, parse_fault_spec, set_injector
 from repro.robust.guards import NumericalCorruptionError
 from repro.robust.retry import RetryPolicy
@@ -22,15 +21,6 @@ from repro.tree.octree import build_octree
 from treecode_reference import assert_matches_reference, reference_evaluate
 
 FAST = RetryPolicy(max_retries=3, base_delay=0.0, max_delay=0.0)
-
-
-@pytest.fixture
-def injector_guard():
-    """Snapshot the active injector and restore it afterwards (keeps the
-    CI fault-injection env intact for whatever tests run next)."""
-    prev = faults_mod.active_injector()
-    yield
-    set_injector(prev)
 
 
 def assert_stats_equal(a, b):

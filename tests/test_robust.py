@@ -34,18 +34,6 @@ FAST = RetryPolicy(max_retries=3, base_delay=0.0, max_delay=0.0)
 
 
 @pytest.fixture
-def injector_guard():
-    """Snapshot the active injector and restore it afterwards.
-
-    Restoring (rather than clearing) keeps env-driven injection from the
-    CI fault-injection job intact for whatever tests run next.
-    """
-    prev = faults_mod.active_injector()
-    yield
-    set_injector(prev)
-
-
-@pytest.fixture
 def clean_injector(injector_guard):
     set_injector(None)
 

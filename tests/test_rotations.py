@@ -1,20 +1,11 @@
-"""Tests for the rotation-accelerated translation pipeline: Wigner-d
-rotation operators, axial O(p^3) kernels, the FMM backend knob, the
-bounded translation operator caches, and the cluster plan's lattice
-translation kernel against a per-pair dense reference."""
+"""Tests for the rotation library: Wigner-d rotation operators, the
+direction-keyed :class:`RotationCache`, and the axial O(p^3) kernels with
+their ``*_rotated`` drop-ins against the dense translations."""
 
 import numpy as np
 import pytest
 
-from repro import FixedDegree, Treecode
-from repro.direct import pairwise_potential
 from repro.multipole.harmonics import cart_to_sph, ncoef, sph_harmonics
-from repro.multipole.lattice import (
-    lattice_keys,
-    m2l_operators,
-    scales,
-    unpack_keys,
-)
 from repro.multipole.rotations import (
     RotationCache,
     build_rotation_operators,
@@ -33,23 +24,7 @@ from repro.multipole.translations import (
     m2l_rotated,
     m2m,
     m2m_rotated,
-    translation_cache_stats,
 )
-from repro.parallel import evaluate_plan_parallel
-from repro.perf.plan import CompiledPlan
-from repro.parallel.partition import translation_cost
-from repro.robust import faults as faults_mod
-from repro.robust.faults import FaultInjector, parse_fault_spec, set_injector
-from repro.robust.retry import RetryPolicy
-
-FAST = RetryPolicy(max_retries=3, base_delay=0.0, max_delay=0.0)
-
-
-@pytest.fixture
-def injector_guard():
-    prev = faults_mod.active_injector()
-    yield
-    set_injector(prev)
 
 
 def _unit_dirs(rng, k):
@@ -273,245 +248,3 @@ class TestAxialKernels:
         assert built == 1  # five identical directions -> one operator
         m2l_rotated(C, d, p, cache=cache)
         assert cache.built == built  # second call builds nothing
-
-
-# ----------------------------------------------------------------------
-# Satellite: bounded FIFO operator caches with hit/miss telemetry
-# ----------------------------------------------------------------------
-
-
-class TestTranslationCacheBounds:
-    def test_cache_stays_bounded_with_stats(self):
-        from repro.multipole import translations as tr
-
-        before = translation_cache_stats()
-        assert set(before) >= {"size", "max_size", "hits", "misses"}
-        # drive more distinct keys than the cap through the grid caches
-        for p in range(1, 60):
-            tr._sq_grid(p)
-            tr._iphase_grid(p, +1)
-            tr._iphase_grid(p, -1)
-            tr._valid_mask(p)
-        after = translation_cache_stats()
-        assert after["size"] <= after["max_size"]
-        assert after["misses"] > before["misses"]
-        # re-request a hot key: pure hit, no growth
-        tr._sq_grid(59)
-        final = translation_cache_stats()
-        assert final["hits"] > after["hits"]
-        assert final["size"] == after["size"]
-
-    def test_eviction_preserves_values(self):
-        """Evicted entries are rebuilt identically (cache is transparent)."""
-        from repro.multipole import translations as tr
-
-        a = tr._sq_grid(7).copy()
-        for p in range(60, 60 + tr._TRANSLATION_CACHE_MAX):
-            tr._valid_mask(p)
-        np.testing.assert_array_equal(tr._sq_grid(7), a)
-
-
-# ----------------------------------------------------------------------
-# Cost model
-# ----------------------------------------------------------------------
-
-
-class TestBackendSelection:
-    def test_translation_cost_models(self):
-        p = np.array([2, 7, 20])
-        np.testing.assert_array_equal(translation_cost(p), (p + 1.0) ** 4)
-
-
-# ----------------------------------------------------------------------
-# Cluster plan translation kernel
-# ----------------------------------------------------------------------
-
-
-def _interleaved(C):
-    """Complex coefficients as interleaved ``[Re c, Im c]`` real rows."""
-    return np.stack([C.real, C.imag], axis=-1).reshape(*C.shape[:-1], -1)
-
-
-def _dense_reference(plan):
-    """Swap a cluster plan's lattice GEMMs for per-pair
-    ``translations.m2l`` in complex128 over the same box pairs, box
-    centres and (octant, target) buckets (single charge vectors only).
-    The plan then reads the un-folded operand rows, onto which each
-    pair's folded row wraps."""
-    centers = plan.tc.tree.center_geom
-    plan.form_coefficients = lambda qs: CompiledPlan._p2m_operands(plan, qs)
-
-    def group(X, g):
-        nc = ncoef(g.p)
-        rows = g.cols % X.shape[0]
-        tgts = np.empty(g.cols.size, dtype=np.int64)
-        tgts[g.red.indices] = np.repeat(np.tile(g.utgt, 8), np.diff(g.red.indptr))
-        srcs = plan._operand_nodes[g.p][rows]
-        C = X[rows, 0::2] + 1j * X[rows, 1::2]
-        L = m2l(C, centers[srcs] - centers[tgts], g.p)
-        Z = g.red @ _interleaved(L[:, :nc])
-        return Z.reshape(8, -1, Z.shape[-1]).sum(axis=0)
-
-    plan._m2l_group = group
-    plan._m2l_rebuilt = lambda ctx, u, L: None  # ``group`` covers every run
-    return plan
-
-
-class TestClusterRotationBackend:
-    """The cluster plan's translation kernel (one lattice operator per
-    canonical direction) against the per-pair dense reference."""
-
-    def test_c128_agrees_with_dense_and_ledger_unchanged(self, small_cloud):
-        """tol-mode lattice plans must agree with the complex128 dense
-        reference to 1e-12 and leave the a-posteriori ledger bitwise
-        identical."""
-        pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
-        tol = 2e-4
-        kw = dict(mode="cluster", tol=tol, accumulate_bounds=True, cache_dir="")
-        dense = _dense_reference(tc.compile_plan(**kw)).execute(q)
-        lat_plan = tc.compile_plan(**kw)
-        assert lat_plan.n_box_pairs > 0
-        lat = lat_plan.execute(q)
-        scale = np.abs(dense.potential).max()
-        assert np.abs(dense.potential - lat.potential).max() <= 1e-12 * scale
-        np.testing.assert_array_equal(dense.error_bound, lat.error_bound)
-        # containment chain holds under the lattice kernel
-        exact = pairwise_potential(pts, pts, q, exclude=np.arange(len(q)))
-        err = np.abs(lat.potential - exact).max()
-        assert err <= lat.error_bound.max() <= tol
-
-    def test_fixed_degree_parity_within_rounding(self, small_cloud):
-        pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(6), alpha=0.5, leaf_size=16)
-        plan = tc.compile_plan(mode="cluster", cache_dir="")
-        dense = _dense_reference(tc.compile_plan(mode="cluster", cache_dir=""))
-        lat, ref = plan.execute(q), dense.execute(q)
-        scale = np.abs(ref.potential).max()
-        assert np.abs(ref.potential - lat.potential).max() <= 1e-12 * scale
-
-    def test_gradient_parity(self, small_cloud):
-        pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16)
-        kw = dict(mode="cluster", compute="both", cache_dir="")
-        dense = _dense_reference(tc.compile_plan(**kw)).execute(q)
-        lat = tc.compile_plan(**kw).execute(q)
-        gs = np.abs(dense.gradient).max()
-        assert np.abs(dense.gradient - lat.gradient).max() <= 1e-12 * gs
-
-    def test_operators_shared_by_direction(self, small_cloud):
-        """One operator per canonical lattice direction, shared by every
-        unit, level and octant, and counted in the plan's memory."""
-        pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16)
-        plan = tc.compile_plan(mode="cluster", cache_dir="")
-        assert plan.n_box_pairs > 0
-        ops = {op for u in plan._units for g in u.groups for op in g.ops.tolist()}
-        assert ops == set(range(len(plan._m2l_ops)))
-        assert len(plan._m2l_ops) < plan.n_box_pairs // 10
-        assert plan.memory_bytes >= sum(T.nbytes for T in plan._m2l_ops)
-
-    def test_backend_validation(self, small_cloud):
-        """Cluster plans have no translation-backend knob."""
-        pts, q = small_cloud
-        tc = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.5, leaf_size=16)
-        with pytest.raises(TypeError, match="translation_backend"):
-            tc.compile_plan(mode="cluster", translation_backend="dense")
-
-    def test_serial_thread_process_identical(self, small_cloud):
-        plan = Treecode(
-            *small_cloud, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16
-        ).compile_plan(mode="cluster")
-        q = small_cloud[1]
-        serial = plan.execute(q)
-        thr = evaluate_plan_parallel(plan, q, n_threads=3, retry=FAST)
-        prc = evaluate_plan_parallel(
-            plan, q, n_threads=2, retry=FAST, backend="process"
-        )
-        np.testing.assert_array_equal(serial.potential, thr.potential)
-        np.testing.assert_array_equal(thr.potential, prc.potential)
-
-    def test_block_errors_recovered_exactly(self, small_cloud, injector_guard):
-        pts, q = small_cloud
-        plan = Treecode(
-            pts, q, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16
-        ).compile_plan(mode="cluster")
-        set_injector(None)
-        clean = evaluate_plan_parallel(plan, q, n_threads=2, backend="process")
-        set_injector(FaultInjector(parse_fault_spec("block_error:0.2"), seed=3))
-        faulty = evaluate_plan_parallel(
-            plan, q, n_threads=2, retry=FAST, backend="process"
-        )
-        np.testing.assert_array_equal(faulty.potential, clean.potential)
-        assert faulty.n_retries + faulty.n_fallbacks > 0
-
-
-class TestBatchedM2LDedup:
-    """Pairs sharing a lattice direction share one operator, keyed at
-    compile by exact integer offsets."""
-
-    def test_duplicated_rows_bitwise_equal_unique_build(self, rng):
-        """Operators built once per unique direction and gathered are
-        bitwise those built row by row: each is an elementwise function
-        of its direction."""
-        p = 5
-        base = rng.integers(-4, 5, size=(4, 3))
-        base[np.all(base == 0, axis=1)] = [1, 2, 3]
-        d = base[rng.integers(0, 4, size=48)] * rng.integers(1, 4, size=(48, 1))
-        key = lattice_keys(d)[0]
-        uk, inv = np.unique(key, return_inverse=True)
-        assert uk.size <= 4
-        got = m2l_operators(unpack_keys(uk), p)[inv]
-        want = np.concatenate(
-            [m2l_operators(unpack_keys(key[i : i + 1]), p) for i in range(48)]
-        )
-        np.testing.assert_array_equal(got, want)
-
-    def test_small_batches_skip_dedup(self, rng):
-        """A one-pair direction is an operator like any other: the
-        kernel matches ``translations.m2l`` for a single offset."""
-        p = 3
-        d = np.array([[2, -1, 5]])
-        C = _conj_symmetric_rows(rng, 1, p)
-        key, octs, r2 = lattice_keys(d)
-        T = m2l_operators(unpack_keys(key), p)[0]
-        rho = 0.5 * np.sqrt(r2)
-        _, inv = scales(p, rho, octs)
-        Y = ((_interleaved(C) * inv) @ T) * (inv / rho[:, None])
-        want = m2l(C, 0.5 * d, p)
-        got = Y[:, 0::2] + 1j * Y[:, 1::2]
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-    def test_distinct_rows_skip_dedup(self, rng):
-        """Distinct directions never share a key; gcd multiples and
-        octant mirrors always do."""
-        d = rng.integers(-9, 10, size=(64, 3))
-        d[np.all(d == 0, axis=1)] = [1, 0, 0]
-        key = lattice_keys(d)[0]
-        a = np.abs(d)
-        canon = a // np.gcd.reduce(a, axis=1)[:, None]
-        assert np.unique(key).size == np.unique(canon, axis=0).shape[0]
-        np.testing.assert_array_equal(lattice_keys(-3 * d)[0], key)
-
-    def test_execute_never_dedups(self, rng, monkeypatch):
-        """Cluster execute reuses the compile-time decisions: a
-        fixed-degree plan calls no ``np.unique`` per matvec, and results
-        are unchanged."""
-        from repro.perf import cluster as cl
-
-        pts = rng.random((400, 3))
-        q = rng.uniform(-1, 1, 400)
-        tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
-        plan = tc.compile_plan(mode="cluster", cache_dir="")
-        ref = plan.execute(q).potential
-        calls = []
-        real_unique = np.unique
-
-        def spy(*a, **k):
-            calls.append(k.get("axis"))
-            return real_unique(*a, **k)
-
-        monkeypatch.setattr(cl.np, "unique", spy)
-        got = plan.execute(q).potential
-        assert calls == []
-        np.testing.assert_array_equal(got, ref)

@@ -1,11 +1,11 @@
 """Tests for M2M / M2L / L2L translation operators."""
 
 import numpy as np
-import pytest
 
-from repro.multipole.expansion import l2p, m2p, p2l, p2m
+from repro.multipole.expansion import l2p, p2l, p2m
 from repro.multipole.harmonics import ncoef
 from repro.multipole.translations import from_full_grid, l2l, m2l, m2m, to_full_grid
+from repro.multipole.translations import translation_cache_stats
 
 
 def test_m2m_is_exact(rng):
@@ -150,3 +150,34 @@ def test_translation_linearity(rng):
     d_far = d + 5.0
     assert np.allclose(m2l(A + B, d_far, p), m2l(A, d_far, p) + m2l(B, d_far, p))
     assert np.allclose(l2l(A + B, d, p), l2l(A, d, p) + l2l(B, d, p))
+
+
+class TestTranslationCacheBounds:
+    def test_cache_stays_bounded_with_stats(self):
+        from repro.multipole import translations as tr
+
+        before = translation_cache_stats()
+        assert set(before) >= {"size", "max_size", "hits", "misses"}
+        # drive more distinct keys than the cap through the grid caches
+        for p in range(1, 60):
+            tr._sq_grid(p)
+            tr._iphase_grid(p, +1)
+            tr._iphase_grid(p, -1)
+            tr._valid_mask(p)
+        after = translation_cache_stats()
+        assert after["size"] <= after["max_size"]
+        assert after["misses"] > before["misses"]
+        # re-request a hot key: pure hit, no growth
+        tr._sq_grid(59)
+        final = translation_cache_stats()
+        assert final["hits"] > after["hits"]
+        assert final["size"] == after["size"]
+
+    def test_eviction_preserves_values(self):
+        """Evicted entries are rebuilt identically (cache is transparent)."""
+        from repro.multipole import translations as tr
+
+        a = tr._sq_grid(7).copy()
+        for p in range(60, 60 + tr._TRANSLATION_CACHE_MAX):
+            tr._valid_mask(p)
+        np.testing.assert_array_equal(tr._sq_grid(7), a)

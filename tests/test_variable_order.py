@@ -6,27 +6,15 @@ import numpy as np
 import pytest
 
 from repro import DegreeSelectionError, FixedDegree, Treecode, VariableDegree
-from repro.direct import pairwise_potential
+from repro.direct import direct_potential
 from repro.obs import REGISTRY, tracing
 from repro.parallel import evaluate_plan_parallel
-from repro.robust import faults as faults_mod
 from repro.robust.faults import FaultInjector, parse_fault_spec, set_injector
 from repro.robust.retry import RetryPolicy
 
 FAST = RetryPolicy(max_retries=3, base_delay=0.0, max_delay=0.0)
 
 MODES = ["target", "cluster"]
-
-
-@pytest.fixture
-def injector_guard():
-    prev = faults_mod.active_injector()
-    yield
-    set_injector(prev)
-
-
-def _direct_potential(pts, q):
-    return pairwise_potential(pts, pts, q, exclude=np.arange(pts.shape[0]))
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +99,7 @@ class TestContainment:
         plan = tc.compile_plan(mode=mode, tol=tol, accumulate_bounds=True)
         assert mode == "target" or plan.n_box_pairs > 0
         res = plan.execute(q)
-        exact = _direct_potential(pts, q)
+        exact = direct_potential(pts, q)
         max_err = float(np.abs(res.potential - exact).max())
         max_ledger = float(res.error_bound.max())
         assert max_err <= max_ledger + 1e-15
@@ -165,7 +153,7 @@ def test_inherit_only_leaves_compile_and_bound(tol):
     tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
     plan = tc.compile_plan(mode="cluster", tol=tol, accumulate_bounds=True)
     res = plan.execute(q)
-    exact = _direct_potential(pts, q)
+    exact = direct_potential(pts, q)
     err = np.abs(res.potential - exact)
     assert np.all(err <= res.error_bound + 1e-12)
     if tol is not None:

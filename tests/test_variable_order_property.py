@@ -1,5 +1,6 @@
-"""Property test for variable-order plans: over random geometries and
-random tolerances, the containment chain
+"""Property test for variable-order plans: over clouds of the shared
+geometry set (``tests/conformance.py``) and random tolerances, the
+containment chain
 
     measured max error  <=  a-posteriori Theorem-1 ledger  <=  tol
 
@@ -9,20 +10,10 @@ per-level ledger accounting must stay exact either way."""
 
 import numpy as np
 import pytest
+from conformance import GEOMETRIES
 
 from repro import DegreeSelectionError, FixedDegree, Treecode
-from repro.data.distributions import make_distribution
 from repro.direct import pairwise_potential
-
-
-def _geometry(kind: str, n: int, rng):
-    if kind == "collinear":
-        # points on a line — degenerate boxes stress the a/r geometry
-        # terms of the bound and the budget push-down
-        t = np.sort(rng.random(n))
-        pts = np.column_stack([t, np.full(n, 0.5), np.full(n, 0.5)])
-        return np.ascontiguousarray(pts)
-    return make_distribution(kind, n, seed=int(rng.integers(1 << 30)))
 
 
 CASES = [
@@ -41,7 +32,7 @@ CASES = [
 def test_containment_over_random_tolerances(seed, kind, mode):
     rng = np.random.default_rng(seed)
     n = 250
-    pts = _geometry(kind, n, rng)
+    pts = GEOMETRIES[kind](n, rng)
     q = rng.uniform(-1.0, 1.0, n)
     exact = pairwise_potential(pts, pts, q, exclude=np.arange(n))
     tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
