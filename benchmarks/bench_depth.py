@@ -5,7 +5,9 @@ the level its cost model prices cheapest for compile plus one execute
 (:func:`repro.perf.cluster._cut_terms`, ``_CUT_COST``).  This benchmark
 compiles the plan at *every* candidate cut of a cloud, times compile
 plus one execute (median of ``--repeats``), and sets each cut's
-measured seconds next to its predicted ones.
+measured seconds next to its predicted ones.  The table and the JSON
+also give each cut's compile and execute seconds (medians of their
+own), beside the sum the gates use.
 
 Modes::
 
@@ -85,19 +87,24 @@ def candidates(tc: Treecode, compute: str) -> tuple[list, dict]:
 
 
 def measure(tc: Treecode, q, compute: str, cuts: list, repeats: int) -> list:
-    """Median seconds of compile plus one execute at each of ``cuts``,
-    the cuts taken in turn within every repeat so that a slow spell of
-    the host reaches them all alike.  A cut that is not the full height
-    compiles from its own traversal, so the full height's is taken out
-    (the plan compiles it from the pricing traversal)."""
+    """Median seconds ``(total, compile, execute)`` of compile plus one
+    execute at each of ``cuts`` (each a median of its own), the cuts
+    taken in turn within every repeat so that a slow spell of the host
+    reaches them all alike.  A cut that is not the full height compiles
+    from its own traversal, so the full height's is taken out of its
+    total and compile (the plan compiles it from the pricing
+    traversal)."""
     top = tc.tree.height - 1
-    times = {c: [] for c in cuts}
+    times = {c: ([], [], []) for c in cuts}
     for _ in range(repeats):
         for c in cuts:
             t0 = time.perf_counter()
             plan = ClusterPlan(tc, tc.tree.points, compute=compute, cut=c)
+            t1 = time.perf_counter()
             plan.execute(q)
-            times[c].append(time.perf_counter() - t0)
+            t2 = time.perf_counter()
+            for acc, t in zip(times[c], (t2 - t0, t1 - t0, t2 - t1)):
+                acc.append(t)
             del plan
     full, _, _ = _box_view(tc.tree)
     trav = []
@@ -105,10 +112,12 @@ def measure(tc: Treecode, q, compute: str, cuts: list, repeats: int) -> list:
         t0 = time.perf_counter()
         dual_traverse(full, tc.alpha)
         trav.append(time.perf_counter() - t0)
-    return [
-        statistics.median(times[c]) - (statistics.median(trav) if c == top else 0.0)
-        for c in cuts
-    ]
+    out = []
+    for c in cuts:
+        reuse = statistics.median(trav) if c == top else 0.0
+        total, comp, exe = (statistics.median(t) for t in times[c])
+        out.append((total - reuse, comp - reuse, exe))
+    return out
 
 
 def measured_cuts(cands: list) -> list:
@@ -128,11 +137,13 @@ def run_cloud(dist: str, n: int, compute: str, repeats: int) -> dict:
     cands, terms = candidates(tc, compute)
     rows = []
     todo = measured_cuts(cands)
-    for c, s in zip(todo, measure(tc, q, compute, [c["cut"] for c in todo], repeats)):
-        rows.append(dict(c, measured_s=s))
+    timed = measure(tc, q, compute, [c["cut"] for c in todo], repeats)
+    for c, (s, comp, exe) in zip(todo, timed):
+        rows.append(dict(c, measured_s=s, compile_s=comp, execute_s=exe))
         print(
             f"  {dist:8s} n={n:6d} {compute:9s} cut {c['cut']}: predicted "
-            f"{c['seconds']:7.3f} s, measured {s:7.3f} s, "
+            f"{c['seconds']:7.3f} s, measured {s:7.3f} s "
+            f"(compile {comp:6.3f} + execute {exe:6.3f}), "
             f"near {c['near_entries']:>11,d}, "
             f"pairs {c['box_pairs']:>8,d}, flops {c['m2l_flops']:.2e}"
             + ("" if c["fits"] else "  (over budget)"),

@@ -58,7 +58,10 @@ level.  M2L has no per-pair scaling:
 The target-major plans keep their charge-centred expansions.  The near
 field is the target-major plan's (:meth:`CompiledPlan._compile_near`):
 each target leaf's particles see one source list, the concatenated
-particles of its near-listed source leaves.
+particles of its near-listed source leaves.  The traversal lists every
+near leaf pair in both orders, so the frozen potential assembly
+evaluates one tile per pair and copies its transpose into the other
+(:func:`~repro.perf.operators.assemble_near`'s ``mirror``).
 
 **The cut.**  On a ``Treecode(leaf_size=None)`` a plan chooses the
 octree level it cuts at (:func:`_cut_view`): a coarse cut moves work
@@ -220,7 +223,11 @@ def _cut_terms(view: Octree, pairs, degrees: np.ndarray, grad: bool) -> dict:
     a rare pair whose full traversal split a cut-level box against a
     larger box), and by the partition property every particle pair no
     such far pair covers is one near entry.  One weighted bincount per
-    term over the far pairs' deeper levels prices every cut.
+    term over the far pairs' deeper levels prices every cut.  ``mirror``
+    is not priced: it is half the near entries between different
+    leaves, which a mirrored potential assembly copies when every leaf
+    is a dense block (fewer when small leaves are not; none in a
+    gradient plan).
     """
     H = view.height
     fs, ft = pairs.far_src, pairs.far_tgt
@@ -245,6 +252,11 @@ def _cut_terms(view: Octree, pairs, degrees: np.ndarray, grad: bool) -> dict:
     l2p = np.where(pmax >= 0, view.n_particles * (pmax + 1) * (pmax + 2), 0.0)
     n_pairs = upto()
     near = float(view.n_particles) ** 2 - upto(cnt[fs] * cnt[ft])
+    # a cut's leaves: its level's nodes and the leaves above it
+    sq = cnt * cnt
+    leaf = view.n_children == 0
+    diag = np.bincount(view.level, weights=sq, minlength=H)[1:H]
+    diag += np.cumsum(np.bincount(view.level[leaf], weights=sq[leaf], minlength=H))[: H - 1]
     reuse = np.zeros(H - 1)
     reuse[-1] = pairs.n_far + pairs.n_near
     return {
@@ -252,6 +264,7 @@ def _cut_terms(view: Octree, pairs, degrees: np.ndarray, grad: bool) -> dict:
         "reuse": reuse,
         "near": near,
         "near_grad": near if grad else np.zeros_like(near),
+        "mirror": np.zeros_like(near) if grad else (near - diag) / 2,
         "flops": upto(_gemm_flops(p)),
         "pairs": n_pairs,
         "rows": p2m + l2p * (4.0 if grad else 1.0),
@@ -275,6 +288,7 @@ def _price_cuts(terms: dict, memory_budget: int, grad: bool) -> list[dict]:
         {
             "cut": int(c),
             "near_entries": int(terms["near"][i]),
+            "near_mirror_entries": int(terms["mirror"][i]),
             "m2l_flops": float(terms["flops"][i]),
             "box_pairs": int(terms["pairs"][i]),
             "seconds": float(seconds[i]),
@@ -619,7 +633,16 @@ class ClusterPlan(CompiledPlan):
         first = np.cumsum(cnt) - cnt
         rows = np.arange(cnt.sum()) + np.repeat(tree.start[utl] - first, cnt)
         lists = np.repeat(np.arange(utl.size), cnt)
-        mem += self._compile_near(tree, rows, lists, src, off, grad_wanted, budget_used)
+        # the traversal emits each near leaf pair in both orders: a
+        # segment's mate is its pair reversed, so the frozen potential
+        # assembly evaluates one tile per pair and copies the other
+        mate = np.lexsort((ntgt, nsrc))
+        if not (np.array_equal(ntgt[mate], nsrc) and np.array_equal(nsrc[mate], ntgt)):
+            mate = None
+        mem += self._compile_near(
+            tree, rows, lists, src, off, grad_wanted, budget_used,
+            mirror=None if mate is None else (cum, mate),
+        )
 
         self._static_stats = stats
         self.memory_bytes = int(mem)
@@ -815,12 +838,14 @@ class ClusterPlan(CompiledPlan):
 
     def _predicted_work(self) -> dict:
         """The cut and its work per execute: near entries (and those
-        inside dense blocks), box pairs and M2L GEMM flops, plus the cost
-        model's seconds when it chose the cut."""
+        inside dense blocks, and those the assembly copied), box pairs
+        and M2L GEMM flops, plus the cost model's seconds when it chose
+        the cut."""
         work = {
             "cut": self.cut_level,
             "near_entries": self.near_entries,
             "near_block_entries": self.near_block_entries,
+            "near_mirror_entries": self.near_mirror_entries,
             "box_pairs": int(self.n_box_pairs),
             "m2l_flops": float(np.sum(_gemm_flops(self.pair_degrees))),
         }
@@ -1090,6 +1115,7 @@ class ClusterPlan(CompiledPlan):
             f"near={self.n_near_precomputed}+{self.n_near_spilled} spilled, "
             f"near_entries={self.near_entries}, "
             f"near_block_entries={self.near_block_entries}, "
+            f"near_mirror_entries={self.near_mirror_entries}, "
             f"{self.memory_bytes / 1e6:.1f} MB, "
             f"compile {self.compile_time * 1e3:.1f} ms)"
         )

@@ -33,6 +33,16 @@ rounds by its shape, so a unit must meet the same blocks whether it
 runs alone or beside others.  A matrix whose data has been cast to
 float32 (memory shedding) is applied to a float32 operand
 (:func:`apply`), never by upcasting its data per product.
+
+The near kernel is symmetric, and a cluster plan's near leaf pairs come
+in both orders, so its frozen potential field is assembled *mirrored*:
+of each unordered pair of leaves {A, B} whose rows are all dense blocks
+of the same call, the tile of the lower-numbered leaf is evaluated and
+the other leaf's is copied as its transpose.  The copy is bitwise the
+evaluation it replaces: ``(a − b)² == (b − a)²`` and the squares are
+summed in the same order.  Every other entry — gradient fields, rows
+outside large blocks, spilled, shed and quarantined units, target-major
+and mapped plans — is evaluated.
 """
 
 from __future__ import annotations
@@ -61,8 +71,8 @@ __all__ = [
 ]
 
 #: Near entries evaluated per pass while assembling or recomputing near
-#: kernels — bounds the transient ``(entries, 3)`` displacement array
-#: and the tiles of a broadcast block.
+#: kernels — bounds the transient per-axis displacement arrays of the
+#: per-entry kernel and the tiles of a broadcast block.
 _NEAR_PASS = 1 << 14
 #: Consecutive rows that see the same source sequence are one dense
 #: block of the near CSR; a block of at least ``_BLOCK_ROWS`` rows and
@@ -290,18 +300,23 @@ def near_values(tgt_t, src_t, rows, cols, exclude_self, softening, out, gout=Non
                 np.multiply(d[a], wg, out=gout[a])
 
 
-def _block_values(tgt_t, src_t, R, S, exclude_self, softening, out, gout):
+def _block_values(
+    tgt_t, src_t, R, S, exclude_self, softening, out, gout, separated=False
+):
     """:func:`near_values` of every row ``R`` against every source
     ``S``, broadcast into the ``(rows, sources)`` block ``out`` (and
     ``gout``, ``(3, rows, sources)``) in tiles of about ``_NEAR_PASS``
     entries.  The arithmetic is ``near_values``'s, operation for
     operation, so entries are bitwise equal; dead entries get ``r² =
-    ∞``, which makes both kernels exact zeros."""
+    ∞``, which makes both kernels exact zeros.  ``separated`` rows and
+    sources are known to hold no self pair and no ``r² = 0`` pair, so
+    neither is looked for."""
     m = S.size
     step = max(1, _NEAR_PASS // m)
     sxyz = [src_t[a][S] for a in range(3)]
     eps2 = softening * softening
-    ordered = bool(np.all(S[1:] > S[:-1]))
+    exclude_self = exclude_self and not separated
+    ordered = exclude_self and bool(np.all(S[1:] > S[:-1]))
     for q0 in range(0, R.size, step):
         Rq = R[q0 : q0 + step]
         t = [tgt_t[a][Rq] for a in range(3)]
@@ -327,7 +342,7 @@ def _block_values(tgt_t, src_t, R, S, exclude_self, softening, out, gout):
                 r2[i, j[i]] = np.inf
             else:
                 r2[np.equal.outer(Rq, S)] = np.inf
-        if r2.min() == 0.0:
+        if not separated and r2.min() == 0.0:
             r2[r2 == 0.0] = np.inf
         o = out[q0 : q0 + step]
         if gout is None:
@@ -344,22 +359,22 @@ def _block_values(tgt_t, src_t, R, S, exclude_self, softening, out, gout):
 
 def assemble_near(
     tgt_t, src_t, rows, lists, src, off, exclude_self, softening, grad,
-    span=None, cuts=None,
+    span=None, cuts=None, mirror=None,
 ):
     """Near-field CSR over (targets × sources) from incidences: target
     ``rows[i]`` sees the sources of list ``lists[i]``, the non-empty
     slice ``src[off[k] : off[k + 1]]`` of the concatenated source lists.
     Coordinates come transposed, as :func:`near_values` reads them.
 
-    Returns ``(indptr, indices, data, gdata, blocks)`` over the target
-    rows ``span = (r0, r1)`` (default every target), which must hold
-    every incidence row; ``gdata`` is the ``(3, nnz)`` gradient values
-    sharing ``indices``/``indptr``, or ``None``.  A row lists its
-    sources list by list, in order of each list's first source, and
-    values are written straight into the final arrays.  Consecutive
-    rows with the same lists are one dense block of the CSR, and no
-    block crosses a row of the ascending ``cuts`` (the starts of the
-    caller's work units): a large block is broadcast
+    Returns ``(indptr, indices, data, gdata, blocks, mirrored)`` over
+    the target rows ``span = (r0, r1)`` (default every target), which
+    must hold every incidence row; ``gdata`` is the ``(3, nnz)``
+    gradient values sharing ``indices``/``indptr``, or ``None``.  A row
+    lists its sources list by list, in order of each list's first
+    source, and values are written straight into the final arrays.
+    Consecutive rows with the same lists are one dense block of the CSR,
+    and no block crosses a row of the ascending ``cuts`` (the starts of
+    the caller's work units): a large block is broadcast
     (:func:`_block_values`), the rest go through :func:`near_values`,
     :data:`_NEAR_PASS` entries a pass.  ``blocks`` is the ``(blocks,
     2)`` row ranges ``[b0, b1)`` of the large blocks, counted from
@@ -368,6 +383,24 @@ def assemble_near(
     functions of their (row, source) pair alone, and both kernels do
     the same arithmetic, so re-assembling all incidences of some rows
     reproduces those rows of the whole field bitwise.
+
+    ``mirror = (seg, mate)`` declares the field symmetric, as a cluster
+    plan's leaf pairs make it (targets are the sources, every row sees
+    one list): each list is a run of segments ``src[seg[j] : seg[j +
+    1]]`` (``seg`` holds every list boundary), one per partner leaf; the
+    sources of segment ``j`` are, ascending, the rows of the list that
+    holds its mate ``mate[j]`` — the same leaf pair in the other order,
+    ``j`` itself for a leaf with itself; segments of two different
+    leaves share no particle and no position.  Then, without ``grad``,
+    of each pair of lists whose rows all lie in large blocks of this
+    call, the lower numbered one evaluates the pair's tile and the other
+    copies its transpose, bitwise the values it would evaluate;
+    ``mirrored`` counts the copied entries (0 without ``mirror`` or
+    with ``grad``).  An off-diagonal tile skips the self and coincidence
+    checks: identical points share a leaf.  Gradient fields are not
+    mirrored: copying three gradient arrays as negated strided
+    transposes measured slower than the broadcasts they replace
+    (DESIGN.md §18, "Mirrored assembly").
     """
     r0, r1 = (0, tgt_t.shape[1]) if span is None else span
     start = off[lists]
@@ -405,21 +438,91 @@ def assemble_near(
 
     i = 0
     found = _blocks(rows, lists, off_e, cuts)
-    for b0, b1, nr in found.tolist():
+    spans, copies = (
+        ({}, []) if mirror is None or grad else _mirror_layout(lists, found, off, *mirror)
+    )
+    # without softening, r² of two distinct points is > 0 unless their
+    # coordinates are small enough for a squared difference to underflow
+    resolved = bool(spans) and (
+        softening * softening > 0
+        or not np.any((src_t != 0) & (np.abs(src_t) < 1e-140))
+    )
+    views = []
+    for n, (b0, b1, nr) in enumerate(found.tolist()):
         per_entry(i, b0)
         c = (b1 - b0) // nr
         lo, hi = int(off_e[b0]), int(off_e[b1])
         S = sources(b0, b0 + c)
         shape = (nr, S.size)
         indices[lo:hi].reshape(shape)[:] = S
-        _block_values(
-            tgt_t, src_t, rows[b0:b1:c], S, exclude_self, softening,
-            data[lo:hi].reshape(shape),
-            None if gdata is None else gdata[:, lo:hi].reshape((3,) + shape),
-        )
+        out = data[lo:hi].reshape(shape)
+        gout = None if gdata is None else gdata[:, lo:hi].reshape((3,) + shape)
+        views.append(out)
+        for c0, c1, off_diag in spans.get(n, [(0, S.size, False)]):
+            _block_values(
+                tgt_t, src_t, rows[b0:b1:c], S[c0:c1], exclude_self, softening,
+                out[:, c0:c1], None if gout is None else gout[:, :, c0:c1],
+                separated=off_diag and resolved,
+            )
         i = b1
     per_entry(i, rows.size)
-    return indptr, indices, data, gdata, _block_rows(rows, found, r0)
+    mirrored = 0
+    for x, cx, y, cy in copies:
+        out, tile = views[x], views[y]
+        h, w = out.shape[0], tile.shape[0]
+        out[:, cx : cx + w] = tile[:, cy : cy + h].T
+        mirrored += h * w
+    return indptr, indices, data, gdata, _block_rows(rows, found, r0), mirrored
+
+
+def _mirror_layout(lists, found, off, seg, mate):
+    """Which columns of each large block of :func:`assemble_near` (its
+    ``found``, over the sorted ``lists``) are evaluated and which are
+    copied, for the ``mirror = (seg, mate)`` it describes.
+
+    A list is mirrored when all its rows lie in these blocks: as many
+    block rows as its own (diagonal) segment has sources.  Returns
+    ``(spans, copies)``: per block of a mirrored list, its evaluated
+    column ranges ``(c0, c1, off_diagonal)`` (other blocks are evaluated
+    whole); and jobs ``(x, cx, y, cy)``: the columns ``[cx, cx + rows of
+    y)`` of block ``x`` are the transpose of the columns ``[cy, cy +
+    rows of x)`` of block ``y``, which is evaluated.  Blocks whose rows
+    see several lists mirror nothing."""
+    spans: dict[int, list] = {}
+    if not len(found) or np.any(found[:, 1] - found[:, 0] != found[:, 2]):
+        return spans, []
+    seg_list = np.searchsorted(off, seg[:-1], "right") - 1
+    diag = np.flatnonzero(mate == np.arange(mate.size))
+    n_rows = np.full(off.size - 1, -1, dtype=np.int64)
+    n_rows[seg_list[diag]] = np.diff(seg)[diag]
+    k, nr = lists[found[:, 0]], found[:, 2]
+    ok = (np.bincount(k, weights=nr, minlength=n_rows.size) == n_rows).tolist()
+    # per mirrored list, its blocks (ascending rows) with the position
+    # of their first row among the list's rows, and their row counts
+    blocks_of: dict[int, list] = {}
+    for n, (kk, r) in enumerate(zip(k.tolist(), nr.tolist())):
+        if ok[kk]:
+            own = blocks_of.setdefault(kk, [])
+            own.append((n, own[-1][1] + own[-1][2] if own else 0, r))
+    first = np.searchsorted(seg, off).tolist()
+    seg_l, off_l = seg.tolist(), off.tolist()
+    mate_l, part = mate.tolist(), seg_list[mate].tolist()
+    copies: list[tuple] = []
+    for kk, own in blocks_of.items():
+        for n, x0, _ in own:
+            mine = []
+            for j in range(first[kk], first[kk + 1]):
+                c0, c1, kb = seg_l[j] - off_l[kk], seg_l[j + 1] - off_l[kk], part[j]
+                off_diag = j != mate_l[j]
+                if kb < kk and ok[kb]:
+                    cy = seg_l[mate_l[j]] - off_l[kb] + x0
+                    copies.extend((n, c0 + y0, y, cy) for y, y0, _ in blocks_of[kb])
+                elif off_diag and mine and mine[-1][2] and mine[-1][1] == c0:
+                    mine[-1] = (mine[-1][0], c1, True)
+                else:
+                    mine.append((c0, c1, off_diag))
+            spans[n] = mine
+    return spans, copies
 
 
 def near_blocks(rows, lists, off, cuts) -> np.ndarray:

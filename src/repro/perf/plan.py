@@ -52,7 +52,10 @@ once.
   product each, and the remaining rows through scipy's CSR kernel
   (:func:`~repro.perf.operators.near_product`), so a unit's results
   are bitwise equal wherever it runs.  A plan with a source map keeps
-  the CSR kernel: its folded rows no longer share one list.
+  the CSR kernel: its folded rows no longer share one list.  A cluster
+  plan's frozen potential assembly evaluates one tile per near leaf
+  pair and copies its transpose into the other, bitwise the evaluated
+  values (:attr:`CompiledPlan.near_mirror_entries` counts the copies).
 * **Source maps** — with ``source_map=M`` the plan takes vectors ``x``
   whose charges are ``M x`` (the BEM operator's nodal densities): ``M``
   is folded into the P2M groups and the near kernels as they are
@@ -363,11 +366,17 @@ class CompiledPlan:
     near_block_entries:
         Near entries inside dense blocks, applied as BLAS products
         rather than by the CSR kernel (0 in a plan with a source map).
+    near_mirror_entries:
+        Frozen near entries the assembly copied from the transposed tile
+        of their leaf pair instead of evaluating them (potential cluster
+        plans only; 0 in gradient, target-major and mapped plans).
     compile_time:
         Wall seconds spent compiling.
     """
 
     _mode = "target"
+    #: for plans restored from a store that predates the count
+    near_mirror_entries = 0
 
     def __init__(
         self,
@@ -640,7 +649,7 @@ class CompiledPlan:
         return op, gop, bgeom
 
     def _compile_near(
-        self, tree, rows, lists, src, off, grad: bool, budget_used: int
+        self, tree, rows, lists, src, off, grad: bool, budget_used: int, mirror=None
     ) -> int:
         """Compile the near field from incidences: target ``rows[i]`` sees
         the sources ``src[off[k] : off[k + 1]]`` of list ``k = lists[i]``.
@@ -655,7 +664,11 @@ class CompiledPlan:
         every application.  The dense blocks of every unit, cut at unit
         starts, are listed once (``_near_blocks``, target row ranges):
         the frozen units' as their assembly finds them, the others' from
-        their incidences.  Returns the materialized bytes.
+        their incidences.  A ``mirror`` (cluster plans: see
+        :func:`~repro.perf.operators.assemble_near`) lets a frozen
+        potential assembly copy the transposed tile of each near leaf
+        pair it holds whole instead of evaluating it twice
+        (:attr:`near_mirror_entries`).  Returns the materialized bytes.
         """
         nt = self.n_targets
         keep = off[lists + 1] > off[lists]
@@ -685,6 +698,7 @@ class CompiledPlan:
             blocks.append(near_blocks(rows[split:], lists[split:], off, cuts))
         self._near_K = self._near_G = self._near_inc = None
         self._near_indptr = self._near_indices = self._near_xyz = None
+        self.near_mirror_entries = 0
         if mapped or nf < units.shape[0]:
             # a mapped plan keeps every row's incidences: its frozen
             # rows are folded, so they cannot stand in for them
@@ -700,8 +714,9 @@ class CompiledPlan:
                 frozen = assemble_near(
                     *self._near_coords(), rows[:split], lists[:split], src, off,
                     self.self_targets, self.tc.softening, grad, cuts=cuts,
+                    mirror=mirror,
                 )
-                indptr, indices, data, gdata, blocks[0] = frozen
+                indptr, indices, data, gdata, blocks[0], self.near_mirror_entries = frozen
                 self._near_indptr, self._near_indices = indptr, indices
             self._near_K = csr(data, indices, indptr, self.n_sources)
             self._near_G = gdata
@@ -750,7 +765,7 @@ class CompiledPlan:
             rows, lists, src, off = self._near_inc
             a, b = np.searchsorted(rows, np.array([r0, r1], dtype=rows.dtype))
             inc = (rows[a:b], lists[a:b], src, off)
-        ptr, indices, data, gdata, _ = assemble_near(
+        ptr, indices, data, gdata, _, _ = assemble_near(
             *self._near_coords(), *inc, self.self_targets, self.tc.softening,
             want_grad, span=(r0, r1), cuts=self._near_units[:, 0],
         )
@@ -776,11 +791,12 @@ class CompiledPlan:
     def _predicted_work(self) -> dict:
         """Work the compiled plan predicts per execute, attached to its
         ``plan.compile`` span: near kernel entries (and those inside
-        dense blocks), P2M operator entries (folded ones, in a mapped
-        plan) and far row entries."""
+        dense blocks, and those its assembly copied), P2M operator
+        entries (folded ones, in a mapped plan) and far row entries."""
         return {
             "near_entries": self.near_entries,
             "near_block_entries": self.near_block_entries,
+            "near_mirror_entries": self.near_mirror_entries,
             "p2m_entries": int(sum(g.op.data.size for g in self._p2m_groups)),
             "far_entries": int(
                 sum(term_count(ch.p) * ch.tids.size for ch in self._far_chunks)
@@ -1247,6 +1263,7 @@ class CompiledPlan:
             f"near={self.n_near_precomputed}+{self.n_near_spilled} spilled, "
             f"near_entries={self.near_entries}, "
             f"near_block_entries={self.near_block_entries}, "
+            f"near_mirror_entries={self.near_mirror_entries}, "
             f"{self.memory_bytes / 1e6:.1f} MB, "
             f"compile {self.compile_time * 1e3:.1f} ms)"
         )

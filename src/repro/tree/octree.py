@@ -183,8 +183,10 @@ def build_octree(
         ``"abs_com"`` — |q|-weighted centroid (default, the paper's
         center of mass); ``"box"`` — geometric box center.
     max_depth:
-        Hard depth cap (duplicates or near-duplicates stop splitting
-        there, so leaves can exceed ``leaf_size`` in pathological data).
+        Hard depth cap (near-duplicates stop splitting there, so leaves
+        can exceed ``leaf_size`` in pathological data).  A node whose
+        particles all share one Morton key — duplicates — is a leaf at
+        any depth: no split could separate them.
 
     Returns
     -------
@@ -247,7 +249,13 @@ def build_octree(
         nch = np.zeros(s.size, dtype=np.int32)
         first_child.append(fc)
         n_children.append(nch)
-        split = np.flatnonzero(e - s > leaf_size) if depth < max_depth else []
+        # a node whose sorted keys are all equal holds one position
+        # (to key resolution): no split can separate its particles
+        split = (
+            np.flatnonzero((e - s > leaf_size) & (keys[s] != keys[e - 1]))
+            if depth < max_depth
+            else []
+        )
         if len(split) == 0:
             break
         # octant boundaries of every split node: one exact uint64 search

@@ -96,8 +96,7 @@ EVALUATORS = {
 #: tests this suite replaced, the cluster evaluators run ``(n,)`` on the clouds
 #: those tests used and the coincident cloud in every shape.
 _TOL = {"uniform", "gaussian", "collinear", "part-coincident", "duplicate"}
-_CLUSTER = {"cluster-every-cut": _TOL - {"part-coincident"}}
-_CLUSTER |= {"cluster-tol1e-3": _TOL, "cluster-tol1e-5": _TOL}
+_CLUSTER = dict.fromkeys(("cluster-every-cut", "cluster-tol1e-3", "cluster-tol1e-5"), _TOL)
 CASES = [
     (ev, geo, shape)
     for ev in EVALUATORS

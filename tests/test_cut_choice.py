@@ -9,14 +9,16 @@ any cut: ``tests/test_conformance.py`` checks the chain at every cut.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import Treecode
 from repro.data.distributions import make_distribution
 from repro.direct import pairwise_potential
+from repro.fmm.engine import UniformFMM
 from repro.obs import REGISTRY, journal, tracing
 from repro.perf import operators
 from repro.perf.cluster import ClusterPlan, _box_view, _cut_terms, _cut_view
-from repro.tree.dualtree import dual_traverse
+from repro.tree.dualtree import VList, dual_traverse
 
 
 def _benchmark_cloud(n=3000):
@@ -133,7 +135,11 @@ def test_plan_depth_event_once_per_compile(bench_cloud, tmp_path):
     assert data["chosen"] == plan.cut_level and data["height"] == tc.tree.height - 1
     assert [c["cut"] for c in data["candidates"]] == list(range(1, tc.tree.height))
     for c in data["candidates"]:
-        assert {"near_entries", "m2l_flops", "seconds"} <= set(c)
+        assert {"near_entries", "near_mirror_entries", "m2l_flops", "seconds"} <= set(c)
+    # every leaf of the chosen cut is one dense block: the predicted
+    # copies are the plan's
+    chosen = next(c for c in data["candidates"] if c["cut"] == plan.cut_level)
+    assert chosen["near_mirror_entries"] == plan.near_mirror_entries
     assert sum(v for k, v in counters.items() if k.startswith("plan_depth_choices")) == 1
     args = spans[0]["args"]
     assert args["cut"] == plan.cut_level and args["predicted_s"] > 0
@@ -141,6 +147,25 @@ def test_plan_depth_event_once_per_compile(bench_cloud, tmp_path):
     # a fallback to the CSR kernel shows: blocks are counted beside it
     assert args["near_block_entries"] == plan.near_block_entries > 0
     assert f"near_block_entries={plan.near_block_entries}," in plan.describe()
+    # so are the entries the mirrored assembly copied
+    assert args["near_mirror_entries"] == plan.near_mirror_entries > 0
+    assert f"near_mirror_entries={plan.near_mirror_entries}," in plan.describe()
+
+
+def test_only_cluster_potential_plans_mirror(bench_cloud):
+    """Target-major near lists are not symmetric, a mapped plan's folded
+    rows are no leaf's, and a gradient field is evaluated whole: none
+    copies an entry."""
+    pts, q = bench_cloud
+    tc = Treecode(pts, q)
+    identity = sp.identity(pts.shape[0], format="csr")
+    for plan in (
+        tc.compile_plan(cache_dir=""),
+        tc.compile_plan(source_map=identity, cache_dir=""),
+        ClusterPlan(tc, tc.tree.points, compute="both", cut=2),
+    ):
+        assert plan.near_mirror_entries == 0
+        assert "near_mirror_entries=0," in plan.describe()
 
 
 @pytest.mark.parametrize("softening", [0.0, 0.05])
@@ -177,3 +202,75 @@ def test_assemble_near_blocks_bitwise_per_entry(monkeypatch, softening, grad):
     assert np.all(np.diag(K)[:600] == 0.0)
     if softening == 0.0:
         assert K[100, 101] == 0.0
+
+
+def _mirror_case(case, softening, compute, **kw):
+    """A 2000-point cluster plan whose near leaves are dense blocks."""
+    n = 2000
+    q = np.random.default_rng(6).uniform(-1.0, 1.0, n)
+    if case == "fmm-vlist":
+        tc = UniformFMM(make_distribution("uniform", n), q, level=2).tc
+        return tc.compile_plan(mode="cluster", compute=compute, criterion=VList(), cache_dir="")
+    if case == "gaussian-chosen":
+        pts = make_distribution("gaussian", n, seed=5)
+        pts[500:530] = pts[500]  # a coincident cluster inside one leaf
+        tc = Treecode(pts, q, softening=softening)
+        return tc.compile_plan(mode="cluster", compute=compute, cache_dir="")
+    tc = Treecode(make_distribution("uniform", n), q, softening=softening)
+    return ClusterPlan(tc, tc.tree.points, compute=compute, cut=2, **kw)
+
+
+def _near_arrays(plan):
+    return (plan._near_indptr, plan._near_indices, plan._near_K.data, plan._near_G)
+
+
+MIRROR_CASES = [
+    (case, softening)
+    for case in ("uniform-cut2", "gaussian-chosen", "partial")
+    for softening in (0.0, 0.05)
+] + [("fmm-vlist", 0.0)]
+
+
+@pytest.mark.parametrize("compute", ["potential", "both"])
+@pytest.mark.parametrize("case,softening", MIRROR_CASES)
+def test_mirrored_near_field_is_bitwise(monkeypatch, case, softening, compute):
+    """A potential cluster plan evaluates one tile per near leaf pair
+    and copies the other as its transpose: the frozen near field is
+    bitwise the one evaluated tile by tile (blocks included) and the
+    per-entry kernel's, coincident points and self pairs included.  A
+    partial budget mirrors only the pairs inside its frozen prefix.  A
+    gradient plan (``"both"``) mirrors nothing and is bitwise too."""
+    kw = {}
+    if case == "partial":
+        full = _mirror_case(case, softening, compute)
+        m = full._near_units.shape[0]
+        kw["memory_budget"] = (12 + 24 * (compute == "both")) * int(full._near_cum[m // 2])
+    plan = _mirror_case(case, softening, compute, **kw)
+    assert (plan.near_mirror_entries > 0) == (compute == "potential")
+    monkeypatch.setattr(operators, "_mirror_layout", lambda *a: ({}, []))
+    tiles = _mirror_case(case, softening, compute, **kw)
+    assert tiles.near_mirror_entries == 0
+    assert np.array_equal(plan._near_blocks, tiles._near_blocks)
+    monkeypatch.setattr(operators, "_BLOCK_MIN", 1 << 40)
+    per_entry = _mirror_case(case, softening, compute, **kw)
+    assert len(per_entry._near_blocks) == 0
+    for got, a, b in zip(_near_arrays(plan), _near_arrays(tiles), _near_arrays(per_entry)):
+        assert (got is None) == (a is None) == (b is None)
+        if got is not None:
+            assert got.dtype == a.dtype == b.dtype
+            assert np.array_equal(got, a) and np.array_equal(got, b)
+    if case == "partial":
+        # the frozen prefix and the re-assembled rest are the rows of
+        # the fully frozen field
+        assert 0 < plan.n_near_precomputed < m
+        if compute == "potential":
+            assert 0 < plan.near_mirror_entries < full.near_mirror_entries
+        r0 = int(plan._near_units[plan.n_near_precomputed, 0])
+        ptr, *rest = plan._near_block(r0, plan.n_targets, compute == "both")
+        e0 = int(full._near_indptr[r0])
+        assert np.array_equal(full._near_indptr[: r0 + 1], plan._near_indptr[: r0 + 1])
+        assert np.array_equal(full._near_indptr[r0:] - e0, ptr)
+        for whole, head, tail in zip(_near_arrays(full)[1:], _near_arrays(plan)[1:], rest):
+            if whole is not None:
+                assert np.array_equal(whole[..., :e0], head)
+                assert np.array_equal(whole[..., e0:], tail)

@@ -173,7 +173,7 @@ def reference_octree(
         next_lo = len(level_l)
         for node in frontier:
             s, e = start_l[node], end_l[node]
-            if e - s <= leaf_size or depth >= max_depth:
+            if e - s <= leaf_size or depth >= max_depth or keys[s] == keys[e - 1]:
                 continue
             prefix = prefix_l[node]
             bounds = [s]
