@@ -1,15 +1,22 @@
 """BENCH_5 — supervision overhead on a clean (fault-free) run.
 
-Supervised execution (:mod:`repro.robust.supervisor`) buys hang/OOM
-watchdogs, poison-unit quarantine and the backend degradation ladder;
-this benchmark prices it.  The same compiled cluster plan is executed
-through :func:`repro.parallel.evaluate_plan_parallel` (every run is
-supervised) and through a bare baseline — a ``ThreadPoolExecutor.map``
-over ``plan.execute_unit`` with the ``check_finite`` output guard and
-an ordered ``scatter_add`` merge, no retries, no fault sites, no
-watchdog — best-of-``repeats`` each, and the report carries::
+Supervised execution (:mod:`repro.robust.supervisor`) buys the hang
+watchdog, the memory breaker, poison-unit quarantine and the
+thread -> serial degradation ladder; this benchmark prices it.  The
+same compiled cluster plan is executed through
+:func:`repro.parallel.evaluate_plan_parallel` (every run is supervised)
+and through a bare baseline — a ``ThreadPoolExecutor.map`` over
+``plan.execute_unit`` with the ``check_finite`` output guard and an
+ordered ``scatter_add`` merge, no retries, no fault sites, no watchdog.
+Each of ``repeats`` (at least 7) rounds runs both sides back to back,
+alternating which goes first, and the report carries the median of the
+per-round ratios::
 
-    supervision_overhead = t_supervised / t_unsupervised - 1
+    supervision_overhead = median(t_supervised / t_unsupervised) - 1
+
+A paired median cancels the drift a min over separate runs cannot:
+both sides of a round see the same machine state, and one noisy round
+moves the median by at most one rank.
 
 which the regression ledger gates at an absolute ceiling of 5%
 (``python -m repro bench compare``, rule ``supervision_overhead``).
@@ -78,23 +85,26 @@ def bench_supervision(
         return bare(q2)
 
     run(False)  # warm caches so neither side pays first-touch costs
-    best = {False: np.inf, True: np.inf}
+    times = {False: [], True: []}
     results = {}
-    # alternate the two sides each round so machine drift hits both
-    for _ in range(repeats):
-        for supervise in (False, True):
+    for r in range(repeats):
+        # paired rounds; alternate which side runs first
+        for supervise in (r % 2 == 1, r % 2 == 0):
             t0 = time.perf_counter()
             results[supervise] = run(supervise)
-            best[supervise] = min(best[supervise], time.perf_counter() - t0)
+            times[supervise].append(time.perf_counter() - t0)
+    ratios = np.array(times[True]) / np.array(times[False])
 
     bitwise = bool(np.array_equal(results[False], results[True]))
     return {
         "n": n,
         "workers": workers,
         "n_units": plan.n_units,
-        "unsupervised_s": best[False],
-        "supervised_s": best[True],
-        "supervision_overhead": best[True] / best[False] - 1.0,
+        "rounds": repeats,
+        "unsupervised_s": float(np.median(times[False])),
+        "supervised_s": float(np.median(times[True])),
+        "round_ratios": ratios.tolist(),
+        "supervision_overhead": float(np.median(ratios)) - 1.0,
         "bitwise_identical": bitwise,
         "max_abs_diff": float(
             np.max(np.abs(results[True] - results[False]))
@@ -106,17 +116,22 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=10000, help="particle count")
     ap.add_argument("--workers", type=int, default=2, help="thread-pool width")
-    ap.add_argument("--repeats", type=int, default=7, help="best-of rounds")
+    ap.add_argument(
+        "--repeats", type=int, default=31, help="paired rounds (at least 7)"
+    )
     ap.add_argument(
         "--out", type=pathlib.Path, default=None,
         help="write the BENCH_5 JSON report here (for the regression ledger)",
     )
     args = ap.parse_args(argv)
+    if args.repeats < 7:
+        ap.error(f"--repeats must be >= 7, got {args.repeats}")
 
     row = bench_supervision(n=args.n, workers=args.workers, repeats=args.repeats)
     print(
         f"supervisor n={row['n']} ({row['n_units']} units, "
-        f"{row['workers']} workers): bare pool {row['unsupervised_s'] * 1e3:.1f} ms, "
+        f"{row['workers']} workers, median of {row['rounds']} paired rounds): "
+        f"bare pool {row['unsupervised_s'] * 1e3:.1f} ms, "
         f"supervised {row['supervised_s'] * 1e3:.1f} ms "
         f"(overhead {row['supervision_overhead'] * 100:+.2f}%), "
         f"bitwise {row['bitwise_identical']}"

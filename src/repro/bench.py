@@ -35,7 +35,8 @@ component):
 * ``supervision_overhead`` — absolute ceiling ``0.05``,
   history-independent: supervised execution (heartbeats + watchdog,
   ``benchmarks/bench_supervisor.py``) may cost at most 5% over a bare
-  thread pool of the same plan units on a clean run.
+  thread pool of the same plan units on a clean run (median of paired,
+  alternating rounds).
 * ``variable_order_speedup`` — absolute floor ``2.0``,
   history-independent: the tol-compiled variable-order cluster plan
   must stay >= 2x faster than the minimal uniform-degree plan with the

@@ -18,14 +18,10 @@ Observability (see :mod:`repro.obs`):
   :class:`~repro.obs.RunRecorder` JSON report;
 * ``--journal FILE`` appends a structured JSONL run journal (see
   :mod:`repro.obs.journal`): phase completions and every event of
-  :data:`repro.obs.EVENTS`, process workers' included.
+  :data:`repro.obs.EVENTS`, fleet workers' included.
 
 The flags also work on plain subcommands, implicitly enabling
 observability for that run.
-
-``--backend {serial,thread,process}`` selects the table2 verification
-executor (plan-based for serial/process, so a profiled process run
-reports the same deterministic counters as a serial one).
 
 ``python -m repro bench {record,compare}`` maintains the benchmark
 regression ledger (see :mod:`repro.bench`): ``record`` ingests
@@ -33,13 +29,14 @@ regression ledger (see :mod:`repro.bench`): ``record`` ingests
 checks the newest report against history with per-series tolerances and
 exits nonzero on regression.
 
-Parallelism: ``--workers N`` is the single worker-count knob for the
-thread and process executors (it sets ``REPRO_NUM_WORKERS``, which
-:func:`repro.parallel.resolve_workers` reads everywhere).
+Parallelism: ``--workers N`` is the single worker-count knob of the
+thread fleet (it sets ``REPRO_NUM_WORKERS``, which
+:func:`repro.parallel.resolve_workers` reads everywhere); table2's
+parallel-equals-serial check runs on that many workers.
 
 Supervised execution (see :mod:`repro.robust.supervisor`): every
-parallel plan run has worker heartbeats, the hang/OOM watchdog,
-poison-unit quarantine and the ``process -> thread -> serial``
+parallel plan run has worker heartbeats, the hang watchdog, the memory
+breaker, poison-unit quarantine and the ``thread -> serial``
 degradation ladder; ``--heartbeat-interval SECONDS`` /
 ``--unit-deadline SECONDS`` / ``--memory-budget MIB`` tune it.
 
@@ -169,7 +166,6 @@ def _table2(args) -> str:
         p0=args.p0,
         alpha=args.alpha,
         seed=_seed0(args),
-        backend=getattr(args, "backend", None) or "thread",
     )
     return format_table(
         Table2Row.HEADERS,
@@ -318,13 +314,12 @@ def _profile_summary(report: dict) -> str:
 _HEALTH_ROWS = [
     ("supervisor_heartbeat_misses", "heartbeat misses"),
     ("supervisor_reaps", "workers reaped (hang)"),
-    ("supervisor_oom_reaps", "workers reaped (oom)"),
     ("supervisor_worker_deaths", "worker deaths"),
     ("supervisor_quarantines", "units quarantined"),
     ("supervisor_memory_sheds", "memory sheds"),
     ("supervisor_memory_shed_bytes", "bytes shed"),
     ("supervisor_breaker_trips", "breaker trips"),
-    ("supervisor_degradations", "backend degradations"),
+    ("supervisor_degradations", "thread -> serial degradations"),
 ]
 
 
@@ -483,16 +478,8 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for the parallel executors (thread and process "
-        "backends); overrides REPRO_NUM_WORKERS",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["serial", "thread", "process"],
-        default=None,
-        help="table2 verification executor: the compiled plan's work units "
-        "on a thread fleet (default), on one worker thread (serial), or on "
-        "a forked process fleet",
+        help="worker count of the parallel plan executor's thread fleet; "
+        "overrides REPRO_NUM_WORKERS",
     )
     parser.add_argument(
         "--heartbeat-interval",
@@ -515,8 +502,8 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         metavar="MIB",
-        help="per-process RSS budget: workers above it are reaped, and the "
-        "parent sheds compiled-plan memory before tripping the breaker",
+        help="RSS budget of this process: above it the parallel executor "
+        "sheds compiled-plan memory, then trips the breaker",
     )
     parser.add_argument(
         "--inject-faults",
@@ -555,11 +542,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.backend and args.experiment not in ("table2", "all") and not (
-        args.experiment == "profile" and args.target == "table2"
-    ):
-        parser.error("--backend applies to table2 (directly, via profile, or 'all')")
-
     if args.tol is not None:
         if args.tol <= 0:
             parser.error(f"--tol must be > 0, got {args.tol}")
@@ -577,7 +559,7 @@ def main(argv=None) -> int:
         from .parallel import ENV_WORKERS
 
         # one knob for every executor: resolve_workers() reads this env
-        # var in this process and in forked pool workers alike
+        # var wherever a plan runs in parallel
         os.environ[ENV_WORKERS] = str(args.workers)
 
     if args.plan_cache is not None:
@@ -635,7 +617,6 @@ def main(argv=None) -> int:
             scale=args.scale,
             seed=args.seed,
             workers=args.workers,
-            backend=args.backend,
             inject_faults=args.inject_faults,
         )
         try:

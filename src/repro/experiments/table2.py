@@ -74,7 +74,6 @@ def run_table2(
     alpha: float = 0.4,
     n_threads: int | None = None,
     seed: int = 0,
-    backend: str = "thread",
 ) -> list[Table2Row]:
     """Run both methods on each problem; default instances mirror the
     paper's uniform40k / non-uniform46k (scaled by the caller).
@@ -83,24 +82,18 @@ def run_table2(
     :func:`~repro.parallel.resolve_workers` (``--workers`` /
     ``REPRO_NUM_WORKERS``, else 2 here).
 
-    ``backend`` selects the fleet the verification run uses: each
-    treecode compiles an evaluation plan whose work units run through
-    :func:`~repro.parallel.evaluate_plan_parallel` on ``n_threads``
-    worker threads (``"thread"``, default), one worker thread
-    (``"serial"``) or ``n_threads`` forked processes (``"process"``).
-    Every backend records identical deterministic work counters (the
-    plan's frozen interaction accounting), so a profiled ``process``
-    run can be compared counter-for-counter against a ``serial`` one.
+    Each treecode compiles an evaluation plan whose work units run
+    through :func:`~repro.parallel.evaluate_plan_parallel` on
+    ``n_threads`` worker threads.  Every worker count records identical
+    deterministic work counters (the plan's frozen interaction
+    accounting), so a profiled ``--workers 2`` run can be compared
+    counter-for-counter against a ``--workers 1`` one.
 
     ``par==ser`` holds when the parallel potential is bitwise equal to
     the serial ``plan.execute`` and within the plan tolerance (rtol
     1e-9, atol 1e-12) of ``tc.evaluate()``, which executes a fully
     spilled plan of the same lists (every row rebuilt from geometry).
     """
-    if backend not in ("serial", "thread", "process"):
-        raise ValueError(
-            f"backend must be 'serial', 'thread' or 'process', got {backend!r}"
-        )
     n_threads = resolve_workers(n_threads, default=2)
     if problems is None:
         problems = [
@@ -123,12 +116,7 @@ def run_table2(
             serial_time = sw.elapsed
 
             plan = tc.compile_plan()
-            par = evaluate_plan_parallel(
-                plan,
-                q,
-                n_threads=1 if backend == "serial" else n_threads,
-                backend="process" if backend == "process" else "thread",
-            )
+            par = evaluate_plan_parallel(plan, q, n_threads=n_threads)
             matches = bool(
                 np.array_equal(par.potential, plan.execute(q).potential)
                 and np.allclose(

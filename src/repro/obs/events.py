@@ -5,34 +5,21 @@ reap...) is one call, ``emit(event, **fields)``.  The event's row names
 its counter and required payload keys, and three sinks derive from the
 call: the counter (bumped whether or not tracing is on), a journal line
 (when a journal is active) and a zero-length trace event (when tracing
-is on).  An unknown event or a missing payload key raises.
-
-A forked fleet worker brackets each unit with :func:`worker_reset`,
-after which :func:`emit` holds the unit's journal lines, and
-:func:`worker_snapshot`, which ships them home with its spans and
-metrics; the parent's :func:`merge_worker_snapshot` writes them under
-the worker's pid.  Measurements (sizes, timings, residuals) are not
+is on).  An unknown event or a missing payload key raises.  Fleet
+workers are threads of this process, so their events land in the same
+three sinks directly.  Measurements (sizes, timings, residuals) are not
 events: they stay direct registry calls gated on tracing.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from typing import Callable, NamedTuple
 
 from . import journal
 from .metrics import REGISTRY
-from .tracing import get_tracer, instant
+from .tracing import instant
 
-__all__ = [
-    "EVENTS",
-    "emit",
-    "validate_event",
-    "worker_reset",
-    "worker_snapshot",
-    "merge_worker_snapshot",
-]
+__all__ = ["EVENTS", "emit", "validate_event"]
 
 
 class Event(NamedTuple):
@@ -86,18 +73,15 @@ EVENTS: dict[str, Event] = {
     "supervisor.heartbeat_miss": _e(
         "supervisor_heartbeat_misses", _WAIT,
         "busy worker slots whose heartbeat went stale past the deadline"),
-    "supervisor.reap": _e(
-        "supervisor_reaps", _WAIT + " kind", "stuck or over-budget workers replaced",
-        also=("supervisor_oom_reaps", "workers reaped for exceeding the RSS budget",
-              lambda f: f["kind"] == "oom")),
+    "supervisor.reap": _e("supervisor_reaps", _WAIT, "hung workers replaced"),
     "supervisor.worker_death": _e("supervisor_worker_deaths", "slot unit",
                                   "workers that died without being reaped"),
     "supervisor.quarantine": _e("supervisor_quarantines", "unit failures kind",
-                                "poison units completed on the parent"),
+                                "poison units completed on the coordinator"),
     "supervisor.breaker_trip": _e("supervisor_breaker_trips", "reason",
-                                  "circuit-breaker trips (any rung)"),
+                                  "circuit-breaker trips"),
     "supervisor.degraded": _e("supervisor_degradations", "frm to reason units_left",
-                              "backend downgrades along the ladder"),
+                              "thread -> serial downgrades along the ladder"),
     "supervisor.memory_shed": _e(
         "supervisor_memory_sheds", "freed_bytes rss budget",
         "plan memory sheds under RSS pressure",
@@ -110,8 +94,8 @@ EVENTS: dict[str, Event] = {
                        "evaluation plans compiled"),
     "plan_depth": _e("plan_depth_choices", "chosen height candidates",
                      "cluster-plan octree cut levels chosen by the cost model"),
-    "plan_shed": _e("plan_sheds", "stage freed_bytes memory_bytes",
-                    "plan memory-shed stages run"),
+    "plan_shed": _e("plan_sheds", "freed_bytes memory_bytes",
+                    "plan memory sheds run"),
     "plan_cache.hit": _e("plan_cache_hits", "kind digest path load_s",
                          "plans restored from the on-disk store"),
     "plan_cache.miss": _e("plan_cache_misses", "kind digest reason",
@@ -121,11 +105,6 @@ EVENTS: dict[str, Event] = {
                            "plans persisted to the on-disk store"),
     "plan_cache.store_failed": _e(None, "kind digest error"),
 }
-
-#: journal lines a forked fleet worker holds for its parent (None
-#: outside such a worker, or when no journal is active)
-_held: list | None = None
-
 
 def emit(event: str, **fields) -> None:
     """Raise one event: bump its counter, journal it, trace it."""
@@ -144,9 +123,7 @@ def emit(event: str, **fields) -> None:
         name, help, amount = spec.also
         if n := amount(fields):
             REGISTRY.counter(name, help).inc(n)
-    if _held is not None:
-        _held.append((event, time.time(), os.getpid(), fields))
-    elif (j := journal.get_journal()) is not None:
+    if (j := journal.get_journal()) is not None:
         j.write(event, fields)
     instant(event, fields)
 
@@ -159,40 +136,3 @@ def validate_event(entry: dict) -> bool:
     if spec is None or entry.get("v", 0) < 2:
         return False
     return spec.keys <= set(entry.get("data", {}))
-
-
-def worker_reset() -> None:
-    """Start a unit in a forked worker: drop the spans, metrics and lines
-    inherited from the parent or the previous unit, and hold this
-    unit's journal lines if the parent has a journal."""
-    global _held
-    get_tracer().clear()
-    REGISTRY.reset()
-    _held = [] if journal.get_journal() is not None else None
-
-
-def worker_snapshot() -> dict:
-    """The unit's telemetry, picklable for the trip home."""
-    return {
-        "spans": get_tracer().snapshot(),
-        "metrics": REGISTRY.to_dict(),
-        "journal": list(_held or ()),
-    }
-
-
-def merge_worker_snapshot(snapshot: dict | None) -> None:
-    """Fold a worker's :func:`worker_snapshot` (None: a thread worker's,
-    already in place) into this process: spans keep their worker pid,
-    counters sum, gauges take the worker's last write, histograms merge
-    bucket-wise, and journal lines are written under the worker's pid
-    and time."""
-    if snapshot is None:
-        return
-    get_tracer().ingest(snapshot["spans"])
-    REGISTRY.merge_snapshot(snapshot["metrics"])
-    REGISTRY.counter(
-        "worker_snapshots_merged", "worker telemetry snapshots merged by the parent"
-    ).inc()
-    if (j := journal.get_journal()) is not None:
-        for event, ts, pid, fields in snapshot["journal"]:
-            j.write(event, fields, pid=pid, ts=ts)

@@ -12,15 +12,14 @@ up to the failure instant.  Each line is a schema-versioned envelope::
      "event": "retry", "data": {"site": "parallel.block", ...}}
 
 ``v`` is :data:`SCHEMA_VERSION`; ``seq`` increases per journal, so gaps
-expose lost writes; ``ts`` is Unix time and ``pid`` the process the
-event happened in.
+expose lost writes; ``ts`` is Unix time and ``pid`` the process that
+owns the journal.
 
-Writes are serialized by a lock and flushed per line; the file is
-opened in append mode.  A journal inherited by a *forked* fleet worker
-is inert there (owner-pid guard), so workers cannot interleave
-half-lines: their events ride home in the worker's telemetry snapshot
-and the parent writes them under the worker's pid and time (see
-:mod:`repro.obs.events`).  Usage::
+Writes are serialized by a lock and flushed per line, so the fleet's
+worker threads cannot interleave half-lines; the file is opened in
+append mode.  A journal inherited by a forked child process is inert
+there (owner-pid guard): only the process that opened it writes.
+Usage::
 
     from repro.obs import emit, journal
 
@@ -114,11 +113,8 @@ class Journal:
         return False
 
     # -- writing -------------------------------------------------------
-    def write(
-        self, event: str, data: dict, pid: int | None = None, ts: float | None = None
-    ) -> None:
-        """Append one line (no-op after close or in a forked child);
-        ``pid``/``ts`` default to this process and now."""
+    def write(self, event: str, data: dict) -> None:
+        """Append one line (no-op after close or in a forked child)."""
         if self._closed or os.getpid() != self._owner_pid:
             return
         with self._lock:
@@ -126,8 +122,8 @@ class Journal:
                 {
                     "v": SCHEMA_VERSION,
                     "seq": self._seq,
-                    "ts": time.time() if ts is None else ts,
-                    "pid": self._owner_pid if pid is None else pid,
+                    "ts": time.time(),
+                    "pid": self._owner_pid,
                     "event": event,
                     "data": data,
                 },

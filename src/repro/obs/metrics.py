@@ -282,32 +282,6 @@ class Histogram(_Instrument):
         """Bucket-estimated quantile (see :func:`bucket_quantiles`)."""
         return bucket_quantiles(self.bucket_bounds(), self._count, (q,))[q]
 
-    def merge_json(self, snap: dict) -> None:
-        """Merge a :meth:`_json` snapshot bucket-wise into this
-        histogram (the cross-process telemetry merge: counts and sums
-        add, min/max widen, bucket counts add by matching bound)."""
-        count = int(snap.get("count", 0))
-        if count <= 0:
-            return
-        base = float(snap.get("base", self.base))
-        with self._lock:
-            self._count += count
-            self._sum += float(snap.get("sum", 0.0))
-            if snap.get("min") is not None:
-                self._min = min(self._min, float(snap["min"]))
-            if snap.get("max") is not None:
-                self._max = max(self._max, float(snap["max"]))
-            for bound, cnt in snap.get("buckets", []):
-                cnt = int(cnt)
-                if bound <= 0.0:
-                    self._zero += cnt
-                else:
-                    k = round(math.log(bound) / math.log(base))
-                    # guard rounding: the stored bound must reproduce
-                    if not math.isclose(self.base**k, bound, rel_tol=1e-9):
-                        k = math.ceil(math.log(bound, self.base))
-                    self._buckets[k] = self._buckets.get(k, 0) + cnt
-
     def _json(self):
         buckets = self.bucket_bounds()
         quantiles = bucket_quantiles(buckets, self._count)
@@ -397,42 +371,6 @@ class MetricsRegistry:
             else:
                 group[m.name] = m._json()
         return out
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Merge a :meth:`to_dict` snapshot from another registry —
-        typically serialized out of a forked process-pool worker.
-
-        Merge semantics per instrument kind: **counters sum** (worker
-        work adds to the parent's totals), **gauges take the snapshot's
-        value** (last write wins), **histograms merge bucket-wise**
-        (counts and sums add, min/max widen).  Instruments absent from
-        this registry are created, so a worker-only metric still
-        surfaces in the parent's exposition.
-        """
-
-        def entries(kind_key):
-            for name, val in snapshot.get(kind_key, {}).items():
-                if isinstance(val, dict) and "series" in val and "labels" in val:
-                    labels = tuple(val["labels"])
-                    for key, v in val["series"].items():
-                        yield name, labels, dict(zip(labels, key.split(","))), v
-                else:
-                    yield name, (), None, val
-
-        for name, labels, kv, v in entries("counters"):
-            fam = self.counter(name, labelnames=labels)
-            inst = fam.labels(**kv) if kv else fam
-            inst.inc(v)
-        for name, labels, kv, v in entries("gauges"):
-            fam = self.gauge(name, labelnames=labels)
-            inst = fam.labels(**kv) if kv else fam
-            inst.set(v)
-        for name, labels, kv, v in entries("histograms"):
-            fam = self.histogram(
-                name, labelnames=labels, base=float(v.get("base", 2.0))
-            )
-            inst = fam.labels(**kv) if kv else fam
-            inst.merge_json(v)
 
     def export_json(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -19,15 +19,8 @@ Design constraints:
   interval containment within a thread, which is exactly how the Chrome
   ``"X"`` (complete) event phase renders flame graphs.
 * **Process-aware.**  Every event records the pid of the process that
-  produced it at *record* time (not export time), so span snapshots
-  serialized out of forked pool workers and merged into the parent via
-  :meth:`Tracer.ingest` keep their true worker pid — the exported
-  Chrome trace renders a multi-process flame graph in Perfetto, one
-  process lane per worker.  ``perf_counter`` timestamps are kept
-  absolute internally (the epoch is subtracted only at export), and on
-  the platforms where the process executor exists (fork) the monotonic
-  clock is shared across parent and children, so merged worker events
-  land on the parent's timeline without any clock translation.
+  produced it at *record* time (not export time), so the exported
+  Chrome trace places each span in the lane of the process it ran in.
 * **Duration available to the caller.**  :func:`stopwatch` is the
   always-timing variant: it measures ``elapsed`` whether or not tracing
   is enabled (emitting a trace event only when it is), so code that
@@ -161,8 +154,7 @@ class Tracer:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # (name, cat, pid, tid, t0, t1, args) — pid captured per event so
-        # snapshots merged from forked workers keep their true process id
+        # (name, cat, pid, tid, t0, t1, args) — pid captured per event
         self._events: list[tuple] = []
         self._epoch = time.perf_counter()
 
@@ -201,33 +193,6 @@ class Tracer:
             for name, cat, pid, tid, t0, t1, args in snap
         ]
 
-    def snapshot(self) -> list[list]:
-        """Serializable raw events for cross-process merging.
-
-        Timestamps stay absolute (``perf_counter`` values), so a parent
-        tracer can :meth:`ingest` the list and export everything on its
-        own epoch.  The payload is plain lists, picklable through a
-        process pool's result channel.
-        """
-        with self._lock:
-            return [
-                [name, cat, pid, tid, t0, t1, dict(args)]
-                for name, cat, pid, tid, t0, t1, args in self._events
-            ]
-
-    def ingest(self, events: list) -> None:
-        """Merge a :meth:`snapshot` from another process (or tracer).
-
-        Events keep the pid/tid they were recorded under, so a merged
-        export shows each worker in its own process lane.
-        """
-        rows = [
-            (str(name), str(cat), int(pid), int(tid), float(t0), float(t1), dict(args))
-            for name, cat, pid, tid, t0, t1, args in events
-        ]
-        with self._lock:
-            self._events.extend(rows)
-
     def summary(self) -> list[dict]:
         """Aggregate spans by name: call count and total seconds,
         sorted by descending total time."""
@@ -246,9 +211,8 @@ class Tracer:
         """Chrome trace event format (the ``"X"`` complete-event phase);
         load the exported JSON in Perfetto or ``chrome://tracing``.
 
-        Each event carries the pid recorded when the span closed, so a
-        trace holding ingested worker snapshots renders as a
-        multi-process flame graph (one lane per worker pid)."""
+        Each event carries the pid and thread id recorded when the span
+        closed, so fleet workers render as their own thread lanes."""
         with self._lock:
             snap = list(self._events)
             epoch = self._epoch

@@ -4,11 +4,11 @@ A compiled plan (:class:`~repro.perf.plan.CompiledPlan` or
 :class:`~repro.perf.cluster.ClusterPlan`) splits the evaluation into
 independent, read-only work units — the concurrency the paper's
 threaded formulation exploits.  :func:`evaluate_plan_parallel` forms
-the coefficients serially, spreads the units over a fleet of worker
-threads or forked worker processes (:mod:`repro.robust.supervisor`),
-and merges the ``(targets, values)`` contributions on the coordinating
-thread in unit order, so the result is bitwise equal to
-``plan.execute(charges)`` for every backend and worker count.
+the coefficients serially, spreads the units over a supervised fleet of
+worker threads (:mod:`repro.robust.supervisor`), and merges the
+``(targets, values)`` contributions on the coordinating thread in unit
+order, so the result is bitwise equal to ``plan.execute(charges)`` for
+every worker count.
 
 Note on this host: heavy NumPy kernels release the GIL, so threads give
 genuine concurrency on multi-core machines; on a single-core host the
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: Environment variable read by :func:`resolve_workers` — the single
-#: worker-count knob for both the thread and process backends.
+#: worker-count knob of the thread fleet.
 ENV_WORKERS = "REPRO_NUM_WORKERS"
 
 
@@ -50,8 +50,9 @@ def resolve_workers(requested: int | None = None, default: int = 4) -> int:
     """Resolve a worker count: explicit argument, else the
     ``REPRO_NUM_WORKERS`` environment variable, else ``default``.
 
-    Every parallel entry point (both fleet kinds, the CLI ``--workers``
-    flag) funnels through this so one setting controls them all.
+    Every parallel entry point (the executor, Table 2, the CLI
+    ``--workers`` flag) funnels through this so one setting controls
+    them all.
     """
     if requested is not None:
         n = int(requested)
@@ -73,11 +74,10 @@ class ParallelResult:
     n_blocks: int  #: work units executed (``plan.n_units``)
     stats: TreecodeStats
     n_retries: int = 0  #: unit attempts retried after a failure
-    n_fallbacks: int = 0  #: units quarantined or completed on a lower rung
+    n_fallbacks: int = 0  #: units quarantined or completed serially
     n_quarantined: int = 0  #: poison units completed by the supervisor
-    n_reaped: int = 0  #: hung/over-budget workers replaced
-    n_degradations: int = 0  #: backend downgrades along the ladder
-    backend: str = "thread"  #: backend the run was *requested* on
+    n_reaped: int = 0  #: hung workers replaced
+    n_degradations: int = 0  #: thread -> serial downgrades
 
 
 def evaluate_plan_parallel(
@@ -85,7 +85,6 @@ def evaluate_plan_parallel(
     charges: np.ndarray,
     n_threads: int | None = None,
     retry: RetryPolicy | None = None,
-    backend: str = "thread",
     supervise: SupervisorConfig | None = None,
 ) -> ParallelResult:
     """Execute a compiled plan with its work units spread over a
@@ -95,7 +94,7 @@ def evaluate_plan_parallel(
     independent, read-only evaluation units then run concurrently and
     their ``(targets, values)`` contributions are merged on the
     coordinating thread in deterministic unit order, so the result is
-    bitwise-reproducible across worker counts and backends and equals
+    bitwise-reproducible across worker counts and equals
     ``plan.execute(charges).potential`` exactly.  Potential only —
     gradient/bound plans still execute, contributing just their
     potential parts.  ``charges`` may be an ``(n, k)`` batch of stacked
@@ -107,30 +106,23 @@ def evaluate_plan_parallel(
     folded into the operators every unit reads, so units see nothing
     else.
 
-    ``backend="thread"`` (default) runs a fleet of daemon threads —
-    NumPy kernels release the GIL, so threads overlap on multi-core
-    hosts with zero serialization cost.  ``backend="process"`` forks a
-    fleet of processes: the charge vector and coefficient operands go
-    into ``multiprocessing.shared_memory`` (read zero-copy by every
-    worker), the plan's frozen geometry is inherited copy-on-write, and
-    only the per-unit result vectors travel back.  Worker counts come
-    from ``n_threads`` via :func:`resolve_workers` (``REPRO_NUM_WORKERS``
-    env var, else 4) for both backends.
+    The units run on a fleet of daemon threads — NumPy kernels release
+    the GIL, so threads overlap on multi-core hosts with zero
+    serialization cost.  The worker count comes from ``n_threads`` via
+    :func:`resolve_workers` (``REPRO_NUM_WORKERS`` env var, else 4).
 
     Every run is supervised (:func:`~repro.robust.supervisor.run_fleet`):
     each unit runs under the ``parallel.block`` injection site with the
     ``retry`` :class:`~repro.robust.RetryPolicy`, hung workers are
     replaced at the hang deadline, poison units are quarantined and
     completed on the coordinator with fault injection suppressed, and a
-    tripped breaker hands the remaining units down the ``process ->
-    thread -> serial`` ladder.  Recovery reruns identical arithmetic,
+    tripped breaker hands the remaining units down the ``thread ->
+    serial`` ladder.  Recovery reruns identical arithmetic,
     so it does not perturb the result — unless a quarantined unit had
     to fall all the way to exact direct summation.  ``supervise`` tunes
     thresholds and timings; ``None`` reads them from the environment
     (:func:`~repro.robust.supervisor.default_config`).
     """
-    if backend not in ("thread", "process"):
-        raise ValueError(f"backend must be 'thread' or 'process', got {backend!r}")
     if supervise is not None and not isinstance(supervise, SupervisorConfig):
         raise TypeError(
             f"supervise must be a SupervisorConfig or None, "
@@ -140,9 +132,7 @@ def evaluate_plan_parallel(
     if charges.ndim == 2 and charges.shape[1] == 1:
         # single-column batches run the 1-D path (bitwise-identical to a
         # plain vector) and regain the column axis on the way out
-        res = evaluate_plan_parallel(
-            plan, charges[:, 0], n_threads, retry, backend, supervise
-        )
+        res = evaluate_plan_parallel(plan, charges[:, 0], n_threads, retry, supervise)
         res.potential = res.potential[:, None]
         return res
     n_threads = resolve_workers(n_threads)
@@ -151,14 +141,10 @@ def evaluate_plan_parallel(
     q_sorted = plan.sort_charges(charges)
     recovery = {"retries": 0, "fallbacks": 0}
 
-    sw = stopwatch(
-        "parallel.plan_execute", threads=n_threads, units=plan.n_units, backend=backend
-    )
+    sw = stopwatch("parallel.plan_execute", threads=n_threads, units=plan.n_units)
     with sw:
         ctx = plan.form_coefficients(q_sorted)
-        results = run_plan_units(
-            plan, ctx, q_sorted, n_threads, policy, sup, backend, recovery
-        )
+        results = run_plan_units(plan, ctx, q_sorted, n_threads, policy, sup, recovery)
         phi = np.zeros((plan.n_targets,) + q_sorted.shape[1:], dtype=np.float64)
         for i in range(plan.n_units):  # deterministic merge order
             scatter_add(phi, *results[i])
@@ -180,5 +166,4 @@ def evaluate_plan_parallel(
         n_quarantined=sup.n_quarantines,
         n_reaped=sup.n_reaps,
         n_degradations=sup.n_degradations,
-        backend=backend,
     )

@@ -104,7 +104,6 @@ from ..parallel.partition import translation_cost
 from ..tree.dualtree import BoxMAC, dual_traverse
 from ..tree.octree import Octree, enclosing_radius
 from .operators import (
-    apply,
     bsr,
     csr,
     csr_product,
@@ -1021,9 +1020,9 @@ class ClusterPlan(CompiledPlan):
                 if kb is not None:  # (leaves, 2·nc, k) block rows
                     X = X.transpose(0, 2, 1)
                 X = X.reshape((-1,) + X.shape[2:])
-                phi[gl.tidx] += apply(gl.op, X)
+                phi[gl.tidx] += gl.op @ X
                 if grad is not None:
-                    grad[gl.tidx] += apply(gl.gop, X).reshape(-1, 3)
+                    grad[gl.tidx] += (gl.gop @ X).reshape(-1, 3)
                 if bound is not None:
                     bound[gl.tidx] += bsc[gl.leaves[gl.op.indices]]
         if stats is not None:
@@ -1084,18 +1083,11 @@ class ClusterPlan(CompiledPlan):
         return np.arange(u.tlo, u.thi), vals
 
     # -- memory shedding -----------------------------------------------
-    def _far_ops(self) -> list:
-        """L2P rows (M2L index arrays and lattice operators are already
-        minimal and stay resident)."""
-        return [
-            A for u in self._units for gl in u.l2p for A in (gl.op, gl.gop)
-            if A is not None
-        ]
-
-    def _shed_stage2(self) -> int:
+    def _shed(self) -> int:
         """Drop near kernels; every near unit is then re-assembled on each
-        application.  L2P rows have no on-the-fly fallback, so they stay
-        (float32 after stage 1)."""
+        application.  M2L index arrays, lattice operators and L2P rows
+        are already minimal (L2P rows have no on-the-fly fallback) and
+        stay resident."""
         return self._drop_near()
 
     def _refresh_spill_counts(self) -> None:

@@ -30,9 +30,7 @@ the block once for an ``(n, k)`` batch — while the other rows run
 scipy's scalar CSR kernel.  :func:`assemble_near` finds the blocks as
 it assembles, cut at the work-unit starts it is given: a BLAS product
 rounds by its shape, so a unit must meet the same blocks whether it
-runs alone or beside others.  A matrix whose data has been cast to
-float32 (memory shedding) is applied to a float32 operand
-(:func:`apply`), never by upcasting its data per product.
+runs alone or beside others.
 
 The near kernel is symmetric, and a cluster plan's near leaf pairs come
 in both orders, so its frozen potential field is assembled *mirrored*:
@@ -59,7 +57,6 @@ __all__ = [
     "index_dtype",
     "bsr",
     "csr",
-    "apply",
     "csr_product",
     "near_product",
     "fold_map",
@@ -120,12 +117,6 @@ def op_nbytes(*ops) -> int:
     return total
 
 
-def apply(A, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` with ``x`` cast to ``A``'s dtype: a float32 (shed)
-    matrix is applied in float32 instead of having its data upcast."""
-    return A @ x.astype(A.dtype, copy=False)
-
-
 def csr_product(indptr, indices, data, n_cols: int, x: np.ndarray) -> np.ndarray:
     """``A @ x`` (``x`` of shape ``(n,)`` or ``(n, k)``) for the CSR
     arrays of ``A``, computed in ``data``'s dtype by scipy's compiled
@@ -152,7 +143,7 @@ def near_product(indptr, indices, data, blocks, n_cols: int, x: np.ndarray) -> n
     as one BLAS product to ``x`` at its sources — a GEMV, or for an
     ``(n, k)`` ``x`` one GEMM over all ``k`` columns — and the rows
     between blocks run :func:`csr_product`.  Views are taken of ``data``
-    as given (float32 after memory shedding), so a block costs no copy.
+    as given, so a block costs no copy.
     A block's result depends on its shape alone: the same block gives
     the same values wherever its arrays start."""
     x = np.ascontiguousarray(x, dtype=data.dtype)

@@ -116,7 +116,6 @@ from ..obs.tracing import is_enabled, span, stopwatch
 from ..robust.faults import maybe_corrupt
 from ..robust.guards import check_bound_accounting, check_finite
 from .operators import (
-    apply,
     assemble_near,
     bsr,
     csr,
@@ -902,7 +901,7 @@ class CompiledPlan:
         stored: dict = {}
         with span("plan.p2m", groups=len(self._p2m_groups)):
             for g in self._p2m_groups:
-                C = apply(g.op, q_sorted)
+                C = g.op @ q_sorted
                 C = C.reshape((g.nodes.size, -1) + q_sorted.shape[1:])
                 C = maybe_corrupt("treecode.coeffs", C)
                 check_finite(
@@ -951,11 +950,11 @@ class CompiledPlan:
             table = self._far_table(ch, grad is not None)
             op, _, built = self._far_operators(ch, False, want_bound, table)
             bgeom = built if want_bound else bgeom
-        scatter_add(phi, ch.tids, apply(op, Xf))
+        scatter_add(phi, ch.tids, op @ Xf)
         op = None  # a spilled chunk's rows go before its gradient pass
         if grad is not None:
             if gop is not None:
-                g = apply(gop, Xf).reshape(-1, 3)
+                g = (gop @ Xf).reshape(-1, 3)
             else:  # operand rows against the table: no (pairs, 3, 2·nc) rows
                 nc = ncoef(ch.p)
                 Ct = (X[:, :nc] + 1j * X[:, nc : 2 * nc]).T.copy()
@@ -1035,7 +1034,7 @@ class CompiledPlan:
         op = ch.op
         if op is None:
             op = self._far_operators(ch, False, False)[0]
-        return ch.tids, apply(op, Xr.reshape((-1,) + Xr.shape[2:]))
+        return ch.tids, op @ Xr.reshape((-1,) + Xr.shape[2:])
 
     def execute_unit(self, ctx, q_sorted, i):
         """Evaluate one work unit in isolation; returns the potential
@@ -1087,31 +1086,10 @@ class CompiledPlan:
         return self._near_unit(q_sorted, i - nf, exact=True)
 
     # -- memory shedding -----------------------------------------------
-    #: 0 = full precision, 1 = float32 operators, 2 = dropped to spill
-    _shed_stage = 0
-
-    def _far_ops(self) -> list:
-        """Far-field matrices memory shedding may cast to float32."""
-        return [A for ch in self._far_chunks for A in (ch.op, ch.gop) if A is not None]
-
-    def _shed_stage1(self) -> int:
-        """Halve operator memory: far rows and near kernels to float32
-        (results degrade to ~1e-6 relative; bounds/stats unchanged)."""
-        freed = 0
-        near = [] if self._near_K is None else [self._near_K]
-        for A in self._far_ops() + near:
-            if A.data.dtype == np.float64:
-                freed += A.data.nbytes // 2
-                A.data = A.data.astype(np.float32)
-        if self._near_G is not None and self._near_G.dtype == np.float64:
-            freed += self._near_G.nbytes // 2
-            self._near_G = self._near_G.astype(np.float32)
-        return freed
-
-    def _shed_stage2(self) -> int:
-        """Drop far rows and near kernels to the spilled paths (exact
-        float64 re-assembly — full accuracy returns, at the speed of a
-        fully spilled plan)."""
+    def _shed(self) -> int:
+        """Drop far rows and near kernels to the spilled paths, which
+        rebuild them with the same arithmetic (potentials bitwise the
+        resident ones, at the speed of a fully spilled plan)."""
         freed = 0
         for ch in self._far_chunks:
             for A in (ch.op, ch.gop):
@@ -1136,17 +1114,14 @@ class CompiledPlan:
     def shed_memory(self) -> int:
         """Release plan memory under RSS pressure; returns bytes freed.
 
-        Stage 1 casts precomputed operators to float32 (their products
-        then run in float32); stage 2 drops them entirely, falling back
-        to the (exact) spilled evaluation paths.  Returns 0 once nothing
-        sheddable remains — the supervisor's cue to trip the memory
-        breaker instead.  The work-unit layout never changes.
+        Drops the precomputed operators to the spilled evaluation paths,
+        so potentials stay bitwise equal to the unshed plan's (gradients
+        of target-major far rows are contracted from the table instead,
+        within rounding).  Returns 0 once nothing sheddable remains —
+        the supervisor's cue to trip the memory breaker instead.  The
+        work-unit layout never changes.
         """
-        freed = 0
-        while freed == 0 and self._shed_stage < 2:
-            stage = self._shed_stage
-            freed = self._shed_stage1() if stage == 0 else self._shed_stage2()
-            self._shed_stage = stage + 1
+        freed = self._shed()
         if freed:
             self.memory_bytes = int(self.memory_bytes - freed)
             self._refresh_spill_counts()
@@ -1156,7 +1131,6 @@ class CompiledPlan:
                 ).set(self.memory_bytes)
             emit(
                 "plan_shed",
-                stage=int(self._shed_stage),
                 freed_bytes=int(freed),
                 memory_bytes=int(self.memory_bytes),
             )

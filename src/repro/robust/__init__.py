@@ -13,10 +13,10 @@ the FMM engine and the experiment drivers:
   breakdown/stagnation recovery (restart escalation, dense fallback);
 * :mod:`~repro.robust.checkpoint` — atomic JSON checkpoint/resume for
   long experiment sweeps;
-* :mod:`~repro.robust.supervisor` — the worker fleet every parallel
-  plan execution runs on: heartbeats, hang/OOM watchdogs, poison-unit
-  quarantine, and the ``process -> thread -> serial`` degradation
-  ladder (see DESIGN.md §12).
+* :mod:`~repro.robust.supervisor` — the thread fleet every parallel
+  plan execution runs on: heartbeats, the hang watchdog, the memory
+  breaker, poison-unit quarantine, and the ``thread -> serial``
+  degradation ladder (see DESIGN.md §12).
 
 Every recovery action (retry, fallback, guard trip, resume, reap...) is
 one :func:`repro.obs.emit` event, which bumps its counter, writes a
@@ -53,7 +53,6 @@ from .supervisor import (
     Supervisor,
     SupervisorConfig,
     abandoned_threads,
-    cleanup_segments,
     current_rss,
     default_config,
 )
@@ -88,5 +87,4 @@ __all__ = [
     "BackendDegraded",
     "default_config",
     "current_rss",
-    "cleanup_segments",
 ]

@@ -17,7 +17,6 @@ Spec strings are comma-separated ``mode:rate[:param]`` entries::
     block_error:0.2                 # 20% of worker-block attempts raise
     block_hang:0.1:0.5              # 10% of attempts sleep 0.5 s first
     block_nan:0.05                  # 5% of block outputs get NaN entries
-    block_kill:0.1                  # 10% of process-pool units kill their worker
     block_oom:0.05:256              # 5% of attempts balloon RSS by 256 MiB
     coeff_nan:1.0                   # corrupt multipole coefficients
     gmres_nan:0.1                   # corrupt GMRES matvec results
@@ -85,7 +84,6 @@ _MODES: dict[str, tuple[str, str, float]] = {
     "block_error": ("parallel.block", "error", 0.0),
     "block_hang": ("parallel.block", "hang", 0.25),
     "block_nan": ("parallel.block", "corrupt", 0.01),
-    "block_kill": ("parallel.kill", "error", 0.0),
     "block_oom": ("parallel.block", "oom", 64.0),
     "coeff_nan": ("treecode.coeffs", "corrupt", 0.001),
     "gmres_nan": ("gmres.matvec", "corrupt", 0.01),
@@ -169,6 +167,7 @@ class FaultInjector:
     def maybe_fault(self, site: str) -> None:
         """Fire error/hang/oom rules armed at ``site`` (may raise, sleep
         or balloon this process's RSS)."""
+        global _ballast
         for rule in self._by_site.get(site, ()):
             if rule.kind == "hang":
                 fired, _, _ = self._draw(rule)
@@ -179,11 +178,11 @@ class FaultInjector:
                 fired, _, _ = self._draw(rule)
                 if fired:
                     emit("fault_injected", site=site, mode=rule.mode)
-                    # one live ballast per process: repeated fires swap
-                    # rather than accumulate, so the injected pressure is
-                    # bounded at `param` MiB (np.ones forces page commit)
+                    # one live ballast: repeated fires swap rather than
+                    # accumulate, so the injected pressure is bounded at
+                    # `param` MiB (np.ones forces page commit)
                     n = int(rule.param * 1024 * 1024 / 8)
-                    _BALLAST[os.getpid()] = np.ones(max(1, n), dtype=np.float64)
+                    _ballast = np.ones(max(1, n), dtype=np.float64)
             elif rule.kind == "error":
                 fired, k, _ = self._draw(rule)
                 if fired:
@@ -209,15 +208,14 @@ _UNSET = object()
 _active: object = _UNSET
 _state = threading.local()
 
-#: pid -> live oom-ballast array.  Keyed by pid so a forked worker's
-#: ballast never aliases the parent's; bounded because each fire swaps
-#: the previous ballast of this process instead of appending.
-_BALLAST: dict[int, np.ndarray] = {}
+#: The live oom ballast (``block_oom``); each fire replaces it.
+_ballast: np.ndarray | None = None
 
 
 def clear_ballast() -> None:
-    """Drop any oom ballast held by this process."""
-    _BALLAST.pop(os.getpid(), None)
+    """Drop the oom ballast."""
+    global _ballast
+    _ballast = None
 
 
 def active_injector() -> FaultInjector | None:

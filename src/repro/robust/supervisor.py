@@ -2,28 +2,23 @@
 
 :func:`run_plan_units` is the one executor of compiled-plan work units
 (see :mod:`repro.parallel.executors`).  It runs them on a fleet of
-worker threads or forked worker processes under one coordinator loop,
-:func:`run_fleet`, which guards against every failure class a long run
-meets:
+worker threads under one coordinator loop, :func:`run_fleet`, which
+guards against every failure class a long run meets:
 
 * **Errors and corrupt output** — each worker retries a failing unit
   under the :class:`~repro.robust.RetryPolicy`; a unit that exhausts its
   retries takes a strike and goes back to the pool.
 * **Heartbeat table** — fixed per-worker slots of ``[ident, unit,
-  CLOCK_MONOTONIC, rss]`` written at every attempt and read lock-free by
-  the coordinator.  Process fleets keep it in ``multiprocessing.
-  shared_memory`` (``CLOCK_MONOTONIC`` is system-wide on Linux, so
-  parent and forked children share the clock); thread fleets keep it in
-  a plain array.
+  CLOCK_MONOTONIC]`` written at every attempt and read lock-free by the
+  coordinator.
 * **Hang watchdog** — the coordinator's bounded wait for results doubles
   as the watchdog: every ``heartbeat_interval`` it compares each running
   unit's last stamp against a deadline (fixed via ``unit_deadline``, or
   adaptive ``max(min_deadline, multiplier · observed-per-unit-p95)``).
-  An overdue process is SIGKILLed; an overdue thread is abandoned to a
-  ledger (:func:`abandoned_threads`), since a hung kernel cannot be
-  interrupted from Python.  Either way a fresh worker takes the slot.
-  The scan period is capped at half the deadline, so a hang is always
-  replaced within 2x the deadline.
+  An overdue thread is abandoned to a ledger (:func:`abandoned_threads`),
+  since a hung kernel cannot be interrupted from Python, and a fresh
+  worker takes the slot.  The scan period is capped at half the
+  deadline, so a hang is always replaced within 2x the deadline.
 * **Poison-unit quarantine** — a unit that fails or hangs
   ``quarantine_after`` times is quarantined: the coordinator completes
   it with fault injection suppressed (identical arithmetic — bitwise
@@ -31,38 +26,29 @@ meets:
   (``plan.execute_unit_direct``) if even the suppressed redo fails.
   Interaction-count stats are frozen at compile time, so quarantine
   never perturbs them.
-* **Memory watchdog** — heartbeat rows of process workers carry their
-  RSS; a worker over the per-process ``memory_budget`` is reaped (kind
-  ``"oom"``).  When the *parent* crosses the budget it first triggers the
-  compiled plan's staged :meth:`shed_memory` (float32 rows, then
-  drop-to-spill); only when there is nothing left to shed does the
-  breaker trip.
+* **Memory breaker** — when the process's RSS crosses
+  ``shed_fraction · memory_budget`` the coordinator calls the compiled
+  plan's :meth:`shed_memory` (drop-to-spill, bitwise the resident
+  potentials); only when there is nothing left to shed and the budget
+  is still exceeded does the breaker trip.
 * **Circuit breaker / degradation ladder** — ``max_worker_deaths`` lost
-  workers or ``max_unit_failures`` unit failures on one rung, or
-  exhausted memory shedding, trip the breaker: :class:`BackendDegraded`
-  is raised with partial results kept, and the remaining units run one
-  rung down the ladder (``process -> thread -> serial``).
+  workers or ``max_unit_failures`` unit failures, or exhausted memory
+  shedding, trip the breaker: :class:`BackendDegraded` is raised with
+  partial results kept, and the remaining units run on the serial floor
+  (``thread -> serial``).
 
 Every supervision event is one :func:`repro.obs.emit` call (a
 ``supervisor_*`` counter, a journal line, a trace event), so ``python
--m repro profile`` shows a health report of what a run absorbed;
-events raised inside process workers ride home in their snapshots.
-
-Robustness notes: every worker has its own task queue, and every
-process worker its own result pipe written synchronously, so a process
-killed at any point — even mid-send — can only break its own channels,
-which are discarded with it.  All shared-memory segments (operands and the heartbeat table) are
-registered with an ``atexit`` + ``SIGTERM`` cleanup hook, so an
-interrupted run leaves no ``/dev/shm`` residue.
+-m repro profile`` shows a health report of what a run absorbed.
+Every worker has its own task queue, and all workers post results to
+one shared queue, so a worker abandoned mid-unit cannot block the rest.
 """
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import os
 import queue as queue_mod
-import signal
 import threading
 import time
 from collections import deque
@@ -71,10 +57,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs import emit
-from ..obs.events import merge_worker_snapshot, worker_reset, worker_snapshot
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import is_enabled, span, stopwatch
-from .faults import InjectedFault, maybe_corrupt, maybe_fault, suppress_faults
+from .faults import maybe_corrupt, maybe_fault, suppress_faults
 from .guards import check_finite
 from .retry import retry_call
 
@@ -88,9 +73,6 @@ __all__ = [
     "abandoned_threads",
     "run_fleet",
     "run_plan_units",
-    "create_segment",
-    "release_segment",
-    "cleanup_segments",
     "ENV_HEARTBEAT_INTERVAL",
     "ENV_UNIT_DEADLINE",
     "ENV_MEMORY_BUDGET",
@@ -123,97 +105,6 @@ def current_rss() -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared-memory segment tracking: no /dev/shm residue on abnormal exit
-# ---------------------------------------------------------------------------
-#: id(shm) -> (shm, owner pid).  Only the creating process may unlink —
-#: forked children inherit this dict but their hooks skip foreign pids.
-_TRACKED: dict[int, tuple] = {}
-_TRACK_LOCK = threading.Lock()
-_HOOKS_INSTALLED = False
-_SEG_COUNTER = itertools.count()
-
-
-def cleanup_segments() -> None:
-    """Close and unlink every tracked segment owned by this process.
-
-    Registered with ``atexit`` and chained onto SIGTERM; also safe to
-    call directly.  ``unlink`` works even while numpy views of the
-    buffer are still alive (it only removes the ``/dev/shm`` name).
-    """
-    with _TRACK_LOCK:
-        items = list(_TRACKED.values())
-        _TRACKED.clear()
-    for shm, owner in items:
-        if owner != os.getpid():
-            continue
-        try:
-            shm.close()
-        except Exception:
-            pass
-        try:
-            shm.unlink()
-        except Exception:
-            pass
-
-
-def _install_cleanup_hooks() -> None:
-    global _HOOKS_INSTALLED
-    if _HOOKS_INSTALLED:
-        return
-    _HOOKS_INSTALLED = True
-    atexit.register(cleanup_segments)
-    # SIGINT surfaces as KeyboardInterrupt and unwinds through the
-    # executors' finally blocks (and the atexit hook); SIGTERM by
-    # default skips both, so chain a handler that cleans up first.
-    if threading.current_thread() is not threading.main_thread():
-        return  # signal handlers can only be set from the main thread
-    try:
-        previous = signal.getsignal(signal.SIGTERM)
-
-        def _on_term(signum, frame):
-            cleanup_segments()
-            if callable(previous):
-                previous(signum, frame)
-            else:
-                signal.signal(signum, signal.SIG_DFL)
-                os.kill(os.getpid(), signum)
-
-        signal.signal(signal.SIGTERM, _on_term)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-
-
-def create_segment(nbytes: int):
-    """Create a tracked, named ``SharedMemory`` segment.
-
-    The name encodes the owning pid (``repro-<pid>-<seq>-<nonce>``), so
-    leak checks can scan ``/dev/shm`` for a specific process's residue.
-    """
-    from multiprocessing import shared_memory
-
-    name = f"repro-{os.getpid()}-{next(_SEG_COUNTER)}-{os.urandom(3).hex()}"
-    shm = shared_memory.SharedMemory(create=True, size=max(1, int(nbytes)), name=name)
-    _install_cleanup_hooks()
-    with _TRACK_LOCK:
-        _TRACKED[id(shm)] = (shm, os.getpid())
-    return shm
-
-
-def release_segment(shm) -> None:
-    """Close, unlink and untrack one segment (idempotent)."""
-    with _TRACK_LOCK:
-        _TRACKED.pop(id(shm), None)
-    try:
-        shm.close()
-    except Exception:
-        pass
-    try:
-        shm.unlink()
-    except Exception:
-        pass
-
-
-# ---------------------------------------------------------------------------
 # heartbeat table
 # ---------------------------------------------------------------------------
 _IDLE = -1.0  #: unit field of a slot with no unit in flight
@@ -222,44 +113,26 @@ _IDLE = -1.0  #: unit field of a slot with no unit in flight
 class HeartbeatTable:
     """Fixed-slot worker-to-coordinator heartbeat channel.
 
-    Layout: float64 ``(n_slots, 4)`` rows of ``[ident, unit,
-    monotonic_ts, rss_bytes]``.  Exactly one writer per slot (the worker
-    owning it) and one reader (the coordinator's watchdog); the
-    timestamp is written last, and the watchdog tolerates torn reads
-    because it compares timestamps with at least a full heartbeat
-    interval of slack and cross-checks the ident field against its own
-    bookkeeping.  ``shared=True`` (process fleets) backs the table with
-    a ``multiprocessing.shared_memory`` segment; thread fleets share the
-    address space and use a plain array.
+    Layout: float64 ``(n_slots, 3)`` rows of ``[ident, unit,
+    monotonic_ts]``.  Exactly one writer per slot (the worker owning it)
+    and one reader (the coordinator's watchdog); the timestamp is written
+    last, and the watchdog tolerates torn reads because it compares
+    timestamps with at least a full heartbeat interval of slack and
+    cross-checks the ident field against its own bookkeeping.
     """
 
-    FIELDS = 4
+    FIELDS = 3
 
-    def __init__(self, n_slots: int, shared: bool = True):
+    def __init__(self, n_slots: int):
         self.n_slots = int(n_slots)
-        shape = (self.n_slots, self.FIELDS)
-        if shared:
-            self._shm = create_segment(self.n_slots * self.FIELDS * 8)
-            self.table = np.ndarray(shape, dtype=np.float64, buffer=self._shm.buf)
-            self.table[:] = 0.0
-        else:
-            self._shm = None
-            self.table = np.zeros(shape, dtype=np.float64)
+        self.table = np.zeros((self.n_slots, self.FIELDS), dtype=np.float64)
         self.table[:, 1] = _IDLE
 
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def beat(
-        self, slot: int, unit: int | float, rss: int = 0, ident: int | None = None
-    ) -> None:
-        """Publish one heartbeat for ``slot`` (called by the worker);
-        ``ident`` defaults to the calling process's pid."""
+    def beat(self, slot: int, unit: int | float, ident: int) -> None:
+        """Publish one heartbeat for ``slot`` (called by the worker)."""
         row = self.table[slot]
-        row[0] = float(os.getpid() if ident is None else ident)
+        row[0] = float(ident)
         row[1] = float(unit)
-        row[3] = float(rss)
         row[2] = time.monotonic()  # ts last: fresh ts implies fresh fields
 
     def clear(self, slot: int) -> None:
@@ -268,11 +141,6 @@ class HeartbeatTable:
     def read(self) -> np.ndarray:
         """A snapshot copy of the table (coordinator side)."""
         return np.array(self.table, copy=True)
-
-    def close(self) -> None:
-        self.table = None
-        if self._shm is not None:
-            release_segment(self._shm)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +161,10 @@ class SupervisorConfig:
     warmup_deadline: float = 10.0
     warmup_samples: int = 5  #: completed units before p95 is trusted
     quarantine_after: int = 2  #: failures/hangs before a unit quarantines
-    max_worker_deaths: int = 4  #: breaker: workers lost on one rung
-    max_unit_failures: int = 16  #: breaker: unit failures on one rung
-    memory_budget: int | None = None  #: per-process RSS budget (bytes)
-    shed_fraction: float = 0.8  #: parent sheds plan memory at this x budget
+    max_worker_deaths: int = 4  #: breaker: workers reaped or dead
+    max_unit_failures: int = 16  #: breaker: unit failures
+    memory_budget: int | None = None  #: the process's RSS budget (bytes)
+    shed_fraction: float = 0.8  #: plan memory is shed at this x budget
 
     def __post_init__(self):
         if self.heartbeat_interval <= 0:
@@ -321,8 +189,7 @@ def default_config() -> SupervisorConfig:
     """Supervision tuning from the environment (defaults where unset).
 
     The CLI tuning flags export these variables rather than passing
-    objects, so forked workers and nested entry points see one
-    consistent config.
+    objects, so nested entry points see one consistent config.
     """
     kwargs: dict = {}
     hb = os.environ.get(ENV_HEARTBEAT_INTERVAL, "").strip()
@@ -338,24 +205,23 @@ def default_config() -> SupervisorConfig:
 
 
 class BackendDegraded(RuntimeError):
-    """The circuit breaker tripped: abandon the current backend and
-    complete the remaining units one rung down the ladder."""
+    """The circuit breaker tripped: abandon the thread fleet and complete
+    the remaining units on the serial floor."""
 
-    def __init__(self, backend: str, reason: str):
-        super().__init__(f"{backend} backend degraded: {reason}")
-        self.backend = backend
+    def __init__(self, reason: str):
+        super().__init__(f"thread fleet degraded: {reason}")
         self.reason = reason
 
 
 # ---------------------------------------------------------------------------
-# parent-side bookkeeping + event emission
+# coordinator-side bookkeeping + event emission
 # ---------------------------------------------------------------------------
 _DURATION_WINDOW = 256  #: recent per-unit durations kept for the p95
 _DEADLINE_REFRESH = 16  #: samples between adaptive-deadline recomputes
 
 
 class Supervisor:
-    """Shared supervision state across the ladder's rungs.
+    """Supervision state of one parallel run.
 
     Tracks per-unit durations (for the adaptive deadline), per-unit
     failure counts (for quarantine), worker mortality and the breaker;
@@ -442,14 +308,12 @@ class Supervisor:
             return sum(self._failures.values())
 
     # -- events ---------------------------------------------------------
-    def on_reap(
-        self, slot: int, unit: int, waited: float, deadline: float, kind: str
-    ) -> None:
+    def on_reap(self, slot: int, unit: int, waited: float, deadline: float) -> None:
         self.n_reaps += 1
         self.worker_deaths += 1
         emit(
             "supervisor.reap", slot=slot, unit=unit, waited_s=waited,
-            deadline_s=deadline, kind=kind,
+            deadline_s=deadline,
         )
 
     def on_worker_death(self, slot: int, unit: int | None) -> None:
@@ -475,8 +339,6 @@ class Supervisor:
 
     def on_degrade(self, frm: str, to: str, reason: str, units_left: int) -> None:
         self.n_degradations += 1
-        # the next rung gets a fresh breaker
-        self.tripped = False
         emit(
             "supervisor.degraded", frm=frm, to=to, reason=reason,
             units_left=units_left,
@@ -507,7 +369,7 @@ def _complete_on_coordinator(plan, ctx, q_sorted, unit: int):
 
 
 # ---------------------------------------------------------------------------
-# the worker fleet: one supervised dispatch loop for threads and processes
+# the worker fleet: one supervised dispatch loop
 # ---------------------------------------------------------------------------
 _QUEUE_DEPTH = 4  #: units queued on one worker at most (head included)
 _SHORT_UNIT_S = 0.01  #: units faster than this are queued ahead
@@ -527,38 +389,24 @@ def abandoned_threads() -> list[threading.Thread]:
         return list(_ABANDONED)
 
 
-def _worker_loop(slot, ident, tasks, post, state, handle) -> None:
-    """Body of one fleet worker, thread or forked process.
+def _worker_loop(h, post, state) -> None:
+    """Body of fleet worker ``h``.
 
-    Takes unit ids off its private ``tasks`` queue (``None`` stops it)
-    and hands ``(slot, ident, unit, ok, payload, telemetry)`` to
-    ``post``: the fleet's shared result queue for threads, the worker's
-    own result pipe for processes.  Every attempt first publishes a
-    heartbeat, so a hang inside an attempt leaves a stale stamp —
-    exactly what the coordinator's watchdog looks for.  ``handle`` is
-    the coordinator's record of a thread worker; a process worker gets
-    ``None`` and instead owns the ``parallel.kill`` site and a private
-    tracer, registry and journal buffer per unit, whose snapshot rides
-    back with the result, failed or not (a thread worker's events land
-    in the parent's sinks directly, so its ``telemetry`` is ``None``).
+    Takes unit ids off its private queue (``None`` stops it) and hands
+    ``(slot, ident, unit, ok, payload)`` to ``post``, the fleet's shared
+    result queue.  Every attempt first publishes a heartbeat, so a hang
+    inside an attempt leaves a stale stamp — exactly what the
+    coordinator's watchdog looks for.  A worker the coordinator has
+    abandoned (``h.stopped``) exits without reporting.
     """
-    plan, ctx, q_sorted, policy, hb, obs_on, track_rss = state
-    is_process = handle is None
-    if is_process:
-        ident = os.getpid()
+    plan, ctx, q_sorted, policy, hb, obs_on = state
     while True:
-        unit = tasks.get()
-        if unit is None or (handle is not None and handle.stopped):
+        unit = h.tasks.get()
+        if unit is None or h.stopped:
             return
-        if is_process:
-            worker_reset()
-            try:
-                maybe_fault("parallel.kill")
-            except InjectedFault:
-                os._exit(3)  # simulated hard crash: no cleanup, no exception
 
         def attempt(unit=unit):
-            hb.beat(slot, unit, current_rss() if track_rss else 0, ident)
+            hb.beat(h.slot, unit, h.ident)
             maybe_fault("parallel.block")
             tids, vals = plan.execute_unit(ctx, q_sorted, unit)
             vals = maybe_corrupt("parallel.block", vals)
@@ -578,13 +426,10 @@ def _worker_loop(slot, ident, tasks, post, state, handle) -> None:
                 ).observe(sp.elapsed)
             ok, payload = True, (tids, vals, attempts, sp.elapsed)
         except Exception as exc:  # retries exhausted or guards tripped
-            # flattened to a string: multi-arg exception constructors
-            # (RetryExhausted, InjectedFault) do not survive pickling
             ok, payload = False, f"{type(exc).__name__}: {exc}"
-        if handle is not None and handle.stopped:
+        if h.stopped:
             return  # abandoned meanwhile: the unit went back to the pool
-        telemetry = worker_snapshot() if is_process else None
-        post((slot, ident, unit, ok, payload, telemetry))
+        post((h.slot, h.ident, unit, ok, payload))
 
 
 @dataclass
@@ -592,17 +437,15 @@ class _Worker:
     """The coordinator's record of one fleet slot."""
 
     slot: int
-    ident: int  #: pid of a process worker, serial number of a thread worker
-    proc: object  #: the ``threading.Thread`` or ``mp.Process``
-    tasks: object  #: private task queue
-    results: object = None  #: process workers: read end of the result pipe
+    ident: int  #: serial number, unique within one run's heartbeat table
+    tasks: queue_mod.SimpleQueue = field(default_factory=queue_mod.SimpleQueue)
+    thread: threading.Thread | None = None
     queued: deque = field(default_factory=deque)  #: units sent, head running
     head_since: float = 0.0  #: when ``queued[0]`` became the running unit
-    stopped: bool = False  #: thread workers: exit at the next check
+    stopped: bool = False  #: exit at the next check
 
 
 def run_fleet(
-    kind: str,
     plan,
     ctx: dict,
     q_sorted: np.ndarray,
@@ -612,139 +455,64 @@ def run_fleet(
     results: dict,
     recovery: dict,
 ) -> None:
-    """Run a plan's pending units on a supervised fleet of ``kind``
-    (``"thread"`` or ``"process"``) workers.
+    """Run a plan's pending units on a supervised fleet of worker threads.
 
     Fills ``results`` (``{unit: (tids, vals)}``) in place; raises
-    :class:`BackendDegraded` when this rung's circuit breaker trips,
-    with every completed result kept so the next rung only runs the
-    rest.
+    :class:`BackendDegraded` when the circuit breaker trips, with every
+    completed result kept so the serial floor only runs the rest.
 
-    One dispatch loop serves both kinds.  Behind short units each
-    worker holds up to ``_QUEUE_DEPTH`` units on a private queue, so it
-    never idles while the coordinator catches up; long units (and the
-    first ones, before any duration is known) go out one at a time, and
-    the depth shrinks as the pool drains, so heavy units and the tail
-    still spread over every worker.  The coordinator's
-    bounded wait for results doubles as the watchdog tick: a running
-    unit whose last heartbeat is older than the deadline gets its
-    worker replaced — a process is SIGKILLed and reaped, a thread is
-    abandoned to the :func:`abandoned_threads` ledger (a hung kernel
-    cannot be interrupted from Python).  The running unit takes a
-    strike toward quarantine; the units queued behind it go back to the
-    pool without one.
+    Behind short units each worker holds up to ``_QUEUE_DEPTH`` units on
+    a private queue, so it never idles while the coordinator catches up;
+    long units (and the first ones, before any duration is known) go out
+    one at a time, and the depth shrinks as the pool drains, so heavy
+    units and the tail still spread over every worker.  The
+    coordinator's bounded wait for results doubles as the watchdog tick:
+    a running unit whose last heartbeat is older than the deadline gets
+    its worker abandoned to the :func:`abandoned_threads` ledger (a hung
+    kernel cannot be interrupted from Python) and replaced.  The running
+    unit takes a strike toward quarantine; the units queued behind it go
+    back to the pool without one.
     """
     cfg = sup.cfg
-    is_process = kind == "process"
     n_units = plan.n_units
     pending: deque = deque(i for i in range(n_units) if i not in results)
-    deaths0, failures0 = sup.worker_deaths, sup.total_failures()
-    segments = []
     slots: list[_Worker] = []
-    hb = HeartbeatTable(n_workers, shared=is_process)
-    thread_idents = itertools.count(1)  #: unique within this run's table
+    hb = HeartbeatTable(n_workers)
+    idents = itertools.count(1)
+    done = queue_mod.SimpleQueue()
+    state = (plan, ctx, q_sorted, policy, hb, is_enabled())
     plan_shed_exhausted = False
     last_elapsed = None  #: duration of the latest completed unit
 
-    def share(arr: np.ndarray) -> np.ndarray:
-        # tracked named segments: released in the finally below, and by
-        # the atexit/SIGTERM hooks if this frame never gets to run
-        shm = create_segment(arr.nbytes)
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-        view[...] = arr
-        segments.append(shm)
-        return view
-
-    if is_process:
-        import multiprocessing as mp
-        from multiprocessing.connection import wait as wait_ready
-
-        mpctx = mp.get_context("fork")
-        # workers read the numeric operands zero-copy from shared memory;
-        # the plan's frozen geometry travels by copy-on-write
-        state = (
-            plan,
-            {p: tuple(None if a is None else share(a) for a in arrays)
-             for p, arrays in ctx.items()},
-            share(q_sorted),
-            policy,
-            hb,
-            is_enabled(),
-            cfg.memory_budget is not None,  # RSS rides the beats only if gated
-        )
-    else:
-        done = queue_mod.SimpleQueue()
-        state = (plan, ctx, q_sorted, policy, hb, is_enabled(), False)
-
     def spawn(slot: int) -> _Worker:
-        if is_process:
-            # fork inherits the state, the shm mappings and the armed
-            # injector.  A private task queue and a private result pipe
-            # per worker keep a worker killed mid-write from tearing a
-            # channel its siblings use; sends are synchronous, so a
-            # crash after one cannot tear it either
-            tasks = mpctx.Queue()
-            results, writer = mpctx.Pipe(duplex=False)
-            proc = mpctx.Process(
-                target=_worker_loop,
-                args=(slot, 0, tasks, writer.send, state, None),
-                daemon=True,
-            )
-            proc.start()
-            writer.close()  # the child holds the only write end: EOF on death
-            return _Worker(slot, proc.pid, proc, tasks, results)
-        h = _Worker(slot, next(thread_idents), None, queue_mod.SimpleQueue())
-        h.proc = threading.Thread(
-            target=_worker_loop,
-            args=(slot, h.ident, h.tasks, done.put, state, h),
-            daemon=True,
+        h = _Worker(slot, next(idents))
+        h.thread = threading.Thread(
+            target=_worker_loop, args=(h, done.put, state), daemon=True,
             name=f"fleet-{slot}",
         )
-        h.proc.start()
+        h.thread.start()
         return h
 
-    def close_channels(h: _Worker) -> None:
-        if is_process:
-            try:
-                h.tasks.cancel_join_thread()
-                h.tasks.close()
-                h.results.close()
-            except Exception:
-                pass
-
     def collect(timeout: float) -> list:
-        """Results that arrive within ``timeout``, without blocking on
-        a dead worker's channel."""
-        if not is_process:
+        """Results that arrive within ``timeout``."""
+        try:
+            msgs = [done.get(timeout=timeout)]
+        except queue_mod.Empty:
+            return []
+        while True:
             try:
-                msgs = [done.get(timeout=timeout)]
+                msgs.append(done.get_nowait())
             except queue_mod.Empty:
-                return []
-            while True:
-                try:
-                    msgs.append(done.get_nowait())
-                except queue_mod.Empty:
-                    return msgs
-        msgs = []
-        for conn in wait_ready([h.results for h in slots], timeout):
-            try:
-                while conn.poll():
-                    msgs.append(conn.recv())
-            except (EOFError, OSError):
-                pass  # the writer died, maybe mid-send: the watchdog replaces it
-        return msgs
+                return msgs
 
-    def kill(h: _Worker, unit: int) -> None:
-        if is_process:
-            h.proc.kill()  # reaped by the join in replace()
-            return
+    def abandon(h: _Worker, unit: int) -> None:
         # a thread cannot be killed: stop waiting for it, rename and
         # ledger it; it exits without reporting once the stuck call returns
         h.stopped = True
-        h.proc.name = f"abandoned-parallel.block-u{unit}"
+        h.thread.name = f"abandoned-parallel.block-u{unit}"
         with _ABANDONED_LOCK:
             _ABANDONED[:] = [t for t in _ABANDONED if t.is_alive()]
-            _ABANDONED.append(h.proc)
+            _ABANDONED.append(h.thread)
         emit("thread_abandoned", slot=h.slot, unit=unit)
 
     def fail_unit(unit: int) -> None:
@@ -758,24 +526,17 @@ def run_fleet(
             pending.appendleft(unit)
 
     def check_breaker() -> None:
-        # rung-relative counts: each rung starts with a fresh breaker
         if sup.tripped:
             return
-        if sup.worker_deaths - deaths0 >= cfg.max_worker_deaths:
+        if sup.worker_deaths >= cfg.max_worker_deaths:
             sup.trip("worker_mortality")
-        elif sup.total_failures() - failures0 >= cfg.max_unit_failures:
+        elif sup.total_failures() >= cfg.max_unit_failures:
             sup.trip("unit_failures")
 
     def replace(h: _Worker, struck: bool) -> None:
         """Swap in a fresh worker; the lost head unit takes a strike
         (when ``struck``), the units queued behind it do not."""
         lost = list(h.queued)
-        if is_process:
-            try:
-                h.proc.join(timeout=5.0)
-            except Exception:
-                pass
-        close_channels(h)
         slots[h.slot] = spawn(h.slot)
         pending.extendleft(reversed(lost[1:]))
         if struck and lost:
@@ -784,8 +545,7 @@ def run_fleet(
 
     def receive(msg) -> None:
         nonlocal last_elapsed
-        slot, ident, unit, ok, payload, telemetry = msg
-        merge_worker_snapshot(telemetry)
+        slot, ident, unit, ok, payload = msg
         h = slots[slot]
         if h.ident != ident:
             return  # from a replaced worker: its units were already re-pooled
@@ -807,21 +567,20 @@ def run_fleet(
             check_breaker()
 
     def scan(now: float, deadline_s: float) -> None:
-        """Watchdog: hangs, silent deaths, worker memory."""
+        """Watchdog: hangs and silent deaths."""
         snap = hb.read()
         for h in list(slots):
-            alive = h.proc.is_alive()
+            alive = h.thread.is_alive()
             if not h.queued:
-                if not alive:  # died between units (e.g. idle SIGKILL)
+                if not alive:  # died between units
                     sup.on_worker_death(h.slot, None)
                     replace(h, struck=False)
                 continue
             unit = h.queued[0]
-            ident, _, beat_ts, rss = snap[h.slot]
+            ident, _, beat_ts = snap[h.slot]
             # any beat of this worker proves it alive, even one for the
             # next queued unit while the head's result is still in flight
-            mine = int(ident) == h.ident
-            last = max(h.head_since, beat_ts) if mine else h.head_since
+            last = max(h.head_since, beat_ts) if int(ident) == h.ident else h.head_since
             if not alive:
                 sup.on_worker_death(h.slot, unit)
                 replace(h, struck=True)
@@ -832,17 +591,13 @@ def run_fleet(
                     "supervisor.heartbeat_miss", slot=h.slot, unit=unit,
                     waited_s=waited, deadline_s=deadline_s,
                 )
-                kill(h, unit)
-                sup.on_reap(h.slot, unit, waited, deadline_s, "hang")
-                replace(h, struck=True)
-            elif cfg.memory_budget and mine and rss > cfg.memory_budget:
-                kill(h, unit)
-                sup.on_reap(h.slot, unit, waited, deadline_s, "oom")
+                abandon(h, unit)
+                sup.on_reap(h.slot, unit, waited, deadline_s)
                 replace(h, struck=True)
 
     def relieve_memory() -> None:
-        """Parent over budget: shed plan memory stage by stage, and trip
-        the breaker only once nothing is left to shed."""
+        """Over budget: shed plan memory, and trip the breaker only once
+        nothing is left to shed."""
         nonlocal plan_shed_exhausted
         if not cfg.memory_budget or sup.tripped:
             return
@@ -862,10 +617,11 @@ def run_fleet(
 
     try:
         slots.extend(spawn(s) for s in range(n_workers))
+        next_scan = time.monotonic()
         while len(results) < n_units:
             relieve_memory()
             if sup.tripped:
-                raise BackendDegraded(kind, sup.trip_reason or "breaker")
+                raise BackendDegraded(sup.trip_reason or "breaker")
             # queue ahead only behind short units, where it hides the
             # coordinator's round trip; long units go out one at a time
             # to whichever worker frees first, which balances the few
@@ -881,36 +637,23 @@ def run_fleet(
                         h.head_since = time.monotonic()
                     h.queued.append(unit)
                     h.tasks.put(unit)
-            # collect: the bounded wait doubles as the watchdog tick,
-            # capped at half the deadline so a hang is reaped within 2x it
-            deadline_s = sup.deadline()
-            for msg in collect(min(cfg.heartbeat_interval, deadline_s / 2.0)):
+            # collect until the next watchdog tick; ticks come at most
+            # half a deadline apart, so a hang is reaped within 2x it,
+            # and results arriving in between cost no scan
+            for msg in collect(max(0.0, next_scan - time.monotonic())):
                 receive(msg)
-            scan(time.monotonic(), deadline_s)
+            now = time.monotonic()
+            if now >= next_scan:
+                deadline_s = sup.deadline()
+                scan(now, deadline_s)
+                next_scan = now + min(cfg.heartbeat_interval, deadline_s / 2.0)
     finally:
         for h in slots:
             h.stopped = True
-            try:
-                h.tasks.put(None)
-            except Exception:
-                pass
+            h.tasks.put(None)
         for h in slots:
-            try:
-                if is_process:
-                    if h.queued:  # rung abandoned: its units run one rung down
-                        h.proc.kill()
-                    h.proc.join(timeout=1.0)
-                    if h.proc.is_alive():
-                        h.proc.kill()
-                        h.proc.join(timeout=5.0)
-                elif not h.queued:
-                    h.proc.join(timeout=1.0)  # idle: exits at once
-            except Exception:
-                pass
-            close_channels(h)
-        hb.close()
-        for shm in segments:
-            release_segment(shm)
+            if not h.queued:
+                h.thread.join(timeout=1.0)  # idle: exits at once
 
 
 def run_plan_units(
@@ -920,37 +663,27 @@ def run_plan_units(
     n_workers: int,
     policy,
     sup: Supervisor,
-    backend: str,
     recovery: dict,
 ) -> dict:
     """Every unit of ``plan`` down the degradation ladder; returns
     ``{unit: (tids, vals)}``.
 
-    ``backend="process"`` starts on a process fleet, ``"thread"`` on a
-    thread fleet; each breaker trip hands the remaining units one rung
-    down (``process -> thread -> serial``), and the serial floor
-    completes them on the coordinating thread with fault injection
-    suppressed.  ``recovery["fallbacks"]`` counts every unit not
-    completed by a worker of the requested backend: quarantined ones
-    and those a lower rung completed.  Every rung runs identical
-    arithmetic, so the merged result is bitwise equal to serial
-    whichever rungs ran (quarantined units that needed direct summation
-    excepted, and those stay within the Theorem-1 ledger).
+    The units start on the thread fleet; a breaker trip hands the
+    remaining ones to the serial floor, which completes them on the
+    coordinating thread with fault injection suppressed.
+    ``recovery["fallbacks"]`` counts every unit not completed by a fleet
+    worker: quarantined ones and those the serial floor completed.  Both
+    rungs run identical arithmetic, so the merged result is bitwise
+    equal to serial whichever rungs ran (quarantined units that needed
+    direct summation excepted, and those stay within the Theorem-1
+    ledger).
     """
     results: dict[int, tuple] = {}
-    rungs = ("process", "thread") if backend == "process" else ("thread",)
-    for rung, (kind, lower) in enumerate(zip(rungs, rungs[1:] + ("serial",))):
-        by_workers = len(results) - sup.n_quarantines
-        try:
-            run_fleet(
-                kind, plan, ctx, q_sorted, n_workers, policy, sup, results, recovery
-            )
-            return results
-        except BackendDegraded as deg:
-            sup.on_degrade(kind, lower, deg.reason, plan.n_units - len(results))
-        finally:
-            if rung:  # units a lower rung's workers completed fell back too
-                recovery["fallbacks"] += len(results) - sup.n_quarantines - by_workers
+    try:
+        run_fleet(plan, ctx, q_sorted, n_workers, policy, sup, results, recovery)
+        return results
+    except BackendDegraded as deg:
+        sup.on_degrade("thread", "serial", deg.reason, plan.n_units - len(results))
     for unit in range(plan.n_units):
         if unit not in results:
             tids, vals, _ = _complete_on_coordinator(plan, ctx, q_sorted, unit)

@@ -1,8 +1,8 @@
 """Tests for multi-RHS batched plan execution.
 
 The acceptance contract: a ``k = 1`` batch is bitwise-identical to the
-single-vector path (serial, thread and process backends, including
-under fault injection), and every column of a ``k > 1`` batch matches
+single-vector path (serial and on the thread fleet, including under
+fault injection), and every column of a ``k > 1`` batch matches
 its standalone evaluation to 1e-12 with the per-column Theorem-1
 ledger containment chain (measured <= a-posteriori <= predicted <= tol)
 intact.
@@ -48,18 +48,18 @@ def test_k1_batch_bitwise_serial(built, mode):
     assert np.array_equal(col[:, 0], single)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_k1_batch_bitwise_parallel(built, backend):
+@pytest.mark.parametrize("fleet", ["thread"])  # the one fleet, named in the id
+def test_k1_batch_bitwise_parallel(built, fleet):
     pts, q, tc = built
     plan = tc.compile_plan(mode="cluster")
     serial = plan.execute(q).potential
-    got = evaluate_plan_parallel(plan, q[:, None], n_threads=2, backend=backend)
+    got = evaluate_plan_parallel(plan, q[:, None], n_threads=2)
     assert got.potential.shape == (N, 1)
     assert np.array_equal(got.potential[:, 0], serial)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_k1_batch_bitwise_under_fault_injection(built, backend):
+@pytest.mark.parametrize("fleet", ["thread"])
+def test_k1_batch_bitwise_under_fault_injection(built, fleet):
     """Injected unit failures retry/recover with identical arithmetic,
     so even a faulty run must stay bitwise for k=1 batches."""
     pts, q, tc = built
@@ -67,9 +67,7 @@ def test_k1_batch_bitwise_under_fault_injection(built, backend):
     serial = plan.execute(q).potential
     set_injector(FaultInjector(parse_fault_spec("block_error:0.2"), seed=7))
     try:
-        got = evaluate_plan_parallel(
-            plan, q[:, None], n_threads=2, backend=backend
-        )
+        got = evaluate_plan_parallel(plan, q[:, None], n_threads=2)
     finally:
         set_injector(None)
     assert np.array_equal(got.potential[:, 0], serial)
@@ -87,13 +85,13 @@ def test_batch_columns_match_standalone(built, mode):
         assert np.max(np.abs(res.potential[:, j] - standalone)) <= 1e-12
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_batch_parallel_matches_serial_batch(built, backend):
+@pytest.mark.parametrize("fleet", ["thread"])
+def test_batch_parallel_matches_serial_batch(built, fleet):
     pts, q, tc = built
     plan = tc.compile_plan(mode="cluster")
     Q = _batch(q, 3)
     serial = plan.execute(Q).potential
-    got = evaluate_plan_parallel(plan, Q, n_threads=2, backend=backend)
+    got = evaluate_plan_parallel(plan, Q, n_threads=2)
     assert np.array_equal(got.potential, serial)
 
 

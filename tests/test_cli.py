@@ -168,26 +168,17 @@ def test_seed_flag_reaches_command(monkeypatch):
     assert seen["seed"] == 42
 
 
-def test_backend_flag_reaches_table2(monkeypatch):
-    seen = {}
-
-    def fake(args):
-        seen["backend"] = args.backend
-        return "OUT"
-
-    monkeypatch.setitem(cli._COMMANDS, "table2", fake)
-    assert cli.main(["table2", "--backend", "process", "--workers", "2"]) == 0
-    assert seen["backend"] == "process"
-    assert cli.main(["profile", "table2", "--backend", "serial"]) == 0
-
-
 def test_backend_flag_rejected_off_table2():
+    """There is one executor: ``--backend`` is no option of any command,
+    table2 included."""
     with pytest.raises(SystemExit):
         cli.main(["table1", "--backend", "process"])
     with pytest.raises(SystemExit):
         cli.main(["profile", "fig2", "--backend", "serial"])
     with pytest.raises(SystemExit):
         cli.main(["table2", "--backend", "nosuch"])
+    with pytest.raises(SystemExit):
+        cli.main(["table2", "--backend", "thread"])
 
 
 def test_journal_flag_wraps_failing_run(monkeypatch, tmp_path):

@@ -1,6 +1,6 @@
 """Tests for cluster-cluster compiled plans (dual-traversal far field
-accumulated through local expansions) and the shared-memory process
-backend of the plan executor."""
+accumulated through local expansions) and the thread fleet of the plan
+executor."""
 
 import numpy as np
 import pytest
@@ -152,36 +152,32 @@ class TestSpillPath:
 
 
 # ----------------------------------------------------------------------
-# Process backend
+# The thread fleet
 # ----------------------------------------------------------------------
 
 
-class TestProcessBackend:
+class TestThreadFleet:
     @pytest.mark.parametrize("mode", ["target", "cluster"])
     def test_matches_serial(self, small_cloud, mode):
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
         plan = tc.compile_plan(mode=mode)
         serial = plan.execute(q)
-        proc = evaluate_plan_parallel(
-            plan, q, n_threads=2, retry=FAST, backend="process"
-        )
-        assert np.max(np.abs(proc.potential - serial.potential)) <= 1e-12
-        assert proc.n_blocks == plan.n_units
-        assert proc.stats.n_pc_interactions == serial.stats.n_pc_interactions
-        assert proc.stats.n_pp_pairs == serial.stats.n_pp_pairs
-        assert proc.stats.interactions_by_degree == serial.stats.interactions_by_degree
+        par = evaluate_plan_parallel(plan, q, n_threads=2, retry=FAST)
+        np.testing.assert_array_equal(par.potential, serial.potential)
+        assert par.n_blocks == plan.n_units
+        assert par.stats.n_pc_interactions == serial.stats.n_pc_interactions
+        assert par.stats.n_pp_pairs == serial.stats.n_pp_pairs
+        assert par.stats.interactions_by_degree == serial.stats.interactions_by_degree
 
-    def test_thread_process_invariance(self, small_cloud):
+    def test_worker_count_invariance(self, small_cloud):
         pts, q = small_cloud
         plan = Treecode(
             pts, q, degree_policy=AdaptiveChargeDegree(p0=3), alpha=0.5
         ).compile_plan(mode="cluster")
-        thr = evaluate_plan_parallel(plan, q, n_threads=3, retry=FAST)
-        prc = evaluate_plan_parallel(
-            plan, q, n_threads=2, retry=FAST, backend="process"
-        )
-        np.testing.assert_array_equal(thr.potential, prc.potential)
+        three = evaluate_plan_parallel(plan, q, n_threads=3, retry=FAST)
+        two = evaluate_plan_parallel(plan, q, n_threads=2, retry=FAST)
+        np.testing.assert_array_equal(three.potential, two.potential)
 
     def test_block_errors_recovered_exactly(self, small_cloud, injector_guard):
         pts, q = small_cloud
@@ -189,35 +185,18 @@ class TestProcessBackend:
             pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16
         ).compile_plan(mode="cluster")
         set_injector(None)
-        clean = evaluate_plan_parallel(plan, q, n_threads=2, backend="process")
+        clean = evaluate_plan_parallel(plan, q, n_threads=2)
         set_injector(FaultInjector(parse_fault_spec("block_error:0.2"), seed=3))
-        faulty = evaluate_plan_parallel(
-            plan, q, n_threads=2, retry=FAST, backend="process"
-        )
+        faulty = evaluate_plan_parallel(plan, q, n_threads=2, retry=FAST)
         np.testing.assert_array_equal(faulty.potential, clean.potential)
         assert faulty.n_retries + faulty.n_fallbacks > 0
 
-    def test_killed_workers_recovered_exactly(self, small_cloud, injector_guard):
-        """block_kill hard-kills workers (os._exit) — the parent must
-        complete the remaining units serially and still match."""
-        pts, q = small_cloud
-        plan = Treecode(
-            pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16
-        ).compile_plan(mode="cluster")
-        set_injector(None)
-        clean = evaluate_plan_parallel(plan, q, n_threads=2, backend="process")
-        set_injector(FaultInjector(parse_fault_spec("block_kill:0.5"), seed=5))
-        faulty = evaluate_plan_parallel(
-            plan, q, n_threads=2, retry=FAST, backend="process"
-        )
-        np.testing.assert_array_equal(faulty.potential, clean.potential)
-        assert faulty.n_fallbacks > 0
-
-    def test_backend_validation(self, small_cloud):
+    def test_backend_keyword_rejected(self, small_cloud):
+        """There is one executor: no ``backend`` to choose."""
         pts, q = small_cloud
         plan = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.5).compile_plan()
-        with pytest.raises(ValueError, match="backend"):
-            evaluate_plan_parallel(plan, q, backend="mpi")
+        with pytest.raises(TypeError, match="backend"):
+            evaluate_plan_parallel(plan, q, backend="process")
 
 
 # ----------------------------------------------------------------------

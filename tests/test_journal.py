@@ -249,14 +249,14 @@ def test_every_emitted_supervisor_event_validates(tmp_path):
             "supervisor.heartbeat_miss", slot=0, unit=3, waited_s=1.5,
             deadline_s=1.0,
         )
-        sup.on_reap(0, 3, 1.5, 1.0, "hang")
+        sup.on_reap(0, 3, 1.5, 1.0)
         sup.on_worker_death(1, None)
         sup.record_failure(3)
         sup.record_failure(3)
         sup.on_quarantine(3, "redo")
         emit("supervisor.memory_shed", freed_bytes=1024, rss=2048, budget=4096)
         sup.trip("worker_mortality")
-        sup.on_degrade("process", "thread", "worker_mortality", 5)
+        sup.on_degrade("thread", "serial", "worker_mortality", 5)
     journal.set_journal(None)
     sup_events = [
         e for e in read_journal(str(path)) if e["event"].startswith("supervisor.")
@@ -279,7 +279,6 @@ def test_validate_event_rejects_malformed():
             "unit": 1,
             "waited_s": 2.0,
             "deadline_s": 1.0,
-            "kind": "hang",
         },
     }
     assert validate_event(good)

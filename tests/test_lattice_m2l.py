@@ -535,18 +535,15 @@ class TestClusterLatticeM2L:
         with pytest.raises(TypeError, match="translation_backend"):
             tc.compile_plan(mode="cluster", translation_backend="dense")
 
-    def test_serial_thread_process_identical(self, small_cloud):
+    def test_serial_thread_identical(self, small_cloud):
         plan = Treecode(
             *small_cloud, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16
         ).compile_plan(mode="cluster")
         q = small_cloud[1]
         serial = plan.execute(q)
-        thr = evaluate_plan_parallel(plan, q, n_threads=3, retry=FAST)
-        prc = evaluate_plan_parallel(
-            plan, q, n_threads=2, retry=FAST, backend="process"
-        )
-        np.testing.assert_array_equal(serial.potential, thr.potential)
-        np.testing.assert_array_equal(thr.potential, prc.potential)
+        for n_threads in (2, 3):
+            thr = evaluate_plan_parallel(plan, q, n_threads=n_threads, retry=FAST)
+            np.testing.assert_array_equal(serial.potential, thr.potential)
 
     def test_block_errors_recovered_exactly(self, small_cloud, injector_guard):
         pts, q = small_cloud
@@ -554,11 +551,9 @@ class TestClusterLatticeM2L:
             pts, q, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16
         ).compile_plan(mode="cluster")
         set_injector(None)
-        clean = evaluate_plan_parallel(plan, q, n_threads=2, backend="process")
+        clean = evaluate_plan_parallel(plan, q, n_threads=2)
         set_injector(FaultInjector(parse_fault_spec("block_error:0.2"), seed=3))
-        faulty = evaluate_plan_parallel(
-            plan, q, n_threads=2, retry=FAST, backend="process"
-        )
+        faulty = evaluate_plan_parallel(plan, q, n_threads=2, retry=FAST)
         np.testing.assert_array_equal(faulty.potential, clean.potential)
         assert faulty.n_retries + faulty.n_fallbacks > 0
 

@@ -194,23 +194,22 @@ def test_near_field_is_bitwise_at_every_budget(cloud, mode, compute, budget):
     ref = compile_()
     m = ref._near_units.shape[0]
     assert ref.n_near_precomputed == m and ref.n_near_spilled == 0
-    if budget == "shed":
-        plan = compile_()
-        assert plan.shed_memory() > 0 and plan.shed_memory() > 0
-        assert plan._near_K is None
-    elif budget == "shed1":  # float32 kernels, blocks viewed from them
-        plan = compile_()
+    partial = PARTIAL
+    if mode == "cluster-cut":  # the entries of the first half of the units
+        partial = (12 + 24 * (compute == "both")) * int(ref._near_cum[m // 2])
+    if budget in ("shed", "shed1"):
+        # "shed": the default plan, shed until nothing is left; "shed1":
+        # one shed of a partially spilled plan
+        plan = compile_() if budget == "shed" else compile_(memory_budget=partial)
         assert plan.shed_memory() > 0
-        assert plan._near_K.data.dtype == np.float32
+        assert plan._near_K is None
+        assert budget == "shed1" or plan.shed_memory() == 0
     else:
-        partial = PARTIAL
-        if mode == "cluster-cut":  # the entries of the first half of the units
-            partial = (12 + 24 * (compute == "both")) * int(ref._near_cum[m // 2])
         mb = {"zero": 0, "partial": partial, "default": DEFAULT_MEMORY_BUDGET}
         plan = compile_(memory_budget=mb[budget])
     pre = plan.n_near_precomputed
     assert {"zero": pre == 0, "partial": 0 < pre < m, "default": pre == m,
-            "shed": pre == 0, "shed1": pre == m}[budget]
+            "shed": pre == 0, "shed1": pre == 0}[budget]
     assert pre + plan.n_near_spilled == m
     # the unit layout and its blocks do not depend on the budget
     assert plan.n_units == ref.n_units
@@ -226,12 +225,6 @@ def test_near_field_is_bitwise_at_every_budget(cloud, mode, compute, budget):
         _assert_units_are_rows(plan, Q, False)
     phi, g, units, direct = _near_parts(plan, q, grad)
     rphi, rg, runits, _ = _near_parts(ref, q, grad)
-    if budget == "shed1":  # float32 products; quarantine stays float64
-        assert units[0][1].dtype == np.float32
-        for (td, vd), (rt, rv) in zip(direct, runits):
-            np.testing.assert_array_equal(td, rt)
-            np.testing.assert_array_equal(vd, rv)
-        return
     np.testing.assert_array_equal(phi, rphi)
     if grad:
         np.testing.assert_array_equal(g, rg)
@@ -286,7 +279,6 @@ def test_gradient_kernels_are_assembled_arrays(cloud, mode, monkeypatch):
     assert any(g is not None and np.shares_memory(plan._near_G, g) for g in made)
     assert plan._near_G.flags.c_contiguous
     _, g_frozen, _, _ = _near_parts(plan, q, True)
-    plan.shed_memory()
     plan.shed_memory()
     assert plan._near_G is None
     _, g_rebuilt, _, _ = _near_parts(plan, q, True)

@@ -1,7 +1,6 @@
 """Tests for the fault-tolerance layer: injection, retry, guards, checkpoints."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -146,10 +145,6 @@ class TestRetry:
 # ----------------------------------------------------------------------
 
 
-#: both fleet kinds; forking needs POSIX
-BACKENDS = ("thread", "process") if os.name == "posix" else ("thread",)
-
-
 @pytest.fixture
 def plan_and_serial(small_cloud):
     """A target-major plan of the small cloud, its charges, and its
@@ -161,7 +156,7 @@ def plan_and_serial(small_cloud):
 
 
 class TestParallelRecovery:
-    """Every recovery path on both fleet kinds reruns identical
+    """Every recovery path on the thread fleet reruns identical
     arithmetic, so each run equals the serial plan bitwise."""
 
     def _assert_matches_serial(self, par, serial):
@@ -169,7 +164,7 @@ class TestParallelRecovery:
         assert par.stats.n_pp_pairs == serial.stats.n_pp_pairs
         assert par.stats.n_pc_interactions == serial.stats.n_pc_interactions
 
-    def _run(self, plan, q, spec, seed, backend, **cfg):
+    def _run(self, plan, q, spec, seed, **cfg):
         set_injector(FaultInjector(parse_fault_spec(spec), seed=seed))
         try:
             return evaluate_plan_parallel(
@@ -177,7 +172,6 @@ class TestParallelRecovery:
                 q,
                 n_threads=4,
                 retry=FAST,
-                backend=backend,
                 supervise=SupervisorConfig(**cfg),
             )
         finally:
@@ -187,38 +181,32 @@ class TestParallelRecovery:
         self, clean_injector, plan_and_serial
     ):
         plan, q, serial = plan_and_serial
-        for backend in BACKENDS:
-            par = self._run(plan, q, "block_error:0.5", 3, backend)
-            self._assert_matches_serial(par, serial)
-            assert par.n_retries > 0, backend
+        par = self._run(plan, q, "block_error:0.5", 3)
+        self._assert_matches_serial(par, serial)
+        assert par.n_retries > 0
 
     def test_total_failure_falls_back_serially(self, clean_injector, plan_and_serial):
         plan, q, serial = plan_and_serial
-        for backend in BACKENDS:
-            par = self._run(plan, q, "block_error:1.0", 0, backend)
-            self._assert_matches_serial(par, serial)
-            # every unit is completed on the coordinator: quarantined, or
-            # on the serial rung once the breakers have tripped
-            assert par.n_fallbacks == par.n_blocks, backend
-            assert par.n_degradations >= 1, backend
+        par = self._run(plan, q, "block_error:1.0", 0)
+        self._assert_matches_serial(par, serial)
+        # every unit is completed on the coordinator: quarantined, or on
+        # the serial floor once the breaker has tripped
+        assert par.n_fallbacks == par.n_blocks
+        assert par.n_degradations == 1
 
     def test_corrupted_blocks_caught_and_recovered(
         self, clean_injector, plan_and_serial
     ):
         plan, q, serial = plan_and_serial
-        for backend in BACKENDS:
-            par = self._run(plan, q, "block_nan:0.5", 1, backend)
-            self._assert_matches_serial(par, serial)
-            assert par.n_retries > 0 or par.n_fallbacks > 0, backend
+        par = self._run(plan, q, "block_nan:0.5", 1)
+        self._assert_matches_serial(par, serial)
+        assert par.n_retries > 0 or par.n_fallbacks > 0
 
     def test_hung_blocks_abandoned_and_recovered(self, clean_injector, plan_and_serial):
         plan, q, serial = plan_and_serial
-        for backend in BACKENDS:
-            par = self._run(
-                plan, q, "block_hang:0.3:0.2", 2, backend, unit_deadline=0.05
-            )
-            self._assert_matches_serial(par, serial)
-            assert par.n_reaped > 0, backend
+        par = self._run(plan, q, "block_hang:0.3:0.2", 2, unit_deadline=0.05)
+        self._assert_matches_serial(par, serial)
+        assert par.n_reaped > 0
 
 
 # ----------------------------------------------------------------------

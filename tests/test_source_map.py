@@ -159,9 +159,9 @@ def test_near_bitwise_across_budgets_shedding_and_quarantine(sphere):
         A = np.array([np.abs(q[tree.start[n] : tree.end[n]]).sum() for n in nodes])
         bound = theorem1_bound(A, tree.radius[nodes], np.linalg.norm(rel, axis=1), ch.p)
         assert np.all(np.abs(dv - vals) <= bound * (1 + 1e-9) + 1e-15)
-    # memory shedding: float32 kernels, then exact re-assembly
+    # memory shedding: exact re-assembly, then nothing left to shed
     assert plan.shed_memory() > 0
-    assert plan.shed_memory() > 0
+    assert plan.shed_memory() == 0
     assert plan.n_near_precomputed == 0
     for a, b in zip(_near_units(plan, sigma), ref):
         np.testing.assert_array_equal(a, b)
@@ -182,15 +182,15 @@ def test_adaptive_degree_and_tol_plans(sphere):
         assert _rel(got, want) <= 1e-12
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_parallel_executors_bitwise(sphere, backend):
+@pytest.mark.parametrize("fleet", ["thread"])  # the one fleet, named in the id
+def test_parallel_executors_bitwise(sphere, fleet):
     op = _op(sphere)
     sigma = _sigma(sphere)
     want = op.matvec(sigma)
-    res = evaluate_plan_parallel(op._plan, sigma, n_threads=2, backend=backend)
+    res = evaluate_plan_parallel(op._plan, sigma, n_threads=2)
     np.testing.assert_array_equal(res.potential, want)
     S = _sigma(sphere, k=3)
-    res = evaluate_plan_parallel(op._plan, S, n_threads=2, backend=backend)
+    res = evaluate_plan_parallel(op._plan, S, n_threads=2)
     np.testing.assert_array_equal(res.potential, op._plan.execute(S).potential)
 
 
@@ -223,7 +223,6 @@ def test_self_target_gradients_and_bounds(cloud_map):
     # gradient near kernels fold onto the potential kernel's pattern
     assert mapped._near_G.shape == (3, mapped._near_K.nnz)
     g_ref = mapped._near_rows(mapped.sort_charges(x), 0, mapped._n_near_units, True)
-    mapped.shed_memory()
     mapped.shed_memory()
     g_shed = mapped._near_rows(mapped.sort_charges(x), 0, mapped._n_near_units, True)
     np.testing.assert_array_equal(g_shed[0], g_ref[0])

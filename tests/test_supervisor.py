@@ -1,18 +1,14 @@
 """Supervised execution: heartbeats, watchdogs, quarantine, ladder.
 
 Covers the supervision layer (repro.robust.supervisor) end to end: the
-heartbeat table, adaptive hang deadlines, hang/OOM reaps on the process
-fleet, hang abandonment on the thread fleet, poison-unit quarantine,
-the memory breaker with plan shedding, the process -> thread -> serial
-degradation ladder, the abandoned-thread ledger, shared-memory hygiene
-on abnormal exit, and the CLI/environment wiring.
+heartbeat table, adaptive hang deadlines, hang reaps on the thread
+fleet, poison-unit quarantine, the memory breaker with plan shedding,
+the thread -> serial degradation ladder, the abandoned-thread ledger,
+and the CLI/environment wiring.
 """
 
 import os
-import signal
-import subprocess
 import sys
-import textwrap
 import time
 
 import numpy as np
@@ -39,15 +35,7 @@ from repro.robust.supervisor import (
     HeartbeatTable,
     Supervisor,
     SupervisorConfig,
-    cleanup_segments,
-    create_segment,
-    current_rss,
     default_config,
-    release_segment,
-)
-
-posix_only = pytest.mark.skipif(
-    os.name != "posix", reason="fork-based process pool"
 )
 
 #: millisecond backoff so failure paths stay fast under test
@@ -89,45 +77,19 @@ def supervisor_counters():
 
 
 # ---------------------------------------------------------------------------
-# heartbeat table + shared-memory hygiene
+# heartbeat table
 # ---------------------------------------------------------------------------
 class TestHeartbeatTable:
     def test_beat_read_clear(self):
         hb = HeartbeatTable(2)
-        try:
-            assert hb.name.startswith(f"repro-{os.getpid()}-")
-            hb.beat(0, 5, rss=12345)
-            snap = hb.read()
-            assert int(snap[0, 0]) == os.getpid()
-            assert int(snap[0, 1]) == 5
-            assert snap[0, 2] > 0.0  # monotonic timestamp published last
-            assert int(snap[0, 3]) == 12345
-            assert int(snap[1, 1]) == -1  # untouched slot reads idle
-            hb.clear(0)
-            assert int(hb.read()[0, 1]) == -1
-        finally:
-            hb.close()
-
-    @posix_only
-    def test_close_leaves_no_shm_residue(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this host")
-        hb = HeartbeatTable(3)
-        name = hb.name
-        assert os.path.exists(f"/dev/shm/{name}")
-        hb.close()
-        assert not os.path.exists(f"/dev/shm/{name}")
-
-    @posix_only
-    def test_cleanup_segments_sweeps_unreleased(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this host")
-        shm = create_segment(256)
-        name = shm.name
-        assert os.path.exists(f"/dev/shm/{name}")
-        cleanup_segments()  # the atexit/SIGTERM hook, called directly
-        assert not os.path.exists(f"/dev/shm/{name}")
-        release_segment(shm)  # idempotent on an already-swept segment
+        hb.beat(0, 5, ident=7)
+        snap = hb.read()
+        assert int(snap[0, 0]) == 7
+        assert int(snap[0, 1]) == 5
+        assert snap[0, 2] > 0.0  # monotonic timestamp published last
+        assert int(snap[1, 1]) == -1  # untouched slot reads idle
+        hb.clear(0)
+        assert int(hb.read()[0, 1]) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +181,6 @@ class TestCleanRuns:
         assert sup.n_quarantined == sup.n_reaped == sup.n_degradations == 0
         assert supervisor_counters() == {}  # no events on a healthy run
 
-    @posix_only
-    def test_supervised_process_run_bitwise(self):
-        plan, q = small_plan()
-        sup = evaluate_plan_parallel(
-            plan, q, n_threads=2, backend="process", supervise=SupervisorConfig()
-        )
-        np.testing.assert_array_equal(sup.potential, plan.execute(q).potential)
-        assert sup.n_reaped == 0
-
     def test_supervise_takes_a_config_only(self):
         plan, q = small_plan()
         with pytest.raises(TypeError, match="SupervisorConfig"):
@@ -261,9 +214,7 @@ def test_heavy_leading_units_are_not_reaped_as_hangs():
         SupervisorConfig(min_deadline=0.05, warmup_samples=2, quarantine_after=1)
     )
     results, recovery = {}, {"retries": 0, "fallbacks": 0}
-    sup_mod.run_fleet(
-        "thread", plan, {}, np.zeros(1), 4, FAST, sup, results, recovery
-    )
+    sup_mod.run_fleet(plan, {}, np.zeros(1), 4, FAST, sup, results, recovery)
     assert sorted(results) == list(range(64))
     assert sup.n_reaps == 0 and sup.n_quarantines == 0
 
@@ -288,26 +239,23 @@ def test_oversubscribed_thread_fleet_stress():
 
 
 # ---------------------------------------------------------------------------
-# bitwise results: every backend x plan mode x charge shape x fault
+# bitwise results: plan mode x charge shape x fault, on the thread fleet
 # ---------------------------------------------------------------------------
 MATRIX_FAULTS = {
     "clean": None,
     "block_error": "block_error:0.3",
     "block_nan": "block_nan:0.3",
-    "block_kill": "block_kill:0.3",
     "block_hang": "block_hang:0.2:0.6",
 }
 
 
 @pytest.mark.parametrize("fault", list(MATRIX_FAULTS))
 @pytest.mark.parametrize("mode", ["target", "cluster"])
-@pytest.mark.parametrize(
-    "backend", ["thread", pytest.param("process", marks=posix_only)]
-)
-def test_bitwise_under_faults(backend, mode, fault):
-    """Retries, redispatches, reaps, quarantines and ladder rungs all
+@pytest.mark.parametrize("fleet", ["thread"])  # the one fleet, named in the ids
+def test_bitwise_under_faults(fleet, mode, fault):
+    """Retries, redispatches, reaps, quarantines and the serial floor all
     rerun identical arithmetic, so every run equals ``plan.execute``
-    bitwise; ``block_kill`` only fires in process workers."""
+    bitwise."""
     n = 600
     pts = make_distribution("uniform", n, seed=21)
     q = unit_charges(n, seed=22, signed=True)
@@ -323,7 +271,6 @@ def test_bitwise_under_faults(backend, mode, fault):
             plan,
             charges,
             n_threads=2,
-            backend=backend,
             retry=FAST,
             supervise=SupervisorConfig(unit_deadline=0.25),
         )
@@ -333,9 +280,22 @@ def test_bitwise_under_faults(backend, mode, fault):
 
 
 # ---------------------------------------------------------------------------
-# hang reaping + quarantine (process backend)
+# hang reaping, quarantine and the breaker (thread fleet)
 # ---------------------------------------------------------------------------
-@posix_only
+def _journaled_run(jpath, plan, q, spec, seed, **cfg):
+    """One journaled, fault-injected ``evaluate_plan_parallel`` run."""
+    set_injector(FaultInjector(parse_fault_spec(spec), seed=seed))
+    try:
+        with Journal(str(jpath)) as j:
+            journal.set_journal(j)
+            return evaluate_plan_parallel(
+                plan, q, n_threads=2, retry=FAST, supervise=SupervisorConfig(**cfg)
+            )
+    finally:
+        journal.set_journal(None)
+        set_injector(None)
+
+
 class TestHangReaping:
     def test_hangs_reaped_within_twice_deadline(self, tmp_path):
         plan, q = small_plan()
@@ -344,33 +304,17 @@ class TestHangReaping:
         jpath = tmp_path / "run.jsonl"
         # 15% of the 68 units sleep far past the deadline (~10 expected
         # hangs; the chance of a hang-free run is ~1e-5)
-        set_injector(
-            FaultInjector(parse_fault_spec("block_hang:0.15:5"), seed=2)
+        res = _journaled_run(
+            jpath, plan, q, "block_hang:0.15:5", 2,
+            unit_deadline=deadline,
+            quarantine_after=1,
+            max_worker_deaths=10_000,  # keep the ladder out of this test
         )
-        with Journal(str(jpath)) as j:
-            journal.set_journal(j)
-            res = evaluate_plan_parallel(
-                plan,
-                q,
-                n_threads=2,
-                backend="process",
-                retry=FAST,
-                supervise=SupervisorConfig(
-                    unit_deadline=deadline,
-                    quarantine_after=1,
-                    max_worker_deaths=10_000,  # keep the ladder out of this test
-                ),
-            )
-        journal.set_journal(None)
-        set_injector(None)
         np.testing.assert_array_equal(res.potential, serial)
         assert res.n_reaped >= 1
         assert res.n_quarantined >= 1
-        reaps = [
-            e
-            for e in read_journal(str(jpath))
-            if e["event"] == "supervisor.reap"
-        ]
+        events = read_journal(str(jpath))
+        reaps = [e for e in events if e["event"] == "supervisor.reap"]
         assert reaps, "reaps must be journaled"
         for e in reaps:
             assert validate_event(e)
@@ -378,86 +322,63 @@ class TestHangReaping:
             # silent worker is reaped within 2x the deadline
             assert e["data"]["waited_s"] <= 2.0 * e["data"]["deadline_s"]
         counters = supervisor_counters()
-        assert counters.get("supervisor_reaps", 0) == res.n_reaped
+        assert counters.get("supervisor_reaps", 0) == res.n_reaped == len(reaps)
+        quarantines = [e for e in events if e["event"] == "supervisor.quarantine"]
         assert counters.get("supervisor_quarantines", 0) == res.n_quarantined
+        assert len(quarantines) == res.n_quarantined
 
     def test_worker_mortality_degrades_down_the_ladder(self, tmp_path):
         plan, q = small_plan()
         serial = plan.execute(q).potential
         jpath = tmp_path / "run.jsonl"
-        set_injector(
-            FaultInjector(parse_fault_spec("block_kill:0.6"), seed=5)
+        # every reaped (abandoned) worker counts as a death: two trip
+        # the breaker, and the serial floor completes the rest
+        res = _journaled_run(
+            jpath, plan, q, "block_hang:0.6:2", 5,
+            unit_deadline=0.2, quarantine_after=100, max_worker_deaths=2,
         )
-        with Journal(str(jpath)) as j:
-            journal.set_journal(j)
-            res = evaluate_plan_parallel(
-                plan,
-                q,
-                n_threads=2,
-                backend="process",
-                retry=FAST,
-                supervise=SupervisorConfig(
-                    unit_deadline=5.0, max_worker_deaths=2
-                ),
-            )
-        journal.set_journal(None)
-        set_injector(None)
-        # the thread/serial rungs rerun units with identical arithmetic
         np.testing.assert_array_equal(res.potential, serial)
-        assert res.n_degradations >= 1
+        assert res.n_degradations == 1
         events = read_journal(str(jpath))
         trips = [e for e in events if e["event"] == "supervisor.breaker_trip"]
         degraded = [e for e in events if e["event"] == "supervisor.degraded"]
         assert trips and trips[0]["data"]["reason"] == "worker_mortality"
-        assert degraded and degraded[0]["data"]["frm"] == "process"
-        assert degraded[0]["data"]["to"] == "thread"
+        assert degraded and degraded[0]["data"]["frm"] == "thread"
+        assert degraded[0]["data"]["to"] == "serial"
 
-    def test_oom_workers_reaped(self, tmp_path):
-        plan, q = small_plan(n=600, n_units=2, leaf_size=200)
+    def test_unit_failures_degrade_to_serial(self, tmp_path):
+        """``max_unit_failures`` failed units trip the breaker; the serial
+        floor completes every unit left, bitwise, and the journal agrees
+        with the counters line for line."""
+        plan, q = small_plan()
         serial = plan.execute(q).potential
         jpath = tmp_path / "run.jsonl"
-        # every attempt balloons worker RSS by ~96 MiB over a budget set
-        # ~48 MiB above the current (soon-to-be-forked) image, then
-        # sleeps briefly: the ballast survives into the *next* unit's
-        # heartbeat, and the sleep keeps the slot busy long enough for
-        # the RSS watchdog to observe it
-        budget = current_rss() + 48 * 1024 * 1024
-        set_injector(
-            FaultInjector(
-                parse_fault_spec("block_oom:1.0:96,block_hang:1.0:0.3"), seed=1
-            )
+        res = _journaled_run(
+            jpath, plan, q, "block_error:1.0", 0,
+            quarantine_after=100, max_unit_failures=3,
         )
-        with Journal(str(jpath)) as j:
-            journal.set_journal(j)
-            res = evaluate_plan_parallel(
-                plan,
-                q,
-                n_threads=2,
-                backend="process",
-                retry=FAST,
-                supervise=SupervisorConfig(
-                    unit_deadline=30.0,  # only the RSS watchdog may fire
-                    quarantine_after=1,
-                    max_worker_deaths=10_000,
-                    memory_budget=budget,
-                ),
-            )
-        journal.set_journal(None)
-        set_injector(None)
         np.testing.assert_array_equal(res.potential, serial)
-        oom_reaps = [
-            e
-            for e in read_journal(str(jpath))
-            if e["event"] == "supervisor.reap" and e["data"]["kind"] == "oom"
-        ]
-        assert oom_reaps, "over-budget workers must be reaped as oom"
-        assert supervisor_counters().get("supervisor_oom_reaps", 0) >= 1
+        assert res.n_degradations == 1 and res.n_quarantined == 0
+        assert res.n_fallbacks == res.n_blocks  # no worker completed a unit
+        events = read_journal(str(jpath))
+        kinds = [e["event"] for e in events]
+        trips = [e for e in events if e["event"] == "supervisor.breaker_trip"]
+        assert [e["data"]["reason"] for e in trips] == ["unit_failures"]
+        counters = REGISTRY.to_dict()["counters"]
+        for event, counter in (
+            ("supervisor.breaker_trip", "supervisor_breaker_trips"),
+            ("supervisor.degraded", "supervisor_degradations"),
+            ("fallback", "block_fallbacks"),
+            ("retry", "block_retries"),
+            ("fault_injected", "faults_injected"),
+        ):
+            assert kinds.count(event) == counters.get(counter, 0) > 0, event
+        assert kinds.count("fallback") == res.n_fallbacks
 
 
 # ---------------------------------------------------------------------------
 # memory breaker: shed, then trip, then ladder
 # ---------------------------------------------------------------------------
-@posix_only
 class TestMemoryBreaker:
     def test_parent_sheds_then_trips_then_ladder_completes(self, tmp_path):
         plan, q = small_plan(n=600, n_units=2, leaf_size=200)
@@ -469,31 +390,21 @@ class TestMemoryBreaker:
                 plan,
                 q,
                 n_threads=2,
-                backend="process",
                 retry=FAST,
-                # 1-byte budget: the parent is over it from the start, so
-                # it must shed the plan's stages, then trip the breaker,
-                # then finish down the ladder.  Workers are over it too
-                # and get oom-reaped; mortality must not trip first.
+                # 1-byte budget: the process is over it from the start, so
+                # it must shed the plan, then trip the breaker, then
+                # finish on the serial floor
                 supervise=SupervisorConfig(
-                    unit_deadline=30.0,
-                    quarantine_after=1,
-                    max_worker_deaths=10_000_000,
-                    memory_budget=1,
+                    unit_deadline=30.0, quarantine_after=1, memory_budget=1
                 ),
             )
         journal.set_journal(None)
-        # stage-1 shed casts precomputed operators to float32, so units
-        # evaluated between the sheds are approximate — allclose, not
-        # bitwise (stage 2 drops to the exact recompute paths)
-        scale = max(1.0, float(np.abs(serial).max()))
-        np.testing.assert_allclose(
-            res.potential, serial, rtol=0, atol=1e-4 * scale
-        )
+        # the shed drops to the spilled paths: bitwise the resident plan
+        np.testing.assert_array_equal(res.potential, serial)
         events = read_journal(str(jpath))
         sheds = [e for e in events if e["event"] == "supervisor.memory_shed"]
         trips = [e for e in events if e["event"] == "supervisor.breaker_trip"]
-        assert sheds, "the parent must shed plan memory before breaking"
+        assert sheds, "plan memory must be shed before the breaker trips"
         assert any(e["data"]["reason"] == "memory_pressure" for e in trips)
         assert res.n_degradations >= 1
         counters = supervisor_counters()
@@ -506,9 +417,8 @@ class TestMemoryBreaker:
 # ---------------------------------------------------------------------------
 class TestShedAndDirect:
     def test_shed_memory_stages_and_accuracy(self):
-        # target-major plan: stage 2 drops *all* precomputed operators
-        # to the exact recompute paths, so full accuracy returns (the
-        # cluster plan keeps float32 L2P rows after stage 1)
+        # one shed drops every precomputed operator to the spilled
+        # paths, bitwise the resident ones; then nothing is left
         pts = make_distribution("uniform", 900, seed=7)
         q = unit_charges(900, seed=8, signed=True)
         plan = Treecode(
@@ -516,27 +426,21 @@ class TestShedAndDirect:
         ).compile_plan()
         base = plan.execute(q).potential
         before = plan.memory_bytes
-        scale = max(1.0, float(np.abs(base).max()))
 
-        freed1 = plan.shed_memory()  # stage 1: float32 operators
-        assert freed1 > 0
-        assert plan.memory_bytes == before - freed1
-        stage1 = plan.execute(q).potential
-        assert np.allclose(stage1, base, rtol=0, atol=1e-4 * scale)
-
-        freed2 = plan.shed_memory()  # stage 2: drop to exact recompute
-        assert freed2 > 0
-        stage2 = plan.execute(q).potential
-        np.testing.assert_allclose(stage2, base, rtol=0, atol=1e-12 * scale)
+        freed = plan.shed_memory()
+        assert freed > 0
+        assert plan.memory_bytes == before - freed
+        assert plan.n_far_precomputed == plan.n_near_precomputed == 0
+        np.testing.assert_array_equal(plan.execute(q).potential, base)
 
         assert plan.shed_memory() == 0  # nothing left: breaker's cue
 
     @pytest.mark.parametrize("mode", ["target", "cluster"])
-    def test_shed_stages_keep_units_and_run_in_float32(self, mode):
-        """Both plan modes: stage 1 casts the sparse operators' data to
-        float32 (products then run in float32 — the data is never upcast
-        again), stage 2 drops the near kernels (and the target-major far
-        rows) to exact recompute; the work-unit layout never changes."""
+    def test_shed_keeps_units_and_potentials_bitwise(self, mode):
+        """Both plan modes: the shed drops the near kernels (and the
+        target-major far rows) to exact re-assembly, so potentials stay
+        bitwise the unshed plan's and gradients within rounding; the
+        work-unit layout never changes."""
         pts = make_distribution("uniform", 900, seed=7)
         q = unit_charges(900, seed=8, signed=True)
         plan = Treecode(
@@ -544,33 +448,15 @@ class TestShedAndDirect:
         ).compile_plan(mode=mode, compute="both")
         base = plan.execute(q)
         units = plan.n_units
-        scale = max(1.0, float(np.abs(base.potential).max()))
-
-        assert plan.shed_memory() > 0
-        if mode == "target":
-            ops = [A for ch in plan._far_chunks for A in (ch.op, ch.gop)]
-        else:
-            ops = [A for u in plan._units for g in u.l2p for A in (g.op, g.gop)]
-        ops += [plan._near_K]
-        stage1 = plan.execute(q)
-        assert all(A.data.dtype == np.float32 for A in ops)
-        assert plan._near_G.dtype == np.float32
-        assert plan.n_units == units
-        np.testing.assert_allclose(
-            stage1.potential, base.potential, rtol=0, atol=1e-4 * scale
-        )
 
         assert plan.shed_memory() > 0
         assert plan._near_K is None and plan.n_near_precomputed == 0
         assert plan.n_units == units
-        stage2 = plan.execute(q)
-        tol = 1e-12 if mode == "target" else 1e-4  # float32 L2P rows stay
-        np.testing.assert_allclose(
-            stage2.potential, base.potential, rtol=0, atol=tol * scale
-        )
+        shed = plan.execute(q)
+        np.testing.assert_array_equal(shed.potential, base.potential)
         gscale = float(np.abs(base.gradient).max())
         np.testing.assert_allclose(
-            stage2.gradient, base.gradient, rtol=0, atol=tol * gscale
+            shed.gradient, base.gradient, rtol=0, atol=1e-12 * gscale
         )
         assert plan.shed_memory() == 0
 
@@ -590,9 +476,8 @@ class TestShedAndDirect:
 
 
 # ---------------------------------------------------------------------------
-# the ISSUE acceptance scenario: n=20k under combined hang+kill chaos
+# acceptance scenario: n=20k under hang chaos
 # ---------------------------------------------------------------------------
-@posix_only
 class TestAcceptance:
     def test_20k_chaos_run_bitwise_with_full_ledger(self, tmp_path):
         n = 20000
@@ -605,25 +490,10 @@ class TestAcceptance:
         serial = plan.execute(q).potential
         jpath = tmp_path / "run.jsonl"
         tracing.enable()
-        set_injector(
-            FaultInjector(
-                parse_fault_spec("block_hang:0.2:1,block_kill:0.1"), seed=3
-            )
+        res = _journaled_run(
+            jpath, plan, q, "block_hang:0.2:1,block_error:0.1", 3,
+            unit_deadline=0.4, quarantine_after=1, max_worker_deaths=6,
         )
-        with Journal(str(jpath)) as j:
-            journal.set_journal(j)
-            res = evaluate_plan_parallel(
-                plan,
-                q,
-                n_threads=2,
-                backend="process",
-                retry=FAST,
-                supervise=SupervisorConfig(
-                    unit_deadline=0.4, quarantine_after=1, max_worker_deaths=6
-                ),
-            )
-        journal.set_journal(None)
-        set_injector(None)
 
         np.testing.assert_array_equal(res.potential, serial)
         assert res.n_reaped >= 1
@@ -636,7 +506,7 @@ class TestAcceptance:
         assert {"supervisor.reap", "supervisor.quarantine",
                 "supervisor.degraded"} <= kinds
         for e in events:
-            if e["event"] == "supervisor.reap" and e["data"]["kind"] == "hang":
+            if e["event"] == "supervisor.reap":
                 assert e["data"]["waited_s"] <= 2.0 * e["data"]["deadline_s"]
         counters = supervisor_counters()
         assert counters.get("supervisor_reaps", 0) >= 1
@@ -677,65 +547,6 @@ class TestAbandonedThreads:
         for t in mine:
             t.join(timeout=5.0)
         assert not set(mine) & set(abandoned_threads())
-
-
-# ---------------------------------------------------------------------------
-# abnormal-exit hygiene: SIGINT mid-run leaves no /dev/shm residue
-# ---------------------------------------------------------------------------
-@posix_only
-class TestAbnormalExit:
-    def test_sigint_leaves_no_shm_residue(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this host")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        child_code = textwrap.dedent(
-            """
-            import sys
-            sys.path.insert(0, sys.argv[1])
-            from repro.core.degree import FixedDegree
-            from repro.core.treecode import Treecode
-            from repro.data.distributions import make_distribution, unit_charges
-            from repro.parallel import evaluate_plan_parallel
-            from repro.robust import FaultInjector, parse_fault_spec, set_injector
-            from repro.robust.supervisor import SupervisorConfig
-
-            n = 600
-            pts = make_distribution("uniform", n, seed=0)
-            q = unit_charges(n, seed=1, signed=True)
-            plan = Treecode(
-                pts, q, degree_policy=FixedDegree(3), alpha=0.6, leaf_size=96
-            ).compile_plan(mode="cluster", n_units=2)
-            set_injector(
-                FaultInjector(parse_fault_spec("block_hang:1.0:60"), seed=0)
-            )
-            print("RUNNING", flush=True)
-            evaluate_plan_parallel(
-                plan, q, n_threads=2, backend="process",
-                supervise=SupervisorConfig(unit_deadline=45.0),
-            )
-            """
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", child_code, src],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-        )
-        try:
-            assert proc.stdout.readline().strip() == "RUNNING"
-            time.sleep(1.5)  # let the heartbeat/operand segments appear
-            proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
-        leftover = [
-            f
-            for f in os.listdir("/dev/shm")
-            if f.startswith(f"repro-{proc.pid}-")
-        ]
-        assert leftover == [], f"SIGINT leaked shared memory: {leftover}"
 
 
 # ---------------------------------------------------------------------------

@@ -171,36 +171,18 @@ class TestExecutorParity:
         tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
         return tc.compile_plan(mode="cluster", tol=1e-5), q
 
-    def test_serial_thread_process_identical(self, small_cloud):
+    def test_serial_thread_identical(self, small_cloud):
         plan, q = self._variable_plan(small_cloud)
         serial = plan.execute(q)
-        thr = evaluate_plan_parallel(plan, q, n_threads=3, retry=FAST)
-        prc = evaluate_plan_parallel(
-            plan, q, n_threads=2, retry=FAST, backend="process"
-        )
-        np.testing.assert_array_equal(thr.potential, serial.potential)
-        np.testing.assert_array_equal(prc.potential, serial.potential)
+        for n_threads in (2, 3):
+            thr = evaluate_plan_parallel(plan, q, n_threads=n_threads, retry=FAST)
+            np.testing.assert_array_equal(thr.potential, serial.potential)
 
     def test_block_errors_recovered_exactly(self, small_cloud, injector_guard):
         plan, q = self._variable_plan(small_cloud)
         set_injector(None)
-        clean = evaluate_plan_parallel(plan, q, n_threads=2, backend="process")
+        clean = evaluate_plan_parallel(plan, q, n_threads=2)
         set_injector(FaultInjector(parse_fault_spec("block_error:0.2"), seed=3))
-        faulty = evaluate_plan_parallel(
-            plan, q, n_threads=2, retry=FAST, backend="process"
-        )
+        faulty = evaluate_plan_parallel(plan, q, n_threads=2, retry=FAST)
         np.testing.assert_array_equal(faulty.potential, clean.potential)
         assert faulty.n_retries + faulty.n_fallbacks > 0
-
-    def test_killed_workers_recovered_exactly(self, small_cloud, injector_guard):
-        """block_kill hard-kills workers (os._exit); the parent must
-        finish the degree-bucketed units serially and still match."""
-        plan, q = self._variable_plan(small_cloud)
-        set_injector(None)
-        clean = evaluate_plan_parallel(plan, q, n_threads=2, backend="process")
-        set_injector(FaultInjector(parse_fault_spec("block_kill:0.5"), seed=5))
-        faulty = evaluate_plan_parallel(
-            plan, q, n_threads=2, retry=FAST, backend="process"
-        )
-        np.testing.assert_array_equal(faulty.potential, clean.potential)
-        assert faulty.n_fallbacks > 0
