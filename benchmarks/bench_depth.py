@@ -133,7 +133,7 @@ def measured_cuts(cands: list) -> list:
 def run_cloud(dist: str, n: int, compute: str, repeats: int) -> dict:
     pts, q = cloud(dist, n)
     tc = Treecode(pts, q)
-    chosen = tc.compile_plan(mode="cluster", compute=compute, cache_dir="").cut_level
+    chosen = tc.compile_plan(mode="cluster", compute=compute).cut_level
     cands, terms = candidates(tc, compute)
     rows = []
     todo = measured_cuts(cands)

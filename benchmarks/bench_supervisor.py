@@ -52,16 +52,14 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 MAX_OVERHEAD = 0.05
 
 
-def bench_supervision(
-    n: int = 10000, workers: int = 2, n_units: int = 8, repeats: int = 7
-) -> dict:
+def bench_supervision(n: int = 10000, workers: int = 2, repeats: int = 7) -> dict:
     pts = make_distribution("uniform", n, seed=n)
     q = unit_charges(n, seed=n + 1, signed=True)
     q2 = unit_charges(n, seed=n + 2, signed=True)
     tc = Treecode(
         pts, q, degree_policy=AdaptiveChargeDegree(p0=4, alpha=0.5), alpha=0.5
     )
-    plan = tc.compile_plan(mode="cluster", n_units=n_units)
+    plan = tc.compile_plan(mode="cluster")
 
     def unit(ctx, q_sorted, i):
         tids, vals = plan.execute_unit(ctx, q_sorted, i)

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from ..core.degree import DegreePolicy, FixedDegree
-from ..core.treecode import Treecode, TreecodeStats
+from ..core.treecode import Treecode, TreecodeStats, reject_plan_store
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import is_enabled, span
 from ..tree.octree import build_octree
@@ -136,11 +136,8 @@ class SingleLayerOperator:
         guarantee applies to densities with ``|sigma| <= 4 pi`` and
         scales linearly beyond.
     plan_cache:
-        Persistent plan-cache directory (see
-        :meth:`~repro.core.treecode.Treecode.compile_plan`).  ``None``
-        consults the ``REPRO_PLAN_CACHE`` environment variable; ``""``
-        disables caching.  A warm cache turns the first-matvec compile
-        into a zero-copy ``mmap`` load.
+        ``None`` or ``""`` only: there is no plan store (see
+        :func:`~repro.core.treecode.reject_plan_store`).
     geometry:
         A shared :class:`OperatorGeometry` for the same mesh/``n_gauss``,
         reusing its quadrature, octree and interaction lists.
@@ -163,9 +160,10 @@ class SingleLayerOperator:
         leaf_size: int = 32,
         plan_budget: int | None = None,
         tol: float | None = None,
-        plan_cache: str | None = None,
+        plan_cache: str | None = None,  # goes at the next benchmark change
         geometry: OperatorGeometry | None = None,
     ) -> None:
+        reject_plan_store("plan_cache", plan_cache)
         if geometry is not None:
             if geometry.mesh is not mesh or geometry.n_gauss != n_gauss:
                 raise ValueError(
@@ -204,7 +202,6 @@ class SingleLayerOperator:
                 self._lists = self.treecode.traverse(mesh.vertices, self_targets=False)
         self.plan_budget = plan_budget
         self.tol = None if tol is None else float(tol)
-        self.plan_cache = plan_cache
         self._plan = None
         self.stats = TreecodeStats()
         self.n_matvecs = 0
@@ -255,9 +252,9 @@ class SingleLayerOperator:
         """Apply the operator: potential at the vertices for density sigma.
 
         The first application compiles the frozen geometry, with the
-        density-to-charge map ``W`` folded in, into a plan (or loads it
-        from the plan store); every application is then pure linear
-        algebra over the plan's operators, applied to ``sigma`` itself.
+        density-to-charge map ``W`` folded in, into a plan; every
+        application is then pure linear algebra over the plan's
+        operators, applied to ``sigma`` itself.
 
         ``sigma`` may be a ``(V, k)`` batch of stacked densities; the
         result is then ``(V, k)``, all columns executed in one batched
@@ -271,7 +268,6 @@ class SingleLayerOperator:
                     lists=self._lists,
                     memory_budget=self.plan_budget,
                     tol=self.tol,
-                    cache_dir=self.plan_cache,
                     source_map=self.source_map,
                 )
             res = self._plan.execute(sigma)

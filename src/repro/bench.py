@@ -56,10 +56,6 @@ component):
   through one compiled plan (``benchmarks/bench_batch.py``, BENCH_7)
   must deliver >= 2x the per-vector throughput of eight sequential
   single-vector applications — the BLAS-3 batching contract.
-* ``plan_cache_warmstart_speedup`` — absolute floor ``10.0``,
-  history-independent: restoring a compiled plan from the
-  content-addressed store (``repro.perf.store``) as a zero-copy mmap
-  must be >= 10x faster than recompiling it from scratch.
 * ``*_s`` (timings) and everything else — informational: reported in
   the table, never gating (wall times on shared CI are too noisy to
   fail on directly; ``speedup`` is the noise-immune ratio).
@@ -110,11 +106,9 @@ _RULES: dict[str, tuple[str, float]] = {
     # the two backends must agree to 1e-12 in complex128
     "m2l_rotation_speedup": ("abs_min", 2.0),
     "m2l_backend_rel_diff": ("abs_max", 1e-12),
-    # multi-RHS batching and the persistent plan store (BENCH_7): one
-    # batched pass must beat sequential single-vector applications by
-    # 2x per vector, and a warm mmap load must beat a cold compile 10x
+    # multi-RHS batching (BENCH_7): one batched pass must beat
+    # sequential single-vector applications by 2x per vector
     "batched_matvec_throughput": ("abs_min", 2.0),
-    "plan_cache_warmstart_speedup": ("abs_min", 10.0),
 }
 
 #: per-row fields worth tracking as series (present or not per bench)
@@ -143,10 +137,6 @@ _ROW_METRICS = (
     "batched_matvec_throughput",
     "single_matvec_s",
     "batched_s",
-    "plan_cache_warmstart_speedup",
-    "cold_compile_s",
-    "warm_load_s",
-    "plan_file_mb",
 )
 
 
@@ -173,7 +163,7 @@ def extract_series(report: dict) -> dict:
     block), the BENCH_4 shape (``treecode_cluster`` rows + optional
     ``variable_order`` block), the BENCH_5 shape (``supervisor``
     block), the BENCH_6 shape (``m2l_backends`` rows) and the BENCH_7
-    shape (``batch`` rows + ``plan_cache`` block); unknown
+    shape (``batch`` rows); unknown
     report layouts yield an empty dict rather than an error, so the
     ledger tolerates future benches until series are defined for them.
     """
@@ -195,9 +185,6 @@ def extract_series(report: dict) -> dict:
         _row_series(f"m2l/p{row.get('p')}", row, series)
     for row in report.get("batch") or []:
         _row_series(f"batch/n{row.get('n')}k{row.get('k')}", row, series)
-    pc = report.get("plan_cache")
-    if pc:
-        _row_series(f"plan_cache/n{pc.get('n')}", pc, series)
     proj = report.get("projected_mb_50k")
     if isinstance(proj, (int, float)):
         series["cluster/projected_mb_50k"] = float(proj)

@@ -457,15 +457,6 @@ def main(argv=None) -> int:
         "table3 adds a target-tol operator row)",
     )
     parser.add_argument(
-        "--plan-cache",
-        metavar="DIR",
-        default=None,
-        help="persistent content-addressed plan cache: compiled evaluation "
-        "plans are stored under DIR keyed by a digest of their inputs and "
-        "restored on later runs as zero-copy mmap loads (sets "
-        "REPRO_PLAN_CACHE for every engine in this run)",
-    )
-    parser.add_argument(
         "--seed",
         type=int,
         default=None,
@@ -561,13 +552,6 @@ def main(argv=None) -> int:
         # one knob for every executor: resolve_workers() reads this env
         # var wherever a plan runs in parallel
         os.environ[ENV_WORKERS] = str(args.workers)
-
-    if args.plan_cache is not None:
-        from .perf.store import ENV_PLAN_CACHE
-
-        # like --workers: the env var is the wire format, read by
-        # resolve_cache_dir() wherever a plan compiles
-        os.environ[ENV_PLAN_CACHE] = args.plan_cache
 
     for tune in ("heartbeat_interval", "unit_deadline", "memory_budget"):
         val = getattr(args, tune)

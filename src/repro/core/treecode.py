@@ -229,6 +229,16 @@ class _Runs:
         return out, cnt
 
 
+def reject_plan_store(name: str, value) -> None:
+    """Refuse a plan-store location: the store was removed.  ``None``
+    and ``""`` (the store's off switch) stay accepted as no-ops."""
+    if value is not None and value != "":
+        raise ValueError(
+            f"{name}={value!r}: the persistent plan store was removed; "
+            "every plan compiles in the process that runs it"
+        )
+
+
 class Treecode:
     """Barnes-Hut treecode for the 3-D Laplace kernel.
 
@@ -423,9 +433,8 @@ class Treecode:
         Each call compiles the interaction lists into a fully spilled
         target-major plan (``memory_budget=0``: nothing is frozen) and
         executes it once, so a one-shot evaluation pays no operator
-        memory.  The compile goes through the plan store like
-        :meth:`compile_plan` with ``cache_dir=None``.  The result's
-        ``stats.eval_time`` covers compile and execute.
+        memory.  The result's ``stats.eval_time`` covers compile and
+        execute.
 
         Returns
         -------
@@ -468,7 +477,7 @@ class Treecode:
 
         Re-sorts them into Morton order and recomputes the per-node
         charge aggregates (``abs_charge``/``net_charge``) the degree
-        policies, bounds and plan digests read.  The tree structure,
+        policies and bounds read.  The tree structure,
         expansion centers and degree schedule are kept (the paper fixes
         all degree-selection parameters at tree construction time).
         Compiled plans hold no charge state, so this never invalidates
@@ -495,9 +504,8 @@ class Treecode:
         memory_budget: int | None = None,
         lists: InteractionLists | None = None,
         mode: str = "target",
-        n_units: int | None = None,
         tol: float | None = None,
-        cache_dir=None,
+        cache_dir=None,  # goes at the next benchmark change: perfbench passes ""
         source_map=None,
         criterion=None,
     ):
@@ -516,11 +524,9 @@ class Treecode:
         ``mode="cluster"`` builds the dual-traversal
         :class:`~repro.perf.cluster.ClusterPlan` (box-box M2L into
         per-leaf local expansions; requires ``targets=None``; ``lists``
-        is not used).  ``n_units`` controls the number of far work
-        units a cluster plan is split into (parallelism granularity), and
-        ``criterion`` its dual traversal's separation criterion: the
-        α-MAC :class:`~repro.tree.dualtree.BoxMAC` by default, or the
-        FMM's :class:`~repro.tree.dualtree.VList`.
+        is not used), and ``criterion`` its dual traversal's separation
+        criterion: the α-MAC :class:`~repro.tree.dualtree.BoxMAC` by
+        default, or the FMM's :class:`~repro.tree.dualtree.VList`.
 
         ``tol`` switches the compiler to **variable-order** mode: each
         far interaction gets the minimal degree whose Theorem-1 (or
@@ -533,12 +539,9 @@ class Treecode:
         before compiling to re-anchor); the a-posteriori ledger the plan
         reports always bounds the true error regardless.
 
-        ``cache_dir`` enables the persistent content-addressed plan
-        store (:mod:`repro.perf.store`): matching plans are restored
-        zero-copy from disk instead of compiled, and fresh compiles are
-        written back.  ``None`` defers to the ``REPRO_PLAN_CACHE``
-        environment variable (the CLI's ``--plan-cache``); ``""``
-        force-disables caching.
+        Every plan compiles in the process that runs it: there is no
+        plan store.  ``cache_dir`` accepts only ``None`` or ``""`` (see
+        :func:`reject_plan_store`).
 
         ``source_map`` (sparse ``n_particles × m``, target-major plans
         only) folds a fixed linear map from source vectors to charges
@@ -549,6 +552,7 @@ class Treecode:
         from ..perf.plan import DEFAULT_MEMORY_BUDGET, compile_plan
         from .degree import VariableDegree
 
+        reject_plan_store("cache_dir", cache_dir)
         if tol is None and isinstance(self.degree_policy, VariableDegree):
             tol = self.degree_policy.tol
         self_targets = targets is None
@@ -574,9 +578,7 @@ class Treecode:
                 DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
             ),
             mode=mode,
-            n_units=n_units,
             tol=tol,
-            cache_dir=cache_dir,
             source_map=source_map,
             criterion=criterion,
         )

@@ -26,7 +26,7 @@ treecode already runs.
   from its particles; a box keeps its local at the largest degree it
   receives, pushed down the tree by L2L, and L2P runs at the leaves.
 
-The FMM therefore shares the treecode's plan store, executors, batches
+The FMM therefore shares the treecode's plans, executors, batches
 and Theorem-1 ledger (``accumulate_bounds``) with no code of its own.
 """
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.degree import PerLevelDegree
-from ..core.treecode import Treecode
+from ..core.treecode import Treecode, reject_plan_store
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import is_enabled, span, stopwatch
 from ..robust.faults import maybe_corrupt
@@ -88,11 +88,8 @@ class UniformFMM:
         :func:`level_degrees`; an int means fixed degree.  Level ``l``
         boxes form their multipoles and run their M2L at ``degrees[l]``.
     plan_cache:
-        Persistent plan-cache directory (see :mod:`repro.perf.store`).
-        ``None`` consults the ``REPRO_PLAN_CACHE`` environment
-        variable; ``""`` disables.  A warm cache restores the plan of
-        the first :meth:`evaluate` as a zero-copy ``mmap`` instead of
-        compiling it.
+        ``None`` or ``""`` only: there is no plan store (see
+        :func:`~repro.core.treecode.reject_plan_store`).
 
     ``plan`` is the compiled :class:`~repro.perf.cluster.ClusterPlan`
     (``None`` until the first :meth:`evaluate`).
@@ -104,8 +101,9 @@ class UniformFMM:
         charges: np.ndarray,
         level: int | None = None,
         degrees: int | list[int] = 6,
-        plan_cache: str | None = None,
+        plan_cache: str | None = None,  # goes at the next benchmark change
     ) -> None:
+        reject_plan_store("plan_cache", plan_cache)
         points = np.ascontiguousarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError(f"points must be (n, 3), got {points.shape}")
@@ -127,8 +125,8 @@ class UniformFMM:
         self.degrees = [int(p) for p in degrees]
 
         # unit charges: the plan depends on positions and degrees only
-        # (box centres, per-level degrees), so its store digest does too
-        # and one cached plan serves every charge vector
+        # (box centres, per-level degrees), so one plan serves every
+        # charge vector
         self.tc = Treecode(
             points,
             np.ones(n),
@@ -139,7 +137,6 @@ class UniformFMM:
         )
         self.stats = FMMStats()
         self.plan = None
-        self.plan_cache = plan_cache
         self.plan_memory_bytes = 0
         self.plan_compile_time = 0.0
 
@@ -203,16 +200,13 @@ class UniformFMM:
         """Potential at every source particle (original order),
         self-interaction excluded.
 
-        The first call compiles the plan (or loads it from the plan
-        cache).  With an ``(n, k)`` charge batch (see
-        :meth:`set_charges`) the result is ``(n, k)``: column ``j`` is
-        the potential due to ``charges[:, j]``, with every operator
-        applied once over the batch."""
+        The first call compiles the plan.  With an ``(n, k)`` charge
+        batch (see :meth:`set_charges`) the result is ``(n, k)``: column
+        ``j`` is the potential due to ``charges[:, j]``, with every
+        operator applied once over the batch."""
         if self.plan is None:
             with stopwatch("fmm.plan", level=self.L) as sw:
-                self.plan = self.tc.compile_plan(
-                    mode="cluster", criterion=VList(), cache_dir=self.plan_cache
-                )
+                self.plan = self.tc.compile_plan(mode="cluster", criterion=VList())
             self.plan_compile_time = sw.elapsed
             self.plan_memory_bytes = int(self.plan.memory_bytes)
         with span("fmm.evaluate", n=int(self.charges.shape[0]), level=self.L):

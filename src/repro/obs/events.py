@@ -26,13 +26,12 @@ class Event(NamedTuple):
     counter: str | None  #: bumped once per event (None: journal only)
     keys: frozenset  #: payload keys every emit must carry
     help: str = ""
-    labels: tuple = ()  #: counter labels, read from the payload
     #: a second counter, ``(name, help, amount(fields))``, skipped at 0
     also: tuple[str, str, Callable[[dict], float]] | None = None
 
 
-def _e(counter, keys, help="", labels=(), also=None) -> Event:
-    return Event(counter, frozenset(keys.split()), help, labels, also)
+def _e(counter, keys, help="", also=None) -> Event:
+    return Event(counter, frozenset(keys.split()), help, also)
 
 
 _WAIT = "slot unit waited_s deadline_s"
@@ -89,21 +88,13 @@ EVENTS: dict[str, Event] = {
               lambda f: f["freed_bytes"])),
     "thread_abandoned": _e("abandoned_threads", "slot unit",
                            "fleet thread workers abandoned at the hang deadline"),
-    # compiled plans and the plan store
+    # compiled plans
     "plan_compile": _e("plan_compiles", "mode targets memory_bytes compile_s",
                        "evaluation plans compiled"),
     "plan_depth": _e("plan_depth_choices", "chosen height candidates",
                      "cluster-plan octree cut levels chosen by the cost model"),
     "plan_shed": _e("plan_sheds", "freed_bytes memory_bytes",
                     "plan memory sheds run"),
-    "plan_cache.hit": _e("plan_cache_hits", "kind digest path load_s",
-                         "plans restored from the on-disk store"),
-    "plan_cache.miss": _e("plan_cache_misses", "kind digest reason",
-                          "plan-store lookups that fell back to a fresh compile",
-                          labels=("reason",)),
-    "plan_cache.store": _e("plan_cache_stores", "kind digest path bytes",
-                           "plans persisted to the on-disk store"),
-    "plan_cache.store_failed": _e(None, "kind digest error"),
 }
 
 def emit(event: str, **fields) -> None:
@@ -115,10 +106,7 @@ def emit(event: str, **fields) -> None:
         missing = sorted(spec.keys - fields.keys())
         raise ValueError(f"event {event!r} needs payload keys {missing}")
     if spec.counter is not None:
-        c = REGISTRY.counter(spec.counter, spec.help, labelnames=spec.labels)
-        if spec.labels:
-            c = c.labels(**{k: fields[k] for k in spec.labels})
-        c.inc()
+        REGISTRY.counter(spec.counter, spec.help).inc()
     if spec.also is not None:
         name, help, amount = spec.also
         if n := amount(fields):

@@ -17,24 +17,10 @@ __all__ = [
     "compile_plan",
     "DEFAULT_MEMORY_BUDGET",
     "ClusterPlan",
-    "ENV_PLAN_CACHE",
-    "PlanStoreError",
-    "plan_digest",
-    "save_plan",
-    "load_plan",
-    "resolve_cache_dir",
 ]
 
 _PLAN_SYMBOLS = {"CompiledPlan", "compile_plan", "DEFAULT_MEMORY_BUDGET"}
 _CLUSTER_SYMBOLS = {"ClusterPlan"}
-_STORE_SYMBOLS = {
-    "ENV_PLAN_CACHE",
-    "PlanStoreError",
-    "plan_digest",
-    "save_plan",
-    "load_plan",
-    "resolve_cache_dir",
-}
 
 
 def __getattr__(name: str):
@@ -46,8 +32,4 @@ def __getattr__(name: str):
         from . import cluster
 
         return getattr(cluster, name)
-    if name in _STORE_SYMBOLS:
-        from . import store
-
-        return getattr(store, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

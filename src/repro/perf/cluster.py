@@ -114,12 +114,14 @@ from .plan import _NEAR_ENTRY_BYTES, DEFAULT_MEMORY_BUDGET, CompiledPlan, _row_b
 
 __all__ = ["ClusterPlan"]
 
-#: Default number of far work units (parallelism granularity).  Each
-#: unit re-translates the box pairs that straddle its target range and
-#: runs its own GEMM per lattice direction, so more units mean more
-#: duplicated M2L work and shorter, less efficient GEMMs: at n=3000 a
-#: serial execute takes 0.05 s with 2 units and 0.08 s with 8.  The
-#: near field adds one unit per target leaf for the executors.
+#: Number of far work units (parallelism granularity).  Each unit
+#: re-translates the box pairs that straddle its target range and runs
+#: its own GEMM per lattice direction, so more units mean more
+#: duplicated M2L work and shorter, less efficient GEMMs: on uniform
+#: n=3000 (1-thread BLAS, median of 7) a serial execute of the
+#: leaf-16 plan takes 0.021 s with 2 units and 0.030 s with 8, and of
+#: the chosen cut 0.0061 s and 0.0082 s.  The near field adds one unit
+#: per target leaf for the executors.
 _DEFAULT_UNITS = 2
 
 #: Frozen lattice operators may take ``1 / _OPERATOR_SHARE`` of the
@@ -405,7 +407,6 @@ class ClusterPlan(CompiledPlan):
         compute: str = "potential",
         accumulate_bounds: bool = False,
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
-        n_units: int | None = None,
         tol: float | None = None,
         cut: int | None = None,
         criterion=None,
@@ -415,9 +416,6 @@ class ClusterPlan(CompiledPlan):
                 "cluster plans evaluate at the treecode's own points; "
                 "self_targets must be True"
             )
-        if n_units is not None and n_units < 1:
-            raise ValueError(f"n_units must be >= 1, got {n_units}")
-        self._n_units_req = n_units
         self._cut_req = cut
         #: the dual traversal's separation criterion
         self.criterion = BoxMAC(tc.alpha) if criterion is None else criterion
@@ -587,8 +585,7 @@ class ClusterPlan(CompiledPlan):
                 ids = np.arange(lo, hi)
                 wk[ids] += wk[tree.parent[ids]]
             cumw = np.cumsum(wk[leaves] + 1.0)
-            req = self._n_units_req or _DEFAULT_UNITS
-            req = max(1, min(req, n_leaves))
+            req = max(1, min(_DEFAULT_UNITS, n_leaves))
             ends = np.searchsorted(
                 cumw, cumw[-1] * np.arange(1, req + 1) / req, side="left"
             )

@@ -374,8 +374,6 @@ class CompiledPlan:
     """
 
     _mode = "target"
-    #: for plans restored from a store that predates the count
-    near_mirror_entries = 0
 
     def __init__(
         self,
@@ -1252,9 +1250,7 @@ def compile_plan(
     accumulate_bounds: bool = False,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     mode: str = "target",
-    n_units: int | None = None,
     tol: float | None = None,
-    cache_dir=None,
     source_map=None,
     criterion=None,
 ) -> CompiledPlan:
@@ -1281,57 +1277,12 @@ def compile_plan(
     the plan: ``execute(x)`` then returns the potentials of the charges
     ``source_map @ x`` (see :class:`CompiledPlan`).
 
-    ``cache_dir`` (or the ``REPRO_PLAN_CACHE`` environment variable
-    when it is ``None``; pass ``""`` to force-disable) enables the
-    persistent plan store (:mod:`repro.perf.store`): if a plan with the
-    same content digest — points, charges, policy, tolerance,
-    dtype, plan configuration, library version — exists on disk it is
-    restored by zero-copy ``mmap`` instead of compiled; otherwise the
-    freshly compiled plan is written back.  Corrupt or stale files
-    fall back to a fresh compile.
-
     Equivalent to :meth:`repro.core.treecode.Treecode.compile_plan`.
     """
-    from .store import cached_plan, plan_digest, resolve_cache_dir
-
     if source_map is not None and mode != "target":
         raise ValueError("source_map is supported by mode='target' plans only")
     if criterion is not None and mode != "cluster":
         raise ValueError("criterion is supported by mode='cluster' plans only")
-    cache = resolve_cache_dir(cache_dir)
-    if cache is not None:
-        digest = plan_digest(
-            tc,
-            tgt,
-            self_targets,
-            compute,
-            accumulate_bounds,
-            memory_budget,
-            mode,
-            n_units,
-            tol,
-            source_map,
-            criterion,
-        )
-        return cached_plan(
-            cache,
-            digest,
-            lambda: compile_plan(
-                tc,
-                lists,
-                tgt,
-                self_targets=self_targets,
-                compute=compute,
-                accumulate_bounds=accumulate_bounds,
-                memory_budget=memory_budget,
-                mode=mode,
-                n_units=n_units,
-                tol=tol,
-                cache_dir="",
-                source_map=source_map,
-                criterion=criterion,
-            ),
-        )
     if mode == "cluster":
         from .cluster import ClusterPlan
 
@@ -1342,7 +1293,6 @@ def compile_plan(
             compute=compute,
             accumulate_bounds=accumulate_bounds,
             memory_budget=memory_budget,
-            n_units=n_units,
             tol=tol,
             criterion=criterion,
         )

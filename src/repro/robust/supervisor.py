@@ -408,6 +408,8 @@ def _worker_loop(h, post, state) -> None:
         def attempt(unit=unit):
             hb.beat(h.slot, unit, h.ident)
             maybe_fault("parallel.block")
+            if h.stopped:
+                return None  # abandoned in the fault site: no work, no retry
             tids, vals = plan.execute_unit(ctx, q_sorted, unit)
             vals = maybe_corrupt("parallel.block", vals)
             check_finite("parallel.block", vals, context="plan unit output")
@@ -417,19 +419,21 @@ def _worker_loop(h, post, state) -> None:
             # stopwatch, not span: the elapsed time feeds the adaptive
             # deadline, and a plain span reads 0.0 with tracing off
             with stopwatch("parallel.block", unit=unit) as sp:
-                (tids, vals), attempts = retry_call(
+                out, attempts = retry_call(
                     attempt, policy, site="parallel.block", seed=unit
                 )
-            if obs_on:
+            ok = True
+        except Exception as exc:  # retries exhausted or guards tripped
+            ok, out = False, f"{type(exc).__name__}: {exc}"
+        if h.stopped:
+            return  # abandoned meanwhile: the unit went back to the pool
+        if ok:
+            if obs_on:  # only units this worker reports
                 REGISTRY.histogram(
                     "parallel_block_seconds", "wall time per worker block"
                 ).observe(sp.elapsed)
-            ok, payload = True, (tids, vals, attempts, sp.elapsed)
-        except Exception as exc:  # retries exhausted or guards tripped
-            ok, payload = False, f"{type(exc).__name__}: {exc}"
-        if h.stopped:
-            return  # abandoned meanwhile: the unit went back to the pool
-        post((h.slot, h.ident, unit, ok, payload))
+            out = (*out, attempts, sp.elapsed)
+        post((h.slot, h.ident, unit, ok, out))
 
 
 @dataclass

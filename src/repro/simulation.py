@@ -94,10 +94,8 @@ class LeapfrogIntegrator:
         )
 
     def _evaluate(self, state: SimulationState, compute: str):
-        # positions change every step, so a stored plan would never hit
-        plan = self._treecode(state).compile_plan(
-            mode="cluster", compute=compute, cache_dir=""
-        )
+        # positions change every step: one plan per evaluation
+        plan = self._treecode(state).compile_plan(mode="cluster", compute=compute)
         return plan.execute(state.masses)
 
     def forces(self, state: SimulationState) -> np.ndarray:

@@ -11,6 +11,7 @@ from repro.parallel import evaluate_plan_parallel, resolve_workers
 from repro.perf import ClusterPlan
 from repro.robust.faults import FaultInjector, parse_fault_spec, set_injector
 from repro.robust.retry import RetryPolicy
+from repro.tree.dualtree import BoxMAC
 from treecode_reference import assert_matches_reference, reference_evaluate
 
 FAST = RetryPolicy(max_retries=3, base_delay=0.0, max_delay=0.0)
@@ -34,6 +35,7 @@ class TestClusterPlan:
         tc = Treecode(pts, q, degree_policy=policy, alpha=0.5, leaf_size=16)
         plan = tc.compile_plan(mode="cluster", accumulate_bounds=True)
         assert isinstance(plan, ClusterPlan) and plan.n_box_pairs > 0
+        assert plan.criterion == BoxMAC(tc.alpha)  # the default separation
         res = plan.execute(q)
         exact = direct_potential(pts, q)
         err = np.abs(res.potential - exact)
@@ -94,8 +96,6 @@ class TestClusterPlan:
             tc.compile_plan(mode="cluster", targets=rng.random((10, 3)))
         with pytest.raises(ValueError, match="mode"):
             tc.compile_plan(mode="bogus")
-        with pytest.raises(ValueError, match="n_units"):
-            tc.compile_plan(mode="cluster", n_units=0)
 
     def test_describe(self, small_cloud):
         pts, q = small_cloud

@@ -53,7 +53,7 @@ def _every_cut(pts, q):
 def _leaf8(mode, tol):
     def plans(pts, q):
         tc = Treecode(pts, q, degree_policy=FixedDegree(4), leaf_size=8)
-        kw = dict(mode=mode, tol=tol, accumulate_bounds=True, cache_dir="")
+        kw = dict(mode=mode, tol=tol, accumulate_bounds=True)
         yield tc.compile_plan(**kw), tol, 0.0
 
     return plans
@@ -63,7 +63,7 @@ def _fmm(level):
     def plans(pts, q):
         tc = UniformFMM(pts, q, level=level, degrees=6).tc
         kw = dict(mode="cluster", criterion=VList(), accumulate_bounds=True)
-        yield tc.compile_plan(cache_dir="", **kw), None, 0.0
+        yield tc.compile_plan(**kw), None, 0.0
 
     return plans
 
@@ -71,7 +71,7 @@ def _fmm(level):
 def _bem(tol):
     def plans(op, sigma):
         kw = dict(tol=tol, accumulate_bounds=True, source_map=op.source_map)
-        yield op.treecode.compile_plan(op.mesh.vertices, cache_dir="", **kw), tol, 0.0
+        yield op.treecode.compile_plan(op.mesh.vertices, **kw), tol, 0.0
 
     return plans
 

@@ -37,12 +37,12 @@ def test_benchmark_cloud_potential_cuts_coarse_gradient_stays_fine(bench_cloud):
     pts, q = bench_cloud
     tc = Treecode(pts, q)
     assert tc.leaf_size is None and tc.tree.height == 5
-    pot = tc.compile_plan(mode="cluster", cache_dir="")
-    both = tc.compile_plan(mode="cluster", compute="both", cache_dir="")
+    pot = tc.compile_plan(mode="cluster")
+    both = tc.compile_plan(mode="cluster", compute="both")
     assert pot.cut_level == 2
     assert both.cut_level > 2
     # the same inputs always choose the same cut
-    again = Treecode(pts, q).compile_plan(mode="cluster", cache_dir="")
+    again = Treecode(pts, q).compile_plan(mode="cluster")
     assert again.cut_level == 2 and again.cut_costs == pot.cut_costs
     for plan in (pot, both):
         cands = [c["cut"] for c in plan.cut_costs]
@@ -61,13 +61,13 @@ def test_explicit_leaf_size_pins_full_depth(bench_cloud):
     chosen = Treecode(pts, q)
     # the same tree: leaf_size=None builds leaves of 16
     assert np.array_equal(pinned.tree.start, chosen.tree.start)
-    plan = pinned.compile_plan(mode="cluster", cache_dir="")
+    plan = pinned.compile_plan(mode="cluster")
     assert plan.cut_level == pinned.tree.height - 1
     assert plan.cut_costs == []
     assert "(pinned)" in plan.describe() and plan.n_box_pairs > 0
     # target-major plans ignore the knob
-    a = pinned.compile_plan(cache_dir="").execute(q).potential
-    b = chosen.compile_plan(cache_dir="").execute(q).potential
+    a = pinned.compile_plan().execute(q).potential
+    b = chosen.compile_plan().execute(q).potential
     assert np.array_equal(a, b)
 
 
@@ -120,8 +120,8 @@ def test_plan_depth_event_once_per_compile(bench_cloud, tmp_path):
     tracing.enable()
     prev = journal.set_journal(journal.Journal(path))
     try:
-        plan = tc.compile_plan(mode="cluster", cache_dir="")
-        Treecode(pts, q, leaf_size=16).compile_plan(mode="cluster", cache_dir="")
+        plan = tc.compile_plan(mode="cluster")
+        Treecode(pts, q, leaf_size=16).compile_plan(mode="cluster")
         spans = [s for s in tracing.get_tracer().events() if s["name"] == "plan.compile"]
         counters = REGISTRY.to_dict()["counters"]
     finally:
@@ -160,8 +160,8 @@ def test_only_cluster_potential_plans_mirror(bench_cloud):
     tc = Treecode(pts, q)
     identity = sp.identity(pts.shape[0], format="csr")
     for plan in (
-        tc.compile_plan(cache_dir=""),
-        tc.compile_plan(source_map=identity, cache_dir=""),
+        tc.compile_plan(),
+        tc.compile_plan(source_map=identity),
         ClusterPlan(tc, tc.tree.points, compute="both", cut=2),
     ):
         assert plan.near_mirror_entries == 0
@@ -210,12 +210,12 @@ def _mirror_case(case, softening, compute, **kw):
     q = np.random.default_rng(6).uniform(-1.0, 1.0, n)
     if case == "fmm-vlist":
         tc = UniformFMM(make_distribution("uniform", n), q, level=2).tc
-        return tc.compile_plan(mode="cluster", compute=compute, criterion=VList(), cache_dir="")
+        return tc.compile_plan(mode="cluster", compute=compute, criterion=VList())
     if case == "gaussian-chosen":
         pts = make_distribution("gaussian", n, seed=5)
         pts[500:530] = pts[500]  # a coincident cluster inside one leaf
         tc = Treecode(pts, q, softening=softening)
-        return tc.compile_plan(mode="cluster", compute=compute, cache_dir="")
+        return tc.compile_plan(mode="cluster", compute=compute)
     tc = Treecode(make_distribution("uniform", n), q, softening=softening)
     return ClusterPlan(tc, tc.tree.points, compute=compute, cut=2, **kw)
 

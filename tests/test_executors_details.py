@@ -13,7 +13,7 @@ def test_block_count():
     pts = rng.random((600, 3))
     q = rng.uniform(-1, 1, 600)
     tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5)
-    plan = tc.compile_plan(n_units=6)
+    plan = tc.compile_plan()
     par = evaluate_plan_parallel(plan, q, n_threads=1)
     assert par.n_blocks == plan.n_units
     assert par.n_threads == 1

@@ -154,7 +154,7 @@ def plan_and_charges():
     pts = uniform_cube(900, seed=5)
     q = rng.uniform(-1, 1, 900)
     Q = rng.uniform(-1, 1, (900, 5))
-    plan = Treecode(pts, q, leaf_size=16).compile_plan(mode="cluster", cache_dir="")
+    plan = Treecode(pts, q, leaf_size=16).compile_plan(mode="cluster")
     assert plan.n_box_pairs > 0
     return plan, q, Q
 
@@ -179,7 +179,7 @@ def test_plan_m2l_dirs_gauge(rng):
     tracing.enable()
     try:
         plan = Treecode(pts, rng.uniform(-1, 1, 400), leaf_size=16).compile_plan(
-            mode="cluster", cache_dir=""
+            mode="cluster"
         )
         assert plan.n_box_pairs > 0
         plan.execute(np.ones(400))
@@ -275,7 +275,7 @@ def test_folded_m2l_matches_per_pair_reference():
     octants, level steps -1, 0 and +1 and degrees 4..8."""
     pts, q = _adaptive_cloud()
     tc = Treecode(pts, q, degree_policy=_CycleDegree(), leaf_size=8)
-    plan = tc.compile_plan(mode="cluster", cache_dir="")
+    plan = tc.compile_plan(mode="cluster")
     assert plan.n_box_pairs > 0
     worst, octs, steps, degs, _ = _folded_vs_per_pair(plan, q)
     assert octs == set(range(8))
@@ -283,7 +283,7 @@ def test_folded_m2l_matches_per_pair_reference():
     assert degs == {4, 5, 6, 7, 8}
     assert worst <= 1e-13
     # and with most keys past the frozen operator share
-    tight = tc.compile_plan(mode="cluster", cache_dir="", memory_budget=1 << 20)
+    tight = tc.compile_plan(mode="cluster", memory_budget=1 << 20)
     worst, _, _, _, rebuilt = _folded_vs_per_pair(tight, q)
     assert rebuilt and worst <= 1e-13
     # fewer operators than pairs: keys are shared across levels
@@ -303,7 +303,7 @@ def test_keys_exact_at_max_depth():
     tc = Treecode(pts, q, degree_policy=FixedDegree(4), leaf_size=4)
     tree = tc.tree
     assert tree.height - 1 == MAX_DEPTH
-    plan = tc.compile_plan(mode="cluster", cache_dir="")
+    plan = tc.compile_plan(mode="cluster")
     view, ic, unit = _box_view(tree)
     pairs = dual_traverse(view, tc.alpha)
     fs, ft = pairs.far_src, pairs.far_tgt
@@ -350,7 +350,7 @@ def test_batch_columns_agree_on_adaptive_cloud():
     pts, q = _adaptive_cloud(800, seed=3)
     Q = np.random.default_rng(3).uniform(-1, 1, (800, 4))
     plan = Treecode(pts, q, degree_policy=_CycleDegree(), leaf_size=8).compile_plan(
-        mode="cluster", cache_dir=""
+        mode="cluster"
     )
     assert plan.n_box_pairs > 0
     single = plan.execute(q).potential
@@ -382,10 +382,10 @@ def test_second_compile_builds_no_direction_operator(monkeypatch):
     pts = uniform_cube(900, seed=5)
     q = np.random.default_rng(5).uniform(-1, 1, 900)
     tc = Treecode(pts, q, leaf_size=16)
-    first = tc.compile_plan(mode="cluster", cache_dir="")
+    first = tc.compile_plan(mode="cluster")
     assert first.n_box_pairs > 0 and sum(calls) > 0
     calls.clear()
-    second = tc.compile_plan(mode="cluster", cache_dir="")
+    second = tc.compile_plan(mode="cluster")
     assert calls == []
     for A, B in zip(first._m2l_ops, second._m2l_ops):
         assert np.array_equal(A, B)
@@ -399,13 +399,13 @@ def test_memo_cap_leaves_results_unchanged(monkeypatch, cap):
     pts = uniform_cube(900, seed=5)
     q = np.random.default_rng(5).uniform(-1, 1, 900)
     tc = Treecode(pts, q, leaf_size=16)
-    ref = tc.compile_plan(mode="cluster", cache_dir="")
+    ref = tc.compile_plan(mode="cluster")
     assert ref.n_box_pairs > 0
     monkeypatch.setattr(lattice, "_memo", {})
     monkeypatch.setattr(lattice, "_memo_bytes", 0)
     monkeypatch.setattr(lattice, "_MEMO_BYTES", cap)
     for _ in range(2):
-        plan = tc.compile_plan(mode="cluster", cache_dir="")
+        plan = tc.compile_plan(mode="cluster")
         assert lattice._memo_bytes <= cap
         assert np.array_equal(plan.execute(q).potential, ref.execute(q).potential)
     if cap:
@@ -421,10 +421,10 @@ def test_rebuilt_operators_once_per_unit_direction(monkeypatch):
     q = rng.uniform(-1, 1, 400)
     Q = rng.uniform(-1, 1, (400, 3))
     tc = Treecode(pts, q, degree_policy=_CycleDegree(), leaf_size=16)
-    frozen = tc.compile_plan(mode="cluster", cache_dir="")
+    frozen = tc.compile_plan(mode="cluster")
     assert frozen.n_box_pairs > 0
     assert all(T is not None for T in frozen._m2l_ops)
-    tight = tc.compile_plan(mode="cluster", cache_dir="", memory_budget=1 << 20)
+    tight = tc.compile_plan(mode="cluster", memory_budget=1 << 20)
     rebuilt = np.array([T is None for T in tight._m2l_ops])
     assert rebuilt.any()
     want = degrees = 0
@@ -485,7 +485,7 @@ class TestClusterLatticeM2L:
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
         tol = 2e-4
-        kw = dict(mode="cluster", tol=tol, accumulate_bounds=True, cache_dir="")
+        kw = dict(mode="cluster", tol=tol, accumulate_bounds=True)
         dense = _dense_reference(tc.compile_plan(**kw)).execute(q)
         lat_plan = tc.compile_plan(**kw)
         assert lat_plan.n_box_pairs > 0
@@ -501,8 +501,8 @@ class TestClusterLatticeM2L:
     def test_fixed_degree_parity_within_rounding(self, small_cloud):
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(6), alpha=0.5, leaf_size=16)
-        plan = tc.compile_plan(mode="cluster", cache_dir="")
-        dense = _dense_reference(tc.compile_plan(mode="cluster", cache_dir=""))
+        plan = tc.compile_plan(mode="cluster")
+        dense = _dense_reference(tc.compile_plan(mode="cluster"))
         lat, ref = plan.execute(q), dense.execute(q)
         scale = np.abs(ref.potential).max()
         assert np.abs(ref.potential - lat.potential).max() <= 1e-12 * scale
@@ -510,7 +510,7 @@ class TestClusterLatticeM2L:
     def test_gradient_parity(self, small_cloud):
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16)
-        kw = dict(mode="cluster", compute="both", cache_dir="")
+        kw = dict(mode="cluster", compute="both")
         dense = _dense_reference(tc.compile_plan(**kw)).execute(q)
         lat = tc.compile_plan(**kw).execute(q)
         gs = np.abs(dense.gradient).max()
@@ -521,7 +521,7 @@ class TestClusterLatticeM2L:
         unit, level and octant, and counted in the plan's memory."""
         pts, q = small_cloud
         tc = Treecode(pts, q, degree_policy=FixedDegree(5), alpha=0.5, leaf_size=16)
-        plan = tc.compile_plan(mode="cluster", cache_dir="")
+        plan = tc.compile_plan(mode="cluster")
         assert plan.n_box_pairs > 0
         ops = {op for u in plan._units for g in u.groups for op in g.ops.tolist()}
         assert ops == set(range(len(plan._m2l_ops)))
@@ -614,7 +614,7 @@ class TestBatchedM2LDedup:
         pts = rng.random((400, 3))
         q = rng.uniform(-1, 1, 400)
         tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
-        plan = tc.compile_plan(mode="cluster", cache_dir="")
+        plan = tc.compile_plan(mode="cluster")
         ref = plan.execute(q).potential
         calls = []
         real_unique = np.unique

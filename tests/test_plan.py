@@ -259,6 +259,31 @@ class TestFmmPlan:
         np.testing.assert_array_equal(planned, reference)
 
 
+def test_plan_store_keywords_accept_only_off(rng, tmp_path):
+    """There is no plan store: the ``cache_dir`` / ``plan_cache``
+    keywords kept for old callers accept ``None`` and ``""`` (same plan
+    as without them) and refuse a directory, writing nothing."""
+    pts = rng.random((300, 3))
+    q = rng.uniform(-1.0, 1.0, 300)
+    tc = Treecode(pts, q, degree_policy=FixedDegree(4), leaf_size=16)
+    mesh = icosphere(1)
+    ref = tc.compile_plan().execute(q).potential
+    for off in (None, ""):
+        np.testing.assert_array_equal(
+            tc.compile_plan(cache_dir=off).execute(q).potential, ref
+        )
+        UniformFMM(pts, q, level=2, plan_cache=off)
+        SingleLayerOperator(mesh, plan_cache=off)
+    for where in (str(tmp_path), tmp_path):
+        with pytest.raises(ValueError, match="plan store was removed"):
+            tc.compile_plan(cache_dir=where)
+        with pytest.raises(ValueError, match="plan store was removed"):
+            UniformFMM(pts, q, level=2, plan_cache=where)
+        with pytest.raises(ValueError, match="plan store was removed"):
+            SingleLayerOperator(mesh, plan_cache=where)
+    assert not any(tmp_path.iterdir())
+
+
 # ----------------------------------------------------------------------
 # Parallel execution of plan units
 # ----------------------------------------------------------------------

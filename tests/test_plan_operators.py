@@ -68,7 +68,7 @@ def _plans(cloud, mode, tol, compute="potential"):
     size pins the full tree: a chosen cut depends on the budget."""
     pts, q, _ = cloud
     tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
-    kw = dict(mode=mode, tol=tol, compute=compute, cache_dir="")
+    kw = dict(mode=mode, tol=tol, compute=compute)
     plan = tc.compile_plan(**kw)
     assert mode == "target" or plan.n_box_pairs > 0
     return plan, tc.compile_plan(memory_budget=0, **kw)
@@ -189,7 +189,7 @@ def test_near_field_is_bitwise_at_every_budget(cloud, mode, compute, budget):
         # each unit one broadcast block of an octant's rows
         if mode == "cluster-cut":
             return ClusterPlan(tc, tc.tree.points, compute=compute, cut=1, **kw)
-        return tc.compile_plan(mode=mode, compute=compute, cache_dir="", **kw)
+        return tc.compile_plan(mode=mode, compute=compute, **kw)
 
     ref = compile_()
     m = ref._near_units.shape[0]
@@ -274,7 +274,7 @@ def test_gradient_kernels_are_assembled_arrays(cloud, mode, monkeypatch):
     assemble_near = plan_mod.assemble_near
     monkeypatch.setattr(plan_mod, "assemble_near", capture)
     tc = Treecode(pts, q, degree_policy=FixedDegree(4), alpha=0.5, leaf_size=16)
-    plan = tc.compile_plan(mode=mode, compute="both", cache_dir="")
+    plan = tc.compile_plan(mode=mode, compute="both")
     assert plan.n_near_spilled == 0 and plan._near_G is not None
     assert any(g is not None and np.shares_memory(plan._near_G, g) for g in made)
     assert plan._near_G.flags.c_contiguous
@@ -319,7 +319,7 @@ def test_chosen_cut_near_field_is_blocks():
     rng = np.random.default_rng(1)
     q = np.where(rng.permutation(n) < n // 2, -1.0, 1.0)
     Q = rng.uniform(-1.0, 1.0, (n, 4))
-    plan = Treecode(pts, q).compile_plan(mode="cluster", cache_dir="")
+    plan = Treecode(pts, q).compile_plan(mode="cluster")
     assert plan.cut_level == 2
     assert plan.near_block_entries == plan._near_cum[-1] == plan._near_K.nnz
     assert np.array_equal(plan._near_blocks, plan._near_units)

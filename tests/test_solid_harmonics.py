@@ -227,11 +227,11 @@ def test_gradients_on_degenerate_geometry(geometry, rng):
     assert np.all(np.isfinite(res.gradient))
     assert _rel(res.gradient, ref) < 1e-4
 
-    res = tc.compile_plan(compute="both", cache_dir="").execute(q)
+    res = tc.compile_plan(compute="both").execute(q)
     assert np.all(np.isfinite(res.gradient))
     assert _rel(res.gradient, ref) < 1e-4
 
-    res = tc.compile_plan(mode="cluster", compute="both", cache_dir="").execute(q)
+    res = tc.compile_plan(mode="cluster", compute="both").execute(q)
     assert np.all(np.isfinite(res.gradient))
     assert _rel(res.gradient, ref) < 1e-2
 

@@ -11,8 +11,8 @@ clouds with synthetic maps:
 * single vectors, ``(V, 1)`` and ``(V, k)`` batches, bitwise per column;
 * near values bitwise equal across budgets, memory shedding and the
   quarantine's direct re-assembly; direct far units within Theorem 1;
-* several P2M storage groups, variable-order plans, gradients, bounds,
-  the parallel executors and the plan store.
+* several P2M storage groups, variable-order plans, gradients, bounds
+  and the parallel executors.
 """
 
 import numpy as np
@@ -25,7 +25,6 @@ from repro.core.degree import AdaptiveChargeDegree, FixedDegree
 from repro.core.treecode import Treecode
 from repro.parallel import evaluate_plan_parallel
 from repro.perf.operators import fold_map
-from repro.perf.store import load_plan, plan_digest, save_plan
 
 
 @pytest.fixture(scope="module")
@@ -39,15 +38,12 @@ def _rel(a, b):
 
 def _op(sphere, **kw):
     kw.setdefault("degree_policy", FixedDegree(4))
-    kw.setdefault("plan_cache", "")
     return SingleLayerOperator(sphere, n_gauss=6, leaf_size=16, **kw)
 
 
 def _unmapped(op, **kw):
     """The operator's plan compiled without the map (run on charges)."""
-    return op.treecode.compile_plan(
-        targets=op.mesh.vertices, lists=op._lists, cache_dir="", **kw
-    )
+    return op.treecode.compile_plan(targets=op.mesh.vertices, lists=op._lists, **kw)
 
 
 def _sigma(sphere, k=None, seed=7):
@@ -125,7 +121,7 @@ def test_near_bitwise_across_budgets_shedding_and_quarantine(sphere):
     op.matvec(sigma)
     plan = op._plan
     spilled = op.treecode.compile_plan(
-        targets=sphere.vertices, lists=op._lists, cache_dir="",
+        targets=sphere.vertices, lists=op._lists,
         memory_budget=0, source_map=op.source_map,
     )
     assert plan.n_near_spilled == 0 and spilled.n_near_precomputed == 0
@@ -212,7 +208,7 @@ def cloud_map():
 
 def test_self_target_gradients_and_bounds(cloud_map):
     tc, M, x = cloud_map
-    kw = dict(compute="both", accumulate_bounds=True, cache_dir="")
+    kw = dict(compute="both", accumulate_bounds=True)
     mapped = tc.compile_plan(source_map=M, **kw)
     plain = tc.compile_plan(**kw)
     got, want = mapped.execute(x), plain.execute(M @ x)
@@ -235,43 +231,17 @@ def test_identity_like_map_drops_nothing_it_needs(cloud_map):
     tc, _, _ = cloud_map
     n = tc.tree.n_particles
     x = np.random.default_rng(3).standard_normal(n)
-    mapped = tc.compile_plan(source_map=2.0 * sp.identity(n, format="csr"), cache_dir="")
-    plain = tc.compile_plan(cache_dir="")
+    mapped = tc.compile_plan(source_map=2.0 * sp.identity(n, format="csr"))
+    plain = tc.compile_plan()
     assert _rel(mapped.execute(x).potential, plain.execute(2.0 * x).potential) <= 1e-13
 
 
 def test_cluster_plans_take_no_map(cloud_map):
     tc, M, _ = cloud_map
     with pytest.raises(ValueError, match="source_map"):
-        tc.compile_plan(mode="cluster", source_map=M, cache_dir="")
+        tc.compile_plan(mode="cluster", source_map=M)
     with pytest.raises(ValueError, match="rows"):
-        tc.compile_plan(source_map=M[:10], cache_dir="")
-
-
-def test_store_digest_and_warm_load(sphere, tmp_path):
-    op = _op(sphere)
-    sigma = _sigma(sphere)
-    op.matvec(sigma)
-    plan = op._plan
-    tc, tgt = op.treecode, sphere.vertices
-    args = (tc, tgt, False, "potential", False, plan.memory_budget, "target", None, None)
-    d_plain = plan_digest(*args)
-    d_map = plan_digest(*args, source_map=op.source_map)
-    assert d_plain != d_map
-    assert d_map == plan_digest(*args, source_map=op.source_map.copy())
-    W2 = op.source_map.copy()
-    W2.data = W2.data * (1 + 1e-12)
-    assert plan_digest(*args, source_map=W2) != d_map
-    path = tmp_path / "mapped.plan"
-    save_plan(plan, path)
-    loaded = load_plan(path)
-    want = plan.execute(sigma).potential
-    np.testing.assert_array_equal(loaded.execute(sigma).potential, want)
-    # through the cache front-end: a warm operator loads the same plan
-    cold = _op(sphere, plan_cache=str(tmp_path / "cache"))
-    warm = _op(sphere, plan_cache=str(tmp_path / "cache"))
-    np.testing.assert_array_equal(cold.matvec(sigma), warm.matvec(sigma))
-    np.testing.assert_array_equal(warm.matvec(sigma), op.matvec(sigma))
+        tc.compile_plan(source_map=M[:10])
 
 
 def test_compile_span_reports_operator_entries(sphere):

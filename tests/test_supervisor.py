@@ -23,6 +23,7 @@ from repro.obs.events import validate_event
 from repro.obs.journal import Journal, read_journal
 from repro.parallel import evaluate_plan_parallel
 from repro.parallel.executors import scatter_add
+from repro.perf import cluster as cluster_mod
 from repro.robust import (
     FaultInjector,
     RetryPolicy,
@@ -57,7 +58,14 @@ def clean_obs():
     journal.set_journal(None)
 
 
-def small_plan(n=900, n_units=4, leaf_size=96, seed=7):
+def cluster_plan(tc, far_units):
+    """``tc``'s cluster plan split into ``far_units`` far work units."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cluster_mod, "_DEFAULT_UNITS", far_units)
+        return tc.compile_plan(mode="cluster")
+
+
+def small_plan(n=900, far_units=4, leaf_size=96, seed=7):
     """A cluster plan with few, chunky units: hang/reap tests need every
     unit to matter, not thousands of sub-ms near blocks."""
     pts = make_distribution("uniform", n, seed=seed)
@@ -65,7 +73,7 @@ def small_plan(n=900, n_units=4, leaf_size=96, seed=7):
     tc = Treecode(
         pts, q, degree_policy=FixedDegree(3), alpha=0.6, leaf_size=leaf_size
     )
-    return tc.compile_plan(mode="cluster", n_units=n_units), q
+    return cluster_plan(tc, far_units), q
 
 
 def supervisor_counters():
@@ -223,7 +231,7 @@ def test_oversubscribed_thread_fleet_stress():
     """More thread workers than cores with a tiny switch interval: a
     lost or doubled unit in the coordinator's bookkeeping would break
     the bitwise merge or the retry count."""
-    plan, q = small_plan(n=1200, n_units=16, leaf_size=24)
+    plan, q = small_plan(n=1200, far_units=16, leaf_size=24)
     ref = plan.execute(q).potential
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -259,9 +267,8 @@ def test_bitwise_under_faults(fleet, mode, fault):
     n = 600
     pts = make_distribution("uniform", n, seed=21)
     q = unit_charges(n, seed=22, signed=True)
-    plan = Treecode(
-        pts, q, degree_policy=FixedDegree(3), alpha=0.6, leaf_size=48
-    ).compile_plan(mode=mode, n_units=4)
+    tc = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.6, leaf_size=48)
+    plan = cluster_plan(tc, 4) if mode == "cluster" else tc.compile_plan()
     batch = np.random.default_rng(23).standard_normal((n, 8))
     for charges in (q, q[:, None], batch):
         ref = plan.execute(charges).potential
@@ -381,7 +388,7 @@ class TestHangReaping:
 # ---------------------------------------------------------------------------
 class TestMemoryBreaker:
     def test_parent_sheds_then_trips_then_ladder_completes(self, tmp_path):
-        plan, q = small_plan(n=600, n_units=2, leaf_size=200)
+        plan, q = small_plan(n=600, far_units=2, leaf_size=200)
         serial = plan.execute(q).potential
         jpath = tmp_path / "run.jsonl"
         with Journal(str(jpath)) as j:
@@ -486,7 +493,7 @@ class TestAcceptance:
         tc = Treecode(
             pts, q, degree_policy=FixedDegree(2), alpha=0.7, leaf_size=1000
         )
-        plan = tc.compile_plan(mode="cluster", n_units=6)  # 6 far + 68 near
+        plan = cluster_plan(tc, 6)  # 6 far + 68 near
         serial = plan.execute(q).potential
         jpath = tmp_path / "run.jsonl"
         tracing.enable()
@@ -547,6 +554,36 @@ class TestAbandonedThreads:
         for t in mine:
             t.join(timeout=5.0)
         assert not set(mine) & set(abandoned_threads())
+
+    def test_abandoned_workers_leave_no_block_timing(self):
+        """A worker abandoned in a hang drops its unit once the stuck
+        call returns: after the abandoned threads drain,
+        ``parallel_block_seconds`` counts exactly the units fleet
+        workers completed, and none of them took the hang."""
+        plan, q = small_plan()
+        before = set(abandoned_threads())
+        hang = 1.0
+        tracing.enable()  # the histogram is observed with tracing on
+        set_injector(FaultInjector(parse_fault_spec(f"block_hang:0.1:{hang}"), seed=3))
+        res = evaluate_plan_parallel(
+            plan,
+            q,
+            n_threads=2,
+            retry=FAST,
+            supervise=SupervisorConfig(
+                unit_deadline=0.2, quarantine_after=100, max_worker_deaths=10_000
+            ),
+        )
+        set_injector(None)
+        mine = [t for t in abandoned_threads() if t not in before]
+        for t in mine:
+            t.join(timeout=5.0)
+        assert not any(t.is_alive() for t in mine)
+        np.testing.assert_array_equal(res.potential, plan.execute(q).potential)
+        assert res.n_reaped >= 1
+        block = REGISTRY.to_dict()["histograms"]["parallel_block_seconds"]
+        assert block["count"] == res.n_blocks - res.n_fallbacks
+        assert block["max"] < hang
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_thread_fleet_matches_serial_under_faults(tmp_path):
     q = unit_charges(n, seed=6, signed=True)
     q2 = unit_charges(n, seed=7, signed=True)
     tc = Treecode(pts, q, degree_policy=FixedDegree(3), alpha=0.5)
-    plan = tc.compile_plan(n_units=6)
+    plan = tc.compile_plan()
 
     phi_s, counters_s, _, lines_s = _run_plan(plan, q2, 1, tmp_path / "one.jsonl")
     phi_t, counters_t, chrome, lines_t = _run_plan(
